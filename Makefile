@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: build test check race fuzz bench faults verify chaos \
+.PHONY: build test check race fuzz bench faults verify chaos flake \
 	bench-compare bench-baseline introspect-smoke service-smoke
 
 build:
@@ -47,6 +47,14 @@ chaos:
 		./cmd/rmsrun ./cmd/rmssim
 	go test -race ./internal/checkpoint
 	go run ./cmd/rmsverify -seed 7 -n 3 -size 10 -stages resume
+
+# Flake hunt: the chaos and scheduler tests of the estimator and the
+# whole work-stealing scheduler package, repeated at one and four CPUs.
+# A result or fault schedule that depends on goroutine timing shows up
+# here as an intermittent failure.
+flake:
+	go test -count=20 -cpu 1,4 -run 'Chaos|Sched' ./internal/estimator
+	go test -count=20 -cpu 1,4 ./internal/sched
 
 bench:
 	go test -bench . -benchtime 1s ./internal/bench/ .

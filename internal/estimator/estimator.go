@@ -79,7 +79,7 @@ type Config struct {
 	// bit-identical to serial evaluation.
 	Workers int
 	// Batch solves each rank's assigned data files as ONE lockstep batched
-	// BDF integration (ode.BatchBDF over codegen.BatchEvaluator): every
+	// BDF integration (ode.NewBatchBDF over codegen.BatchEvaluator): every
 	// file is a lane of a structure-of-arrays batch, so the compiled tape
 	// runs once per corrector iteration for the whole rank instead of once
 	// per file, and lanes drop out as their record grids are exhausted.
@@ -182,10 +182,6 @@ type estMetrics struct {
 	degradeTimeout              *telemetry.Counter
 }
 
-// stepSizeBuckets spans the step magnitudes chemistry integrations visit,
-// from deep transients to free-running cruise.
-var stepSizeBuckets = []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100}
-
 // costErrBuckets spans relative cost-model misprediction from "converged"
 // (<1%) to "off by 5x" — the range that decides whether re-planning helps.
 var costErrBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
@@ -200,7 +196,7 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		schedSplits:          reg.Counter("sched.splits"),
 		schedReplans:         reg.Counter("sched.replans"),
 		costErr:              reg.Histogram("sched.cost_err_rel", costErrBuckets),
-		stepSize:             reg.Histogram("ode.step_size", stepSizeBuckets),
+		stepSize:             ode.StepSizeHistogram(reg),
 		imbalance:            reg.Gauge("estimator.imbalance"),
 		steps:                reg.Counter("ode.steps"),
 		rejected:             reg.Counter("ode.rejected_steps"),
@@ -735,17 +731,7 @@ func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f
 	n := e.model.Prog.NumY
 	y := make([]float64, n)
 	copy(y, e.model.Y0)
-	if e.cfg.Metrics != nil {
-		// Feed the per-step event stream into the step-size histogram,
-		// chaining any observer the model itself installed.
-		met, prev := &e.met, opts.Observer
-		opts.Observer = func(sev ode.StepEvent) {
-			met.stepSize.Observe(math.Abs(sev.H))
-			if prev != nil {
-				prev(sev)
-			}
-		}
-	}
+	opts.Observer = e.stepObserver(opts.Observer)
 	rhs := func(_ float64, yy, dy []float64) {
 		ev.Eval(yy, k, dy)
 	}
@@ -794,6 +780,22 @@ func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f
 		errvec[j] += errf(sim, rec.Value)
 	}
 	return solver.Stats(), nil
+}
+
+// stepObserver feeds the per-step event stream into the step-size
+// histogram when metrics are on, chaining prev (the model's own
+// observer, possibly nil).
+func (e *Estimator) stepObserver(prev ode.StepObserver) ode.StepObserver {
+	if e.cfg.Metrics == nil {
+		return prev
+	}
+	met := &e.met
+	return func(sev ode.StepEvent) {
+		met.stepSize.Observe(math.Abs(sev.H))
+		if prev != nil {
+			prev(sev)
+		}
+	}
 }
 
 // useBatch reports whether objective calls take the batched solve path.
@@ -886,7 +888,7 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 		bev.EvalBatch(y, kSoA, dy)
 	}
 	opts := e.model.SolverOpts
-	opts.Observer = nil // per-step events are not emitted on the batch path
+	opts.Observer = e.stepObserver(opts.Observer)
 	if opts.Budget == nil {
 		opts.Budget = e.cfg.Budget
 	}
@@ -896,7 +898,7 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 		if pool != nil {
 			jacEv.SetParallel(pool)
 		}
-		bopts.Pattern = e.model.AnalyticJac.PatternCSR()
+		bopts.SparsePattern = e.model.AnalyticJac.PatternCSR()
 		bopts.BatchJacobian = func(_ float64, y []float64, active []bool, dst []*linalg.CSR) {
 			jacEv.EvalCSR(y, kSoA, active, dst)
 		}

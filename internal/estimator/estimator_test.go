@@ -3,6 +3,7 @@ package estimator
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,7 @@ import (
 	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/telemetry"
 )
 
 // decayModel builds A -> B with rate K_d; the property is [B].
@@ -545,6 +547,28 @@ func TestBatchObjectiveMatchesSerial(t *testing.T) {
 				t.Errorf("ranks=%d file %d recorded no batched work", ranks, fi)
 			}
 		}
+	}
+}
+
+// TestBatchPathObservesSteps: the batched solve path feeds per-step
+// events into the ode.step_size histogram and chains the model's own
+// step observer, as the per-file path does.
+func TestBatchPathObservesSteps(t *testing.T) {
+	m := *decayModel(t)
+	var events atomic.Int64
+	m.SolverOpts.Observer = func(ode.StepEvent) { events.Add(1) }
+	reg := telemetry.NewRegistry()
+	e, err := New(&m, makeFiles(0.9, []int{30, 25, 40}), Config{Ranks: 2, Batch: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := make([]float64, e.ResidualDim())
+	if err := e.Objective([]float64{1.4}, r); err != nil {
+		t.Fatal(err)
+	}
+	if n := events.Load(); n == 0 || ode.StepSizeHistogram(reg).Count() != n {
+		t.Errorf("model observer saw %d events, ode.step_size counted %d",
+			n, ode.StepSizeHistogram(reg).Count())
 	}
 }
 

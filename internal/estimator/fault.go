@@ -176,7 +176,7 @@ func (e *Estimator) checkPoolFault() {
 }
 
 // laneSlowdown returns the injected cost-inflation factor for a solve
-// executed by {rank, lane} during the given call (1 without injection).
+// planned on {rank, lane} during the given call (1 without injection).
 // The factor scales the *measured* cost a slowed lane reports, which is
 // how a chronically slow worker looks to the scheduler's cost model.
 func (e *Estimator) laneSlowdown(call, rank, lane int) float64 {

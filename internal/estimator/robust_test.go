@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,12 +39,12 @@ func TestObjectiveBudgetCancelMidCall(t *testing.T) {
 	files := makeFiles(1.0, []int{30, 30, 30, 30})
 	bud := budget.New()
 	// Trip the budget from inside the call: the property function runs
-	// once per emitted record, so cancel after a handful of them.
-	n := 0
+	// once per emitted record, so cancel after a handful of them. Both
+	// ranks call it, so the count is atomic.
+	var n atomic.Int64
 	inner := m.Property
 	m.Property = func(y []float64) float64 {
-		n++
-		if n == 5 {
+		if n.Add(1) == 5 {
 			bud.Cancel("mid-call")
 		}
 		return inner(y)

@@ -291,10 +291,18 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 			f := e.files[it.File]
 			block := contrib[it.File*m : (it.File+1)*m]
 			ev := evs[laneIdx]
-			// Injected lane slowdowns inflate the cost this lane *reports*
-			// — exactly how a chronically slow worker looks to the cost
-			// model and the virtual-clock replay.
-			slow := e.laneSlowdown(call, rank, laneIdx)
+			// Injected lane slowdowns inflate the cost the item's lane
+			// *reports* — exactly how a chronically slow worker looks to
+			// the cost model and the virtual-clock replay. They are keyed
+			// by the lane the plan assigned (the victim, for a stolen
+			// item), not the lane that ran it: which lane steals depends
+			// on goroutine timing, so the fault schedule must follow the
+			// plan, not the race.
+			planned := laneIdx
+			if victim >= 0 {
+				planned = victim
+			}
+			slow := e.laneSlowdown(call, rank, planned)
 			e.log.Debug("solve", "file solve",
 				"call", call, "rank", rank, "file", f.Name,
 				"lo", it.Lo, "hi", it.Hi)

@@ -73,7 +73,7 @@ func (p *Plan) PoolFault(call int) bool {
 }
 
 // SlowLane schedules a persistent slowdown factor (≥ 1) for every solve
-// executed by the given {rank, lane} — the chronically slow worker the
+// planned on the given {rank, lane} — the chronically slow worker the
 // sched cost model cannot predict.
 func (p *Plan) SlowLane(rank, lane int, factor float64) *Plan {
 	p.mu.Lock()
@@ -102,9 +102,9 @@ func (p *Plan) SlowLaneJitter(rate, maxFactor float64) *Plan {
 	return p
 }
 
-// LaneSlowdown returns the multiplicative cost inflation for a solve run
-// by {rank, lane} during the given objective call (1 = no slowdown).
-// Persistent SlowLane factors stack with jittered draws.
+// LaneSlowdown returns the multiplicative cost inflation for a solve
+// planned on {rank, lane} during the given objective call (1 = no
+// slowdown). Persistent SlowLane factors stack with jittered draws.
 func (p *Plan) LaneSlowdown(call, rank, lane int) float64 {
 	if p == nil {
 		return 1

@@ -132,12 +132,21 @@ func (m *CSR) MulVec(x, dst []float64) {
 // Dense expands the matrix to dense form (testing helper).
 func (m *CSR) Dense() *Matrix {
 	d := NewMatrix(m.N, m.N)
+	m.DenseTo(d)
+	return d
+}
+
+// DenseTo overwrites the N×N matrix d with the matrix's dense form —
+// the solver's scatter of a CSR Jacobian onto its dense Newton path.
+func (m *CSR) DenseTo(d *Matrix) {
+	for i := range d.Data {
+		d.Data[i] = 0
+	}
 	for i := 0; i < m.N; i++ {
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			d.Set(i, int(m.ColIdx[p]), m.Data[p])
 		}
 	}
-	return d
 }
 
 // SparseLU is a sparse LU factorization without pivoting, specialized for

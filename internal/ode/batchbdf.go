@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"math"
 
+	"rms/internal/budget"
 	"rms/internal/linalg"
 )
 
-// Lockstep batched BDF: one Adams-Gear integration advancing B
-// independent copies (lanes) of the same n-dimensional system through a
-// shared step sequence. The step size, order and history grid are common
-// to the batch — step control max-reduces the per-lane error norms — so
-// the right-hand side is evaluated once per corrector iteration for the
-// whole batch through a structure-of-arrays BatchFunc
-// (codegen.BatchEvaluator.EvalBatch), which is where the batch path's
+// The Adams-Gear core: one integration advancing B independent copies
+// (lanes) of the same n-dimensional system through a shared step
+// sequence. The step size, order and history grid are common to the
+// lanes — step control max-reduces the per-lane error norms — so the
+// right-hand side is evaluated once per corrector iteration for all
+// lanes through a structure-of-arrays BatchFunc
+// (codegen.BatchEvaluator.EvalBatch), which is where a wide batch's
 // throughput comes from. Linear algebra stays per-lane: every lane keeps
 // its own Jacobian and LU factors, sharing only the sparsity pattern and
 // its one-time symbolic factorization (linalg.SparseLU.Fork).
@@ -22,11 +23,26 @@ import (
 // its output grid is exhausted (done) or when it alone is responsible
 // for driving the common step below MinStep (failed, see LaneErr) —
 // either way without stalling the rest of the batch.
-//
-// The per-lane arithmetic deliberately mirrors BDF's step for step: a
-// batch whose lanes all start from the serial solver's state reproduces
-// the serial solution bit for bit (the conformance harness's "batch"
-// stage checks exactly that).
+
+// BDF coefficients: y_{n+1} = Σ alpha[q][i]·y_{n-i} + h·beta[q]·f(t_{n+1}, y_{n+1}).
+var (
+	bdfAlpha = [6][]float64{
+		nil,
+		{1},
+		{4.0 / 3, -1.0 / 3},
+		{18.0 / 11, -9.0 / 11, 2.0 / 11},
+		{48.0 / 25, -36.0 / 25, 16.0 / 25, -3.0 / 25},
+		{300.0 / 137, -300.0 / 137, 200.0 / 137, -75.0 / 137, 12.0 / 137},
+	}
+	bdfBeta = [6]float64{0, 1, 2.0 / 3, 6.0 / 11, 12.0 / 25, 60.0 / 137}
+)
+
+// sparseFailLimit is how many consecutive sparse refactorization rounds
+// may fail before the solver demotes itself to the dense LU path for
+// good. Step-size shrinks between attempts give the sparse path real
+// chances to recover; persistent failure means the pivot-free sparse
+// factorization cannot handle this iteration matrix.
+const sparseFailLimit = 3
 
 // BatchFunc evaluates dy = f(t, y) for every lane at once. y and dy are
 // slot-major structure-of-arrays: component i of lane l lives at
@@ -35,42 +51,54 @@ type BatchFunc func(t float64, y, dy []float64)
 
 // BatchJac fills each active lane's sparse Jacobian ∂f/∂y at the batched
 // state y (SoA as in BatchFunc). dst[l] has the layout of
-// BatchOptions.Pattern; lanes with active[l] == false must be left
+// Options.SparsePattern; lanes with active[l] == false must be left
 // untouched. codegen.BatchJacEvaluator.EvalCSR has exactly this shape.
 type BatchJac func(t float64, y []float64, active []bool, dst []*linalg.CSR)
 
-// BatchOptions configures a batched solver. The embedded Options provide
-// the tolerances and step-control limits; the per-lane callback fields
-// (Jacobian, SparseJacobian, SparsePattern, Observer) are ignored — the
-// batched analytic-Jacobian path uses BatchJacobian/Pattern instead.
+// BatchOptions configures a batched solver: the embedded Options, plus
+// an optional batched analytic Jacobian.
 type BatchOptions struct {
 	Options
-	// BatchJacobian, when non-nil together with Pattern, supplies analytic
-	// per-lane Jacobians in one batched tape sweep. When nil the solver
-	// falls back to a batched forward-difference Jacobian (column j of
-	// every lane perturbed in one BatchFunc call).
+	// BatchJacobian, when non-nil together with Options.SparsePattern,
+	// supplies every lane's Jacobian in one batched tape sweep. It takes
+	// precedence over the per-lane SparseJacobian on the sparse path; on
+	// the dense path (below the sparse gates, or after a demotion) its
+	// output is scattered into dense matrices unless Options.Jacobian is
+	// set.
 	BatchJacobian BatchJac
-	// Pattern is the structural pattern of ∂f/∂y including the full
-	// diagonal (codegen.JacobianProgram.PatternCSR). Under the same
-	// density/size gates as the serial solver it enables the sparse Newton
-	// path with the symbolic factorization computed once and forked per
-	// lane; otherwise lanes scatter their CSR into dense iteration
-	// matrices.
-	Pattern *linalg.CSR
 }
 
-// BatchBDF is the lockstep batched Adams-Gear solver.
-type BatchBDF struct {
+// BDF is the Adams-Gear stiff solver: variable-order (1–5)
+// backward-differentiation formulas with quasi-constant step size, a
+// modified-Newton corrector with a lazily refreshed Jacobian, and
+// polynomial history rescaling on step changes. One BDF advances one
+// lane (NewBDF) or B lanes in lockstep (NewBatchBDF).
+//
+// The Jacobian comes from, on the sparse path, BatchJacobian or else the
+// per-lane Options.SparseJacobian; on the dense path, the per-lane
+// Options.Jacobian, else BatchJacobian scattered to dense, else forward
+// differences. Per-lane callbacks receive one lane's state.
+type BDF struct {
 	f    BatchFunc
 	n, b int
 	opts BatchOptions
 
 	// Shared integration state; every history entry is n·B SoA.
-	hist   [][]float64
+	hist   [][]float64 // hist[i] = y at tInt - i*h
 	order  int
 	h      float64
-	streak int
+	streak int // consecutive accepted steps at the current order
 	tInt   float64
+
+	// Continuation: like IMSL's Adams-Gear state handle, an Integrate
+	// call that starts exactly where the previous one ended continues
+	// with the accumulated history, order and step instead of restarting
+	// at order 1 — the estimator's record-to-record loop (Fig. 9).
+	initialized bool
+	tCur        float64     // endpoint reported by the last Integrate
+	yOut        []float64   // y reported at tCur (continuation check)
+	tOut        []float64   // Integrate's one-point output grid ...
+	outT        [][]float64 // ... shared by every lane
 
 	// Per-lane masking.
 	active  []bool
@@ -83,7 +111,7 @@ type BatchBDF struct {
 	f0, f1       []float64
 	scratch      []float64
 
-	// Per-lane lane-local workspaces (length n).
+	// Lane-local workspaces (length n).
 	laneB, laneX, laneY, laneE []float64
 
 	// Per-lane Newton state.
@@ -91,7 +119,7 @@ type BatchBDF struct {
 	culprits   []bool // lanes responsible for the last rejection
 	haveFactor []bool
 	jacFresh   bool
-	luH        float64
+	luH        float64 // h·beta the current factorizations were built for
 
 	// Dense per-lane Newton path.
 	jac     []*linalg.Matrix
@@ -99,24 +127,27 @@ type BatchBDF struct {
 	iterMat *linalg.Matrix // shared workspace; LU() clones it
 
 	// Sparse per-lane Newton path: one symbolic factorization, forked.
-	sparse bool
-	jacCSR []*linalg.CSR
-	mCSR   []*linalg.CSR
-	mDiag  []int32
-	slu    []*linalg.SparseLU
+	sparse      bool
+	sparseFails int // consecutive failed sparse refactorization rounds
+	jacCSR      []*linalg.CSR
+	mCSR        []*linalg.CSR
+	mDiag       []int32
+	slu         []*linalg.SparseLU
 
-	stats     Stats   // shared step/factorization accounting (see Stats)
+	stats     Stats   // shared counters: JacNNZ, FillNNZ, SparseDemotions
 	laneStats []Stats // per-lane work accounting (see LaneStats)
 }
 
-// NewBatchBDF returns a lockstep batched Adams-Gear solver for b lanes of
-// an n-dimensional system.
-func NewBatchBDF(f BatchFunc, n, b int, opts BatchOptions) *BatchBDF {
+// NewBatchBDF returns a lockstep Adams-Gear solver for b lanes of an
+// n-dimensional system.
+func NewBatchBDF(f BatchFunc, n, b int, opts BatchOptions) *BDF {
 	if b <= 0 {
 		panic(fmt.Sprintf("ode: batch of %d lanes", b))
 	}
-	s := &BatchBDF{
+	s := &BDF{
 		f: f, n: n, b: b, opts: opts,
+		tOut:       make([]float64, 1),
+		outT:       make([][]float64, b),
 		active:     make([]bool, b),
 		laneErr:    make([]error, b),
 		nextOut:    make([]int, b),
@@ -137,28 +168,25 @@ func NewBatchBDF(f BatchFunc, n, b int, opts BatchOptions) *BatchBDF {
 		jac:        make([]*linalg.Matrix, b),
 		laneStats:  make([]Stats, b),
 	}
-	s.initSparse()
+	for l := range s.outT {
+		s.outT[l] = s.tOut
+	}
+	s.initSparse(opts.withDefaults(0, 0)) // the sparse gates ignore the interval
 	return s
 }
 
-// initSparse decides once whether the batch runs the sparse Newton path,
-// under the serial solver's gates, and forks the one-time symbolic
-// factorization across the lanes.
-func (s *BatchBDF) initSparse() {
-	o := s.opts
-	if o.BatchJacobian == nil || o.Pattern == nil {
+// initSparse decides once whether the solver runs the sparse Newton
+// path: a sparse Jacobian source and its pattern must be supplied, the
+// pattern must match the dimension and clear the density/size gates, and
+// the symbolic factorization must succeed. Any failure keeps the dense
+// path.
+func (s *BDF) initSparse(o Options) {
+	pat := o.SparsePattern
+	if pat == nil || (o.SparseJacobian == nil && s.opts.BatchJacobian == nil) {
 		return
 	}
-	thr := o.SparseThreshold
-	if thr == 0 {
-		thr = 0.2
-	}
-	minDim := o.SparseMinDim
-	if minDim == 0 {
-		minDim = 20
-	}
-	pat := o.Pattern
-	if pat.N != s.n || s.n < minDim || thr < 0 || pat.Density() > thr {
+	if pat.N != s.n || s.n < o.SparseMinDim || o.SparseThreshold < 0 ||
+		pat.Density() > o.SparseThreshold {
 		return
 	}
 	slu0 := o.SymbolicLU
@@ -166,7 +194,7 @@ func (s *BatchBDF) initSparse() {
 		var err error
 		slu0, err = linalg.NewSparseLU(pat)
 		if err != nil {
-			return
+			return // pattern misses a diagonal: unusable without pivoting
 		}
 	}
 	s.sparse = true
@@ -186,18 +214,14 @@ func (s *BatchBDF) initSparse() {
 	s.stats.FillNNZ = slu0.FillNNZ()
 }
 
-// Sparse reports whether the batch runs the sparse Newton path.
-func (s *BatchBDF) Sparse() bool { return s.sparse }
-
-// Lanes returns the batch width B.
-func (s *BatchBDF) Lanes() int { return s.b }
+// Sparse reports whether the solver runs the sparse Newton path.
+func (s *BDF) Sparse() bool { return s.sparse }
 
 // Stats returns the summed per-lane work counters plus the shared sparse
-// pattern sizes — the batch's total cost in serial-solver units.
-func (s *BatchBDF) Stats() Stats {
-	total := Stats{JacNNZ: s.stats.JacNNZ, FillNNZ: s.stats.FillNNZ}
-	for l := range s.laneStats {
-		st := s.laneStats[l]
+// pattern sizes and demotions — the batch's total cost in one-lane units.
+func (s *BDF) Stats() Stats {
+	total := s.stats
+	for _, st := range s.laneStats {
 		total.Steps += st.Steps
 		total.Rejected += st.Rejected
 		total.FEvals += st.FEvals
@@ -215,28 +239,83 @@ func (s *BatchBDF) Stats() Stats {
 // for, its share of the batched RHS evaluations, and its own Jacobian /
 // factorization / solve work — the numbers the estimator's deterministic
 // cost model consumes per data file.
-func (s *BatchBDF) LaneStats(lane int) Stats { return s.laneStats[lane] }
+func (s *BDF) LaneStats(lane int) Stats { return s.laneStats[lane] }
 
 // LaneErr returns the terminal error of a failed lane (nil for lanes
 // that completed, or are still pending).
-func (s *BatchBDF) LaneErr(lane int) error { return s.laneErr[lane] }
+func (s *BDF) LaneErr(lane int) error { return s.laneErr[lane] }
 
-// Integrate advances all lanes from t0 to t1 in place: y is n·B SoA and
-// is overwritten with each lane's y(t1). Lanes that fail keep their last
-// state; the error is the first failing lane's (nil when every lane
-// reached t1). A convenience wrapper over Solve with a one-point output
-// grid per lane.
-func (s *BatchBDF) Integrate(t0, t1 float64, y []float64) error {
-	grid := make([][]float64, s.b)
-	for l := range grid {
-		grid[l] = []float64{t1}
+// Integrate advances every lane from t0 to t1 in place: y is n·B SoA
+// (the plain state vector for one lane) and is overwritten with each
+// lane's y(t1).
+//
+// Like the production stiff codes, the solver free-runs: it steps with
+// its natural step size until the internal time covers t1 and reports
+// y(t1) by interpolating the history polynomial. A following call that
+// starts exactly at the previous endpoint, with y untouched, continues
+// with the accumulated history, order and step — the estimator's
+// record-to-record loop costs interpolations, not solver restarts.
+// FixedStep mode (a testing hook) keeps exact-grid stepping without
+// continuation.
+//
+// Integrate returns nil when at least one lane reached t1; per-lane
+// failures are reported by LaneErr. A lane stopped by its budget holds
+// its last accepted state, so the caller keeps a well-formed partial
+// trajectory; a lane failing otherwise keeps its input state.
+func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
+	if len(y) != s.n*s.b {
+		return errWrap(errShape(len(y), s.n*s.b), t0)
 	}
-	err := s.Solve(t0, y, grid, func(lane, _ int, yl []float64) {
-		for i := 0; i < s.n; i++ {
-			y[i*s.b+lane] = yl[i]
+	if t1 == t0 {
+		return nil
+	}
+	o := s.opts.withDefaults(t0, t1)
+	dir := sign(t1 - t0)
+	if o.FixedStep > 0 {
+		return s.integrateFixed(t0, t1, dir, o, y)
+	}
+	if !s.canContinue(t0, y, dir) {
+		s.reset(t0, y, o, dir)
+	}
+	s.tOut[0] = t1
+	s.run(o, s.outT, func(lane, _ int, yl []float64) {
+		for i, v := range yl {
+			y[i*s.b+lane] = v
 		}
 	})
-	return err
+	s.initialized = true
+	for l, err := range s.laneErr {
+		if err == nil {
+			continue
+		}
+		s.initialized = false
+		if budget.Exhausted(err) {
+			for i := 0; i < s.n; i++ {
+				y[i*s.b+l] = s.hist[0][i*s.b+l]
+			}
+		}
+	}
+	if s.initialized {
+		s.tCur = t1
+		s.yOut = append(s.yOut[:0], y...)
+	}
+	return s.result()
+}
+
+// canContinue reports whether this call resumes exactly where the last
+// one ended, so the accumulated history remains valid.
+func (s *BDF) canContinue(t0 float64, y []float64, dir float64) bool {
+	if !s.initialized || t0 != s.tCur {
+		return false
+	}
+	// The caller must not have touched the state between calls, and the
+	// direction must match the history grid.
+	for i := range y {
+		if y[i] != s.yOut[i] {
+			return false
+		}
+	}
+	return dir == sign(s.h)
 }
 
 // Solve integrates the batch forward from (t0, y0): y0 is n·B SoA, and
@@ -245,9 +324,10 @@ func (s *BatchBDF) Integrate(t0, t1 float64, y []float64) error {
 // the interpolated lane state, in nondecreasing time order per lane; the
 // slice is reused across calls. Lanes whose grid is exhausted, and lanes
 // that individually drive the common step below MinStep, drop out of the
-// lockstep without stalling the rest. Solve returns nil when at least
-// one lane completes; per-lane failures are reported by LaneErr.
-func (s *BatchBDF) Solve(t0 float64, y0 []float64, outT [][]float64, emit func(lane, idx int, y []float64)) error {
+// lockstep without stalling the rest. Solve always starts afresh and
+// returns nil when at least one lane completes; per-lane failures are
+// reported by LaneErr.
+func (s *BDF) Solve(t0 float64, y0 []float64, outT [][]float64, emit func(lane, idx int, y []float64)) error {
 	n, b := s.n, s.b
 	if len(y0) != n*b {
 		return errWrap(errShape(len(y0), n*b), t0)
@@ -278,85 +358,106 @@ func (s *BatchBDF) Solve(t0 float64, y0 []float64, outT [][]float64, emit func(l
 			tEnd, any = last, true
 		}
 	}
-	o := s.opts.Options.withDefaults(t0, tEnd)
+	o := s.opts.withDefaults(t0, tEnd)
 	s.reset(t0, y0, o, dir)
+	s.run(o, outT, emit)
+	return s.result()
+}
+
+// result is the outcome of the last run: nil when at least one lane
+// completed, else lane 0's error.
+func (s *BDF) result() error {
+	for _, e := range s.laneErr {
+		if e == nil {
+			return nil
+		}
+	}
+	return s.laneErr[0]
+}
+
+// run steps the batch until every lane has emitted its whole output
+// grid or failed.
+func (s *BDF) run(o Options, outT [][]float64, emit func(lane, idx int, y []float64)) {
 	for l := range s.active {
 		s.active[l] = len(outT[l]) > 0
 		s.laneErr[l] = nil
 		s.nextOut[l] = 0
 	}
-	s.emitDue(outT, emit, o)
-	if dir == 0 {
-		return nil // every requested output was at t0
-	}
-
+	s.emitDue(outT, emit)
 	for steps := 0; s.anyActive(); steps++ {
 		if steps > o.MaxSteps {
 			s.failActive(ErrTooManySteps)
-			break
+			return
 		}
 		if err := o.Budget.Check(); err != nil {
 			// Cooperative cancellation: still-pending lanes fail with the
 			// budget error (budget.Exhausted tells them apart from solver
 			// failures); lanes already emitted keep their results.
 			s.failActive(err)
-			break
+			return
 		}
-		accepted, errNorm, err := s.attemptStep(s.tInt, o)
-		if err != nil {
-			s.failActive(err)
-			break
+		tStep, hStep, orderStep := s.tInt, s.h, s.order
+		var preNewton, preFactor int
+		if o.Observer != nil {
+			preNewton, preFactor = s.work()
+		}
+		accepted, errNorm := s.attemptStep(s.tInt, o)
+		if o.Observer != nil {
+			newton, factor := s.work()
+			o.Observer(StepEvent{
+				T: tStep, H: hStep, Order: orderStep,
+				Accepted: accepted, ErrNorm: errNorm,
+				NewtonIters:    newton - preNewton,
+				Factorizations: factor - preFactor,
+				Sparse:         s.sparse,
+			})
 		}
 		if accepted {
 			s.tInt += s.h
-			s.stats.Steps++
 			s.streak++
-			for l := range s.laneStats {
-				if s.active[l] {
-					s.laneStats[l].Steps++
-				}
-			}
-			// Adapt before emitting: the serial solver interpolates its
-			// output only after the per-step order/step adaptation has run
-			// (its step loop re-checks the exit condition post-adaptation),
-			// so emitting first would read the pre-rescale history and
-			// drift from the serial trajectory by an ulp.
+			s.countActive(func(st *Stats) { st.Steps++ })
+			// Adapt before emitting: output interpolates the history after
+			// the step's order/step adaptation has rescaled it.
 			s.adaptOrderAndStep(errNorm, o)
-			s.emitDue(outT, emit, o)
-		} else {
-			s.stats.Rejected++
-			s.streak = 0
-			shrink := math.Max(0.1, math.Min(0.5, 0.9*math.Pow(errNorm, -1.0/float64(s.order+1))))
-			if s.order > 1 && errNorm > 100 {
-				s.order--
-			}
-			s.rescaleHistory(shrink)
-			s.h *= shrink
-			for l := range s.laneStats {
-				if s.active[l] {
-					s.laneStats[l].Rejected++
-				}
-			}
-			if math.Abs(s.h) < o.MinStep {
-				// The common step underflowed: retire the lanes that forced
-				// the rejection and let the survivors continue — per-lane
-				// failure masking instead of the serial solver's global abort.
-				if !s.failCulprits(ErrStepTooSmall) {
-					break
-				}
-			}
+			s.emitDue(outT, emit)
+			continue
+		}
+		s.streak = 0
+		// Shrink; drop the order if failures persist at order > 1.
+		shrink := math.Max(0.1, math.Min(0.5, 0.9*math.Pow(errNorm, -1.0/float64(s.order+1))))
+		if s.order > 1 && errNorm > 100 {
+			s.order--
+		}
+		s.rescaleHistory(shrink)
+		s.h *= shrink
+		s.countActive(func(st *Stats) { st.Rejected++ })
+		if math.Abs(s.h) < o.MinStep && !s.failCulprits(ErrStepTooSmall) {
+			return
 		}
 	}
-	for _, e := range s.laneErr {
-		if e == nil {
-			return nil
+}
+
+// work sums the lanes' Newton iterations and factorizations (the
+// per-attempt StepEvent work is the difference of two sums).
+func (s *BDF) work() (newton, factor int) {
+	for _, st := range s.laneStats {
+		newton += st.NewtonIters
+		factor += st.Factorizations
+	}
+	return newton, factor
+}
+
+// countActive applies inc to every active lane's counters.
+func (s *BDF) countActive(inc func(*Stats)) {
+	for l, a := range s.active {
+		if a {
+			inc(&s.laneStats[l])
 		}
 	}
-	return errWrap(s.laneErr[0], s.tInt)
 }
 
 // anyActive reports whether any lane still integrates.
-func (s *BatchBDF) anyActive() bool {
+func (s *BDF) anyActive() bool {
 	for _, a := range s.active {
 		if a {
 			return true
@@ -366,7 +467,7 @@ func (s *BatchBDF) anyActive() bool {
 }
 
 // failActive marks every still-active lane failed with err.
-func (s *BatchBDF) failActive(err error) {
+func (s *BDF) failActive(err error) {
 	for l, a := range s.active {
 		if a {
 			s.laneErr[l] = errWrap(err, s.tInt)
@@ -378,7 +479,7 @@ func (s *BatchBDF) failActive(err error) {
 // failCulprits retires the active lanes flagged as responsible for the
 // last rejection (falling back to all active lanes when the flags are
 // empty) and reports whether any lane survives to continue.
-func (s *BatchBDF) failCulprits(cause error) bool {
+func (s *BDF) failCulprits(cause error) bool {
 	hit := false
 	for l, a := range s.active {
 		if a && s.culprits[l] {
@@ -396,7 +497,7 @@ func (s *BatchBDF) failCulprits(cause error) bool {
 
 // emitDue interpolates and emits every output time the integration has
 // covered, masking out lanes whose grid is exhausted.
-func (s *BatchBDF) emitDue(outT [][]float64, emit func(int, int, []float64), o Options) {
+func (s *BDF) emitDue(outT [][]float64, emit func(int, int, []float64)) {
 	dir := sign(s.h)
 	for l := range s.active {
 		if !s.active[l] {
@@ -408,11 +509,13 @@ func (s *BatchBDF) emitDue(outT [][]float64, emit func(int, int, []float64), o O
 			if (s.tInt-t)*dir < 0 && !reached(s.tInt, t, dir) {
 				break
 			}
+			// x counts steps ahead of the newest history point; the last
+			// step brackets t, so x stays within the stored history.
 			x := 0.0
 			if s.h != 0 {
 				x = (t - s.tInt) / s.h
 			}
-			s.extrapolateLane(s.order, x, l, s.laneY)
+			s.interpolate(s.order, x, s.laneY, l, s.b)
 			if emit != nil {
 				emit(l, s.nextOut[l], s.laneY)
 			}
@@ -424,8 +527,8 @@ func (s *BatchBDF) emitDue(outT [][]float64, emit func(int, int, []float64), o O
 	}
 }
 
-// reset starts a fresh batched integration at (t0, y0).
-func (s *BatchBDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
+// reset starts a fresh integration at (t0, y0).
+func (s *BDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 	if dir == 0 {
 		dir = 1
 	}
@@ -434,21 +537,73 @@ func (s *BatchBDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 		s.h = o.MaxStep * dir
 	}
 	s.order = 1
-	s.hist = s.hist[:0]
-	s.hist = append(s.hist, append([]float64(nil), y0...))
+	s.hist = append(s.hist[:0], append([]float64(nil), y0...))
 	s.tInt = t0
 	s.jacFresh = false
 	s.luH = math.NaN()
 	s.streak = 0
+	s.initialized = false
 	for l := range s.haveFactor {
 		s.haveFactor[l] = false
 	}
 }
 
-// attemptStep mirrors BDF.attemptStep lane for lane: predictor, shared
-// corrector equation, lockstep Newton, then a max-reduced error norm over
-// the active lanes.
-func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
+// integrateFixed is the exact-grid fixed-step path used by the
+// convergence-order tests: every step is accepted, the last one is
+// shortened to land on t1, and y receives the newest history point.
+func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error {
+	s.reset(t0, y, o, dir)
+	for l := range s.active {
+		s.active[l] = true
+	}
+	s.h = o.FixedStep * dir
+	t := t0
+	if o.FixedOrder > 1 {
+		// Populate the startup history with a high-accuracy Runge-Kutta
+		// starter so the measured order is the BDF formula's, not the
+		// order-1 startup's.
+		starter := NewRKV65(Func(s.f), s.n*s.b, Options{RTol: 1e-12, ATol: 1e-14})
+		ys := append([]float64(nil), y...)
+		for i := 1; i < o.FixedOrder; i++ {
+			if err := starter.Integrate(t, t+s.h, ys); err != nil {
+				return errWrap(err, t)
+			}
+			t += s.h
+			s.hist = append([][]float64{append([]float64(nil), ys...)}, s.hist...)
+		}
+		s.order = o.FixedOrder
+	}
+	for steps := 0; ; steps++ {
+		if steps > o.MaxSteps {
+			return errWrap(ErrTooManySteps, t)
+		}
+		if err := o.Budget.Check(); err != nil {
+			copy(y, s.hist[0])
+			return errWrap(err, t)
+		}
+		if reached(t, t1, dir) {
+			copy(y, s.hist[0])
+			return nil
+		}
+		if (t+s.h-t1)*dir > 0 {
+			s.rescaleHistory((t1 - t) / s.h)
+			s.h = t1 - t
+		}
+		if accepted, _ := s.attemptStep(t, o); !accepted {
+			return errWrap(ErrStepTooSmall, t)
+		}
+		t += s.h
+		s.countActive(func(st *Stats) { st.Steps++ })
+		s.adaptOrderAndStep(0, o)
+	}
+}
+
+// attemptStep tries one step of the current order and size: predictor,
+// shared corrector equation, lockstep Newton, then a max-reduced error
+// norm over the active lanes; an accepted step shifts the history. It
+// returns (accepted, errNorm). A Newton failure shrinks the step by 4
+// and reports an infinite error norm.
+func (s *BDF) attemptStep(t float64, o Options) (bool, float64) {
 	q := s.order
 	if q > len(s.hist) {
 		q = len(s.hist)
@@ -456,7 +611,11 @@ func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
 	yn := s.hist[0]
 	tNew := t + s.h
 
-	s.extrapolate(q, 1.0, s.ypred)
+	// Predictor: extrapolate the interpolating polynomial through the
+	// history to the new time (x measured in steps: hist[i] at -i, target +1).
+	s.interpolate(q, 1.0, s.ypred, 0, 1)
+
+	// Constant part of the corrector equation.
 	for i := range s.rhsConst {
 		s.rhsConst[i] = 0
 	}
@@ -465,43 +624,31 @@ func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
 	}
 	hb := s.h * bdfBeta[q]
 
-	ok, err := s.newton(tNew, hb, o)
-	if err != nil {
-		return false, 0, err
-	}
-	if !ok {
-		// Newton failed with a fresh Jacobian (culprit lanes already
-		// flagged): shrink sharply, as the serial solver does, and let the
-		// caller's rejection path handle step underflow with per-lane
-		// masking.
+	if !s.newton(tNew, hb, o) {
+		// Newton failed with a fresh Jacobian (culprit lanes flagged):
+		// reduce the step sharply; the caller's rejection path handles
+		// step underflow.
 		s.rescaleHistory(0.25)
 		s.h *= 0.25
-		s.stats.Rejected++
-		for l := range s.laneStats {
-			if s.active[l] {
-				s.laneStats[l].Rejected++
-			}
-		}
-		return false, math.Inf(1), nil
+		s.countActive(func(st *Stats) { st.Rejected++ })
+		return false, math.Inf(1)
 	}
 
-	// Per-lane local error estimate, max-reduced for the common step
-	// control. A NaN lane norm counts as infinite so the rejection path
-	// shrinks deterministically instead of propagating NaN into h.
-	nb := s.n * s.b
-	for i := 0; i < nb; i++ {
+	// Per-lane local error estimate from the corrector-predictor
+	// difference, max-reduced for the common step control. A NaN lane
+	// norm counts as infinite so the rejection path shrinks
+	// deterministically instead of propagating NaN into h.
+	for i := range s.scratch {
 		s.scratch[i] = (s.ycorr[i] - s.ypred[i]) / float64(q+1)
 	}
 	errNorm := 0.0
-	for l := range s.active {
+	for l, a := range s.active {
 		s.culprits[l] = false
-		if !s.active[l] {
+		if !a {
 			continue
 		}
-		s.gatherLane(s.scratch, l, s.laneE)
-		s.gatherLane(yn, l, s.laneB)
-		s.gatherLane(s.ycorr, l, s.laneY)
-		en := weightedNorm(s.laneE, s.laneB, s.laneY, o.ATol, o.RTol)
+		en := weightedNorm(s.lane(s.scratch, l, s.laneE), s.lane(yn, l, s.laneB),
+			s.lane(s.ycorr, l, s.laneY), o.ATol, o.RTol)
 		if math.IsNaN(en) {
 			en = math.Inf(1)
 		}
@@ -512,101 +659,98 @@ func (s *BatchBDF) attemptStep(t float64, o Options) (bool, float64, error) {
 			errNorm = en
 		}
 	}
-	if errNorm > 1 {
-		return false, errNorm, nil
+	if o.FixedStep > 0 {
+		errNorm = 0 // fixed-step mode accepts unconditionally
 	}
-	maxHist := 6
-	newHist := make([]float64, nb)
-	copy(newHist, s.ycorr)
-	s.hist = append([][]float64{newHist}, s.hist...)
+	if errNorm > 1 {
+		return false, errNorm
+	}
+	const maxHist = 6
+	s.hist = append([][]float64{append([]float64(nil), s.ycorr...)}, s.hist...)
 	if len(s.hist) > maxHist {
 		s.hist = s.hist[:maxHist]
 	}
-	return true, errNorm, nil
+	return true, errNorm
 }
 
-// newton runs the lockstep modified-Newton corrector. Each lane settles
-// independently (its update stops once its correction norm passes the
-// serial solver's 0.3 gate); the batched right-hand side is evaluated
-// once per iteration for all lanes. Returns false — with s.culprits
+// newton runs the lockstep modified-Newton corrector for
+// y - hb·f(t,y) - rhsConst = 0, starting from the predictor. Each lane
+// settles independently (its update stops once its correction norm
+// passes the 0.3 gate); the batched right-hand side is evaluated once
+// per iteration for all lanes. It returns false — with s.culprits
 // flagging the culprit lanes — when some active lane fails to converge
-// even after a Jacobian refresh, exactly the serial failure contract.
-func (s *BatchBDF) newton(t, hb float64, o Options) (bool, error) {
+// even after a Jacobian refresh.
+func (s *BDF) newton(t, hb float64, o Options) bool {
 	copy(s.ycorr, s.ypred)
 	for l := range s.settled {
 		s.settled[l] = false
 		s.culprits[l] = false
 	}
+	n, b := s.n, s.b
 	refreshed := false
 	for pass := 0; pass < 2; pass++ {
-		stale := !s.jacFresh || pass == 1
 		if s.needFactor(hb) || (pass == 1 && !refreshed) {
-			if stale {
-				if err := s.buildJacobians(t); err != nil {
-					return false, err
-				}
+			if pass == 1 || !s.jacFresh {
+				s.buildJacobians(t)
 				refreshed = true
 			}
 			if !s.factorLanes(hb) {
-				// Some lane's iteration matrix is singular: serial behaviour
-				// is a Newton failure so the step shrinks; the culprits are
-				// already flagged.
-				return false, nil
+				// A singular iteration matrix is a Newton failure, so the
+				// step shrinks; the culprits are already flagged.
+				return false
 			}
 		}
 		for iter := 0; iter < 6; iter++ {
 			if s.allSettled() {
-				return true, nil
+				return true
 			}
 			s.f(t, s.ycorr, s.f1)
-			for l := range s.active {
-				if !s.active[l] || s.settled[l] {
+			for l, a := range s.active {
+				if !a || s.settled[l] {
 					continue
 				}
 				st := &s.laneStats[l]
 				st.NewtonIters++
 				st.FEvals++
-				n, b := s.n, s.b
 				for i := 0; i < n; i++ {
 					s.laneB[i] = s.ycorr[i*b+l] - hb*s.f1[i*b+l] - s.rhsConst[i*b+l]
 				}
 				if err := s.solveLane(l, s.laneX, s.laneB); err != nil {
 					s.haveFactor[l] = false
 					s.culprits[l] = true
-					continue
+					return false
 				}
 				for i := 0; i < n; i++ {
 					s.ycorr[i*b+l] -= s.laneX[i]
 				}
-				s.gatherLane(s.ycorr, l, s.laneY)
-				dn := weightedNorm(s.laneX, s.laneY, s.laneY, o.ATol, o.RTol)
-				if dn < 0.3 {
+				yc := s.lane(s.ycorr, l, s.laneY)
+				if weightedNorm(s.laneX, yc, yc, o.ATol, o.RTol) < 0.3 {
 					s.settled[l] = true
 				}
 			}
 		}
 		if s.allSettled() {
-			return true, nil
+			return true
 		}
-		// Unconverged lanes restart from the predictor; with a
-		// fresh Jacobian already in hand there is nothing left to try.
-		for l := range s.active {
-			s.culprits[l] = s.active[l] && !s.settled[l]
+		// Unconverged lanes restart from the predictor; with a fresh
+		// Jacobian already in hand there is nothing left to try.
+		for l, a := range s.active {
+			s.culprits[l] = a && !s.settled[l]
 			if s.culprits[l] {
-				for i := 0; i < s.n; i++ {
-					s.ycorr[i*s.b+l] = s.ypred[i*s.b+l]
+				for i := 0; i < n; i++ {
+					s.ycorr[i*b+l] = s.ypred[i*b+l]
 				}
 			}
 		}
 		if refreshed {
-			return false, nil
+			return false
 		}
 	}
-	return false, nil
+	return false
 }
 
 // allSettled reports whether every active lane's corrector converged.
-func (s *BatchBDF) allSettled() bool {
+func (s *BDF) allSettled() bool {
 	for l, a := range s.active {
 		if a && !s.settled[l] {
 			return false
@@ -617,7 +761,7 @@ func (s *BatchBDF) allSettled() bool {
 
 // needFactor reports whether any active lane lacks a factorization for
 // the current h·beta.
-func (s *BatchBDF) needFactor(hb float64) bool {
+func (s *BDF) needFactor(hb float64) bool {
 	if s.luH != hb {
 		return true
 	}
@@ -629,99 +773,102 @@ func (s *BatchBDF) needFactor(hb float64) bool {
 	return false
 }
 
-// buildJacobians refreshes every active lane's Jacobian at (t, hist[0]):
-// one batched tape sweep on the analytic path, n+1 batched RHS
-// evaluations on the forward-difference path — never n+1 evaluations per
-// lane.
-func (s *BatchBDF) buildJacobians(t float64) error {
+// lane returns lane l's column of the SoA array src: src itself for a
+// single lane, otherwise a copy gathered into dst (length n).
+func (s *BDF) lane(src []float64, l int, dst []float64) []float64 {
+	if s.b == 1 {
+		return src
+	}
+	for i := range dst {
+		dst[i] = src[i*s.b+l]
+	}
+	return dst
+}
+
+// buildJacobians refreshes every active lane's Jacobian at
+// (t, hist[0]) from the source the path selects (see BDF). Forward
+// differences cost n+1 batched RHS evaluations, never n+1 per lane.
+func (s *BDF) buildJacobians(t float64) {
 	y := s.hist[0]
 	n, b := s.n, s.b
-	if s.sparse {
-		s.opts.BatchJacobian(t, y, s.active, s.jacCSR)
-		for l := range s.active {
-			if s.active[l] {
-				s.laneStats[l].JEvals++
-			}
-		}
-		s.jacFresh = true
-		return nil
-	}
-	for l := range s.active {
-		if s.active[l] && s.jac[l] == nil {
+	o := &s.opts
+	for l, a := range s.active {
+		if a && !s.sparse && s.jac[l] == nil {
 			s.jac[l] = linalg.NewMatrix(n, n)
 		}
 	}
-	if s.opts.BatchJacobian != nil && s.opts.Pattern != nil {
-		// Analytic Jacobian below the sparse gates: evaluate into CSR and
+	switch {
+	case s.sparse && o.BatchJacobian != nil:
+		o.BatchJacobian(t, y, s.active, s.jacCSR)
+	case s.sparse:
+		for l, a := range s.active {
+			if a {
+				o.SparseJacobian(t, s.lane(y, l, s.laneY), s.jacCSR[l])
+			}
+		}
+	case o.Jacobian != nil:
+		for l, a := range s.active {
+			if a {
+				o.Jacobian(t, s.lane(y, l, s.laneY), s.jac[l])
+			}
+		}
+	case o.BatchJacobian != nil && o.SparsePattern != nil:
+		// Analytic Jacobian on the dense path: evaluate into CSR and
 		// scatter each lane to dense.
 		if s.jacCSR == nil {
 			s.jacCSR = make([]*linalg.CSR, b)
 			for l := range s.jacCSR {
-				s.jacCSR[l] = s.opts.Pattern.Clone()
+				s.jacCSR[l] = o.SparsePattern.Clone()
 			}
 		}
-		s.opts.BatchJacobian(t, y, s.active, s.jacCSR)
-		for l := range s.active {
-			if !s.active[l] {
-				continue
+		o.BatchJacobian(t, y, s.active, s.jacCSR)
+		for l, a := range s.active {
+			if a {
+				s.jacCSR[l].DenseTo(s.jac[l])
 			}
-			m, c := s.jac[l], s.jacCSR[l]
-			for i := range m.Data {
-				m.Data[i] = 0
-			}
-			for i := 0; i < n; i++ {
-				for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-					m.Set(i, int(c.ColIdx[p]), c.Data[p])
+		}
+	default:
+		// Forward differences, column by column across all lanes.
+		s.f(t, y, s.f0)
+		copy(s.scratch, y)
+		const sqrtEps = 1.4901161193847656e-08
+		for j := 0; j < n; j++ {
+			for l, a := range s.active {
+				if a {
+					d := sqrtEps * math.Max(math.Abs(y[j*b+l]), 1e-5)
+					s.scratch[j*b+l] = y[j*b+l] + d
 				}
 			}
-			s.laneStats[l].JEvals++
-		}
-		s.jacFresh = true
-		return nil
-	}
-	// Batched forward differences, column by column across all lanes.
-	s.f(t, y, s.f0)
-	copy(s.scratch, y)
-	const sqrtEps = 1.4901161193847656e-08
-	for j := 0; j < n; j++ {
-		for l := 0; l < b; l++ {
-			if s.active[l] {
+			s.f(t, s.scratch, s.f1)
+			for l, a := range s.active {
+				if !a {
+					continue
+				}
 				d := sqrtEps * math.Max(math.Abs(y[j*b+l]), 1e-5)
-				s.scratch[j*b+l] = y[j*b+l] + d
+				inv := 1 / d
+				for i := 0; i < n; i++ {
+					s.jac[l].Set(i, j, (s.f1[i*b+l]-s.f0[i*b+l])*inv)
+				}
+				s.scratch[j*b+l] = y[j*b+l]
 			}
 		}
-		s.f(t, s.scratch, s.f1)
-		for l := 0; l < b; l++ {
-			if !s.active[l] {
-				continue
-			}
-			d := sqrtEps * math.Max(math.Abs(y[j*b+l]), 1e-5)
-			inv := 1 / d
-			for i := 0; i < n; i++ {
-				s.jac[l].Set(i, j, (s.f1[i*b+l]-s.f0[i*b+l])*inv)
-			}
-			s.scratch[j*b+l] = y[j*b+l]
-		}
+		s.countActive(func(st *Stats) { st.FEvals += n + 1 })
 	}
-	for l := range s.active {
-		if s.active[l] {
-			s.laneStats[l].JEvals++
-			s.laneStats[l].FEvals += n + 1
-		}
-	}
+	s.countActive(func(st *Stats) { st.JEvals++ })
 	s.jacFresh = true
-	return nil
 }
 
 // factorLanes builds and factors every active lane's iteration matrix
-// M = I − hb·J. Lanes whose matrix is singular are flagged as Newton
+// M = I − hb·J: a numeric refactorization over the one-time symbolic
+// pattern on the sparse path, a dense LU with partial pivoting
+// otherwise. Lanes whose matrix is singular are flagged as Newton
 // culprits; the call reports whether every active lane factored.
-func (s *BatchBDF) factorLanes(hb float64) bool {
+func (s *BDF) factorLanes(hb float64) bool {
 	n := s.n
 	nf := float64(n)
 	ok := true
-	for l := range s.active {
-		if !s.active[l] {
+	for l, a := range s.active {
+		if !a {
 			continue
 		}
 		st := &s.laneStats[l]
@@ -771,11 +918,40 @@ func (s *BatchBDF) factorLanes(hb float64) bool {
 		st.FactorOps += (2.0 / 3.0) * nf * nf * nf
 	}
 	s.luH = hb
+	if s.sparse {
+		s.noteSparseRound(ok)
+	}
 	return ok
 }
 
+// noteSparseRound runs the sparse→dense degradation ladder after one
+// round of sparse refactorizations. The sparse LU has no pivoting, so a
+// persistently troublesome iteration matrix can defeat it where the
+// partial-pivoting dense LU survives: after sparseFailLimit consecutive
+// failed rounds the solver retires the sparse path and continues dense —
+// slower, but the integration completes.
+func (s *BDF) noteSparseRound(ok bool) {
+	if ok {
+		s.sparseFails = 0
+		return
+	}
+	s.sparseFails++
+	// Rebuild before the next attempt: the failure may be a transient
+	// bad Jacobian, not the pattern.
+	s.jacFresh = false
+	if s.sparseFails >= sparseFailLimit {
+		s.sparse = false
+		s.stats.SparseDemotions++
+		for l := range s.haveFactor {
+			s.haveFactor[l] = false
+		}
+		s.opts.Log.Warn("degrade", "sparse LU demoted to dense",
+			"consecutive_failures", s.sparseFails)
+	}
+}
+
 // solveLane solves lane l's factored iteration matrix against b into dst.
-func (s *BatchBDF) solveLane(l int, dst, b []float64) error {
+func (s *BDF) solveLane(l int, dst, b []float64) error {
 	st := &s.laneStats[l]
 	if s.sparse {
 		st.SolveOps += float64(s.slu[l].SolveFlops())
@@ -786,11 +962,19 @@ func (s *BatchBDF) solveLane(l int, dst, b []float64) error {
 	return s.lu[l].SolveTo(dst, b)
 }
 
-// adaptOrderAndStep is BDF.adaptOrderAndStep over the shared state.
-func (s *BatchBDF) adaptOrderAndStep(errNorm float64, o Options) {
-	if s.order < 5 && s.streak > s.order+1 && len(s.hist) > s.order {
+// adaptOrderAndStep grows the order up the ladder after a streak of
+// successes and rescales the step from the error estimate.
+func (s *BDF) adaptOrderAndStep(errNorm float64, o Options) {
+	if o.FixedOrder > 0 {
+		if s.order < o.FixedOrder && len(s.hist) > s.order {
+			s.order++
+		}
+	} else if s.order < 5 && s.streak > s.order+1 && len(s.hist) > s.order {
 		s.order++
 		s.streak = 0
+	}
+	if o.FixedStep > 0 {
+		return
 	}
 	factor := 0.9 * math.Pow(math.Max(errNorm, 1e-10), -1.0/float64(s.order+1))
 	factor = math.Min(2.5, math.Max(0.5, factor))
@@ -801,99 +985,68 @@ func (s *BatchBDF) adaptOrderAndStep(errNorm float64, o Options) {
 			s.rescaleHistory(o.MaxStep / math.Abs(s.h))
 			s.h = o.MaxStep * sign(s.h)
 		}
+		// Step changes invalidate the factorization's h·beta.
 		s.luH = math.NaN()
 		s.jacFresh = false
 	}
 }
 
-// rescaleHistory re-samples the shared history polynomial onto a grid
-// with spacing ratio·h — BDF.rescaleHistory with every (component, lane)
-// pair treated as one scalar history, so each lane's arithmetic is
-// exactly the serial solver's.
-func (s *BatchBDF) rescaleHistory(ratio float64) {
+// rescaleHistory re-samples the stored history polynomial onto a grid
+// with spacing ratio·h, keeping the current point fixed — every
+// (component, lane) pair is one scalar history.
+func (s *BDF) rescaleHistory(ratio float64) {
 	m := len(s.hist)
 	if m <= 1 || ratio == 1 {
 		return
 	}
-	nb := s.n * s.b
 	old := s.hist
 	s.hist = make([][]float64, m)
 	s.hist[0] = old[0]
 	for i := 1; i < m; i++ {
-		s.hist[i] = make([]float64, nb)
+		s.hist[i] = make([]float64, len(old[0]))
 	}
+	// Neville interpolation: old[j] at x = -j, new grid at x = -i*ratio.
 	work := make([]float64, m)
-	for c := 0; c < nb; c++ {
+	for c := range old[0] {
 		for i := 1; i < m; i++ {
-			x := -float64(i) * ratio
 			for j := 0; j < m; j++ {
 				work[j] = old[j][c]
 			}
-			for level := 1; level < m; level++ {
-				for j := 0; j < m-level; j++ {
-					xj := -float64(j)
-					xjl := -float64(j + level)
-					work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-				}
-			}
-			s.hist[i][c] = work[0]
+			s.hist[i][c] = neville(work, -float64(i)*ratio)
 		}
 	}
 	s.luH = math.NaN()
 }
 
-// extrapolate evaluates the degree-q history polynomial at x for every
-// (component, lane) pair into dst (n·B SoA).
-func (s *BatchBDF) extrapolate(q int, x float64, dst []float64) {
+// interpolate evaluates the degree-q history polynomial at x (in units
+// of h ahead of the newest point) for the history entries off,
+// off+stride, … into dst: every entry with (0, 1), one lane's column
+// with (lane, B).
+func (s *BDF) interpolate(q int, x float64, dst []float64, off, stride int) {
 	m := q + 1
 	if m > len(s.hist) {
 		m = len(s.hist)
 	}
 	work := make([]float64, m)
-	nb := s.n * s.b
-	for c := 0; c < nb; c++ {
+	for i := range dst {
+		c := off + i*stride
 		for j := 0; j < m; j++ {
 			work[j] = s.hist[j][c]
 		}
-		for level := 1; level < m; level++ {
-			for j := 0; j < m-level; j++ {
-				xj := -float64(j)
-				xjl := -float64(j + level)
-				work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-			}
-		}
-		dst[c] = work[0]
+		dst[i] = neville(work, x)
 	}
 }
 
-// extrapolateLane evaluates the degree-q history polynomial at x for one
-// lane into dst (length n) — the per-lane output interpolation, with the
-// serial solver's clamp of q against the stored history.
-func (s *BatchBDF) extrapolateLane(q int, x float64, lane int, dst []float64) {
-	m := q + 1
-	if m > len(s.hist) {
-		m = len(s.hist)
-	}
-	work := make([]float64, m)
-	b := s.b
-	for c := 0; c < s.n; c++ {
-		for j := 0; j < m; j++ {
-			work[j] = s.hist[j][c*b+lane]
+// neville evaluates at x the polynomial through the points (-j, w[j]),
+// overwriting w.
+func neville(w []float64, x float64) float64 {
+	m := len(w)
+	for level := 1; level < m; level++ {
+		for j := 0; j < m-level; j++ {
+			xj := -float64(j)
+			xjl := -float64(j + level)
+			w[j] = ((x-xjl)*w[j] - (x-xj)*w[j+1]) / (xj - xjl)
 		}
-		for level := 1; level < m; level++ {
-			for j := 0; j < m-level; j++ {
-				xj := -float64(j)
-				xjl := -float64(j + level)
-				work[j] = ((x-xjl)*work[j] - (x-xj)*work[j+1]) / (xj - xjl)
-			}
-		}
-		dst[c] = work[0]
 	}
-}
-
-// gatherLane copies lane's column of the SoA array src into dst (length n).
-func (s *BatchBDF) gatherLane(src []float64, lane int, dst []float64) {
-	for i := 0; i < s.n; i++ {
-		dst[i] = src[i*s.b+lane]
-	}
+	return w[0]
 }

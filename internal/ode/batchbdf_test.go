@@ -34,12 +34,26 @@ func scatterLanes(y0s [][]float64, n, b int) []float64 {
 	return soa
 }
 
-// TestBatchBDFIdenticalLanesBitMatchSerial is the lockstep driver's core
-// property: because the per-lane arithmetic mirrors the serial solver
-// step for step and identical lanes produce identical step-control
-// decisions, every lane of a uniform batch reproduces the serial
-// trajectory bit for bit.
+// robertsonJac is the analytic Jacobian of robertson.
+func robertsonJac(_ float64, y []float64, dst *linalg.Matrix) {
+	dst.Set(0, 0, -0.04)
+	dst.Set(0, 1, 1e4*y[2])
+	dst.Set(0, 2, 1e4*y[1])
+	dst.Set(1, 0, 0.04)
+	dst.Set(1, 1, -1e4*y[2]-6e7*y[1])
+	dst.Set(1, 2, -1e4*y[1])
+	dst.Set(2, 0, 0)
+	dst.Set(2, 1, 6e7*y[1])
+	dst.Set(2, 2, 0)
+}
+
+// TestBatchBDFIdenticalLanesBitMatchSerial is the lockstep core's
+// defining property: identical lanes make identical step-control
+// decisions, so every lane of a uniform batch reproduces the one-lane
+// (NewBDF) trajectory bit for bit — for each Jacobian source, across
+// Integrate continuation, with one StepEvent per lockstep attempt.
 func TestBatchBDFIdenticalLanesBitMatchSerial(t *testing.T) {
+	withJac := Options{RTol: 1e-6, ATol: 1e-10, InitialStep: 1e-6, Jacobian: robertsonJac}
 	cases := []struct {
 		name string
 		f    Func
@@ -52,14 +66,27 @@ func TestBatchBDFIdenticalLanesBitMatchSerial(t *testing.T) {
 			Options{RTol: 1e-8, ATol: 1e-12}},
 		{"robertson", robertson, 3, []float64{1, 0, 0}, 0.3,
 			Options{RTol: 1e-6, ATol: 1e-10, InitialStep: 1e-6}},
+		{"robertsonJacobian", robertson, 3, []float64{1, 0, 0}, 0.3, withJac},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// Three Integrate calls over [0, t1]: the second and third
+			// continue the first's history.
+			solve := func(s *BDF, y []float64) []int {
+				var attempts []int
+				for i := 1; i <= 3; i++ {
+					n := 0
+					s.opts.Observer = func(StepEvent) { n++ }
+					if err := s.Integrate(tc.t1*float64(i-1)/3, tc.t1*float64(i)/3, y); err != nil {
+						t.Fatal(err)
+					}
+					attempts = append(attempts, n)
+				}
+				return attempts
+			}
 			serial := NewBDF(tc.f, tc.n, tc.opts)
 			want := append([]float64(nil), tc.y0...)
-			if err := serial.Integrate(0, tc.t1, want); err != nil {
-				t.Fatal(err)
-			}
+			wantAttempts := solve(serial, want)
 			for _, b := range []int{1, 7} {
 				bs := NewBatchBDF(batchify(tc.f, tc.n, b), tc.n, b, BatchOptions{Options: tc.opts})
 				y0s := make([][]float64, b)
@@ -67,9 +94,7 @@ func TestBatchBDFIdenticalLanesBitMatchSerial(t *testing.T) {
 					y0s[l] = tc.y0
 				}
 				y := scatterLanes(y0s, tc.n, b)
-				if err := bs.Integrate(0, tc.t1, y); err != nil {
-					t.Fatalf("b=%d: %v", b, err)
-				}
+				gotAttempts := solve(bs, y)
 				for l := 0; l < b; l++ {
 					for i := 0; i < tc.n; i++ {
 						if math.Float64bits(y[i*b+l]) != math.Float64bits(want[i]) {
@@ -79,9 +104,13 @@ func TestBatchBDFIdenticalLanesBitMatchSerial(t *testing.T) {
 					}
 				}
 				sst, bst := serial.Stats(), bs.LaneStats(0)
-				if bst.Steps != sst.Steps || bst.NewtonIters != sst.NewtonIters {
-					t.Errorf("b=%d lane 0 work (steps=%d newton=%d) != serial (steps=%d newton=%d)",
-						b, bst.Steps, bst.NewtonIters, sst.Steps, sst.NewtonIters)
+				if bst != sst {
+					t.Errorf("b=%d lane 0 stats %+v != serial %+v", b, bst, sst)
+				}
+				for i := range wantAttempts {
+					if gotAttempts[i] != wantAttempts[i] {
+						t.Errorf("b=%d call %d: %d step events, serial %d", b, i, gotAttempts[i], wantAttempts[i])
+					}
 				}
 			}
 		})
@@ -197,16 +226,14 @@ func TestBatchBDFLaneFailureIsolation(t *testing.T) {
 }
 
 // TestBatchBDFSparseForkMatchesSerial: the forked-SparseLU path (one
-// symbolic factorization shared across lanes) reproduces the serial
-// sparse solver bit for bit on identical lanes.
+// symbolic factorization shared across lanes) reproduces the one-lane
+// sparse solver bit for bit on identical lanes, whether the lanes'
+// Jacobians come from one batched sweep or the per-lane callback.
 func TestBatchBDFSparseForkMatchesSerial(t *testing.T) {
 	const n = 60
 	f, _, pattern, sparseJac := tridiagSystem(n, 40, 1)
-	opts := Options{RTol: 1e-7, ATol: 1e-10}
-	serial := NewBDF(f, n, Options{
-		RTol: opts.RTol, ATol: opts.ATol,
-		SparsePattern: pattern, SparseJacobian: sparseJac,
-	})
+	opts := Options{RTol: 1e-7, ATol: 1e-10, SparsePattern: pattern, SparseJacobian: sparseJac}
+	serial := NewBDF(f, n, opts)
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = 1 + math.Sin(float64(i))
@@ -231,35 +258,35 @@ func TestBatchBDFSparseForkMatchesSerial(t *testing.T) {
 			sparseJac(t, yl, dst[l])
 		}
 	}
-	bs := NewBatchBDF(batchify(f, n, b), n, b, BatchOptions{
-		Options:       opts,
-		BatchJacobian: bj,
-		Pattern:       pattern,
-	})
-	if !bs.Sparse() {
-		t.Fatal("batch solver did not take the sparse path")
-	}
-	y0s := make([][]float64, b)
-	for l := range y0s {
-		y0 := make([]float64, n)
-		for i := range y0 {
-			y0[i] = 1 + math.Sin(float64(i))
+	for name, bopts := range map[string]BatchOptions{
+		"batched":  {Options: opts, BatchJacobian: bj},
+		"per-lane": {Options: opts},
+	} {
+		bs := NewBatchBDF(batchify(f, n, b), n, b, bopts)
+		if !bs.Sparse() {
+			t.Fatalf("%s: batch solver did not take the sparse path", name)
 		}
-		y0s[l] = y0
-	}
-	y := scatterLanes(y0s, n, b)
-	if err := bs.Integrate(0, 0.5, y); err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < b; l++ {
-		for i := 0; i < n; i++ {
-			if math.Float64bits(y[i*b+l]) != math.Float64bits(want[i]) {
-				t.Fatalf("lane %d y[%d] = %v, serial sparse %v (bit difference)", l, i, y[i*b+l], want[i])
+		y0s := make([][]float64, b)
+		for l := range y0s {
+			y0s[l] = make([]float64, n)
+			for i := range y0s[l] {
+				y0s[l][i] = 1 + math.Sin(float64(i))
 			}
 		}
-	}
-	if st := bs.Stats(); st.SparseFactorizations == 0 {
-		t.Error("no sparse factorizations recorded")
+		y := scatterLanes(y0s, n, b)
+		if err := bs.Integrate(0, 0.5, y); err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < b; l++ {
+			for i := 0; i < n; i++ {
+				if math.Float64bits(y[i*b+l]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: lane %d y[%d] = %v, serial sparse %v (bit difference)", name, l, i, y[i*b+l], want[i])
+				}
+			}
+		}
+		if st := bs.Stats(); st.SparseFactorizations != b*serial.Stats().SparseFactorizations {
+			t.Errorf("%s: %d sparse factorizations, want %d per lane", name, st.SparseFactorizations, serial.Stats().SparseFactorizations)
+		}
 	}
 }
 

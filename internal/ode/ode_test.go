@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"rms/internal/linalg"
 )
 
 // exponential decay y' = -y, y(0)=1 → y(t) = e^-t.
@@ -209,11 +207,14 @@ func TestMaxStepsAborts(t *testing.T) {
 // forces step underflow.
 func TestStepUnderflow(t *testing.T) {
 	blowup := func(_ float64, y, dy []float64) { dy[0] = y[0] * y[0] }
-	s := NewRKV65(blowup, 1, Options{})
-	y := []float64{1}
-	err := s.Integrate(0, 2, y) // singularity at t=1
-	if !errors.Is(err, ErrStepTooSmall) && !errors.Is(err, ErrTooManySteps) {
-		t.Errorf("err = %v, want step underflow or step-limit abort", err)
+	for name, s := range map[string]interface {
+		Integrate(t0, t1 float64, y []float64) error
+	}{"RKV65": NewRKV65(blowup, 1, Options{}), "BDF": NewBDF(blowup, 1, Options{})} {
+		y := []float64{1}
+		err := s.Integrate(0, 2, y) // singularity at t=1
+		if !errors.Is(err, ErrStepTooSmall) && !errors.Is(err, ErrTooManySteps) {
+			t.Errorf("%s: err = %v, want step underflow or step-limit abort", name, err)
+		}
 	}
 }
 
@@ -300,18 +301,6 @@ func TestBDFContinuationInvalidated(t *testing.T) {
 // TestBDFAnalyticJacobian: supplying the exact Jacobian gives the same
 // solution with fewer right-hand-side evaluations.
 func TestBDFAnalyticJacobian(t *testing.T) {
-	jac := func(_ float64, y []float64, dst *linalg.Matrix) {
-		// Robertson problem Jacobian.
-		dst.Set(0, 0, -0.04)
-		dst.Set(0, 1, 1e4*y[2])
-		dst.Set(0, 2, 1e4*y[1])
-		dst.Set(1, 0, 0.04)
-		dst.Set(1, 1, -1e4*y[2]-6e7*y[1])
-		dst.Set(1, 2, -1e4*y[1])
-		dst.Set(2, 0, 0)
-		dst.Set(2, 1, 6e7*y[1])
-		dst.Set(2, 2, 0)
-	}
 	run := func(opts Options) ([]float64, Stats) {
 		s := NewBDF(robertson, 3, opts)
 		y := []float64{1, 0, 0}
@@ -322,7 +311,7 @@ func TestBDFAnalyticJacobian(t *testing.T) {
 	}
 	base := Options{RTol: 1e-7, ATol: 1e-11, InitialStep: 1e-6}
 	withJac := base
-	withJac.Jacobian = jac
+	withJac.Jacobian = robertsonJac
 	yFD, stFD := run(base)
 	yAJ, stAJ := run(withJac)
 	for i := range yFD {

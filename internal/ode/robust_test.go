@@ -101,6 +101,45 @@ func TestBatchBDFBudgetCancelFailsPendingLanes(t *testing.T) {
 	}
 }
 
+// TestBatchBDFIntegrateBudgetHoldsLastAccepted: a budget trip leaves
+// every lane of a batched Integrate at its last accepted state, exactly
+// as it leaves a one-lane solve.
+func TestBatchBDFIntegrateBudgetHoldsLastAccepted(t *testing.T) {
+	f, y0 := stiffDecay2()
+	run := func(b int) []float64 {
+		bud := budget.New()
+		calls, bf := 0, batchify(f, 2, b)
+		s := NewBatchBDF(func(tt float64, y, dy []float64) {
+			if calls++; calls == 40 {
+				bud.Cancel("test")
+			}
+			bf(tt, y, dy)
+		}, 2, b, BatchOptions{Options: Options{Budget: bud}})
+		y0s := make([][]float64, b)
+		for l := range y0s {
+			y0s[l] = y0
+		}
+		y := scatterLanes(y0s, 2, b)
+		if err := s.Integrate(0, 50, y); !budget.Exhausted(err) {
+			t.Fatalf("b=%d: want budget trip, got %v", b, err)
+		}
+		return y
+	}
+	want := run(1)
+	if want[0] == y0[0] && want[1] == y0[1] {
+		t.Fatal("budget tripped before the first accepted step")
+	}
+	const b = 3
+	got := run(b)
+	for l := 0; l < b; l++ {
+		for i := range want {
+			if math.Float64bits(got[i*b+l]) != math.Float64bits(want[i]) {
+				t.Errorf("lane %d y[%d] = %v, one-lane %v", l, i, got[i*b+l], want[i])
+			}
+		}
+	}
+}
+
 func TestBDFSparseDemotionLadder(t *testing.T) {
 	const n = 120
 	f, denseJac, pattern, _ := tridiagSystem(n, 400, 3)

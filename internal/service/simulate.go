@@ -84,7 +84,7 @@ func ObserveSolver(reg *telemetry.Registry) ode.StepObserver {
 	rejected := reg.Counter("ode.rejected_steps")
 	newton := reg.Counter("ode.newton_iters")
 	factor := reg.Counter("ode.factorizations")
-	h := reg.Histogram("ode.step_size", []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100})
+	h := ode.StepSizeHistogram(reg)
 	order := reg.Gauge("ode.order")
 	return func(ev ode.StepEvent) {
 		if ev.Accepted {

@@ -252,12 +252,12 @@ func CrosslinkProperty(sys *eqgen.System) func(y []float64) float64 {
 	}
 }
 
-// RDLSource renders the small-scale vulcanization model as RDL source —
-// the front-end path used by the quickstart and compiler tests. It covers
-// the structural core (accelerator growth, initiation, crosslinking,
-// scission with the ≥3-from-each-end context rule, desulfuration) with
-// explicit molecular structures; variants is capped at 26 to keep the
-// SMILES chains readable.
+// RDLSource renders a compact vulcanization program as RDL source — the
+// front-end input of the compiler, formatter and parser tests. It
+// declares the rubber and the accelerator, pendant and crosslink
+// families with explicit molecular structures, and one reaction:
+// crosslink scission with the ≥3-from-each-end context rule. variants
+// is clamped to 8..26 to keep the SMILES chains readable.
 func RDLSource(variants int) string {
 	if variants < 8 {
 		variants = 8
@@ -272,10 +272,9 @@ species Rubber                = "C=CC"                      init 5.0
 species Accel{n=1..%[1]d}     = "CC(=O)" + "S"*n + "[CH2]"  init 0.0
 species Pendant{n=1..%[1]d}   = "C(=C)C" + "S"*n + "[CH2]"  init 0.0
 species Crosslink{n=1..%[1]d} = "C" + "S"*n + "C"           init 0.0
-species Seed                  = "CC(=O)S[CH2]"              init 1.0
 
-# Accelerator complex growth: insert one sulfur into the chain.
-# (Modeled on the S-S bond formation at the labeled radical site.)
+# Crosslink scission: break an S-S bond at least three sulfurs from
+# either end of the chain.
 reaction Scission {
     reactants Crosslink{n}
     require   n >= 6

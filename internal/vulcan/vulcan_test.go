@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rms/internal/codegen"
+	"rms/internal/network"
 	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/rdl"
@@ -205,14 +206,19 @@ func TestRateVectorErrors(t *testing.T) {
 }
 
 func TestRDLSourceParsesAndGenerates(t *testing.T) {
-	src := RDLSource(10)
-	prog, err := rdl.Parse(src)
-	if err != nil {
-		t.Fatalf("RDL source does not parse: %v", err)
-	}
-	if len(prog.Species) < 4 || len(prog.Reactions) < 1 {
-		t.Errorf("RDL program shape: %d species, %d reactions",
-			len(prog.Species), len(prog.Reactions))
+	for _, tc := range []struct{ variants, species int }{{8, 28}, {10, 36}, {26, 100}} {
+		prog, err := rdl.Parse(RDLSource(tc.variants))
+		if err != nil {
+			t.Fatalf("variants=%d: RDL source does not parse: %v", tc.variants, err)
+		}
+		net, err := network.Generate(prog)
+		if err != nil {
+			t.Fatalf("variants=%d: network generation: %v", tc.variants, err)
+		}
+		if len(net.Species) != tc.species || len(net.Reactions) == 0 {
+			t.Errorf("variants=%d: network has %d species and %d reactions, want %d species",
+				tc.variants, len(net.Species), len(net.Reactions), tc.species)
+		}
 	}
 }
 

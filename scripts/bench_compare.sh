@@ -34,7 +34,7 @@ done
 
 # The baseline workload: skewed-corpus scheduler scaling. Everything it
 # reports except wall-clock scaling replays a virtual clock, so the
-# document is stable across hosts (docs/scheduler.md).
+# document is stable across hosts (docs/load-balancing.md).
 run_bench() {
 	go run ./cmd/rmsbench -json -skew -variants 8 2>/dev/null
 }
