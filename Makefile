@@ -10,8 +10,8 @@ test:
 	go vet ./...
 	go test ./...
 
-# check = vet + race tests of the concurrency-heavy and numerical-core
-# packages + a short parser-fuzz smoke run.
+# check = gofmt + vet + race tests of the concurrency-heavy and
+# numerical-core packages + a short parser-fuzz smoke run.
 check:
 	./scripts/check.sh
 
@@ -43,7 +43,7 @@ chaos:
 	go test -race -run 'Chaos|Budget|Degrad|Demot|Hang|Timeout|Snapshot|Resume|Checkpoint|Interrupt|Deadline|Cancel' \
 		./internal/budget ./internal/estimator \
 		./internal/ode ./internal/nlopt ./internal/faults/... \
-		./internal/sched ./internal/parallel ./internal/mpi \
+		./internal/sched ./internal/mpi \
 		./cmd/rmsrun ./cmd/rmssim
 	go test -race ./internal/checkpoint
 	go run ./cmd/rmsverify -seed 7 -n 3 -size 10 -stages resume

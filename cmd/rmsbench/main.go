@@ -5,10 +5,7 @@
 //	rmsbench -table 1            # Table 1, scaled sizes with timing
 //	rmsbench -table 1 -full      # Table 1, paper-scale op counts (slow)
 //	rmsbench -table 2            # Table 2, parallel speedup sweep
-//	rmsbench -table 2 -workers 8 # Table 2 with 8-wide per-rank pools
-//	rmsbench -parallel           # serial vs levelized-parallel RHS eval
 //	rmsbench -batch              # serial vs batched SoA RHS eval sweep
-//	rmsbench -batch -workers 4   # same, with a lane-partitioning pool
 //	rmsbench -sparse             # dense vs sparse Jacobian build+factor
 //	rmsbench -sparse -variants 1000  # same, one custom system size
 //	rmsbench -ablate             # optimizer-pass ablation study
@@ -44,12 +41,12 @@ import (
 
 // benchConfig selects which benches run and how they report.
 type benchConfig struct {
-	table                                                      int
-	full, ablate, sweep, parallel, batch, sparse, faults, skew bool
-	rate                                                       float64
-	workers, variants, evalMs, ranks, lanes                    int
-	jsonOut                                                    bool
-	obs                                                        telemetry.CLI
+	table                                            int
+	full, ablate, sweep, batch, sparse, faults, skew bool
+	rate                                             float64
+	variants, evalMs, ranks, lanes                   int
+	jsonOut                                          bool
+	obs                                              telemetry.CLI
 }
 
 // report is the -json document: one optional section per bench, plus the
@@ -57,7 +54,6 @@ type benchConfig struct {
 type report struct {
 	Table1   []bench.Table1Row       `json:"table1,omitempty"`
 	Table2   []bench.Table2Row       `json:"table2,omitempty"`
-	Parallel []bench.ParallelRow     `json:"parallel,omitempty"`
 	Batch    []bench.BatchRow        `json:"batch,omitempty"`
 	Sparse   []bench.SparseRow       `json:"sparse,omitempty"`
 	Faults   []bench.FaultsRow       `json:"faults,omitempty"`
@@ -82,7 +78,6 @@ func main() {
 	flag.BoolVar(&cfg.full, "full", false, "table 1: paper-scale sizes (static counts only)")
 	flag.BoolVar(&cfg.ablate, "ablate", false, "run the optimizer ablation study")
 	flag.BoolVar(&cfg.sweep, "sweep", false, "run the workload-redundancy sensitivity sweep")
-	flag.BoolVar(&cfg.parallel, "parallel", false, "compare serial vs levelized-parallel tape evaluation")
 	flag.BoolVar(&cfg.batch, "batch", false, "compare serial vs batched SoA tape evaluation across batch widths")
 	flag.BoolVar(&cfg.sparse, "sparse", false, "compare dense vs sparse Jacobian build + factorization")
 	flag.BoolVar(&cfg.faults, "faults", false, "measure fault-tolerance recovery overhead under injected failures")
@@ -90,8 +85,7 @@ func main() {
 	flag.BoolVar(&cfg.skew, "skew", false, "measure scheduler scaling on skewed workloads (static vs lpt vs sched)")
 	flag.IntVar(&cfg.ranks, "ranks", 0, "-skew: simulated rank count (0 = default 4)")
 	flag.IntVar(&cfg.lanes, "lanes", 0, "-skew: work-stealing lanes per rank (0 = default 2)")
-	flag.IntVar(&cfg.workers, "workers", 0, "max worker-pool width (-parallel sweeps 2..workers, default 8; -table 2 pools each rank, default off)")
-	flag.IntVar(&cfg.variants, "variants", 0, "-parallel/-sparse: system size (0 = defaults)")
+	flag.IntVar(&cfg.variants, "variants", 0, "-batch/-sparse/-faults/-skew: system size (0 = defaults)")
 	flag.IntVar(&cfg.evalMs, "evalms", 300, "milliseconds of timing per configuration")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON results on stdout")
 	flag.StringVar(&trace, "trace", "", "write a Chrome trace-event file of the estimator-driven benches")
@@ -162,11 +156,7 @@ func run(w io.Writer, cfg benchConfig) error {
 	}
 	if cfg.table == 2 {
 		did = true
-		t2 := bench.Table2Config{Metrics: reg}
-		if cfg.workers > 1 {
-			t2.Workers = cfg.workers
-		}
-		rows, err := bench.Table2(t2)
+		rows, err := bench.Table2(bench.Table2Config{Metrics: reg})
 		if err != nil {
 			return err
 		}
@@ -174,29 +164,10 @@ func run(w io.Writer, cfg benchConfig) error {
 		fmt.Fprintln(text, "Table 2 — parallel objective over 16 data files (modeled parallel seconds)")
 		fmt.Fprint(text, bench.FormatTable2(rows))
 	}
-	if cfg.parallel {
-		did = true
-		workers := cfg.workers
-		if workers == 0 {
-			workers = 8
-		}
-		rows, err := bench.ParallelEval(bench.ParallelConfig{
-			Variants:    cfg.variants,
-			Workers:     workerSweep(workers),
-			MinEvalTime: time.Duration(cfg.evalMs) * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Parallel = rows
-		fmt.Fprintln(text, "Levelized parallel tape evaluation vs the serial interpreter")
-		fmt.Fprint(text, bench.FormatParallel(rows))
-	}
 	if cfg.batch {
 		did = true
 		rows, err := bench.BatchEval(bench.BatchConfig{
 			Variants:    cfg.variants,
-			Workers:     cfg.workers,
 			MinEvalTime: time.Duration(cfg.evalMs) * time.Millisecond,
 		})
 		if err != nil {
@@ -279,18 +250,6 @@ func run(w io.Writer, cfg benchConfig) error {
 		}
 	}
 	return finish()
-}
-
-// workerSweep lists pool widths doubling from 2 up to max.
-func workerSweep(max int) []int {
-	if max < 2 {
-		max = 2
-	}
-	var ws []int
-	for w := 2; w < max; w *= 2 {
-		ws = append(ws, w)
-	}
-	return append(ws, max)
 }
 
 // runAblation reports the op counts of every optimizer pass combination

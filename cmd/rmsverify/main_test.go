@@ -21,7 +21,7 @@ func TestSmokeRunPasses(t *testing.T) {
 
 func TestStageSubsetAndMetrics(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-n", "2", "-size", "6", "-stages", "tape,parallel", "-metrics",
+	code := run([]string{"-n", "2", "-size", "6", "-stages", "tape,jacobian", "-metrics",
 		"-shrinkdir", t.TempDir()}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())

@@ -9,7 +9,6 @@ import (
 	"rms/internal/codegen"
 	"rms/internal/core"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/vulcan"
 )
 
@@ -21,7 +20,6 @@ type BatchRow struct {
 	Equations  int
 	TapeInstrs int
 	Batch      int // lanes per EvalBatch call
-	Workers    int // pool width (1 = serial batch engine)
 
 	// Nanoseconds per state evaluated: the serial interpreter evaluates
 	// one condition per call; the batched evaluator amortizes instruction
@@ -46,13 +44,10 @@ type BatchRow struct {
 // BatchConfig shapes the batched-evaluation sweep.
 type BatchConfig struct {
 	// Variants sizes the vulcanization system (default: the largest
-	// case's scaled size, matching -parallel).
+	// case's scaled size).
 	Variants int
 	// Batches lists the batch widths to measure (default 1,4,16,64,256).
 	Batches []int
-	// Workers > 1 additionally attaches a pool of that width so wide
-	// batches use the lane-partitioned engine (default 1 = serial).
-	Workers int
 	// MinEvalTime is how long to time each configuration (default 200ms).
 	MinEvalTime time.Duration
 }
@@ -66,9 +61,6 @@ func BatchEval(cfg BatchConfig) ([]BatchRow, error) {
 	}
 	if cfg.Batches == nil {
 		cfg.Batches = []int{1, 4, 16, 64, 256}
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
 	}
 	if cfg.MinEvalTime == 0 {
 		cfg.MinEvalTime = 200 * time.Millisecond
@@ -86,15 +78,9 @@ func BatchEval(cfg BatchConfig) ([]BatchRow, error) {
 
 	serialNs := bestOf(3, func() float64 { return timeEvals(prog, cfg.MinEvalTime) })
 
-	var pool *parallel.Pool
-	if cfg.Workers > 1 {
-		pool = parallel.NewPool(cfg.Workers)
-		defer pool.Close()
-	}
-
 	var rows []BatchRow
 	for _, b := range cfg.Batches {
-		row, err := batchCase(prog, b, pool, cfg)
+		row, err := batchCase(prog, b, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: batch %d: %w", b, err)
 		}
@@ -108,13 +94,9 @@ func BatchEval(cfg BatchConfig) ([]BatchRow, error) {
 	return rows, nil
 }
 
-func batchCase(prog *codegen.Program, b int, pool *parallel.Pool, cfg BatchConfig) (BatchRow, error) {
-	row := BatchRow{TapeInstrs: len(prog.Code), Batch: b, Workers: 1}
+func batchCase(prog *codegen.Program, b int, cfg BatchConfig) (BatchRow, error) {
+	row := BatchRow{TapeInstrs: len(prog.Code), Batch: b}
 	ev := prog.NewBatchEvaluator(b)
-	if pool != nil {
-		ev.SetParallel(pool)
-		row.Workers = cfg.Workers
-	}
 
 	// Per-lane conditions: the shared bench inputs perturbed per lane, so
 	// every lane is a distinct state (as in a real multi-file solve).
@@ -182,11 +164,11 @@ func FormatBatch(rows []BatchRow) string {
 		fmt.Fprintf(&b, "system: %d variants, %d equations, %d tape instrs"+NL,
 			rows[0].Variants, rows[0].Equations, rows[0].TapeInstrs)
 	}
-	fmt.Fprintf(&b, "%-7s %-8s %-14s %-14s %-14s %-14s %-9s %-9s"+NL,
-		"batch", "workers", "serial ns/st", "batch ns/st", "serial st/s", "batch st/s", "speedup", "identical")
+	fmt.Fprintf(&b, "%-7s %-14s %-14s %-14s %-14s %-9s %-9s"+NL,
+		"batch", "serial ns/st", "batch ns/st", "serial st/s", "batch st/s", "speedup", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7d %-8d %-14.0f %-14.0f %-14.0f %-14.0f %-9.2f %-9v"+NL,
-			r.Batch, r.Workers, r.SerialNsPerState, r.BatchNsPerState,
+		fmt.Fprintf(&b, "%-7d %-14.0f %-14.0f %-14.0f %-14.0f %-9.2f %-9v"+NL,
+			r.Batch, r.SerialNsPerState, r.BatchNsPerState,
 			r.SerialOpsPerSec, r.BatchOpsPerSec, r.Speedup, r.BitIdentical)
 	}
 	b.WriteString("ns/st = nanoseconds per state (condition) evaluated; batching amortizes" + NL)

@@ -19,7 +19,6 @@ import (
 	"rms/internal/estimator"
 	"rms/internal/ode"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
@@ -179,12 +178,7 @@ func bestLevel(ops int64) int {
 
 // timeEvals measures nanoseconds per RHS evaluation.
 func timeEvals(prog *codegen.Program, minTime time.Duration) float64 {
-	return timeEvalsWith(prog.NewEvaluator(), prog, minTime)
-}
-
-// timeEvalsWith measures ns/eval on a caller-prepared evaluator (e.g. one
-// attached to a worker pool).
-func timeEvalsWith(ev *codegen.Evaluator, prog *codegen.Program, minTime time.Duration) float64 {
+	ev := prog.NewEvaluator()
 	y, k := benchInputs(prog)
 	dy := make([]float64, prog.NumY)
 	// Warm up (runs the prelude once).
@@ -299,9 +293,6 @@ type Table2Config struct {
 	Calls int
 	// RankCounts lists the node counts (default 1,2,4,8,16).
 	RankCounts []int
-	// Workers > 1 additionally gives each rank a worker pool of that
-	// width for levelized parallel tape evaluation.
-	Workers int
 	// Metrics, when non-nil, receives the estimator/solver/MPI telemetry
 	// of every configuration (accumulated across the whole sweep).
 	Metrics *telemetry.Registry
@@ -350,8 +341,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 
 	measure := func(ranks int, lb bool) (modelSec, wallSec float64, err error) {
 		est, err := estimator.New(model, files, estimator.Config{
-			Ranks: ranks, LoadBalance: lb, Workers: cfg.Workers,
-			Metrics: cfg.Metrics,
+			Ranks: ranks, LoadBalance: lb, Metrics: cfg.Metrics,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -561,162 +551,5 @@ nodes   time(noLB)  speedup   time(LB)  speedup
 8       1935        7.08      2183      7.99
 16      1210        12.78     1210      12.78
 `)
-	return b.String()
-}
-
-// ParallelRow is one tape × worker-count measurement of the levelized
-// parallel tape execution engine.
-type ParallelRow struct {
-	Tape       string // "raw" or "optimized"
-	Variants   int
-	Equations  int
-	TapeInstrs int
-
-	// Static schedule shape.
-	Levels   int
-	Segments int
-	MaxWidth int
-
-	Workers    int
-	SerialNs   float64 // ns/eval, serial interpreter
-	ParallelNs float64 // ns/eval through the pool (wall, this host)
-	// WallSpeedup is SerialNs/ParallelNs on this host's physical cores;
-	// ModeledSpeedup is TapeInstrs/CriticalPathOps, the schedule's speedup
-	// with one core per worker — the engine's analogue of Table 2's
-	// modeled parallel time (see ParallelStats).
-	WallSpeedup    float64
-	ModeledSpeedup float64
-	ChunkImbalance float64
-	Utilization    float64
-	// BitIdentical reports whether the parallel output matched the serial
-	// output exactly (it must; a false here is an engine bug).
-	BitIdentical bool
-}
-
-// ParallelConfig shapes the parallel-engine comparison run.
-type ParallelConfig struct {
-	// Variants sizes the vulcanization system (default: the largest
-	// case's scaled size).
-	Variants int
-	// Workers lists the pool widths to measure (default 2, 4, 8).
-	Workers []int
-	// MinEvalTime is how long to time each configuration (default 200ms).
-	MinEvalTime time.Duration
-}
-
-// ParallelEval measures the levelized parallel tape engine against the
-// serial interpreter on the raw and optimized tapes of one vulcanization
-// system, verifying bit-identical output at every pool width.
-func ParallelEval(cfg ParallelConfig) ([]ParallelRow, error) {
-	if cfg.Variants == 0 {
-		cfg.Variants = vulcan.Cases[len(vulcan.Cases)-1].ScaledVariants
-	}
-	if cfg.Workers == nil {
-		cfg.Workers = []int{2, 4, 8}
-	}
-	if cfg.MinEvalTime == 0 {
-		cfg.MinEvalTime = 200 * time.Millisecond
-	}
-	net, err := vulcan.Network(cfg.Variants)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := core.CompileNetwork(net, core.Config{Optimize: opt.Options{}})
-	if err != nil {
-		return nil, err
-	}
-	net2, err := vulcan.Network(cfg.Variants)
-	if err != nil {
-		return nil, err
-	}
-	full, err := core.CompileNetwork(net2, core.Config{Optimize: opt.Full()})
-	if err != nil {
-		return nil, err
-	}
-	var rows []ParallelRow
-	for _, tape := range []struct {
-		name string
-		prog *codegen.Program
-		eqs  int
-	}{
-		{"raw", raw.Tape, raw.System.NumEquations()},
-		{"optimized", full.Tape, full.System.NumEquations()},
-	} {
-		tr, err := parallelCase(tape.name, tape.prog, tape.eqs, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s tape: %w", tape.name, err)
-		}
-		rows = append(rows, tr...)
-	}
-	return rows, nil
-}
-
-func parallelCase(name string, prog *codegen.Program, eqs int, cfg ParallelConfig) ([]ParallelRow, error) {
-	serialNs := timeEvals(prog, cfg.MinEvalTime)
-	y, k := benchInputs(prog)
-	want := make([]float64, prog.NumY)
-	prog.NewEvaluator().Eval(y, k, want)
-
-	var rows []ParallelRow
-	for _, w := range cfg.Workers {
-		pool := parallel.NewPool(w)
-		ev := prog.NewEvaluator()
-		ev.SetParallel(pool)
-		ev.EnableStats(true)
-		got := make([]float64, prog.NumY)
-		ev.Eval(y, k, got)
-		identical := true
-		for i := range want {
-			if got[i] != want[i] {
-				identical = false
-			}
-		}
-		parNs := timeEvalsWith(ev, prog, cfg.MinEvalTime)
-		st := ev.ParallelStats()
-		pool.Close()
-		if st.ParallelEvals == 0 {
-			// The tape fell below the engine threshold: report the serial
-			// numbers honestly instead of a fake comparison.
-			rows = append(rows, ParallelRow{
-				Tape: name, Variants: cfg.Variants, Equations: eqs,
-				TapeInstrs: len(prog.Code), Workers: w,
-				SerialNs: serialNs, ParallelNs: parNs,
-				WallSpeedup: serialNs / parNs, ModeledSpeedup: 1,
-				ChunkImbalance: 1, BitIdentical: identical,
-			})
-			continue
-		}
-		rows = append(rows, ParallelRow{
-			Tape: name, Variants: cfg.Variants, Equations: eqs,
-			TapeInstrs: st.TapeInstrs,
-			Levels:     st.Levels, Segments: st.Segments, MaxWidth: st.MaxWidth,
-			Workers:  w,
-			SerialNs: serialNs, ParallelNs: parNs,
-			WallSpeedup:    serialNs / parNs,
-			ModeledSpeedup: st.ModeledSpeedup,
-			ChunkImbalance: st.ChunkImbalance,
-			Utilization:    st.Utilization(),
-			BitIdentical:   identical,
-		})
-	}
-	return rows, nil
-}
-
-// FormatParallel renders the serial-vs-parallel comparison table.
-func FormatParallel(rows []ParallelRow) string {
-	var b strings.Builder
-	if len(rows) > 0 {
-		fmt.Fprintf(&b, "system: %d variants, %d equations"+NL, rows[0].Variants, rows[0].Equations)
-	}
-	fmt.Fprintf(&b, "%-10s %-9s %-8s %-8s %-8s %-8s %-11s %-11s %-8s %-9s %-7s %-6s %-9s"+NL,
-		"tape", "instrs", "levels", "segs", "width", "workers", "serial ns", "par ns", "wall x", "modeled x", "imbal", "util", "identical")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-9d %-8d %-8d %-8d %-8d %-11.0f %-11.0f %-8.2f %-9.2f %-7.2f %-6.2f %-9v"+NL,
-			r.Tape, r.TapeInstrs, r.Levels, r.Segments, r.MaxWidth, r.Workers,
-			r.SerialNs, r.ParallelNs, r.WallSpeedup, r.ModeledSpeedup,
-			r.ChunkImbalance, r.Utilization, r.BitIdentical)
-	}
-	b.WriteString("modeled x = tape instrs / critical-path ops: the schedule's speedup with one core" + NL)
-	b.WriteString("per worker; wall x reflects this host's physical cores (see docs/parallel-eval.md)" + NL)
 	return b.String()
 }

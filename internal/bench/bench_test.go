@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"rms/internal/core"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/vulcan"
 )
 
@@ -81,71 +79,8 @@ func TestTable2SmallRun(t *testing.T) {
 	}
 }
 
-func TestParallelEvalSmallRun(t *testing.T) {
-	rows, err := ParallelEval(ParallelConfig{
-		Variants:    200,
-		Workers:     []int{2, 8},
-		MinEvalTime: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // {raw, optimized} × {2, 8}
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.BitIdentical {
-			t.Errorf("%s tape, %d workers: parallel output differs from serial", r.Tape, r.Workers)
-		}
-		if r.TapeInstrs == 0 || r.SerialNs <= 0 || r.ParallelNs <= 0 {
-			t.Errorf("empty row %+v", r)
-		}
-		if r.Levels == 0 || r.MaxWidth == 0 {
-			t.Errorf("%s tape, %d workers: schedule shape not reported: %+v", r.Tape, r.Workers, r)
-		}
-		if r.Utilization <= 0 || r.Utilization > 1.0001 {
-			t.Errorf("%s tape, %d workers: utilization %v", r.Tape, r.Workers, r.Utilization)
-		}
-	}
-	// The raw tape's schedule admits at least 2x modeled speedup with 8
-	// workers — the wide mass-action levels dominate the critical path.
-	seen := false
-	for _, r := range rows {
-		if r.Tape == "raw" && r.Workers == 8 {
-			seen = true
-			if r.ModeledSpeedup < 2 {
-				t.Errorf("raw tape modeled speedup %v at 8 workers, want >= 2", r.ModeledSpeedup)
-			}
-		}
-	}
-	if !seen {
-		t.Fatal("raw/8 row missing")
-	}
-	out := FormatParallel(rows)
-	for _, want := range []string{"raw", "optimized", "modeled x", "identical"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatParallel missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// The estimator path with per-rank pools stays available through the
-// Table 2 harness.
-func TestTable2WithWorkers(t *testing.T) {
-	rows, err := Table2(Table2Config{
-		Variants: 9, Files: 4, Records: 40, Calls: 1,
-		RankCounts: []int{1, 2}, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-}
-
-// BenchmarkRHSEval compares the serial interpreter against the levelized
-// parallel engine on the raw 200-variant tape:
+// BenchmarkRHSEval times the tape interpreter on the raw 200-variant
+// tape:
 //
 //	go test -bench RHSEval -benchtime 2s ./internal/bench/
 func BenchmarkRHSEval(b *testing.B) {
@@ -160,26 +95,11 @@ func BenchmarkRHSEval(b *testing.B) {
 	prog := res.Tape
 	y, k := benchInputs(prog)
 	dy := make([]float64, prog.NumY)
-	b.Run("serial", func(b *testing.B) {
-		ev := prog.NewEvaluator()
+	ev := prog.NewEvaluator()
+	ev.Eval(y, k, dy)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		ev.Eval(y, k, dy)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.Eval(y, k, dy)
-		}
-	})
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			pool := parallel.NewPool(w)
-			defer pool.Close()
-			ev := prog.NewEvaluator()
-			ev.SetParallel(pool)
-			ev.Eval(y, k, dy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.Eval(y, k, dy)
-			}
-		})
 	}
 }
 

@@ -47,8 +47,7 @@ type FaultsRow struct {
 	// Recovery counts the fault-tolerance interventions performed.
 	Recovery estimator.RecoveryStats
 	// Degrade counts the graceful-degradation ladder activations
-	// (sparse→dense, batch→serial, ewma→lpt, pool→serial, watchdog
-	// timeouts).
+	// (sparse→dense, batch→serial, ewma→lpt, watchdog timeouts).
 	Degrade estimator.DegradeStats
 }
 
@@ -214,7 +213,6 @@ func formatDegrade(d estimator.DegradeStats) string {
 	add("sparse", d.SparseToDense)
 	add("batch", d.BatchSerial)
 	add("lpt", d.SchedStatic)
-	add("pool", d.PoolSerial)
 	if len(parts) == 0 {
 		return "none"
 	}

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"rms/internal/codegen"
+	"rms/internal/dataset"
+	"rms/internal/estimator"
 	"rms/internal/faults"
 	"rms/internal/nlopt"
 )
@@ -192,5 +195,45 @@ func TestRunStateRoundTrip(t *testing.T) {
 	b, _ := Marshal("plan", restored)
 	if !bytes.Equal(a, b) {
 		t.Error("fault plan did not survive the round trip canonically")
+	}
+
+	// A run checkpoint written before the intra-rank worker pools were
+	// retired: its estimator state carries the pool→serial latch
+	// (pools_off) and demotion count (Degrade.PoolSerial), its fault plan
+	// a pending pool fault (pool). The envelope version is unchanged and
+	// payloads decode with plain json.Unmarshal, which skips the retired
+	// keys, so the checkpoint still restores.
+	old, err := LoadRun(filepath.Join("testdata", "run_pools_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dy = -k·y over the slot file [y | k | scratch].
+	prog := &codegen.Program{
+		NumY: 1, NumK: 1, NumSlots: 4,
+		Code: []codegen.Instr{{Op: codegen.OpMul, Dst: 2, A: 0, B: 1}, {Op: codegen.OpNeg, Dst: 3, A: 2}},
+		Out:  []int32{3},
+	}
+	model := &estimator.Model{Prog: prog, Y0: []float64{1}, Stiff: true,
+		Property: func(y []float64) float64 { return y[0] }}
+	files := []*dataset.File{
+		{Name: "a", Records: []dataset.Record{{T: 1, Value: 0.4}}},
+		{Name: "b", Records: []dataset.Record{{T: 1, Value: 0.3}}},
+	}
+	est, err := estimator.New(model, files, estimator.Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Restore(old.Est); err != nil {
+		t.Fatalf("restore of a pre-retirement estimator state: %v", err)
+	}
+	if est.Calls() != 3 || old.Opt.Iter != 2 {
+		t.Errorf("restored calls %d, iter %d; want 3, 2", est.Calls(), old.Opt.Iter)
+	}
+	if old.Faults == nil {
+		t.Fatal("fault plan dropped")
+	}
+	oldPlan := faults.FromState(*old.Faults)
+	if err := oldPlan.FileSolve(6, 0, 1, 0); !errors.Is(err, faults.ErrInjected) {
+		t.Errorf("pending file failure lost in restore: %v", err)
 	}
 }

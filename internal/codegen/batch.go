@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"rms/internal/linalg"
-	"rms/internal/parallel"
 	"rms/internal/telemetry"
 )
 
@@ -25,23 +24,15 @@ import (
 // bit-identical to serial evaluation lane by lane (the conformance
 // harness's "batch" stage proves it).
 
-const (
-	// batchLaneBlock is the tile width: the per-evaluation code runs to
-	// completion over one block's compact slot file before moving to the
-	// next block, keeping the block working set (NumSlots × block × 8
-	// bytes) cache-resident instead of streaming a B-wide slot file once
-	// per instruction.
-	batchLaneBlock = 16
-	// batchMinLanesPerWorker is the narrowest lane range worth giving a
-	// pool worker before the engine falls back to levelized
-	// instruction-fanout (or serial) execution.
-	batchMinLanesPerWorker = 8
-)
+// batchLaneBlock is the tile width: the per-evaluation code runs to
+// completion over one block's compact slot file before moving to the
+// next block, keeping the block working set (NumSlots × block × 8 bytes)
+// cache-resident instead of streaming a B-wide slot file once per
+// instruction.
+const batchLaneBlock = 16
 
 // BatchEvaluator executes a Program for B lanes at once over a
-// block-tiled SoA slot file. One evaluator per goroutine; an evaluator
-// attached to a worker pool (SetParallel) fans the batch out across the
-// pool but still accepts calls from only one goroutine.
+// block-tiled SoA slot file. One evaluator per goroutine.
 type BatchEvaluator struct {
 	prog *Program
 	b    int // external batch width (lanes)
@@ -54,26 +45,14 @@ type BatchEvaluator struct {
 	// read back.
 	slots []float64
 	// lastK[lane*NumK+j] caches the prelude's rate vector per lane
-	// (padded width), compared by bit pattern (see Evaluator.EvalSlots).
+	// (padded width), compared by bit pattern (see Evaluator.Prime).
 	lastK       []float64
 	preludeDone []bool
-	par         *batchParState
 
 	// Telemetry counters (nil — free no-ops — unless Observe was called).
 	telEvals     *telemetry.Counter // batched evaluations
 	telLaneEvals *telemetry.Counter // lane-evaluations (evals × B)
 	telPrelude   *telemetry.Counter // per-lane prelude runs
-}
-
-// batchParState is a batch evaluator's attachment to a worker pool.
-type batchParState struct {
-	pool      *parallel.Pool
-	bar       *parallel.Barrier
-	threshold int
-	// Accumulated engine-choice counters.
-	laneParallel  int64 // evaluations fanned out lane-wise
-	levelParallel int64 // evaluations fanned out via the levelized schedule
-	serial        int64
 }
 
 // NewBatchEvaluator returns a reusable batch evaluator for b lanes with
@@ -132,32 +111,6 @@ func (e *BatchEvaluator) Observe(reg *telemetry.Registry) {
 	e.telPrelude = reg.Counter("tape.batch_prelude_runs")
 }
 
-// SetParallel attaches the evaluator to a worker pool. With enough lanes
-// per worker the batch partitions block-wise (each worker runs the whole
-// tape over its own blocks, no barriers); narrower batches of large
-// tapes reuse the levelized Schedule, fanning wide levels out across the
-// pool with every block swept per instruction chunk. Either engine is
-// bit-identical to the serial sweep. A nil pool (or width 1) detaches.
-func (e *BatchEvaluator) SetParallel(pool *parallel.Pool) {
-	if pool == nil || pool.Workers() <= 1 {
-		e.par = nil
-		return
-	}
-	e.par = &batchParState{
-		pool:      pool,
-		bar:       parallel.NewBarrier(pool.Workers()),
-		threshold: DefaultParallelThreshold,
-	}
-}
-
-// SetParallelThreshold overrides the minimum tape length for levelized
-// parallel execution (testing hook; production code keeps the default).
-func (e *BatchEvaluator) SetParallelThreshold(n int) {
-	if e.par != nil {
-		e.par.threshold = n
-	}
-}
-
 // EvalBatch computes dy = f(y, k) for every lane. All three arguments are
 // slot-major SoA: y[i*B+lane], k[j*B+lane], dy[i*B+lane], with lengths
 // NumY·B, NumK·B and len(Out)·B.
@@ -188,7 +141,7 @@ func (e *BatchEvaluator) EvalSlotsBatch(y, k []float64) {
 	e.runPrelude(k)
 	e.telEvals.Inc()
 	e.telLaneEvals.Add(int64(b))
-	e.runBatchMain()
+	e.runBlocks()
 }
 
 // scatterRow spreads one external SoA row (stride b) across the blocks'
@@ -287,110 +240,17 @@ func (e *BatchEvaluator) laneDirty(k []float64, lane int) bool {
 	return false
 }
 
-// runBatchMain executes the per-evaluation code over all lanes, choosing
-// among the serial block sweep, block-wise pool partitioning, and
-// levelized instruction fanout.
-func (e *BatchEvaluator) runBatchMain() {
-	par := e.par
-	if par == nil {
-		e.runBlocks(0, e.nblk)
-		return
-	}
-	w := par.pool.Workers()
-	if e.b >= w*batchMinLanesPerWorker {
-		par.laneParallel++
-		e.runBatchLanes(w)
-		return
-	}
-	sc := e.prog.Schedule()
-	if sc != nil && len(e.prog.Code) >= par.threshold && sc.ParallelInstrs() > 0 {
-		par.levelParallel++
-		e.runBatchLevels(sc, w)
-		return
-	}
-	par.serial++
-	e.runBlocks(0, e.nblk)
-}
-
-// runBlocks sweeps the per-evaluation code over the blocks [lo, hi),
-// one compact slot file at a time.
-func (e *BatchEvaluator) runBlocks(lo, hi int) {
+// runBlocks sweeps the per-evaluation code over every block, one compact
+// slot file at a time.
+func (e *BatchEvaluator) runBlocks() {
 	code := e.prog.Code
-	for blk := lo; blk < hi; blk++ {
+	for blk := 0; blk < e.nblk; blk++ {
 		s := e.block(blk)
 		if e.bs == batchLaneBlock {
 			runCodeBatchFull(s, code)
 		} else {
 			runCodeBatch(s, code, e.bs, 0, e.bs)
 		}
-	}
-}
-
-// runBatchLanes partitions the blocks contiguously across the pool; each
-// worker runs the whole per-evaluation code over its own blocks. Lanes
-// are independent and every block is owned by exactly one worker, so no
-// barriers are needed and results are bit-identical.
-func (e *BatchEvaluator) runBatchLanes(w int) {
-	parts := w
-	if parts > e.nblk {
-		parts = e.nblk
-	}
-	e.par.pool.Do(func(id int) {
-		if id >= parts {
-			return
-		}
-		lo, hi := chunkRange(0, e.nblk, parts, id)
-		if lo < hi {
-			e.runBlocks(lo, hi)
-		}
-	})
-}
-
-// runBatchLevels sweeps the levelized schedule's segments across the
-// pool: within a parallel segment each worker applies its contiguous
-// instruction chunk over every block; serial segments run on worker 0; a
-// barrier separates segments (see Evaluator.runLevels).
-func (e *BatchEvaluator) runBatchLevels(sc *Schedule, w int) {
-	par := e.par
-	bs := e.bs
-	par.pool.Do(func(id int) {
-		for _, seg := range sc.segs {
-			if seg.parallel {
-				width := seg.end - seg.start
-				parts := chunksFor(width, w)
-				if id < parts {
-					lo, hi := chunkRange(seg.start, width, parts, id)
-					for blk := 0; blk < e.nblk; blk++ {
-						runCodeBatch(e.block(blk), sc.instrs[lo:hi], bs, 0, bs)
-					}
-				}
-			} else if id == 0 {
-				for blk := 0; blk < e.nblk; blk++ {
-					runCodeBatch(e.block(blk), sc.instrs[seg.start:seg.end], bs, 0, bs)
-				}
-			}
-			par.bar.Await()
-		}
-	})
-}
-
-// BatchEngineStats reports how a pool-attached batch evaluator executed.
-type BatchEngineStats struct {
-	LaneParallel  int64 // evaluations partitioned block-wise across the pool
-	LevelParallel int64 // evaluations through the levelized schedule
-	Serial        int64 // evaluations on the serial block sweep
-}
-
-// EngineStats returns the engine-choice counters accumulated so far (zero
-// for a detached evaluator).
-func (e *BatchEvaluator) EngineStats() BatchEngineStats {
-	if e.par == nil {
-		return BatchEngineStats{}
-	}
-	return BatchEngineStats{
-		LaneParallel:  e.par.laneParallel,
-		LevelParallel: e.par.levelParallel,
-		Serial:        e.par.serial,
 	}
 }
 
@@ -498,12 +358,6 @@ type BatchJacEvaluator struct {
 // NewBatchEvaluator returns a batched Jacobian evaluator for b lanes.
 func (jp *JacobianProgram) NewBatchEvaluator(b int) *BatchJacEvaluator {
 	return &BatchJacEvaluator{jp: jp, ev: jp.Prog.NewBatchEvaluator(b)}
-}
-
-// SetParallel attaches the underlying batch tape evaluator to a worker
-// pool.
-func (je *BatchJacEvaluator) SetParallel(pool *parallel.Pool) {
-	je.ev.SetParallel(pool)
 }
 
 // EvalCSR computes every lane's Jacobian at the batch state (y, k) in one

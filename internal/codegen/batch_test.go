@@ -8,7 +8,6 @@ import (
 
 	"rms/internal/linalg"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/telemetry"
 )
 
@@ -28,12 +27,9 @@ func batchInputs(rng *rand.Rand, prog *Program, b int) (ys, ks [][]float64, ySoA
 
 // TestBatchEvalBitIdentical is the batch engine's core property: batched
 // SoA evaluation with per-lane inputs matches per-lane serial evaluation
-// bit for bit, across batch widths, optimizer settings, and all three
-// execution engines (serial blocked sweep, lane partitioning, levelized
-// schedule fan-out).
+// bit for bit, across batch widths (full and partial blocks) and
+// optimizer settings.
 func TestBatchEvalBitIdentical(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randomSystem(rng)
@@ -47,32 +43,17 @@ func TestBatchEvalBitIdentical(t *testing.T) {
 					want[l] = make([]float64, prog.NumY)
 					serial.Eval(ys[l], ks[l], want[l])
 				}
-				for _, mode := range []string{"serial", "lanes", "levels"} {
-					ev := prog.NewBatchEvaluator(b)
-					switch mode {
-					case "lanes":
-						if b < 4*batchMinLanesPerWorker {
-							continue
-						}
-						ev.SetParallel(pool)
-					case "levels":
-						if b >= 4*batchMinLanesPerWorker {
-							continue
-						}
-						ev.SetParallel(pool)
-						ev.SetParallelThreshold(1)
-					}
-					dy := make([]float64, prog.NumY*b)
-					ev.EvalBatch(ySoA, kSoA, dy)
-					got := make([]float64, prog.NumY)
-					for l := 0; l < b; l++ {
-						GatherLane(got, dy, b, l)
-						for i := range got {
-							if math.Float64bits(got[i]) != math.Float64bits(want[l][i]) {
-								t.Logf("seed %d b=%d mode=%s lane %d eq %d: %v != %v",
-									seed, b, mode, l, i, got[i], want[l][i])
-								return false
-							}
+				ev := prog.NewBatchEvaluator(b)
+				dy := make([]float64, prog.NumY*b)
+				ev.EvalBatch(ySoA, kSoA, dy)
+				got := make([]float64, prog.NumY)
+				for l := 0; l < b; l++ {
+					GatherLane(got, dy, b, l)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[l][i]) {
+							t.Logf("seed %d b=%d lane %d eq %d: %v != %v",
+								seed, b, l, i, got[i], want[l][i])
+							return false
 						}
 					}
 				}
@@ -82,40 +63,6 @@ func TestBatchEvalBitIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestBatchEngineChoice checks the pool-attached evaluator picks the
-// lane-partitioned engine for wide batches and the levelized (or serial)
-// engine for narrow ones.
-func TestBatchEngineChoice(t *testing.T) {
-	sys := familySystem(6)
-	prog := compileSystem(t, sys, opt.Full())
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(3))
-
-	wide := prog.NewBatchEvaluator(4 * batchMinLanesPerWorker)
-	wide.SetParallel(pool)
-	_, _, y, k := batchInputs(rng, prog, wide.Lanes())
-	dy := make([]float64, prog.NumY*wide.Lanes())
-	wide.EvalBatch(y, k, dy)
-	if st := wide.EngineStats(); st.LaneParallel != 1 || st.LevelParallel != 0 || st.Serial != 0 {
-		t.Errorf("wide batch engine stats = %+v, want 1 lane-parallel eval", st)
-	}
-
-	narrow := prog.NewBatchEvaluator(2)
-	narrow.SetParallel(pool)
-	narrow.SetParallelThreshold(1)
-	_, _, y, k = batchInputs(rng, prog, 2)
-	dy = make([]float64, prog.NumY*2)
-	narrow.EvalBatch(y, k, dy)
-	st := narrow.EngineStats()
-	if st.LaneParallel != 0 || st.LevelParallel+st.Serial != 1 {
-		t.Errorf("narrow batch engine stats = %+v, want 1 levelized or serial eval", st)
-	}
-	if prog.Schedule() != nil && prog.Schedule().ParallelInstrs() > 0 && st.LevelParallel != 1 {
-		t.Errorf("narrow batch on a fan-out tape used engine %+v, want levelized", st)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"rms/internal/eqgen"
 	"rms/internal/linalg"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 )
 
 // JacobianProgram is a compiled analytic Jacobian: a tape whose outputs
@@ -70,18 +69,6 @@ type JacEvaluator struct {
 // NewEvaluator returns a reusable Jacobian evaluator.
 func (jp *JacobianProgram) NewEvaluator() *JacEvaluator {
 	return &JacEvaluator{jp: jp, ev: jp.Prog.NewEvaluator()}
-}
-
-// SetParallel attaches the underlying tape evaluator to a worker pool;
-// large Jacobian tapes then execute levelized across the pool, with
-// entries bit-identical to serial evaluation.
-func (je *JacEvaluator) SetParallel(pool *parallel.Pool) {
-	je.ev.SetParallel(pool)
-}
-
-// ParallelStats returns the underlying engine counters.
-func (je *JacEvaluator) ParallelStats() ParallelStats {
-	return je.ev.ParallelStats()
 }
 
 // Eval computes J = ∂f/∂y at (y, k) into dst (n×n, zeroed first).

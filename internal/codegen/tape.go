@@ -13,7 +13,6 @@ package codegen
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"rms/internal/telemetry"
 )
@@ -81,11 +80,6 @@ type Program struct {
 	Code []Instr
 	// Out[i] is the slot holding dy[i].
 	Out []int32
-
-	// Memoized levelized schedule (see Schedule); built on first use,
-	// shared by all evaluators over this program.
-	schedOnce sync.Once
-	sched     *Schedule
 }
 
 // YSlot returns the slot index of y[i].
@@ -103,9 +97,7 @@ func (p *Program) NewEvaluator() *Evaluator {
 	return e
 }
 
-// Evaluator executes a Program. One evaluator per goroutine; an
-// evaluator attached to a worker pool (SetParallel) fans wide tapes out
-// across the pool but still accepts calls from only one goroutine.
+// Evaluator executes a Program. One evaluator per goroutine.
 type Evaluator struct {
 	prog  *Program
 	slots []float64
@@ -114,24 +106,18 @@ type Evaluator struct {
 	// empty or equal k": the prelude must run on the first evaluation even
 	// when lastK compares equal to k (e.g. a program with NumK == 0).
 	preludeDone bool
-	par         *parState
 
 	// Telemetry counters (nil — free no-ops — unless Observe was called).
-	telEvals    *telemetry.Counter
-	telPrelude  *telemetry.Counter
-	telParallel *telemetry.Counter
-	telSerial   *telemetry.Counter
+	telEvals   *telemetry.Counter
+	telPrelude *telemetry.Counter
 }
 
-// Observe publishes the evaluator's activity into reg: tape evaluations,
-// prelude reruns, and — for pool-attached evaluators — the
-// parallel-vs-serial engine choice per evaluation. A nil registry
-// detaches (counters return to no-ops).
+// Observe publishes the evaluator's activity into reg: tape evaluations
+// and prelude reruns. A nil registry detaches (counters return to
+// no-ops).
 func (e *Evaluator) Observe(reg *telemetry.Registry) {
 	e.telEvals = reg.Counter("tape.evals")
 	e.telPrelude = reg.Counter("tape.prelude_runs")
-	e.telParallel = reg.Counter("tape.parallel_evals")
-	e.telSerial = reg.Counter("tape.serial_evals")
 }
 
 // Eval computes dy = f(y, k). dy must have length len(Out) (NumY for ODE
@@ -158,6 +144,21 @@ func (e *Evaluator) EvalSlots(y, k []float64) {
 	}
 	s := e.slots
 	copy(s[len(p.Consts):], y)
+	e.Prime(k)
+	e.telEvals.Inc()
+	runCode(s, p.Code)
+}
+
+// Prime runs the prelude for k unless the evaluator already holds its
+// results, so later evaluations at k run only the per-evaluation code.
+// Eval primes implicitly; a caller that knows k before it knows which
+// evaluators will evaluate primes each one up front, which makes the
+// prelude-run count a function of the evaluators it created.
+func (e *Evaluator) Prime(k []float64) {
+	p := e.prog
+	if len(k) != p.NumK {
+		panic(fmt.Sprintf("codegen: Prime got %d rate constants, want %d", len(k), p.NumK))
+	}
 	// Rerun the prelude whenever the rate constants change *by value*: the
 	// caller may mutate k in place between evaluations (the optimizer's
 	// line-search loop does exactly that), so slice identity proves
@@ -165,15 +166,15 @@ func (e *Evaluator) EvalSlots(y, k []float64) {
 	// is on bit patterns, not ==: NaN != NaN would force a prelude rerun on
 	// every evaluation once a non-finite trial parameter appears (the
 	// optimizer's penalty path produces exactly these).
-	if !e.preludeDone || !floatsBitEqual(e.lastK, k) {
-		copy(s[len(p.Consts)+p.NumY:], k)
-		runCode(s, p.Prelude)
-		e.lastK = append(e.lastK[:0], k...)
-		e.preludeDone = true
-		e.telPrelude.Inc()
+	if e.preludeDone && floatsBitEqual(e.lastK, k) {
+		return
 	}
-	e.telEvals.Inc()
-	e.runMain()
+	s := e.slots
+	copy(s[len(p.Consts)+p.NumY:], k)
+	runCode(s, p.Prelude)
+	e.lastK = append(e.lastK[:0], k...)
+	e.preludeDone = true
+	e.telPrelude.Inc()
 }
 
 // Slot reads a slot value after EvalSlots.

@@ -64,9 +64,8 @@ func (r *Recorder) Failf(format string, args ...any) {
 }
 
 // CheckExact compares two values that must agree bit-for-bit (modulo
-// the sign of zero): serial vs parallel tapes, dense vs CSR Jacobians
-// and the other comparisons the pipeline guarantees are identical
-// arithmetic.
+// the sign of zero): tree vs tape, dense vs CSR Jacobians and the other
+// comparisons the pipeline guarantees are identical arithmetic.
 func (r *Recorder) CheckExact(label string, ref, got float64) {
 	r.record(ref, got)
 	if ref == got || (math.IsNaN(ref) && math.IsNaN(got)) {

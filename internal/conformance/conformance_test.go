@@ -121,8 +121,8 @@ func TestSelectStages(t *testing.T) {
 	if err != nil || len(all) != len(Stages) {
 		t.Fatalf("empty spec: %d stages, err %v", len(all), err)
 	}
-	two, err := SelectStages("tape, parallel")
-	if err != nil || len(two) != 2 || two[0].Name != "tape" || two[1].Name != "parallel" {
+	two, err := SelectStages("tape, jacobian")
+	if err != nil || len(two) != 2 || two[0].Name != "tape" || two[1].Name != "jacobian" {
 		t.Fatalf("subset spec: %+v, err %v", two, err)
 	}
 	if _, err := SelectStages("nope"); err == nil {

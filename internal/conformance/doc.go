@@ -9,8 +9,8 @@
 //
 //   - raw expression evaluation vs the simplify / distribute / CSE /
 //     hoist rewrites (tree interpretation, exact reference semantics);
-//   - the compiled tape vs the optimized tree, serial vs parallel
-//     (levelized) tape execution, and dense vs CSR Jacobian evaluation;
+//   - the compiled tape vs the optimized tree, and dense vs CSR Jacobian
+//     evaluation;
 //   - dense vs sparse Newton trajectories through the stiff solver;
 //   - the Go tape vs the generated-C kernel recompiled by ccomp;
 //   - single-rank vs multi-rank estimator residuals.

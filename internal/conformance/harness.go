@@ -29,7 +29,7 @@ type Config struct {
 	// Tol is the relative tolerance for the tree-rewrite comparisons
 	// (simplify/distribute/CSE/hoist reorder floating-point reductions).
 	// Zero means the default 1e-9. Stages with stronger guarantees
-	// ignore it: tape, parallel, ccomp, permute and dense-vs-CSR demand
+	// ignore it: tape, ccomp, permute and dense-vs-CSR demand
 	// exact agreement, and the solver-level stages use their own
 	// integration tolerances.
 	Tol float64

@@ -29,14 +29,14 @@ func TestNetworkRoundTrip(t *testing.T) {
 
 func TestParseNetworkErrors(t *testing.T) {
 	cases := []string{
-		"",                                  // empty
-		"species A",                         // missing init
-		"species A x",                       // bad float
-		"reaction r K : A -> B",             // unknown species
-		"species A 1\nreaction r K A -> B",  // missing colon
-		"species A 1\nreaction r K : -> A",  // nothing consumed
-		"bogus directive",                   // unknown directive
-		"species A 1\nspecies A 2",          // duplicate species
+		"",                                 // empty
+		"species A",                        // missing init
+		"species A x",                      // bad float
+		"reaction r K : A -> B",            // unknown species
+		"species A 1\nreaction r K A -> B", // missing colon
+		"species A 1\nreaction r K : -> A", // nothing consumed
+		"bogus directive",                  // unknown directive
+		"species A 1\nspecies A 2",         // duplicate species
 	}
 	for _, src := range cases {
 		if _, err := ParseNetwork(src); err == nil {

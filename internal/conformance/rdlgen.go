@@ -19,10 +19,10 @@ func RandomRDL(rng *rand.Rand) string {
 	var b strings.Builder
 	b.WriteString("# random conformance model\n")
 
-	lo := 1 + rng.Intn(3)         // chain family lower bound
-	hi := lo + 2 + rng.Intn(4)    // upper bound, at least lo+2
-	window := 1 + rng.Intn(2)     // scission forall margin
-	minN := 2 * window            // require keeps the forall window non-empty
+	lo := 1 + rng.Intn(3)      // chain family lower bound
+	hi := lo + 2 + rng.Intn(4) // upper bound, at least lo+2
+	window := 1 + rng.Intn(2)  // scission forall margin
+	minN := 2 * window         // require keeps the forall window non-empty
 	if minN < lo {
 		minN = lo
 	}

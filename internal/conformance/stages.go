@@ -16,7 +16,6 @@ import (
 	"rms/internal/network"
 	"rms/internal/ode"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/rdl"
 	"rms/internal/sched"
 )
@@ -42,7 +41,6 @@ var Stages = []Stage{
 	{"cse", "factored vs §3.3 CSE evaluation", true, stageCSE},
 	{"hoist", "CSE vs hoisted-prelude evaluation", true, stageHoist},
 	{"tape", "optimized tree vs compiled tape (and prelude k-swap reuse)", true, stageTape},
-	{"parallel", "serial vs levelized parallel tape execution", true, stageParallel},
 	{"jacobian", "analytic Jacobian vs finite differences; dense vs CSR", true, stageJacobian},
 	{"newton", "dense vs sparse Newton trajectories (stiff solver)", true, stageNewton},
 	{"batch", "serial vs batched SoA tape and lockstep batched BDF", true, stageBatch},
@@ -141,21 +139,6 @@ func stageTape(cs *Case, rec *Recorder, _ float64) error {
 	ev.Eval(cs.Y, k2, scratch)
 	ev.Eval(cs.Y, cs.K, scratch)
 	rec.CheckVec("dy prelude-kswap", dy, scratch, -1)
-	return nil
-}
-
-func stageParallel(cs *Case, rec *Recorder, _ float64) error {
-	serial := make([]float64, len(cs.Y))
-	cs.Tape.NewEvaluator().Eval(cs.Y, cs.K, serial)
-
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	pev := cs.Tape.NewEvaluator()
-	pev.SetParallel(pool)
-	pev.SetParallelThreshold(1) // force the levelized path on tiny tapes
-	par := make([]float64, len(cs.Y))
-	pev.Eval(cs.Y, cs.K, par)
-	rec.CheckVec("dy serial-vs-parallel", serial, par, -1)
 	return nil
 }
 

@@ -20,8 +20,8 @@ import (
 
 // TestChaosAllLaddersFire runs one scenario per degradation ladder into
 // a shared telemetry registry and then demands every degrade.* counter
-// incremented: sparse→dense LU, batch→serial, ewma→lpt, pool→serial,
-// and the attempt-watchdog timeout.
+// incremented: sparse→dense LU, batch→serial, ewma→lpt, and the
+// attempt-watchdog timeout.
 func TestChaosAllLaddersFire(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	solve := func(e *Estimator, calls int) {
@@ -84,19 +84,6 @@ func TestChaosAllLaddersFire(t *testing.T) {
 		t.Errorf("SchedStatic = %d, want 1", got)
 	}
 
-	// Ladder 4: parallel pool → serial sweep, via an injected pool fault.
-	e, err = New(decayModel(t), makeFiles(1.0, []int{20, 25}), Config{
-		Ranks: 1, Workers: 2, Metrics: reg,
-		Faults: faults.NewPlan(7).FailPool(0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve(e, 2)
-	if got := e.Degrade().PoolSerial; got != 1 {
-		t.Errorf("PoolSerial = %d, want 1", got)
-	}
-
 	// Watchdog: an injected hang parked on the attempt budget, recovered
 	// by retry.
 	e, err = New(decayModel(t), makeFiles(1.0, []int{20, 20}), Config{
@@ -114,7 +101,7 @@ func TestChaosAllLaddersFire(t *testing.T) {
 
 	for _, name := range []string{
 		"degrade.sparse_to_dense", "degrade.batch_serial",
-		"degrade.sched_static", "degrade.pool_serial", "degrade.solve_timeout",
+		"degrade.sched_static", "degrade.solve_timeout",
 	} {
 		if v := reg.Counter(name).Value(); v < 1 {
 			t.Errorf("counter %s = %d, want >= 1", name, v)

@@ -29,7 +29,6 @@ import (
 	"rms/internal/mpi"
 	"rms/internal/nlopt"
 	"rms/internal/ode"
-	"rms/internal/parallel"
 	"rms/internal/sched"
 	"rms/internal/stats"
 	"rms/internal/telemetry"
@@ -72,12 +71,6 @@ type Config struct {
 	Ranks int
 	// LoadBalance enables the dynamic load balancing algorithm.
 	LoadBalance bool
-	// Workers > 1 gives each rank a worker pool of that width for
-	// levelized parallel tape evaluation (see codegen.SetParallel) — the
-	// intra-rank parallelism to use when ranks < cores. Large systems'
-	// RHS and Jacobian tapes then fan out across the pool; results stay
-	// bit-identical to serial evaluation.
-	Workers int
 	// Batch solves each rank's assigned data files as ONE lockstep batched
 	// BDF integration (ode.NewBatchBDF over codegen.BatchEvaluator): every
 	// file is a lane of a structure-of-arrays batch, so the compiled tape
@@ -106,8 +99,7 @@ type Config struct {
 	// bit-identical to the serial path for any plan, lane count or steal
 	// schedule. Nil — or Rebalance false — keeps the v1 behavior exactly;
 	// LoadBalance and Batch are ignored while the v2 scheduler is active
-	// (it owns the schedule), and Workers pools attach only when
-	// Sched.Lanes == 1 (lanes are already the intra-rank parallelism).
+	// (it owns the schedule).
 	Sched *sched.Config
 	// FaultTolerant enables graceful degradation (docs/fault-tolerance.md):
 	// failed file solves are retried per Retry and then penalized instead
@@ -177,9 +169,8 @@ type estMetrics struct {
 	watchdogTrips, rerunCalls        *telemetry.Counter
 
 	// Degradation-ladder demotions (see DegradeStats).
-	degradeSparse, degradeBatch *telemetry.Counter
-	degradeSched, degradePool   *telemetry.Counter
-	degradeTimeout              *telemetry.Counter
+	degradeSparse, degradeBatch  *telemetry.Counter
+	degradeSched, degradeTimeout *telemetry.Counter
 }
 
 // costErrBuckets spans relative cost-model misprediction from "converged"
@@ -216,7 +207,6 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		degradeSparse:        reg.Counter("degrade.sparse_to_dense"),
 		degradeBatch:         reg.Counter("degrade.batch_serial"),
 		degradeSched:         reg.Counter("degrade.sched_static"),
-		degradePool:          reg.Counter("degrade.pool_serial"),
 		degradeTimeout:       reg.Counter("degrade.solve_timeout"),
 	}
 }
@@ -245,9 +235,6 @@ type Estimator struct {
 	assignment [][]int
 	// lastTimes[i] is the most recent solve time of file i, seconds.
 	lastTimes []float64
-	// pools[r] is rank r's worker pool for intra-rank parallel tape
-	// evaluation (nil without cfg.Workers).
-	pools []*parallel.Pool
 
 	// v2 scheduler state (all zero without cfg.Sched.Rebalance):
 	// schedCfg is cfg.Sched with defaults resolved, cost the persistent
@@ -267,11 +254,9 @@ type Estimator struct {
 	recovery RecoveryStats
 	degrade  DegradeStats
 
-	// Degradation-ladder latches (mutated only between calls, on the
-	// caller's goroutine): poolsOff demotes intra-rank tape evaluation to
-	// serial after a pool fault; mispredicts counts consecutive calls of
-	// high cost-model error on the way to the ewma→lpt demotion.
-	poolsOff    bool
+	// mispredicts is the ewma→lpt degradation latch (mutated only between
+	// calls, on the caller's goroutine): consecutive calls of high
+	// cost-model error on the way to the demotion.
 	mispredicts int
 
 	// met holds the registry handles (all nil without cfg.Metrics); lane
@@ -344,26 +329,13 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		e.schedStats.Splits += splits
 		e.met.schedSplits.Add(int64(splits))
 	}
-	if cfg.Workers > 1 {
-		// One pool per rank: ranks evaluate concurrently, and sharing a
-		// pool would serialize their tape sweeps against each other.
-		e.pools = make([]*parallel.Pool, cfg.Ranks)
-		for r := range e.pools {
-			e.pools[r] = parallel.NewPool(cfg.Workers)
-			e.pools[r].Observe(cfg.Metrics)
-		}
-	}
 	e.calibrate()
 	return e, nil
 }
 
-// Close releases the per-rank worker pools. The estimator must be idle.
-func (e *Estimator) Close() {
-	for _, p := range e.pools {
-		p.Close()
-	}
-	e.pools = nil
-}
+// Close is a no-op: the estimator holds nothing beyond memory. Callers
+// may still defer it.
+func (e *Estimator) Close() {}
 
 // calibrate measures this host's cost per model work unit (one tape
 // operation, with dense-solve work converted to the same unit), so
@@ -501,7 +473,6 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		e.lane.Begin(fmt.Sprintf("objective #%d", e.calls))
 		defer e.lane.End()
 	}
-	e.checkPoolFault()
 	if e.schedEnabled() {
 		return e.objectiveSched(k, residual, start)
 	}
@@ -611,11 +582,6 @@ func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) (
 		}
 		ev := e.model.Prog.NewEvaluator()
 		ev.Observe(e.cfg.Metrics)
-		var pool *parallel.Pool
-		if e.pools != nil && !e.poolsOff {
-			pool = e.pools[c.Rank()]
-			ev.SetParallel(pool)
-		}
 		lane := c.Lane()
 		slow := e.laneSlowdown(call, c.Rank(), 0)
 		rankFiles := assignment[c.Rank()]
@@ -627,7 +593,7 @@ func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) (
 		if e.useBatch() && len(rankFiles) > 0 {
 			var degraded bool
 			var batchErr error
-			rankFiles, degraded, batchErr = e.solveRankBatch(rankFiles, k, pool, localErr, localTime, lane, call, c.Rank())
+			rankFiles, degraded, batchErr = e.solveRankBatch(rankFiles, k, localErr, localTime, lane, call, c.Rank())
 			if degraded {
 				attempt0 = 1
 			}
@@ -653,7 +619,7 @@ func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) (
 				e.log.Debug("solve", "file solve",
 					"call", call, "rank", c.Rank(), "file", e.files[fi].Name)
 				if e.cfg.FaultTolerant {
-					st, _, retries, penalized := e.solveFileFT(ev, pool, e.files[fi], k, scratch, localErr, call, c.Rank(), fi)
+					st, _, retries, penalized := e.solveFileFT(ev, e.files[fi], k, scratch, localErr, call, c.Rank(), fi)
 					localTime[fi] = e.workOps(st) * slow
 					// solveFileFT feeds the per-attempt cost histograms itself
 					// (successes and retries land in separate ones); only the
@@ -678,7 +644,7 @@ func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) (
 					err = e.cfg.Faults.FileSolve(call, c.Rank(), fi, attempt0)
 				}
 				if err == nil {
-					st, err = e.solveFile(ev, pool, e.files[fi], k, localErr, e.model.SolverOpts)
+					st, err = e.solveFile(ev, e.files[fi], k, localErr, e.model.SolverOpts)
 				}
 				if err != nil {
 					errMu.Lock()
@@ -708,8 +674,8 @@ func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) (
 // are the solver options for this attempt (the retry policy tightens
 // them between attempts). It returns the solver work statistics, the
 // per-file cost measure.
-func (e *Estimator) solveFile(ev *codegen.Evaluator, pool *parallel.Pool, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
-	return e.solveFileRange(ev, pool, f, k, errvec, opts, 0, len(f.Records))
+func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
+	return e.solveFileRange(ev, f, k, errvec, opts, 0, len(f.Records))
 }
 
 // solveFileRange is solveFile restricted to emitting records [lo, hi):
@@ -722,7 +688,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, pool *parallel.Pool, f *dat
 // lets the v2 scheduler split a dominant file across ranks without
 // perturbing the fit; the cost asymmetry it implies (a later sub-range
 // costs nearly the whole file) is documented in docs/load-balancing.md.
-func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f *dataset.File, k []float64, errvec []float64, opts ode.Options, lo, hi int) (ode.Stats, error) {
+func (e *Estimator) solveFileRange(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options, lo, hi int) (ode.Stats, error) {
 	if opts.Budget == nil {
 		// Per-attempt child budgets arrive via opts; everything else runs
 		// directly under the run budget.
@@ -742,9 +708,6 @@ func (e *Estimator) solveFileRange(ev *codegen.Evaluator, pool *parallel.Pool, f
 	if e.model.Stiff {
 		if e.model.AnalyticJac != nil {
 			jacEv := e.model.AnalyticJac.NewEvaluator()
-			if pool != nil {
-				jacEv.SetParallel(pool)
-			}
 			opts.Jacobian = func(_ float64, yy []float64, dst *linalg.Matrix) {
 				jacEv.Eval(yy, k, dst)
 			}
@@ -835,7 +798,7 @@ func ascendingRecords(f *dataset.File) bool {
 // local buffer), so folding adds each staged value to +0. An injected
 // fault on any lane degrades the batch the same way; only a budget trip
 // is returned as an error (cancellation must not be retried serially).
-func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Pool, errvec, timevec []float64, lane *telemetry.Lane, call, rank int) (files []int, degraded bool, err error) {
+func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, errvec, timevec []float64, lane *telemetry.Lane, call, rank int) (files []int, degraded bool, err error) {
 	var lanes, leftovers []int
 	for _, fi := range fileIdx {
 		if ascendingRecords(e.files[fi]) {
@@ -881,9 +844,6 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 
 	bev := prog.NewBatchEvaluator(b)
 	bev.Observe(e.cfg.Metrics)
-	if pool != nil {
-		bev.SetParallel(pool)
-	}
 	rhs := func(_ float64, y, dy []float64) {
 		bev.EvalBatch(y, kSoA, dy)
 	}
@@ -895,9 +855,6 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, pool *parallel.Po
 	bopts := ode.BatchOptions{Options: opts}
 	if e.model.AnalyticJac != nil {
 		jacEv := e.model.AnalyticJac.NewBatchEvaluator(b)
-		if pool != nil {
-			jacEv.SetParallel(pool)
-		}
 		bopts.SparsePattern = e.model.AnalyticJac.PatternCSR()
 		bopts.BatchJacobian = func(_ float64, y []float64, active []bool, dst []*linalg.CSR) {
 			jacEv.EvalCSR(y, kSoA, active, dst)

@@ -296,48 +296,6 @@ func TestAssignLPTDeterministicUnderTies(t *testing.T) {
 	}
 }
 
-// Workers > 1 attaches per-rank pools to the tape evaluators; residuals
-// must stay bit-identical to the serial configuration, with and without
-// the analytic Jacobian.
-func TestObjectiveWorkersBitIdentical(t *testing.T) {
-	m := decayModel(t)
-	n := network.New()
-	n.AddSpecies("A", "", 1)
-	n.AddSpecies("B", "", 0)
-	n.AddReaction("r", "K_d", []string{"A"}, []string{"B"})
-	sys := eqgen.FromNetwork(n)
-	jp, err := codegen.CompileJacobian(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withJac := *m
-	withJac.AnalyticJac = jp
-
-	files := makeFiles(1.3, []int{35, 25, 15})
-	for _, model := range []*Model{m, &withJac} {
-		run := func(workers int) []float64 {
-			e, err := New(model, files, Config{Ranks: 2, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			r := make([]float64, e.ResidualDim())
-			if err := e.Objective([]float64{0.9}, r); err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}
-		serial := run(0)
-		par := run(4)
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Errorf("jac=%v residual[%d]: workers=4 %v differs from serial %v",
-					model.AnalyticJac != nil, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 // Dynamic load balancing takes effect: after one call with imbalanced
 // per-file costs, the reassignment's makespan is no worse than the static
 // one under the measured times.

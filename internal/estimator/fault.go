@@ -19,7 +19,6 @@ import (
 	"rms/internal/dataset"
 	"rms/internal/faults"
 	"rms/internal/ode"
-	"rms/internal/parallel"
 )
 
 // FaultInjector is the estimator's injection seam (package faults
@@ -126,9 +125,6 @@ type DegradeStats struct {
 	// SchedStatic counts v2 scheduler demotions from the EWMA policy to
 	// plain LPT after sustained cost-model misprediction.
 	SchedStatic int
-	// PoolSerial counts worker-pool demotions to serial tape evaluation
-	// after a pool fault.
-	PoolSerial int
 	// SolveTimeouts counts solve attempts cut off by the per-attempt
 	// watchdog (real deadline trips, injected hangs and injected
 	// timeouts alike).
@@ -150,29 +146,6 @@ func (e *Estimator) noteTimeout(call, rank, fi int) {
 	e.recMu.Unlock()
 	e.log.Warn("timeout", "solve attempt watchdog tripped",
 		"call", call, "rank", rank, "file", fi)
-}
-
-// checkPoolFault consults the injector's pool-fault schedule once per
-// objective call (before the ranks fan out) and, on a fault, demotes
-// intra-rank tape evaluation to serial for the rest of the run — the
-// pool→serial rung. Serial tape evaluation is bit-identical to pooled
-// evaluation, so the demotion changes cost, never results.
-func (e *Estimator) checkPoolFault() {
-	pf, ok := e.cfg.Faults.(interface{ PoolFault(call int) bool })
-	if !ok || !pf.PoolFault(e.calls) {
-		return
-	}
-	if e.poolsOff {
-		return // already demoted; the schedule entry is just consumed
-	}
-	e.poolsOff = true
-	e.met.degradePool.Inc()
-	e.recMu.Lock()
-	e.degrade.PoolSerial++
-	e.recMu.Unlock()
-	e.lane.Instant("degrade: pool → serial")
-	e.log.Warn("degrade", "pool fault: tape evaluation demoted to serial",
-		"call", e.calls)
 }
 
 // laneSlowdown returns the injected cost-inflation factor for a solve
@@ -271,7 +244,7 @@ func (e *Estimator) retryOpts(f *dataset.File, attempt int) ode.Options {
 // up to MaxAttempts× after one bad LM trial point, and the EWMA would
 // then mis-plan several subsequent calls; the scheduler's model is fed
 // from the successful-attempt measure alone for the same reason.
-func (e *Estimator) solveFileFT(ev *codegen.Evaluator, pool *parallel.Pool, f *dataset.File, k []float64, scratch, errvec []float64, call, rank, fi int) (total, success ode.Stats, retries int, penalized bool) {
+func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []float64, scratch, errvec []float64, call, rank, fi int) (total, success ode.Stats, retries int, penalized bool) {
 	pol := e.retry
 	nr := f.NumRecords()
 	for attempt := 0; ; attempt++ {
@@ -310,7 +283,7 @@ func (e *Estimator) solveFileFT(ev *codegen.Evaluator, pool *parallel.Pool, f *d
 			attempted = true
 			opts := e.retryOpts(f, attempt)
 			opts.Budget = ab
-			st, err = e.solveFile(ev, pool, f, k, scratch, opts)
+			st, err = e.solveFile(ev, f, k, scratch, opts)
 			addStats(&total, st)
 			if err == nil && !finite(scratch[:nr]) {
 				err = errNonFinite

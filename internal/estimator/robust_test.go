@@ -196,47 +196,6 @@ func TestBatchPersistentFaultStillSurfaces(t *testing.T) {
 	}
 }
 
-func TestPoolFaultDemotesToSerial(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.0, []int{20, 20})
-	k := []float64{0.9}
-
-	ref, err := New(m, files, Config{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, ref.ResidualDim())
-	if err := ref.Objective(k, want); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := telemetry.NewRegistry()
-	plan := faults.NewPlan(7).FailPool(0)
-	e, err := New(m, files, Config{Ranks: 2, Workers: 2, Faults: plan, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	got := make([]float64, e.ResidualDim())
-	for call := 0; call < 2; call++ {
-		if err := e.Objective(k, got); err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("call %d residual[%d]: %v != %v (pool demotion must not change results)",
-					call, i, got[i], want[i])
-			}
-		}
-	}
-	if d := e.Degrade().PoolSerial; d != 1 {
-		t.Errorf("PoolSerial = %d, want 1 (demotion is permanent, counted once)", d)
-	}
-	if c := reg.Counter("degrade.pool_serial").Value(); c != 1 {
-		t.Errorf("degrade.pool_serial counter = %d, want 1", c)
-	}
-}
-
 func TestSchedDemotesEwmaToLPTUnderJitter(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{30, 20, 25, 35})

@@ -25,7 +25,6 @@ import (
 	"rms/internal/codegen"
 	"rms/internal/mpi"
 	"rms/internal/ode"
-	"rms/internal/parallel"
 	"rms/internal/sched"
 )
 
@@ -260,20 +259,15 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 		localItem := make([]float64, nItems)
 		localSucc := make([]float64, nItems)
 		lanes := sc.Lanes
-		// Per-lane evaluators; a worker pool only composes with a single
-		// lane (pool dispatch is serialized — lanes ARE the intra-rank
-		// parallelism once there are several).
-		var pool *parallel.Pool
-		if e.pools != nil && lanes == 1 && !e.poolsOff {
-			pool = e.pools[rank]
-		}
+		// Per-lane evaluators, each primed for k before any item runs:
+		// whether a lane ends up running an item depends on goroutine
+		// timing under work stealing, so priming every lane keeps the
+		// prelude-run count a function of the plan.
 		evs := make([]*codegen.Evaluator, lanes)
 		for l := range evs {
 			evs[l] = e.model.Prog.NewEvaluator()
 			evs[l].Observe(e.cfg.Metrics)
-			if pool != nil {
-				evs[l].SetParallel(pool)
-			}
+			evs[l].Prime(k)
 		}
 		var scratch [][]float64
 		if e.cfg.FaultTolerant {
@@ -313,7 +307,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 			if e.cfg.FaultTolerant {
 				// FT plans are whole-file items (splits forced off), so
 				// the retry/penalty fold covers exactly this block.
-				st, succ, retries, penalized := e.solveFileFT(ev, pool, f, k, scratch[laneIdx], block, call, rank, it.File)
+				st, succ, retries, penalized := e.solveFileFT(ev, f, k, scratch[laneIdx], block, call, rank, it.File)
 				localItem[it.Seq] = e.workOps(st) * slow
 				localSucc[it.Seq] = e.workOps(succ) * slow
 				e.met.fileSolves.Inc()
@@ -336,7 +330,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 				err = e.cfg.Faults.FileSolve(call, rank, it.File, 0)
 			}
 			if err == nil {
-				st, err = e.solveFileRange(ev, pool, f, k, block, e.model.SolverOpts, it.Lo, it.Hi)
+				st, err = e.solveFileRange(ev, f, k, block, e.model.SolverOpts, it.Lo, it.Hi)
 			}
 			if err != nil {
 				errMu.Lock()

@@ -225,6 +225,33 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	}
 }
 
+// TestSchedPreludeRunsFollowPlan: every lane of every rank primes its
+// tape evaluator for the call's k, so tape.prelude_runs counts ranks ×
+// lanes per call however few items there are and whichever lane ends
+// up running them. One file over two ranks of two lanes leaves three
+// lanes without work on every call.
+func TestSchedPreludeRunsFollowPlan(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e, err := New(decayModel(t), makeFiles(1.0, []int{20}), Config{
+		Ranks:   2,
+		Sched:   &sched.Config{Rebalance: true, Lanes: 2, Steal: true},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := make([]float64, e.ResidualDim())
+	const calls = 3
+	for c := 0; c < calls; c++ {
+		if err := e.Objective([]float64{1.0 + 0.1*float64(c)}, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := reg.Counter("tape.prelude_runs").Value(), int64(calls*2*2); got != want {
+		t.Errorf("tape.prelude_runs = %d, want %d (calls × ranks × lanes)", got, want)
+	}
+}
+
 // TestSchedEstimateRecoversRate runs a full fit through the v2 path —
 // the optimizer must converge to the true rate exactly as on v1.
 func TestSchedEstimateRecoversRate(t *testing.T) {

@@ -38,9 +38,8 @@ type State struct {
 	Plans       [][]sched.Item   `json:"plans,omitempty"`
 	SchedPolicy string           `json:"sched_policy,omitempty"`
 	SchedStats  SchedStats       `json:"sched_stats"`
-	// Mispredicts and PoolsOff are the degradation-ladder latches.
-	Mispredicts int  `json:"mispredicts,omitempty"`
-	PoolsOff    bool `json:"pools_off,omitempty"`
+	// Mispredicts is the ewma→lpt degradation-ladder latch.
+	Mispredicts int `json:"mispredicts,omitempty"`
 	// Recovery and Degrade carry the cumulative intervention ledgers.
 	Recovery RecoveryStats `json:"recovery"`
 	Degrade  DegradeStats  `json:"degrade"`
@@ -61,7 +60,6 @@ func (e *Estimator) Snapshot() State {
 		Assignment:  copyPlanInts(e.assignment),
 		SchedStats:  e.schedStats,
 		Mispredicts: e.mispredicts,
-		PoolsOff:    e.poolsOff,
 		Recovery:    recovery,
 		Degrade:     degrade,
 	}
@@ -120,7 +118,6 @@ func (e *Estimator) Restore(st State) error {
 	e.assignment = copyPlanInts(st.Assignment)
 	e.schedStats = st.SchedStats
 	e.mispredicts = st.Mispredicts
-	e.poolsOff = st.PoolsOff
 	e.recMu.Lock()
 	e.recovery = st.Recovery
 	e.degrade = st.Degrade

@@ -34,11 +34,10 @@ var ErrInjected = fmt.Errorf("faults: injected solver failure: %w", ode.ErrStepT
 // Counts reports how many injections a Plan has fired, by kind.
 type Counts struct {
 	Crashes, Stalls, FileFailures int
-	// Hangs, Timeouts, PoolFaults and SlowLanes count the robustness
-	// layer's chaos kinds: solves that block until their attempt budget
-	// trips, solves that report a watchdog timeout, parallel-pool sweeps
-	// forced to degrade to serial, and lane-slowdown injections.
-	Hangs, Timeouts, PoolFaults, SlowLanes int
+	// Hangs, Timeouts and SlowLanes count the robustness layer's chaos
+	// kinds: solves that block until their attempt budget trips, solves
+	// that report a watchdog timeout, and lane-slowdown injections.
+	Hangs, Timeouts, SlowLanes int
 }
 
 type key struct{ a, b int }
@@ -64,12 +63,11 @@ type Plan struct {
 	rate     float64
 
 	// Robustness-layer chaos kinds (see robust.go): hang/timeout are
-	// keyed like fileFail; pool is keyed by objective call; slow holds
-	// persistent per-{rank, lane} slowdown factors; slowRate/slowMax
-	// drive jittered slow-lane decisions drawn from per-lane streams.
+	// keyed like fileFail; slow holds persistent per-{rank, lane}
+	// slowdown factors; slowRate/slowMax drive jittered slow-lane
+	// decisions drawn from per-lane streams.
 	hang     map[key]int
 	timeout  map[key]int
-	pool     map[int]bool
 	slow     map[key]float64
 	slowRate float64
 	slowMax  float64
@@ -95,7 +93,6 @@ func NewPlan(seed int64) *Plan {
 		fileFail: make(map[key]int),
 		hang:     make(map[key]int),
 		timeout:  make(map[key]int),
-		pool:     make(map[int]bool),
 		slow:     make(map[key]float64),
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // Chaos fault kinds for the robustness layer's degradation ladders and
 // watchdogs. Hang and timeout injections exercise the per-attempt budget
-// watchdog; pool faults exercise the pool→serial ladder; slow lanes feed
-// mispredictions into the sched cost model to exercise ewma→static.
+// watchdog; slow lanes feed mispredictions into the sched cost model to
+// exercise ewma→static.
 
 // ErrInjectedHang marks a solve attempt that must block until its attempt
 // budget trips. The injector itself never blocks (a mutex-holding sleep
@@ -44,32 +44,6 @@ func (p *Plan) TimeoutFile(file, call int) *Plan {
 	defer p.mu.Unlock()
 	p.timeout[key{file, call}] = 1
 	return p
-}
-
-// FailPool schedules the parallel-pool sweep of the given objective call
-// to fail, forcing the estimator down the pool→serial ladder. One-shot.
-func (p *Plan) FailPool(call int) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pool[call] = true
-	return p
-}
-
-// PoolFault reports (and consumes) a scheduled pool failure for this
-// objective call.
-func (p *Plan) PoolFault(call int) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pool[call] {
-		delete(p.pool, call)
-		p.counts.PoolFaults++
-		p.log.Warn("inject", "injected pool fault", "call", call)
-		return true
-	}
-	return false
 }
 
 // SlowLane schedules a persistent slowdown factor (≥ 1) for every solve
@@ -152,7 +126,6 @@ type PlanState struct {
 	FileFail []StateEntry `json:"file_fail,omitempty"`
 	Hang     []StateEntry `json:"hang,omitempty"`
 	Timeout  []StateEntry `json:"timeout,omitempty"`
-	Pool     []int        `json:"pool,omitempty"`
 	Slow     []SlowEntry  `json:"slow,omitempty"`
 	Seen     []StateEntry `json:"seen,omitempty"`
 	Counts   Counts       `json:"counts"`
@@ -213,10 +186,6 @@ func (p *Plan) Snapshot() PlanState {
 		Timeout:  intEntries(p.timeout),
 		Counts:   p.counts,
 	}
-	for c := range p.pool {
-		st.Pool = append(st.Pool, c)
-	}
-	sort.Ints(st.Pool)
 	for k, f := range p.slow {
 		st.Slow = append(st.Slow, SlowEntry{Rank: k.a, Lane: k.b, Factor: f})
 	}
@@ -254,9 +223,6 @@ func FromState(st PlanState) *Plan {
 	}
 	for _, e := range st.Timeout {
 		p.timeout[key{e.A, e.B}] = e.N
-	}
-	for _, c := range st.Pool {
-		p.pool[c] = true
 	}
 	for _, e := range st.Slow {
 		p.slow[key{e.Rank, e.Lane}] = e.Factor

@@ -27,23 +27,6 @@ func TestHangAndTimeoutSchedules(t *testing.T) {
 	}
 }
 
-func TestPoolFaultIsOneShot(t *testing.T) {
-	p := NewPlan(1).FailPool(4)
-	if p.PoolFault(3) {
-		t.Fatal("unscheduled call faulted")
-	}
-	if !p.PoolFault(4) {
-		t.Fatal("scheduled pool fault did not fire")
-	}
-	if p.PoolFault(4) {
-		t.Fatal("pool fault fired twice")
-	}
-	var nilPlan *Plan
-	if nilPlan.PoolFault(0) {
-		t.Fatal("nil plan faulted")
-	}
-}
-
 // Per-lane streams must make slowdown decisions independent of the order
 // in which lanes (goroutines) reach the injection point.
 func TestLaneSlowdownScheduleIndependent(t *testing.T) {
@@ -101,7 +84,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		CrashRank(1, 4).StallRank(2, 3).
 		FailFile(5, 6).FlakyFile(7, 8, 2).
 		HangFile(1, 2).TimeoutFile(3, 4).
-		FailPool(9).SlowLane(0, 1, 2.5).
+		SlowLane(0, 1, 2.5).
 		FailRate(0.1).SlowLaneJitter(0.2, 3)
 
 	// Fire part of the schedule so the snapshot holds real progress.
@@ -109,18 +92,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := p.FileSolve(2, 0, 1, 0); !errors.Is(err, ErrInjectedHang) {
 		t.Fatal("hang did not fire")
 	}
-	if !p.PoolFault(9) {
-		t.Fatal("pool fault did not fire")
-	}
 
 	st := p.Snapshot()
 	q := FromState(st)
 
 	// The restored plan continues exactly where the original left off:
 	// consumed one-shots stay consumed, pending ones still fire.
-	if q.PoolFault(9) {
-		t.Fatal("consumed pool fault re-fired after restore")
-	}
 	if err := q.FileSolve(2, 0, 1, 1); err != nil {
 		t.Fatalf("hang retry after restore: %v", err)
 	}

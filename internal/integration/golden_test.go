@@ -15,7 +15,6 @@ import (
 	"rms/internal/linalg"
 	"rms/internal/ode"
 	"rms/internal/opt"
-	"rms/internal/parallel"
 	"rms/internal/vulcan"
 )
 
@@ -36,12 +35,7 @@ func goldenSolve(t *testing.T, res *core.Result, k []float64, config string) []f
 	opts := ode.Options{RTol: 1e-9, ATol: 1e-12}
 	switch config {
 	case "serial":
-		// finite-difference Newton, serial tape
-	case "parallel":
-		pool := parallel.NewPool(4)
-		defer pool.Close()
-		ev.SetParallel(pool)
-		ev.SetParallelThreshold(1) // the 34-equation tape is below the default
+		// finite-difference Newton
 	case "dense":
 		je := res.Jacobian.NewEvaluator()
 		opts.Jacobian = func(_ float64, y []float64, dst *linalg.Matrix) {
@@ -78,9 +72,9 @@ func goldenSolve(t *testing.T, res *core.Result, k []float64, config string) []f
 
 // TestGoldenVulcanization pins the end-to-end result of the smallest
 // vulcanization example: the final-time concentrations at t=1.5 are
-// committed in testdata and every solver configuration — serial tape,
-// levelized-parallel tape, dense analytic Jacobian, sparse analytic
-// Jacobian — must reproduce them. Regenerate with
+// committed in testdata and every solver configuration — finite-difference
+// Newton, dense analytic Jacobian, sparse analytic Jacobian — must
+// reproduce them. Regenerate with
 // `go test ./internal/integration -run Golden -update-golden` after an
 // intentional numerical change, and justify the diff in review.
 func TestGoldenVulcanization(t *testing.T) {
@@ -119,7 +113,7 @@ func TestGoldenVulcanization(t *testing.T) {
 	}
 
 	want := readGolden(t, path, res.System.Species)
-	for _, config := range []string{"serial", "parallel", "dense", "sparse"} {
+	for _, config := range []string{"serial", "dense", "sparse"} {
 		y := goldenSolve(t, res, k, config)
 		for i, name := range res.System.Species {
 			// The golden run used 1e-9 relative tolerance; allow two orders

@@ -110,7 +110,6 @@ type FitRequest struct {
 	// Parallel-runtime shape (estimator.Config).
 	Ranks       int        `json:"ranks,omitempty"` // default 1
 	LoadBalance bool       `json:"lb,omitempty"`
-	Workers     int        `json:"workers,omitempty"`
 	Batch       bool       `json:"batch,omitempty"`
 	Sched       *SchedSpec `json:"sched,omitempty"`
 
@@ -271,7 +270,7 @@ func RunFit(cm *CompiledModel, req FitRequest, fo FitOpts) (*FitOutcome, error) 
 	// of re-running the ordering and fill analysis per request.
 	model.SymbolicLU = cm.LU
 	est, err := estimator.New(model, files, estimator.Config{
-		Ranks: req.Ranks, LoadBalance: req.LoadBalance, Workers: req.Workers,
+		Ranks: req.Ranks, LoadBalance: req.LoadBalance,
 		Batch: req.Batch, Sched: schedCfg,
 		Trace: fo.Tracer, Metrics: fo.Registry, Budget: fo.Budget, Log: fo.Log,
 	})

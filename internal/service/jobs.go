@@ -143,8 +143,8 @@ func (q *Queue) Submit(kind string, deadline time.Duration, run func(j *Job) (an
 	log := telemetry.NewLogger(rec)
 	j := &Job{
 		Kind: kind, status: JobQueued, run: run,
-		bud:  budget.New().WithLogger(log.Scope("budget")).WithParent(q.parent),
-		rec:  rec, log: log,
+		bud: budget.New().WithLogger(log.Scope("budget")).WithParent(q.parent),
+		rec: rec, log: log,
 		done: make(chan struct{}),
 	}
 	if deadline > 0 {

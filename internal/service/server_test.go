@@ -306,6 +306,7 @@ func TestBadRequests(t *testing.T) {
 		{"wrong type", "/v1/simulate", `{"tend": "soon"}`, 400},
 		{"unknown field", "/v1/models", `{"kind": "rdl", "sources": "x"}`, 400},
 		{"array body", "/v1/fit", `[1,2,3]`, 400},
+		{"retired workers field", "/v1/fit", `{"workers": 2}`, 400},
 		{"empty body", "/v1/verify", ``, 400},
 		{"huge body", "/v1/models", `{"kind": "rdl", "source": "` + strings.Repeat("x", maxBodyBytes) + `"}`, 400},
 	}

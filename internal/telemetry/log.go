@@ -24,10 +24,10 @@ type Logger struct {
 	rec   *Recorder
 	scope string
 
-	sink    io.Writer
-	sinkMin Level
+	sink     io.Writer
+	sinkMin  Level
 	sinkJSON bool
-	sinkMu  *sync.Mutex
+	sinkMu   *sync.Mutex
 }
 
 // NewLogger returns a logger recording into rec (which may be nil: the

@@ -1,20 +1,28 @@
 #!/bin/sh
-# Repository checks: vet everything, race-test the concurrency-heavy
-# packages (the simulated MPI runtime, the worker pool, the parallel
-# estimator) and the numerical core the sparse Jacobian path touches
-# (solver, linear algebra), give both parser fuzzers a short smoke run,
-# then run the cross-stack conformance matrix (docs/testing.md). Run
-# from the repository root; the full serial test suite is
-# `go test ./...`.
+# Repository checks: hold every Go file to gofmt, vet everything,
+# race-test the concurrency-heavy packages (the simulated MPI runtime,
+# the parallel estimator and its scheduler) and the numerical core the
+# sparse Jacobian path touches (solver, linear algebra), give both
+# parser fuzzers a short smoke run, then run the cross-stack conformance
+# matrix (docs/testing.md). Run from the repository root; the full
+# serial test suite is `go test ./...`.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l (benchmark build output excluded)"
+unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race (mpi, parallel, estimator, sched, ode, linalg, telemetry, introspect, codegen, service)"
-go test -race ./internal/mpi/... ./internal/parallel/... ./internal/estimator/... \
+echo "== go test -race (mpi, estimator, sched, ode, linalg, telemetry, introspect, codegen, service)"
+go test -race ./internal/mpi/... ./internal/estimator/... \
 	./internal/sched/... ./internal/ode/... ./internal/linalg/... \
 	./internal/telemetry/... ./internal/introspect/... ./internal/codegen/... \
 	./internal/service/... ./cmd/rmsd/...
