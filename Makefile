@@ -48,12 +48,12 @@ chaos:
 	go test -race ./internal/checkpoint
 	go run ./cmd/rmsverify -seed 7 -n 3 -size 10 -stages resume
 
-# Flake hunt: the chaos and scheduler tests of the estimator and the
-# whole work-stealing scheduler package, repeated at one and four CPUs.
-# A result or fault schedule that depends on goroutine timing shows up
-# here as an intermittent failure.
+# Flake hunt: the chaos, scheduler and configuration cross-product tests
+# of the estimator and the whole work-stealing scheduler package,
+# repeated at one and four CPUs. A result or fault schedule that depends
+# on goroutine timing shows up here as an intermittent failure.
 flake:
-	go test -count=20 -cpu 1,4 -run 'Chaos|Sched' ./internal/estimator
+	go test -count=20 -cpu 1,4 -run 'Chaos|Sched|ConfigCrossProduct' ./internal/estimator
 	go test -count=20 -cpu 1,4 ./internal/sched
 
 bench:

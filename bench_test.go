@@ -20,6 +20,7 @@ import (
 	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/rdl"
+	"rms/internal/sched"
 	"rms/internal/vulcan"
 )
 
@@ -117,8 +118,11 @@ func BenchmarkTable2Objective(b *testing.B) {
 		for _, lb := range []bool{false, true} {
 			name := fmt.Sprintf("ranks%d/lb=%v", ranks, lb)
 			b.Run(name, func(b *testing.B) {
-				est, err := estimator.New(model, files,
-					estimator.Config{Ranks: ranks, LoadBalance: lb})
+				cfg := estimator.Config{Ranks: ranks}
+				if lb {
+					cfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
+				}
+				est, err := estimator.New(model, files, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

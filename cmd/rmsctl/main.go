@@ -225,7 +225,7 @@ func cmdFit(w io.Writer, c *client, args []string) error {
 	variants := fs.Int("variants", 60, "chain-length variants per family")
 	dataDir := fs.String("data", "rms-assets", "directory of experimental data files")
 	ranks := fs.Int("ranks", 4, "number of simulated MPI ranks")
-	lb := fs.Bool("lb", true, "enable dynamic load balancing")
+	lb := fs.Bool("lb", true, "enable dynamic load balancing (sched policy lpt)")
 	maxIter := fs.Int("maxiter", 30, "Levenberg-Marquardt iteration cap")
 	free := fs.Int("free", 3, "number of rate constants left free to fit")
 	if err := fs.Parse(args); err != nil {

@@ -74,7 +74,7 @@ func main() {
 		variants = flag.Int("variants", 60, "chain-length variants per family")
 		dataDir  = flag.String("data", "rms-assets", "directory of experimental data files")
 		ranks    = flag.Int("ranks", 4, "number of simulated MPI ranks")
-		lb       = flag.Bool("lb", true, "enable dynamic load balancing")
+		lb       = flag.Bool("lb", true, "enable dynamic load balancing (sched policy lpt)")
 		maxIter  = flag.Int("maxiter", 30, "Levenberg-Marquardt iteration cap")
 		free     = flag.Int("free", 3, "number of rate constants left free to fit (rest pinned to truth)")
 		trace    = flag.String("trace", "", "write a Chrome trace-event file and print the span summary")

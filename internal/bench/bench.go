@@ -19,6 +19,7 @@ import (
 	"rms/internal/estimator"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/sched"
 	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
@@ -340,9 +341,11 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	secPerOp /= float64(m+a+2*res.Tape.NumY) * 1e9 // ns -> s per op
 
 	measure := func(ranks int, lb bool) (modelSec, wallSec float64, err error) {
-		est, err := estimator.New(model, files, estimator.Config{
-			Ranks: ranks, LoadBalance: lb, Metrics: cfg.Metrics,
-		})
+		ecfg := estimator.Config{Ranks: ranks, Metrics: cfg.Metrics}
+		if lb {
+			ecfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
+		}
+		est, err := estimator.New(model, files, ecfg)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -16,6 +16,7 @@ import (
 	"rms/internal/faults"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/sched"
 	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
@@ -126,7 +127,7 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 		log := telemetry.NewLogger(rec)
 		bud = bud.WithLogger(log.Scope("budget"))
 		ecfg := estimator.Config{
-			Ranks: cfg.Ranks, LoadBalance: true,
+			Ranks: cfg.Ranks, Sched: &sched.Config{Policy: sched.PolicyLPT},
 			FaultTolerant: true, Watchdog: watchdog,
 			Budget: bud, Retry: estimator.RetryPolicy{AttemptTimeout: attempt},
 			Metrics: cfg.Metrics, Log: log,

@@ -4,14 +4,14 @@
 // counts — run under three scheduling policies on identical data. The
 // static policy plans once from the a-priori record counts (all the
 // paper's balancer knows before the first call) and is exactly what
-// saturates on these workloads; the lpt policy is the v1 per-call
-// rebalance on raw measured cost; the sched policy is the full v2 loop
-// (EWMA cost model + re-planning + work-stealing lanes). Everything is
-// measured in deterministic modeled op units (counted solver work,
-// critical path over ranks under the virtual-clock replay), so rows are
-// reproducible across hosts, and every policy must produce bit-identical
-// fitted parameters — the scheduler is not allowed to buy throughput
-// with numerics.
+// saturates on these workloads; the lpt policy is the paper's per-call
+// rebalance on raw measured cost; the sched policy is the full ewma
+// loop (EWMA cost model + re-planning + splits + work-stealing lanes).
+// Everything is measured in deterministic modeled op units (counted
+// solver work, critical path over ranks under the virtual-clock
+// replay), so rows are reproducible across hosts, and every policy must
+// produce bit-identical fitted parameters — the scheduler is not
+// allowed to buy throughput with numerics.
 package bench
 
 import (
@@ -220,14 +220,13 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 		return outcome{x: r.X, ops: est.ModeledOps(), sec: est.ModeledSeconds(), stats: est.SchedStats()}, nil
 	}
 	schedCfg := func(p sched.Policy) *sched.Config {
-		// SplitShare only takes effect under PolicyEWMA (WithDefaults
-		// forces it off for static/lpt): a file predicted above 30% of
-		// total cost is carved into record sub-ranges.
-		return &sched.Config{
-			Rebalance: true, Policy: p, Alpha: 0.5,
-			SplitShare: 0.3, MaxParts: 2,
-			Lanes: cfg.Lanes, Steal: true,
+		sc := &sched.Config{Policy: p, Alpha: 0.5, Lanes: cfg.Lanes, Steal: true}
+		if p == sched.PolicyEWMA {
+			// Only ewma splits: a file predicted above 30% of total cost
+			// is carved into record sub-ranges.
+			sc.SplitShare, sc.MaxParts = 0.3, 2
 		}
+		return sc
 	}
 
 	var rows []SkewRow

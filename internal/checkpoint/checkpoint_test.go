@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"rms/internal/estimator"
 	"rms/internal/faults"
 	"rms/internal/nlopt"
+	"rms/internal/sched"
 )
 
 type demoState struct {
@@ -236,4 +239,58 @@ func TestRunStateRoundTrip(t *testing.T) {
 	if err := oldPlan.FileSolve(6, 0, 1, 0); !errors.Is(err, faults.ErrInjected) {
 		t.Errorf("pending file failure lost in restore: %v", err)
 	}
+
+	// A run checkpoint written by a 2-rank load-balanced fit, interrupted
+	// at iteration 2, from before the lpt policy replaced the load-balance
+	// flag: its estimator state holds a legacy assignment and no cost
+	// model. It restores into the lpt estimator as whole-file plans, and
+	// the next objective call equals a fresh estimator's bit for bit.
+	lb, err := LoadRun(filepath.Join("testdata", "run_lb_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lbFiles []*dataset.File
+	for i, n := range []int{8, 2, 4} {
+		f := &dataset.File{Name: string(rune('a' + i))}
+		for j := 1; j <= n; j++ {
+			tj := 0.5 * float64(j)
+			f.Records = append(f.Records, dataset.Record{T: tj, Value: math.Exp(-0.7 * tj)})
+		}
+		lbFiles = append(lbFiles, f)
+	}
+	lpt := estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}}
+	next := func(restore bool) []float64 {
+		t.Helper()
+		e, err := estimator.New(model, lbFiles, lpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restore {
+			if err := e.Restore(lb.Est); err != nil {
+				t.Fatalf("restore of a load-balanced estimator state: %v", err)
+			}
+			if e.Calls() != 5 || !reflect.DeepEqual(planFiles(e.Plans()), [][]int{{0}, {2, 1}}) {
+				t.Errorf("restored calls %d, plans %v; want 5, [[0] [2 1]]", e.Calls(), planFiles(e.Plans()))
+			}
+		}
+		r := make([]float64, e.ResidualDim())
+		if err := e.Objective(lb.Opt.X, r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if got, want := next(true), next(false); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed call %v, fresh estimator %v", got, want)
+	}
+}
+
+// planFiles lists each rank's planned file indices.
+func planFiles(plans [][]sched.Item) [][]int {
+	out := make([][]int, len(plans))
+	for r, plan := range plans {
+		for _, it := range plan {
+			out[r] = append(out[r], it.File)
+		}
+	}
+	return out
 }

@@ -13,7 +13,7 @@
 //     evaluation;
 //   - dense vs sparse Newton trajectories through the stiff solver;
 //   - the Go tape vs the generated-C kernel recompiled by ccomp;
-//   - single-rank vs multi-rank estimator residuals.
+//   - single-rank vs multi-rank estimator residuals, exactly.
 //
 // It also checks metamorphic properties that need no oracle at all:
 // species-permutation invariance, rate-constant/time rescaling

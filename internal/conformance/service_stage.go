@@ -116,8 +116,7 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 		{
 			name: "sched-ewma", files: skewedFiles,
 			ecfg: estimator.Config{Ranks: 3, Sched: &sched.Config{
-				Rebalance: true, Alpha: 0.5,
-				SplitShare: 0.25, MaxParts: 3,
+				Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 				Lanes: 2, Steal: true,
 			}},
 			req: service.FitRequest{Ranks: 3, Sched: &service.SchedSpec{

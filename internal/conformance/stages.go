@@ -384,29 +384,45 @@ func stageEstimator(cs *Case, rec *Recorder, _ float64) error {
 		SolverOpts:  ode.Options{RTol: 1e-7, ATol: 1e-10},
 	}
 	files := conformanceFiles(cs)
-	resid := func(ranks int) ([]float64, error) {
-		e, err := estimator.New(model, files, estimator.Config{Ranks: ranks})
+	k2 := make([]float64, len(cs.K))
+	for i, v := range cs.K {
+		k2[i] = 1.3 * v
+	}
+	// resid runs one objective call per k: the lpt run's second call is
+	// on the plan re-balanced from the first call's measured costs.
+	resid := func(cfg estimator.Config, ks ...[]float64) ([][]float64, error) {
+		e, err := estimator.New(model, files, cfg)
 		if err != nil {
 			return nil, err
 		}
 		defer e.Close()
-		r := make([]float64, e.ResidualDim())
-		if err := e.Objective(cs.K, r); err != nil {
-			return nil, err
+		var out [][]float64
+		for _, k := range ks {
+			r := make([]float64, e.ResidualDim())
+			if err := e.Objective(k, r); err != nil {
+				return nil, err
+			}
+			out = append(out, r)
 		}
-		return r, nil
+		return out, nil
 	}
-	r1, err := resid(1)
+	r1, err := resid(estimator.Config{Ranks: 1}, cs.K, k2)
 	if err != nil {
 		return fmt.Errorf("estimator ranks=1: %w", err)
 	}
-	r3, err := resid(3)
+	r3, err := resid(estimator.Config{Ranks: 3}, cs.K)
 	if err != nil {
 		return fmt.Errorf("estimator ranks=3: %w", err)
 	}
-	// Each residual entry is computed on exactly one rank and gathered;
-	// only reduction order could differ, so the tolerance is tight.
-	rec.CheckVec("residual ranks1-vs-ranks3", r1, r3, 1e-12)
+	lpt, err := resid(estimator.Config{Ranks: 3, Sched: &sched.Config{Policy: sched.PolicyLPT}}, cs.K, k2)
+	if err != nil {
+		return fmt.Errorf("estimator ranks=3 lpt: %w", err)
+	}
+	// Each residual entry is computed on exactly one rank and folded in
+	// file order, so any plan reproduces the serial residual exactly.
+	rec.CheckVec("residual ranks1-vs-ranks3", r1[0], r3[0], -1)
+	rec.CheckVec("residual ranks1-vs-ranks3 lpt call0", r1[0], lpt[0], -1)
+	rec.CheckVec("residual ranks1-vs-ranks3 lpt call1 (rebalanced)", r1[1], lpt[1], -1)
 	return nil
 }
 
@@ -474,8 +490,7 @@ func stageSched(cs *Case, rec *Recorder, _ float64) error {
 		return fmt.Errorf("sched serial: %w", err)
 	}
 	dyn, err := resid(estimator.Config{Ranks: 3, Sched: &sched.Config{
-		Rebalance: true, Alpha: 0.5,
-		SplitShare: 0.25, MaxParts: 3,
+		Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 		Lanes: 2, Steal: true,
 	}})
 	if err != nil {
@@ -526,8 +541,7 @@ func stageResume(cs *Case, rec *Recorder, _ float64) error {
 		{"serial", func() estimator.Config { return estimator.Config{Ranks: 1} }},
 		{"sched", func() estimator.Config {
 			return estimator.Config{Ranks: 3, Sched: &sched.Config{
-				Rebalance: true, Alpha: 0.5,
-				SplitShare: 0.25, MaxParts: 3,
+				Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 				Lanes: 2, Steal: true,
 			}}
 		}},

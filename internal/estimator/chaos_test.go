@@ -72,7 +72,7 @@ func TestChaosAllLaddersFire(t *testing.T) {
 	// EWMA cost model cannot track.
 	e, err = New(decayModel(t), makeFiles(1.0, []int{30, 20, 25, 35}), Config{
 		Ranks:   2,
-		Sched:   &sched.Config{Rebalance: true, Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
+		Sched:   &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
 		Faults:  faults.NewPlan(7).SlowLaneJitter(1.0, 64),
 		Metrics: reg,
 	})

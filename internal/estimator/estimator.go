@@ -5,15 +5,18 @@
 // files in the style of the paper's Fig. 9 MPI objective function.
 //
 // Every objective evaluation runs one mpi.Run over the configured number
-// of ranks: each rank solves the ODE system across the time grid of its
-// assigned data files, accumulates the per-timestep differences between
-// simulated and measured property values into a local error vector, and
-// two AllReduce operations combine the global error vector and the
-// per-file solve times. Between objective calls the dynamic load
-// balancing algorithm reassigns files: solve times are ordered
-// non-increasing (a priority queue) and each file goes to the rank with
-// the least total allocated time so far (LPT scheduling), so the next
-// call sees balanced work.
+// of ranks: each rank solves the ODE system across the time grid of the
+// items (data files or record sub-ranges of them) its plan assigns it,
+// writing each item's per-timestep differences between simulated and
+// measured property values into a per-(file, record) buffer, and two
+// AllReduce operations combine the buffers and the per-item solve costs.
+// The caller folds the buffers in ascending file order, so the residual
+// is bit-identical to the serial single-rank path for any plan. Between
+// objective calls the scheduler (package sched, Config.Sched) may
+// re-plan: the paper's dynamic load balancing algorithm orders solve
+// times non-increasing (a priority queue) and gives each file to the
+// rank with the least total allocated time so far (LPT scheduling), so
+// the next call sees balanced work.
 package estimator
 
 import (
@@ -69,43 +72,43 @@ type Model struct {
 type Config struct {
 	// Ranks is the number of simulated MPI processes (nodes in Table 2).
 	Ranks int
-	// LoadBalance enables the dynamic load balancing algorithm.
-	LoadBalance bool
-	// Batch solves each rank's assigned data files as ONE lockstep batched
-	// BDF integration (ode.NewBatchBDF over codegen.BatchEvaluator): every
-	// file is a lane of a structure-of-arrays batch, so the compiled tape
-	// runs once per corrector iteration for the whole rank instead of once
-	// per file, and lanes drop out as their record grids are exhausted.
-	// Requires Model.Stiff; files with non-ascending record times fall
-	// back to the serial per-file path. Batched residuals agree with serial ones to
-	// integration tolerance — the lockstep step control max-reduces error
-	// norms across a rank's files, so the step sequences differ.
+	// Batch is how a lane runs its queued whole-file items: as ONE
+	// lockstep batched BDF integration (ode.NewBatchBDF over
+	// codegen.BatchEvaluator) in which every file is a lane of a
+	// structure-of-arrays batch, so the compiled tape runs once per
+	// corrector iteration for the whole queue instead of once per file,
+	// and batch lanes drop out as their record grids are exhausted. Files
+	// with non-ascending record times run on the per-file path. Batched
+	// residuals agree with serial ones to integration tolerance — the
+	// lockstep step control max-reduces error norms across the batch's
+	// files, so the step sequences differ.
 	//
 	// Batch composes with fault injection through the batch→serial
 	// degradation ladder: a failed (or fault-injected) batched solve is
-	// discarded whole — its contributions were staged in a private buffer
-	// — and every lane re-solves on the serial per-file path, counted in
-	// degrade.batch_serial. The flag is still ignored under FaultTolerant
-	// (the retry/penalty machinery needs per-file isolation).
+	// discarded whole and every file of the lane re-solves on the
+	// per-file path, counted in degrade.batch_serial. New rejects Batch
+	// with FaultTolerant, Sched.Steal or Sched.SplitShare (each needs
+	// per-file items) and with a non-stiff model.
 	Batch bool
-	// Sched, when non-nil with Rebalance set, replaces the per-call LPT
-	// reassignment with the v2 scheduler (package sched, see
-	// docs/load-balancing.md): a persistent per-file EWMA cost model
-	// seeded from record counts, cost-model-driven re-planning between
-	// objective calls, optional dominant-file splitting into record
-	// sub-ranges, and optional intra-rank work stealing between lanes.
-	// Residual accumulation on this path is order-independent (per-file
-	// contribution buffers folded in ascending file order), so fits stay
+	// Sched shapes the schedule (package sched, docs/load-balancing.md).
+	// Nil is Fig. 9's static distribution: contiguous file blocks
+	// (BLOCK_SIZE()), one lane, no cost model, never re-planned. A
+	// non-nil config plans call 0 by LPT over record counts and then
+	// follows its Policy: static never re-plans, lpt re-plans by LPT over
+	// the last measured costs (the paper's dynamic load balancer), ewma
+	// re-plans from a persistent per-file EWMA cost model and may split
+	// dominant files into record sub-ranges (SplitShare). Lanes and Steal
+	// add intra-rank work-stealing lanes. Every schedule folds per-file
+	// contribution buffers in ascending file order, so fits stay
 	// bit-identical to the serial path for any plan, lane count or steal
-	// schedule. Nil — or Rebalance false — keeps the v1 behavior exactly;
-	// LoadBalance and Batch are ignored while the v2 scheduler is active
-	// (it owns the schedule).
+	// schedule. New rejects SplitShare with FaultTolerant, Faults, or a
+	// policy other than ewma.
 	Sched *sched.Config
 	// FaultTolerant enables graceful degradation (docs/fault-tolerance.md):
 	// failed file solves are retried per Retry and then penalized instead
 	// of aborting the fit, residual accumulation is guarded against
-	// NaN/Inf, and a crashed or stalled rank is recovered by reassigning
-	// its files to the survivors and re-running the call.
+	// NaN/Inf, and a crashed or stalled rank is recovered by re-planning
+	// its items onto the survivors and re-running the call.
 	FaultTolerant bool
 	// Retry shapes the per-file retry/penalty policy (zero fields take
 	// defaults; only consulted when FaultTolerant).
@@ -231,19 +234,16 @@ type Estimator struct {
 	files []*dataset.File
 	cfg   Config
 
-	// assignment[r] lists the file indices rank r solves next call.
-	assignment [][]int
-	// lastTimes[i] is the most recent solve time of file i, seconds.
-	lastTimes []float64
-
-	// v2 scheduler state (all zero without cfg.Sched.Rebalance):
-	// schedCfg is cfg.Sched with defaults resolved, cost the persistent
-	// per-file EWMA model, plans the per-rank item plans for the next
-	// call, nrecs the per-file record counts (split bounds + model seed).
+	// Schedule state: schedCfg is cfg.Sched with defaults resolved (one
+	// static lane when nil), plans the per-rank item plans for the next
+	// call, nrecs the per-file record counts (split bounds and cost
+	// seed), cost the persistent per-file EWMA model (nil without
+	// cfg.Sched), and lastTimes[i] file i's most recent solve cost.
 	schedCfg   sched.Config
-	cost       *sched.CostModel
 	plans      [][]sched.Item
 	nrecs      []int
+	cost       *sched.CostModel
+	lastTimes  []float64
 	schedStats SchedStats
 
 	// retry is cfg.Retry with defaults resolved.
@@ -280,8 +280,8 @@ type Estimator struct {
 
 // New builds an estimator over the given data files.
 func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
-	if cfg.Ranks <= 0 {
-		return nil, fmt.Errorf("estimator: invalid rank count %d", cfg.Ranks)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("estimator: no data files")
@@ -293,44 +293,71 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		return nil, fmt.Errorf("estimator: Y0 length %d, program expects %d",
 			len(model.Y0), model.Prog.NumY)
 	}
+	if cfg.Batch && !model.Stiff {
+		return nil, fmt.Errorf("estimator: Batch needs a stiff model (Model.Stiff)")
+	}
 	e := &Estimator{
 		model:     model,
 		files:     files,
 		cfg:       cfg,
 		retry:     cfg.Retry.withDefaults(),
+		nrecs:     make([]int, len(files)),
 		lastTimes: make([]float64, len(files)),
 	}
-	e.assignment = blockAssign(len(files), cfg.Ranks)
 	e.met = newEstMetrics(cfg.Metrics) // nil registry → all-no-op handles
 	e.lane = cfg.Trace.Lane("estimator")
 	e.log = cfg.Log.Scope("estimator")
 	e.mpiLog = cfg.Log.Scope("mpi")
-	if cfg.Sched != nil && cfg.Sched.Rebalance {
-		sc := cfg.Sched.WithDefaults()
-		if cfg.FaultTolerant || cfg.Faults != nil {
-			// The retry/penalty machinery operates on whole files (one
-			// scratch fold or penalty per file); record sub-ranges would
-			// double-penalize, so splits are file-granularity here.
-			sc.SplitShare = 0
-		}
-		e.schedCfg = sc
-		e.nrecs = make([]int, len(files))
-		seed := make([]float64, len(files))
-		for i, f := range files {
-			e.nrecs[i] = f.NumRecords()
-			seed[i] = float64(e.nrecs[i])
-		}
-		e.cost = sched.NewCostModel(len(files), sc.Alpha)
+	seed := make([]float64, len(files))
+	for i, f := range files {
+		e.nrecs[i] = f.NumRecords()
+		seed[i] = float64(e.nrecs[i])
+	}
+	if cfg.Sched == nil {
+		e.schedCfg = sched.Config{Policy: sched.PolicyStatic}.WithDefaults()
+		e.plans = blockPlan(e.nrecs, cfg.Ranks)
+	} else {
+		e.schedCfg = cfg.Sched.WithDefaults()
+		e.cost = sched.NewCostModel(len(files), e.schedCfg.Alpha)
 		e.cost.Seed(seed)
 		// Iteration-0 plan: LPT over the static a-priori estimate, the
 		// only cost signal that exists before the first call.
 		var splits int
-		e.plans, splits = sched.Plan(seed, e.nrecs, cfg.Ranks, sc)
+		e.plans, splits = sched.Plan(seed, e.nrecs, cfg.Ranks, e.schedCfg)
 		e.schedStats.Splits += splits
 		e.met.schedSplits.Add(int64(splits))
 	}
 	e.calibrate()
 	return e, nil
+}
+
+// Validate reports the first field combination an estimator cannot
+// honour. New runs it, plus the one rule that needs the model: Batch
+// requires Model.Stiff.
+func (c Config) Validate() error {
+	if c.Ranks <= 0 {
+		return fmt.Errorf("estimator: invalid rank count %d", c.Ranks)
+	}
+	var sc sched.Config
+	if c.Sched != nil {
+		sc = *c.Sched
+	}
+	split := sc.SplitShare > 0
+	switch {
+	case c.Batch && c.FaultTolerant:
+		return fmt.Errorf("estimator: Batch with FaultTolerant: retries and penalties need per-file solves")
+	case c.Batch && sc.Steal:
+		return fmt.Errorf("estimator: Batch with Sched.Steal: a lane's batch is one solve")
+	case c.Batch && split:
+		return fmt.Errorf("estimator: Batch with Sched.SplitShare: a batch solves whole files")
+	case split && c.FaultTolerant:
+		return fmt.Errorf("estimator: Sched.SplitShare with FaultTolerant: retries and penalties are per whole file")
+	case split && c.Faults != nil:
+		return fmt.Errorf("estimator: Sched.SplitShare with Faults: injected failures are per whole file")
+	case split && sc.Policy != sched.PolicyEWMA:
+		return fmt.Errorf("estimator: Sched.SplitShare with Sched.Policy %s: only ewma splits", sc.Policy)
+	}
+	return nil
 }
 
 // Close is a no-op: the estimator holds nothing beyond memory. Callers
@@ -437,25 +464,17 @@ func (e *Estimator) FileTimes() []float64 {
 	return append([]float64(nil), e.lastTimes...)
 }
 
-// Assignment returns the current per-rank file assignment.
-func (e *Estimator) Assignment() [][]int {
-	out := make([][]int, len(e.assignment))
-	for r := range e.assignment {
-		out[r] = append([]int(nil), e.assignment[r]...)
-	}
-	return out
-}
-
 // Objective evaluates the global error vector for one set of rate
 // constants, in parallel over the configured ranks. residual must have
 // length ResidualDim.
 //
 // Under Config.FaultTolerant, solver breakdowns degrade gracefully (a
 // retry/penalty policy per file, see RetryPolicy) and rank failures are
-// recovered ULFM-style: the dead ranks' files are reassigned to the
-// survivors via AssignLPT and the call re-runs on the shrunk
-// communicator. Recovery is per call — the next call sees the full rank
-// count again (the simulated runtime respawns ranks each call).
+// recovered ULFM-style: the survivors re-plan every item through
+// sched.Plan — over the cost model's predictions, or the last measured
+// costs without one — and the call re-runs on the shrunk communicator.
+// Recovery is per call — the next call sees the full rank count again
+// (the simulated runtime respawns ranks each call).
 func (e *Estimator) Objective(k []float64, residual []float64) error {
 	m := e.ResidualDim()
 	if len(residual) != m {
@@ -473,15 +492,12 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		e.lane.Begin(fmt.Sprintf("objective #%d", e.calls))
 		defer e.lane.End()
 	}
-	if e.schedEnabled() {
-		return e.objectiveSched(k, residual, start)
-	}
 	nf := len(e.files)
-	assignment := e.assignment
+	plans := e.plans
 	ranks := e.cfg.Ranks
-	var globalErr, globalTime []float64
+	var out callResult
 	for {
-		ge, gt, rep, solveErr := e.runCall(k, assignment, ranks, m, nf)
+		res, rep, solveErr := e.runCallSched(k, plans, ranks, m)
 		for _, st := range rep.States {
 			e.met.mpiWaitSec.Add(float64(st.WaitNs) / 1e9)
 		}
@@ -489,12 +505,11 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 			return solveErr
 		}
 		if rep.OK() {
-			globalErr, globalTime = ge, gt
+			out = res
 			break
 		}
 		if budget.Exhausted(rep.Err()) {
-			// The budget released the ranks — this is cancellation, not a
-			// failure to recover from.
+			// The budget released the ranks — cancellation, not a failure.
 			return rep.Err()
 		}
 		if !e.cfg.FaultTolerant {
@@ -514,158 +529,42 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		e.recMu.Unlock()
 		e.met.rankFailures.Add(int64(len(dead)))
 		e.met.rerunCalls.Inc()
-		// Shrink and retry: survivors cover every file; LPT over the
-		// last known per-file costs keeps the re-run balanced.
+		// Shrink and retry on the best cost estimate available mid-call.
 		ranks -= len(dead)
-		assignment = AssignLPT(e.lastTimes, ranks)
-		if e.lane != nil {
-			e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
+		costs := e.lastTimes
+		if e.cost != nil {
+			costs = e.cost.Predictions()
 		}
-		e.log.Warn("recovery", "rank recovery: shrink and re-run",
+		plans, _ = sched.Plan(costs, e.nrecs, ranks, e.schedCfg)
+		e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
+		e.log.Warn("recovery", "rank recovery: shrink and re-plan",
 			"call", e.calls, "dead", len(dead), "ranks", ranks,
 			"watchdog", fmt.Sprint(rep.WatchdogFired))
 	}
 	if err := e.cfg.Budget.Check(); err != nil {
-		// The budget tripped after the last collective completed: the
-		// reduction is whole, but the caller asked for cancellation —
-		// honor it rather than racing the trip against the return.
+		// Tripped after the last collective completed: ranks may have
+		// stopped claiming items mid-plan, so the reduction cannot be
+		// trusted as complete — honor the cancellation.
 		return err
 	}
-	copy(residual, globalErr)
-	copy(e.lastTimes, globalTime)
+
+	// Order-independent reduction: fold the exactly-summed per-file
+	// contribution buffers in ascending file order — the serial path's
+	// addition sequence, regardless of what the schedule looked like.
+	clear(residual)
+	for fi := 0; fi < nf; fi++ {
+		block := out.contrib[fi*m : (fi+1)*m]
+		for j := 0; j < e.nrecs[fi]; j++ {
+			residual[j] += block[j]
+		}
+	}
+	copy(e.lastTimes, out.fileOps)
 	e.calls++
 	e.wallSeconds += time.Since(start).Seconds()
 	e.met.objectives.Inc()
-	// Modeled parallel work: the slowest rank's total.
-	worst := 0.0
-	total := 0.0
-	for _, files := range assignment {
-		s := 0.0
-		for _, fi := range files {
-			s += globalTime[fi]
-		}
-		total += s
-		if s > worst {
-			worst = s
-		}
-	}
-	e.modelOps += worst
-	if mean := total / float64(len(assignment)); mean > 0 {
-		e.met.imbalance.Set(worst / mean)
-	}
-	// Apply the dynamic load balancing algorithm for the next call.
-	if e.cfg.LoadBalance {
-		e.assignment = AssignLPT(globalTime, e.cfg.Ranks)
-		e.lane.Instant("rebalance (LPT)")
-	}
+	e.account(plans, out)
+	e.replan(out)
 	return nil
-}
-
-// runCall executes one parallel objective evaluation over the given
-// assignment and rank count, returning the reduced error vector, the
-// per-file work, the mpi report, and the first solver error (non-nil
-// only without FaultTolerant, which handles solves in-rank).
-func (e *Estimator) runCall(k []float64, assignment [][]int, ranks, m, nf int) ([]float64, []float64, *mpi.RunReport, error) {
-	globalErr := make([]float64, m)
-	globalTime := make([]float64, nf)
-	var errMu sync.Mutex
-	var firstErr error
-	call := e.calls
-	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Hook: e.cfg.Hook, Trace: e.cfg.Trace,
-		Budget: e.cfg.Budget, Log: e.mpiLog}
-	rep := mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
-		localErr := make([]float64, m)
-		localTime := make([]float64, nf)
-		var scratch []float64
-		if e.cfg.FaultTolerant {
-			scratch = make([]float64, m)
-		}
-		ev := e.model.Prog.NewEvaluator()
-		ev.Observe(e.cfg.Metrics)
-		lane := c.Lane()
-		slow := e.laneSlowdown(call, c.Rank(), 0)
-		rankFiles := assignment[c.Rank()]
-		// attempt0 is the injector attempt index of the serial loop below:
-		// 0 normally, 1 after a batch→serial degrade (the batched solve
-		// consumed attempt 0, so one-attempt schedules don't re-fire on
-		// the fallback while persistent ones still surface).
-		attempt0 := 0
-		if e.useBatch() && len(rankFiles) > 0 {
-			var degraded bool
-			var batchErr error
-			rankFiles, degraded, batchErr = e.solveRankBatch(rankFiles, k, localErr, localTime, lane, call, c.Rank())
-			if degraded {
-				attempt0 = 1
-			}
-			if batchErr != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = batchErr
-				}
-				errMu.Unlock()
-			}
-		}
-		for _, fi := range rankFiles {
-			if e.cfg.Budget.Check() != nil {
-				// Stop claiming files; the collectives below surface the
-				// trip (the budget watcher releases blocked ranks).
-				break
-			}
-			// The span is closed by defer so an abort unwinding through a
-			// collective — or any future early return — cannot leak it.
-			func() {
-				lane.Begin("solve " + e.files[fi].Name)
-				defer lane.End()
-				e.log.Debug("solve", "file solve",
-					"call", call, "rank", c.Rank(), "file", e.files[fi].Name)
-				if e.cfg.FaultTolerant {
-					st, _, retries, penalized := e.solveFileFT(ev, e.files[fi], k, scratch, localErr, call, c.Rank(), fi)
-					localTime[fi] = e.workOps(st) * slow
-					// solveFileFT feeds the per-attempt cost histograms itself
-					// (successes and retries land in separate ones); only the
-					// cumulative solver counters remain to publish here.
-					e.met.fileSolves.Inc()
-					e.publishSolveStats(st)
-					e.met.retries.Add(int64(retries))
-					if retries > 0 || penalized {
-						e.recMu.Lock()
-						e.recovery.Retries += retries
-						if penalized {
-							e.recovery.PenalizedFiles++
-							e.met.penalized.Inc()
-						}
-						e.recMu.Unlock()
-					}
-					return
-				}
-				var st ode.Stats
-				err := error(nil)
-				if e.cfg.Faults != nil {
-					err = e.cfg.Faults.FileSolve(call, c.Rank(), fi, attempt0)
-				}
-				if err == nil {
-					st, err = e.solveFile(ev, e.files[fi], k, localErr, e.model.SolverOpts)
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("estimator: file %s: %w", e.files[fi].Name, err)
-					}
-					errMu.Unlock()
-				}
-				localTime[fi] = e.workOps(st) * slow
-				e.publishSolve(st)
-			}()
-		}
-		ge := c.AllReduce(localErr, mpi.SumOp)
-		gt := c.AllReduce(localTime, mpi.SumOp)
-		if c.Rank() == 0 {
-			copy(globalErr, ge)
-			copy(globalTime, gt)
-		}
-		return nil
-	})
-	return globalErr, globalTime, rep, firstErr
 }
 
 // solveFile integrates the model across one file's time grid,
@@ -685,7 +584,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float6
 // same adaptive integration, so a sub-range's emitted residuals are
 // bit-identical to the corresponding slice of the whole-file solve),
 // but only records >= lo contribute to errvec. This exactness is what
-// lets the v2 scheduler split a dominant file across ranks without
+// lets the scheduler split a dominant file across ranks without
 // perturbing the fit; the cost asymmetry it implies (a later sub-range
 // costs nearly the whole file) is documented in docs/load-balancing.md.
 func (e *Estimator) solveFileRange(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options, lo, hi int) (ode.Stats, error) {
@@ -761,15 +660,6 @@ func (e *Estimator) stepObserver(prev ode.StepObserver) ode.StepObserver {
 	}
 }
 
-// useBatch reports whether objective calls take the batched solve path.
-// The v2 scheduler owns per-item scheduling, so Batch is ignored under it
-// (the lockstep batch solve is one indivisible unit per rank). Fault
-// injection composes with Batch via the batch→serial degradation ladder
-// (see solveRankBatch); FaultTolerant still forces the per-file path.
-func (e *Estimator) useBatch() bool {
-	return e.cfg.Batch && e.model.Stiff && !e.cfg.FaultTolerant && !e.schedEnabled()
-}
-
 // ascendingRecords reports whether a file's record times are
 // non-decreasing — the shape a batch lane's output grid requires.
 func ascendingRecords(f *dataset.File) bool {
@@ -781,48 +671,42 @@ func ascendingRecords(f *dataset.File) bool {
 	return true
 }
 
-// solveRankBatch integrates all of a rank's batchable files as one
-// lockstep batched BDF solve: each file is a lane, the compiled tape
-// evaluates once per corrector iteration for the whole rank
-// (codegen.BatchEvaluator), and each lane's residual contributions are
-// emitted at its own record times with per-lane completion masking.
-// Files whose record grids are not ascending are returned for the serial
-// per-file path.
-//
-// Contributions are staged in a private buffer and folded into errvec
-// only when every lane succeeded, so a failed batch leaves errvec
-// untouched and the whole rank degrades to the per-file serial path
-// (degrade.batch_serial): the returned slice is then the rank's full
-// original file list. The fold is bit-identical to emitting directly —
-// errvec's entries are all zero before the batch runs (freshly allocated
-// local buffer), so folding adds each staged value to +0. An injected
-// fault on any lane degrades the batch the same way; only a budget trip
-// is returned as an error (cancellation must not be retried serially).
-func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, errvec, timevec []float64, lane *telemetry.Lane, call, rank int) (files []int, degraded bool, err error) {
-	var lanes, leftovers []int
-	for _, fi := range fileIdx {
-		if ascendingRecords(e.files[fi]) {
-			lanes = append(lanes, fi)
+// solveLaneBatch runs one lane's queued whole-file items as a single
+// lockstep batched BDF solve: each file is a batch lane, the compiled
+// tape evaluates once per corrector iteration for all of them
+// (codegen.BatchEvaluator), and each file's residual contributions land
+// in its own contrib block at its own record times, with per-lane
+// completion masking. done receives each batched item's solver work. It
+// returns the items left for the per-file path: the files whose record
+// grids are not ascending, or — after a failed or fault-injected batch,
+// whose blocks are cleared again (degrade.batch_serial) — every item.
+// Only a budget trip is returned as an error: cancellation must not be
+// retried serially.
+func (e *Estimator) solveLaneBatch(items []sched.Item, k, contrib []float64, m int, lane *telemetry.Lane, call, rank int, done func(sched.Item, ode.Stats)) (rest []sched.Item, degraded bool, err error) {
+	var batch []sched.Item
+	for _, it := range items {
+		if ascendingRecords(e.files[it.File]) {
+			batch = append(batch, it)
 		} else {
-			leftovers = append(leftovers, fi)
+			rest = append(rest, it)
 		}
 	}
-	if len(lanes) == 0 {
-		return leftovers, false, nil
+	if len(batch) == 0 {
+		return rest, false, nil
 	}
 	if e.cfg.Faults != nil {
-		for _, fi := range lanes {
-			if err := e.cfg.Faults.FileSolve(call, rank, fi, 0); err != nil {
+		for _, it := range batch {
+			if err := e.cfg.Faults.FileSolve(call, rank, it.File, 0); err != nil {
 				if budget.Exhausted(err) {
 					return nil, false, err
 				}
 				e.noteBatchDegrade(lane)
-				return fileIdx, true, nil
+				return items, true, nil
 			}
 		}
 	}
 	prog := e.model.Prog
-	n, b := prog.NumY, len(lanes)
+	n, b := prog.NumY, len(batch)
 	if lane != nil {
 		lane.Begin(fmt.Sprintf("batch solve (%d files)", b))
 		defer lane.End()
@@ -864,8 +748,8 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, errvec, timevec [
 	solver := ode.NewBatchBDF(rhs, n, b, bopts)
 
 	grids := make([][]float64, b)
-	for l, fi := range lanes {
-		recs := e.files[fi].Records
+	for l, it := range batch {
+		recs := e.files[it.File].Records
 		grid := make([]float64, len(recs))
 		for j, rec := range recs {
 			grid[j] = rec.T
@@ -876,15 +760,14 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, errvec, timevec [
 	if errf == nil {
 		errf = func(sim, obs float64) float64 { return sim - obs }
 	}
-	// Stage contributions so a failed batch can be discarded whole.
-	staged := make([]float64, len(errvec))
 	solveErr := solver.Solve(0, y0, grids, func(l, idx int, y []float64) {
+		fi := batch[l].File
 		sim := e.model.Property(y)
-		staged[idx] += errf(sim, e.files[lanes[l]].Records[idx].Value)
+		contrib[fi*m+idx] += errf(sim, e.files[fi].Records[idx].Value)
 	})
 
 	var failErr error
-	for l := range lanes {
+	for l := range batch {
 		err := solver.LaneErr(l)
 		if err == nil && solveErr != nil {
 			err = solveErr // a whole-batch failure charges every lane
@@ -899,23 +782,20 @@ func (e *Estimator) solveRankBatch(fileIdx []int, k []float64, errvec, timevec [
 		}
 	}
 	if failErr != nil {
-		// Degrade: charge the wasted batch work to the retry histogram and
-		// hand every file back for the serial per-file path.
-		for l := range lanes {
+		// Degrade: charge the wasted batch work to the retry histogram,
+		// discard the batch's contributions and hand every item back for
+		// the per-file path.
+		for l, it := range batch {
 			e.met.retryNs.Observe(e.workOps(solver.LaneStats(l)) * e.secPerOp * 1e9)
+			clear(contrib[it.File*m : (it.File+1)*m])
 		}
 		e.noteBatchDegrade(lane)
-		return fileIdx, true, nil
+		return items, true, nil
 	}
-	for j, v := range staged {
-		errvec[j] += v
+	for l, it := range batch {
+		done(it, solver.LaneStats(l))
 	}
-	for l, fi := range lanes {
-		st := solver.LaneStats(l)
-		timevec[fi] = e.workOps(st)
-		e.publishSolve(st)
-	}
-	return leftovers, false, nil
+	return rest, false, nil
 }
 
 // noteBatchDegrade records one batch→serial demotion.
@@ -975,51 +855,22 @@ func (e *Estimator) Analyze(fit *nlopt.Result) (stats.Fit, []stats.Interval, err
 	return good, ivs, nil
 }
 
-// blockAssign is the static distribution of Fig. 9's BLOCK_SIZE():
-// contiguous, near-equal file blocks per rank.
-func blockAssign(nFiles, ranks int) [][]int {
-	out := make([][]int, ranks)
-	base := nFiles / ranks
-	rem := nFiles % ranks
-	idx := 0
+// blockPlan is the static distribution of Fig. 9's BLOCK_SIZE():
+// contiguous, near-equal blocks of whole files per rank, in file order.
+func blockPlan(nrecs []int, ranks int) [][]sched.Item {
+	out := make([][]sched.Item, ranks)
+	base := len(nrecs) / ranks
+	rem := len(nrecs) % ranks
+	fi := 0
 	for r := 0; r < ranks; r++ {
 		n := base
 		if r < rem {
 			n++
 		}
 		for i := 0; i < n; i++ {
-			out[r] = append(out[r], idx)
-			idx++
+			out[r] = append(out[r], sched.Item{File: fi, Hi: nrecs[fi], Cost: float64(nrecs[fi]), Seq: fi})
+			fi++
 		}
 	}
 	return out
-}
-
-// AssignLPT is the paper's dynamic load balancing algorithm: files are
-// ordered by non-increasing solve time (the priority queue) and each is
-// allocated to the rank with the least total allocated time so far. The
-// result is fully deterministic: equal solve times break toward the
-// lower file index, and a tie between rank loads goes to the lower rank,
-// so repeated calls with the same times give the same assignment. The
-// algorithm now lives in package sched (the v2 scheduler plans whole
-// files through the identical rule); this wrapper keeps the historical
-// v1 entry point.
-func AssignLPT(times []float64, ranks int) [][]int {
-	return sched.LPT(times, ranks)
-}
-
-// Makespan returns the maximum per-rank total time of an assignment —
-// the modeled parallel time of one objective call.
-func Makespan(assignment [][]int, times []float64) float64 {
-	worst := 0.0
-	for _, files := range assignment {
-		s := 0.0
-		for _, fi := range files {
-			s += times[fi]
-		}
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
 }

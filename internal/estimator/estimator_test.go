@@ -2,10 +2,9 @@ package estimator
 
 import (
 	"math"
-	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"rms/internal/codegen"
 	"rms/internal/dataset"
@@ -14,6 +13,7 @@ import (
 	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/sched"
 	"rms/internal/telemetry"
 )
 
@@ -115,7 +115,7 @@ func TestEstimateRecoversRate(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
 	files := makeFiles(kTrue, []int{50, 30})
-	e, err := New(m, files, Config{Ranks: 2, LoadBalance: true})
+	e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,170 +158,68 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestBlockAssign(t *testing.T) {
-	a := blockAssign(16, 4)
-	for r, files := range a {
-		if len(files) != 4 {
-			t.Errorf("rank %d got %d files", r, len(files))
+	files := func(plans [][]sched.Item) [][]int {
+		out := make([][]int, len(plans))
+		for r, plan := range plans {
+			for _, it := range plan {
+				out[r] = append(out[r], it.File)
+			}
+		}
+		return out
+	}
+	recs := func(n int) []int { return make([]int, n) }
+	a := files(blockPlan(recs(16), 4))
+	for r := range a {
+		if len(a[r]) != 4 {
+			t.Errorf("rank %d got %d files", r, len(a[r]))
 		}
 	}
-	// 5 files over 2 ranks: 3 + 2.
-	b := blockAssign(5, 2)
-	if len(b[0]) != 3 || len(b[1]) != 2 {
-		t.Errorf("blockAssign(5,2) = %v", b)
+	// 5 files over 2 ranks: contiguous blocks of 3 + 2.
+	if b := files(blockPlan(recs(5), 2)); !reflect.DeepEqual(b, [][]int{{0, 1, 2}, {3, 4}}) {
+		t.Errorf("blockPlan(5,2) = %v", b)
 	}
 	// More ranks than files: some ranks idle.
-	c := blockAssign(2, 4)
-	total := 0
-	for _, files := range c {
-		total += len(files)
+	if c := files(blockPlan(recs(2), 4)); !reflect.DeepEqual(c, [][]int{{0}, {1}, nil, nil}) {
+		t.Errorf("blockPlan(2,4) = %v", c)
 	}
-	if total != 2 {
-		t.Errorf("blockAssign(2,4) total = %d", total)
+	// Whole-file items, Seq numbered in placement order.
+	for seq, it := range blockPlan([]int{7, 3, 5}, 2)[0] {
+		if it.Lo != 0 || it.Hi != []int{7, 3}[seq] || it.Seq != seq {
+			t.Errorf("item %+v", it)
+		}
 	}
 }
 
-func TestAssignLPTKnown(t *testing.T) {
-	// Times 5,4,3,3,2,1 over 2 ranks: LPT gives makespan 9 (optimal).
-	times := []float64{5, 4, 3, 3, 2, 1}
-	a := AssignLPT(times, 2)
-	ms := Makespan(a, times)
-	if ms != 9 {
-		t.Errorf("LPT makespan = %v, want 9", ms)
-	}
-	// All files assigned exactly once.
-	seen := make(map[int]bool)
-	for _, files := range a {
-		for _, f := range files {
-			if seen[f] {
-				t.Errorf("file %d assigned twice", f)
-			}
-			seen[f] = true
-		}
-	}
-	if len(seen) != len(times) {
-		t.Errorf("assigned %d of %d files", len(seen), len(times))
-	}
-}
-
-// Properties of LPT: within the greedy list-scheduling guarantee
-// sum/m + (1-1/m)·max, never below the lower bounds max(t_i) and sum/m,
-// and every file assigned exactly once. (LPT is a heuristic: a specific static
-// block layout can occasionally beat it, so no pairwise dominance is
-// asserted; the load-balancing win on realistic imbalance is checked in
-// TestLoadBalanceImproves.)
-func TestAssignLPTProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nf := 1 + rng.Intn(20)
-		ranks := 1 + rng.Intn(8)
-		times := make([]float64, nf)
-		sum, maxT := 0.0, 0.0
-		for i := range times {
-			times[i] = rng.Float64()*10 + 0.1
-			sum += times[i]
-			if times[i] > maxT {
-				maxT = times[i]
-			}
-		}
-		a := AssignLPT(times, ranks)
-		lpt := Makespan(a, times)
-		lower := math.Max(maxT, sum/float64(ranks))
-		// Greedy list-scheduling guarantee: makespan ≤ sum/m + (1-1/m)·max.
-		bound := sum/float64(ranks) + (1-1/float64(ranks))*maxT
-		if lpt < lower-1e-9 || lpt > bound+maxT*1e-9 {
-			t.Logf("LPT %v outside [%v, %v]", lpt, lower, bound)
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, files := range a {
-			for _, fi := range files {
-				if seen[fi] {
-					return false
-				}
-				seen[fi] = true
-			}
-		}
-		return len(seen) == nf
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Regression: LPT must be fully deterministic when solve times tie. With
-// all-equal times the index tie-break makes the sorted order exactly
-// 0..n-1 and the least-loaded-rank rule (ties to the lower rank) deals
-// files round-robin, so the assignment is known in closed form — and
-// repeated calls must reproduce it bit-for-bit.
-func TestAssignLPTDeterministicUnderTies(t *testing.T) {
-	times := make([]float64, 11)
-	for i := range times {
-		times[i] = 3.5
-	}
-	const ranks = 4
-	want := AssignLPT(times, ranks)
-	for r := range want {
-		for j, fi := range want[r] {
-			if fi != j*ranks+r {
-				t.Fatalf("rank %d file %d = %d, want round-robin %d", r, j, fi, j*ranks+r)
-			}
-		}
-	}
-	for trial := 0; trial < 50; trial++ {
-		got := AssignLPT(times, ranks)
-		for r := range want {
-			if len(got[r]) != len(want[r]) {
-				t.Fatalf("trial %d: rank %d size changed", trial, r)
-			}
-			for j := range want[r] {
-				if got[r][j] != want[r][j] {
-					t.Fatalf("trial %d: assignment not deterministic: rank %d got %v want %v",
-						trial, r, got[r], want[r])
-				}
-			}
-		}
-	}
-	// Partial ties among distinct values stay deterministic too.
-	mixed := []float64{2, 7, 2, 7, 5, 2, 5}
-	first := AssignLPT(mixed, 3)
-	for trial := 0; trial < 50; trial++ {
-		got := AssignLPT(mixed, 3)
-		for r := range first {
-			for j := range first[r] {
-				if got[r][j] != first[r][j] {
-					t.Fatalf("mixed ties: trial %d rank %d got %v want %v", trial, r, got[r], first[r])
-				}
-			}
-		}
-	}
+// makespan is the maximum per-rank total of the given per-file times
+// over a plan's files.
+func makespan(plans [][]sched.Item, times []float64) float64 {
+	return sched.MakespanItems(plans, func(it sched.Item) float64 { return times[it.File] })
 }
 
 // Dynamic load balancing takes effect: after one call with imbalanced
-// per-file costs, the reassignment's makespan is no worse than the static
-// one under the measured times.
+// per-file costs, the lpt re-plan's makespan is no worse than the block
+// plan's under the measured times.
 func TestLoadBalanceImproves(t *testing.T) {
 	m := decayModel(t)
 	// One big file and several small ones — static blocks pair the big
 	// file with another on the same rank.
 	files := makeFiles(1.0, []int{400, 20, 20, 400, 20, 20, 20, 20})
-	e, err := New(m, files, Config{Ranks: 2, LoadBalance: true})
+	e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticAssign := e.Assignment()
+	staticPlan := blockPlan(e.nrecs, 2)
 	r := make([]float64, e.ResidualDim())
 	if err := e.Objective([]float64{1}, r); err != nil {
 		t.Fatal(err)
 	}
 	times := e.FileTimes()
-	newAssign := e.Assignment()
-	if Makespan(newAssign, times) > Makespan(staticAssign, times)+1e-9 {
-		t.Errorf("LPT makespan %v worse than static %v",
-			Makespan(newAssign, times), Makespan(staticAssign, times))
+	if lpt, static := makespan(e.Plans(), times), makespan(staticPlan, times); lpt > static+1e-9 {
+		t.Errorf("LPT makespan %v worse than static %v", lpt, static)
 	}
 }
 
-// With load balancing off, the assignment never changes.
+// Without a scheduler config the block plan never changes.
 func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{60, 10, 10, 10})
@@ -329,21 +227,13 @@ func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Assignment()
+	before := e.Plans()
 	r := make([]float64, e.ResidualDim())
 	if err := e.Objective([]float64{1}, r); err != nil {
 		t.Fatal(err)
 	}
-	after := e.Assignment()
-	for rk := range before {
-		if len(before[rk]) != len(after[rk]) {
-			t.Fatalf("assignment changed without load balancing")
-		}
-		for i := range before[rk] {
-			if before[rk][i] != after[rk][i] {
-				t.Fatalf("assignment changed without load balancing")
-			}
-		}
+	if !reflect.DeepEqual(before, e.Plans()) {
+		t.Fatalf("plan changed without a scheduler: %v → %v", before, e.Plans())
 	}
 }
 
@@ -535,7 +425,7 @@ func TestBatchEstimateRecoversRate(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
 	files := makeFiles(kTrue, []int{50, 30, 40})
-	e, err := New(m, files, Config{Ranks: 2, Batch: true, LoadBalance: true})
+	e, err := New(m, files, Config{Ranks: 2, Batch: true, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type RecoveryStats struct {
 	// PenalizedFiles counts file solves that exhausted their attempts
 	// and fell back to the penalty residual.
 	PenalizedFiles int
-	// RankFailures counts ranks lost and recovered by reassignment.
+	// RankFailures counts ranks lost and recovered by re-planning.
 	RankFailures int
 	// WatchdogTrips counts objective calls aborted by the mpi hang
 	// watchdog and recovered.
@@ -122,7 +122,7 @@ type DegradeStats struct {
 	// BatchSerial counts rank batches abandoned to the per-file serial
 	// path after a batched solve failed.
 	BatchSerial int
-	// SchedStatic counts v2 scheduler demotions from the EWMA policy to
+	// SchedStatic counts scheduler demotions from the EWMA policy to
 	// plain LPT after sustained cost-model misprediction.
 	SchedStatic int
 	// SolveTimeouts counts solve attempts cut off by the per-attempt

@@ -9,6 +9,7 @@ import (
 	"rms/internal/faults"
 	"rms/internal/nlopt"
 	"rms/internal/ode"
+	"rms/internal/sched"
 )
 
 // fitOpts matches TestEstimateRecoversRate's optimizer settings.
@@ -179,13 +180,13 @@ func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 		}
 		return res.X[0]
 	}
-	kClean := fit(Config{Ranks: 2, LoadBalance: true})
+	kClean := fit(Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 	// Call 2 is the first LM trial step (call 0 = start, call 1 = the
 	// one-parameter Jacobian column); failing every retry there forces
 	// the penalty path mid-fit.
 	plan := faults.NewPlan(1).FailFile(0, 2)
 	e, err := New(m, files, Config{
-		Ranks: 2, LoadBalance: true, FaultTolerant: true, Faults: plan,
+		Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}, FaultTolerant: true, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +215,12 @@ func TestRankCrashRecoveredMidFit(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
 	files := makeFiles(kTrue, []int{50, 30})
-	// Each objective call costs every rank two collectives (the error
-	// and time AllReduces), so cumulative collective 6 of rank 1 lands
-	// in objective call 3 — mid-fit.
+	// Each objective call costs every rank two collectives (the
+	// contribution and work AllReduces), so cumulative collective 6 of
+	// rank 1 lands in objective call 3 — mid-fit.
 	plan := faults.NewPlan(1).CrashRank(1, 6)
 	e, err := New(m, files, Config{
-		Ranks: 2, LoadBalance: true, FaultTolerant: true, Faults: plan, Hook: plan,
+		Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}, FaultTolerant: true, Faults: plan, Hook: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -207,7 +207,7 @@ func TestSchedDemotesEwmaToLPTUnderJitter(t *testing.T) {
 	plan := faults.NewPlan(7).SlowLaneJitter(1.0, 64)
 	e, err := New(m, files, Config{
 		Ranks:   2,
-		Sched:   &sched.Config{Rebalance: true, Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
+		Sched:   &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
 		Faults:  plan,
 		Metrics: reg,
 	})
@@ -252,7 +252,7 @@ func TestSnapshotResumeBitIdenticalV1(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{30, 20, 25})
 	mk := func() *Estimator {
-		e, err := New(m, files, Config{Ranks: 2, LoadBalance: true})
+		e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestSnapshotResumeBitIdenticalSched(t *testing.T) {
 	files := makeFiles(1.0, []int{30, 20, 25, 35})
 	cfg := Config{
 		Ranks: 2,
-		Sched: &sched.Config{Rebalance: true, Policy: sched.PolicyEWMA, Lanes: 2, Steal: true,
+		Sched: &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true,
 			SplitShare: 0.4},
 	}
 	mk := func() *Estimator {
@@ -341,12 +341,24 @@ func TestRestoreRejectsIncompatibleSnapshot(t *testing.T) {
 		t.Error("snapshot with a different file count was accepted")
 	}
 	es, err := New(m, makeFiles(1.0, []int{20, 20}), Config{Ranks: 2,
-		Sched: &sched.Config{Rebalance: true}})
+		Sched: &sched.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Restore(es.Snapshot()); err == nil {
 		t.Error("sched snapshot restored into a non-sched estimator")
+	}
+	bad := e2.Snapshot()
+	bad.Plans[0][0].Hi = 99
+	if err := e2.Restore(bad); err == nil {
+		t.Error("snapshot planning records past a file's end was accepted")
+	}
+	wide, err := New(m, makeFiles(1.0, []int{20, 20}), Config{Ranks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.Restore(e2.Snapshot()); err == nil {
+		t.Error("2-rank snapshot restored into a 3-rank estimator")
 	}
 }
 

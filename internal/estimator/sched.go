@@ -1,17 +1,16 @@
-// The v2 scheduler path of the parallel objective (Config.Sched,
-// package sched, docs/load-balancing.md): plans are per-rank lists of
-// items — record sub-ranges of data files — drained by work-stealing
-// lanes, measured per item, and re-planned between objective calls from
-// a persistent EWMA cost model.
+// The schedule of the parallel objective (Config.Sched, package sched,
+// docs/load-balancing.md): plans are per-rank lists of items — whole
+// data files or record sub-ranges of them — drained by lanes, measured
+// per item, and re-planned between objective calls per the policy.
 //
 // Numerical invariant: residual accumulation is order-independent. Each
 // rank writes every item's contribution into a per-(file, record)
 // buffer — one writer per entry, across all ranks, lanes and steals —
-// the buffers are AllReduce-summed exactly, and the caller folds them
-// in ascending file order: precisely the addition sequence of the
-// serial single-rank path. Fits are therefore bit-identical to serial
-// for ANY schedule the planner or the thieves produce; the conformance
-// stage "sched" holds the whole path to exact equality.
+// the buffers are AllReduce-summed exactly, and Objective folds them in
+// ascending file order: precisely the addition sequence of the serial
+// single-rank path. Fits are therefore bit-identical to serial for ANY
+// schedule the planner or the thieves produce; the conformance stages
+// "estimator" and "sched" hold the path to exact equality.
 
 package estimator
 
@@ -19,16 +18,15 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
-	"rms/internal/budget"
 	"rms/internal/codegen"
 	"rms/internal/mpi"
 	"rms/internal/ode"
 	"rms/internal/sched"
+	"rms/internal/telemetry"
 )
 
-// SchedStats counts the v2 scheduler's decisions, accumulated across
+// SchedStats counts the scheduler's decisions, accumulated across
 // objective calls. Steals are the deterministic virtual-clock replay's
 // count (the modeled schedule — reproducible across runs), not the
 // OS-timing-dependent count of the concurrent executor.
@@ -41,9 +39,6 @@ type SchedStats struct {
 	Replans int
 }
 
-// schedEnabled reports whether objective calls take the v2 scheduler path.
-func (e *Estimator) schedEnabled() bool { return e.cost != nil }
-
 // The ewma→lpt demotion fires after schedMispredictLimit consecutive
 // calls whose mean relative cost-model error exceeds schedMispredictRel.
 const (
@@ -51,24 +46,14 @@ const (
 	schedMispredictLimit = 3
 )
 
-// SchedStats returns the accumulated v2 scheduler decision counts.
+// SchedStats returns the accumulated scheduler decision counts.
 func (e *Estimator) SchedStats() SchedStats { return e.schedStats }
 
-// Plans returns a copy of the current per-rank item plans (nil without
-// an active v2 scheduler).
-func (e *Estimator) Plans() [][]sched.Item {
-	if e.plans == nil {
-		return nil
-	}
-	out := make([][]sched.Item, len(e.plans))
-	for r := range e.plans {
-		out[r] = append([]sched.Item(nil), e.plans[r]...)
-	}
-	return out
-}
+// Plans returns a copy of the per-rank item plans for the next call.
+func (e *Estimator) Plans() [][]sched.Item { return copyPlanItems(e.plans) }
 
 // CostPredictions returns the cost model's current per-file predictions
-// in op units (nil without an active v2 scheduler).
+// in op units (nil without Config.Sched).
 func (e *Estimator) CostPredictions() []float64 {
 	if e.cost == nil {
 		return nil
@@ -76,87 +61,21 @@ func (e *Estimator) CostPredictions() []float64 {
 	return e.cost.Predictions()
 }
 
-// objectiveSched is Objective on the v2 scheduler path. The recovery
-// loop mirrors the v1 path: under FaultTolerant, rank failures shrink
-// the communicator and the call re-runs on a fresh plan for the
-// survivors.
-func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error {
-	m := len(residual)
-	nf := len(e.files)
-	plans := e.plans
-	ranks := e.cfg.Ranks
-	var contrib, globalTime, successTime, itemOps []float64
-	for {
-		co, gt, gs, io, rep, solveErr := e.runCallSched(k, plans, ranks, m, nf)
-		for _, st := range rep.States {
-			e.met.mpiWaitSec.Add(float64(st.WaitNs) / 1e9)
-		}
-		if solveErr != nil {
-			return solveErr
-		}
-		if rep.OK() {
-			contrib, globalTime, successTime, itemOps = co, gt, gs, io
-			break
-		}
-		if budget.Exhausted(rep.Err()) {
-			// The budget released the ranks — cancellation, not a failure.
-			return rep.Err()
-		}
-		if !e.cfg.FaultTolerant {
-			return fmt.Errorf("estimator: parallel objective failed: %w", rep.Err())
-		}
-		dead := rep.Culprits()
-		if len(dead) == 0 || len(dead) >= ranks {
-			return fmt.Errorf("estimator: unrecoverable objective failure: %w", rep.Err())
-		}
-		e.recMu.Lock()
-		if rep.WatchdogFired {
-			e.recovery.WatchdogTrips++
-			e.met.watchdogTrips.Inc()
-		}
-		e.recovery.RankFailures += len(dead)
-		e.recovery.RerunCalls++
-		e.recMu.Unlock()
-		e.met.rankFailures.Add(int64(len(dead)))
-		e.met.rerunCalls.Inc()
-		// Shrink and retry: re-plan the survivors on the model's current
-		// predictions (the best cost estimate available mid-call).
-		ranks -= len(dead)
-		plans, _ = sched.Plan(e.cost.Predictions(), e.nrecs, ranks, e.schedCfg)
-		e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
-		e.log.Warn("recovery", "rank recovery: shrink and re-plan",
-			"call", e.calls, "dead", len(dead), "ranks", ranks,
-			"watchdog", fmt.Sprint(rep.WatchdogFired))
-	}
-	if err := e.cfg.Budget.Check(); err != nil {
-		// Tripped after the last collective completed: ranks may have
-		// stopped claiming items mid-plan, so the reduction cannot be
-		// trusted as complete — honor the cancellation.
-		return err
-	}
+// callResult is one objective call's exactly-reduced output: the
+// per-(file, record) contribution buffer (nf×m), per-file total work,
+// per-file successful-attempt work (the cost model's food), and per-item
+// work indexed by Item.Seq (for the virtual-clock replay).
+type callResult struct {
+	contrib, fileOps, successOps, itemOps []float64
+}
 
-	// Order-independent reduction: fold the exactly-summed per-file
-	// contribution buffers in ascending file order — the serial path's
-	// addition sequence, regardless of what the schedule looked like.
-	for j := range residual {
-		residual[j] = 0
-	}
-	for fi := 0; fi < nf; fi++ {
-		block := contrib[fi*m : (fi+1)*m]
-		for j := 0; j < e.nrecs[fi]; j++ {
-			residual[j] += block[j]
-		}
-	}
-	copy(e.lastTimes, globalTime)
-	e.calls++
-	e.wallSeconds += time.Since(start).Seconds()
-	e.met.objectives.Inc()
-
-	// Modeled parallel time: replay the executed plan under the virtual
-	// clock with the measured per-item costs. Deterministic under CPU
-	// oversubscription, faithful to the greedy steal discipline, and the
-	// source of the steal counters (see SchedStats).
-	costOf := func(it sched.Item) float64 { return itemOps[it.Seq] }
+// account charges one finished call's modeled parallel time: it replays
+// the executed plans under the virtual clock with the measured per-item
+// costs. Deterministic under CPU oversubscription, faithful to the
+// greedy steal discipline, and the source of the steal counters (see
+// SchedStats).
+func (e *Estimator) account(plans [][]sched.Item, out callResult) {
+	costOf := func(it sched.Item) float64 { return out.itemOps[it.Seq] }
 	worst, total := 0.0, 0.0
 	steals := 0
 	for _, plan := range plans {
@@ -166,7 +85,7 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 		}
 		steals += res.Steals
 		for _, it := range plan {
-			total += itemOps[it.Seq]
+			total += out.itemOps[it.Seq]
 		}
 	}
 	e.modelOps += worst
@@ -175,12 +94,18 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 	}
 	e.schedStats.Steals += steals
 	e.met.schedSteals.Add(int64(steals))
+}
 
-	// Feed the cost model from successful-attempt work only (a penalized
-	// file reports zero, which Observe ignores), then re-plan per policy.
+// replan feeds the cost model from successful-attempt work only (a
+// penalized file reports zero, which Observe ignores) and re-plans the
+// next call per policy. Without Config.Sched the block plan stands.
+func (e *Estimator) replan(out callResult) {
+	if e.cost == nil {
+		return
+	}
 	relSum, relN := 0.0, 0
-	for fi := 0; fi < nf; fi++ {
-		rel, first := e.cost.Observe(fi, successTime[fi])
+	for fi, w := range out.successOps {
+		rel, first := e.cost.Observe(fi, w)
 		if !first && !math.IsNaN(rel) {
 			e.met.costErr.Observe(rel)
 			relSum += rel
@@ -209,17 +134,17 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 				"call", e.calls, "mispredicts", e.mispredicts)
 		}
 	}
-	splits := 0
+	var costs []float64
 	switch e.schedCfg.Policy {
 	case sched.PolicyStatic:
-		// Plans stay as computed from the seed; nothing to do.
-		return nil
+		return // plans stay as computed from the seed
 	case sched.PolicyLPT:
-		// v1 parity: raw last-measured totals, no smoothing, no splits.
-		e.plans, splits = sched.Plan(globalTime, e.nrecs, e.cfg.Ranks, e.schedCfg)
+		costs = out.fileOps // raw last-measured totals, no smoothing
 	default: // PolicyEWMA
-		e.plans, splits = sched.Plan(e.cost.Predictions(), e.nrecs, e.cfg.Ranks, e.schedCfg)
+		costs = e.cost.Predictions()
 	}
+	var splits int
+	e.plans, splits = sched.Plan(costs, e.nrecs, e.cfg.Ranks, e.schedCfg)
 	e.schedStats.Splits += splits
 	e.schedStats.Replans++
 	e.met.schedSplits.Add(int64(splits))
@@ -227,25 +152,27 @@ func (e *Estimator) objectiveSched(k, residual []float64, start time.Time) error
 	e.lane.Instant("rebalance (sched " + e.schedCfg.Policy.String() + ")")
 	e.log.Debug("replan", "schedule recomputed",
 		"call", e.calls, "policy", e.schedCfg.Policy.String(), "splits", splits)
-	return nil
 }
 
 // runCallSched executes one parallel objective evaluation over per-rank
-// item plans. It returns the exactly-reduced per-(file, record)
-// contribution buffer (nf×m), per-file total work, per-file
-// successful-attempt work (the cost model's food), per-item work
-// (indexed by Item.Seq, for the virtual-clock replay), the mpi report,
-// and the first solver error (non-nil only without FaultTolerant).
-func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf int) (contribOut, globalTime, successTime, itemOps []float64, rep *mpi.RunReport, firstErr error) {
+// item plans on the given number of ranks. It returns the reduced call
+// output, the mpi report, and the first solver error (non-nil only
+// without FaultTolerant, which handles solves in-rank).
+func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int) (out callResult, rep *mpi.RunReport, firstErr error) {
+	nf := len(e.files)
 	nItems := 0
 	for _, p := range plans {
 		nItems += len(p)
 	}
-	contribOut = make([]float64, nf*m)
-	globalTime = make([]float64, nf)
-	successTime = make([]float64, nf)
-	itemOps = make([]float64, nItems)
+	var contribOut, workOut []float64
 	var errMu sync.Mutex
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+	}
 	call := e.calls
 	sc := e.schedCfg
 	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Hook: e.cfg.Hook, Trace: e.cfg.Trace,
@@ -256,7 +183,10 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 		// written by exactly one item on exactly one rank, so the
 		// AllReduce sum below is exact (0 + x = x in floating point).
 		contrib := make([]float64, nf*m)
-		localItem := make([]float64, nItems)
+		// work packs this rank's per-file total work, per-file successful
+		// work and per-item work into one reduction: [nf | nf | nItems].
+		work := make([]float64, 2*nf+nItems)
+		localItem := work[2*nf:]
 		localSucc := make([]float64, nItems)
 		lanes := sc.Lanes
 		// Per-lane evaluators, each primed for k before any item runs:
@@ -279,8 +209,43 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 		lane := c.Lane()
 		useLane := lane != nil && lanes == 1 // spans can't interleave across lanes
 
-		set := sched.NewStealSet(sched.LaneSplit(plans[rank], lanes), sc.Steal).
-			WithBudget(e.cfg.Budget)
+		queues := sched.LaneSplit(plans[rank], lanes)
+		// attempt0[l] is the injector attempt index of lane l's per-file
+		// solves: 0 normally, 1 after a batch→serial degrade (the batched
+		// solve consumed attempt 0, so one-attempt schedules don't re-fire
+		// on the fallback while persistent ones still surface).
+		attempt0 := make([]int, lanes)
+		if e.cfg.Batch {
+			// Batch lanes never steal, so each lane solves its own queue.
+			var wg sync.WaitGroup
+			for l := range queues {
+				wg.Add(1)
+				go func(l int) {
+					defer wg.Done()
+					slow := e.laneSlowdown(call, rank, l)
+					var blane *telemetry.Lane
+					if useLane {
+						blane = lane
+					}
+					rest, degraded, err := e.solveLaneBatch(queues[l], k, contrib, m, blane, call, rank,
+						func(it sched.Item, st ode.Stats) {
+							localItem[it.Seq] = e.workOps(st) * slow
+							localSucc[it.Seq] = localItem[it.Seq]
+							e.publishSolve(st)
+						})
+					if err != nil {
+						fail(err)
+					}
+					if degraded {
+						attempt0[l] = 1
+					}
+					queues[l] = rest
+				}(l)
+			}
+			wg.Wait()
+		}
+
+		set := sched.NewStealSet(queues, sc.Steal).WithBudget(e.cfg.Budget)
 		set.Run(func(laneIdx int, it sched.Item, victim int) {
 			f := e.files[it.File]
 			block := contrib[it.File*m : (it.File+1)*m]
@@ -305,7 +270,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 				defer lane.End()
 			}
 			if e.cfg.FaultTolerant {
-				// FT plans are whole-file items (splits forced off), so
+				// FT plans are whole-file items (New rejects splits), so
 				// the retry/penalty fold covers exactly this block.
 				st, succ, retries, penalized := e.solveFileFT(ev, f, k, scratch[laneIdx], block, call, rank, it.File)
 				localItem[it.Seq] = e.workOps(st) * slow
@@ -327,44 +292,40 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m, nf
 			var st ode.Stats
 			err := error(nil)
 			if e.cfg.Faults != nil {
-				err = e.cfg.Faults.FileSolve(call, rank, it.File, 0)
+				err = e.cfg.Faults.FileSolve(call, rank, it.File, attempt0[planned])
 			}
 			if err == nil {
 				st, err = e.solveFileRange(ev, f, k, block, e.model.SolverOpts, it.Lo, it.Hi)
 			}
 			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("estimator: file %s: %w", f.Name, err)
-				}
-				errMu.Unlock()
+				fail(fmt.Errorf("estimator: file %s: %w", f.Name, err))
 			}
-			w := e.workOps(st) * slow
-			localItem[it.Seq] = w
-			localSucc[it.Seq] = w
+			localItem[it.Seq] = e.workOps(st) * slow
+			localSucc[it.Seq] = localItem[it.Seq]
 			e.publishSolve(st)
 		})
 
 		// Per-item measurements fold into per-file arrays single-threaded
 		// (items steal only between a rank's own lanes, never across
 		// ranks, so this rank executed exactly its plan).
-		localTime := make([]float64, nf)
-		localSuccess := make([]float64, nf)
 		for _, it := range plans[rank] {
-			localTime[it.File] += localItem[it.Seq]
-			localSuccess[it.File] += localSucc[it.Seq]
+			work[it.File] += localItem[it.Seq]
+			work[nf+it.File] += localSucc[it.Seq]
 		}
 		gc := c.AllReduce(contrib, mpi.SumOp)
-		gt := c.AllReduce(localTime, mpi.SumOp)
-		gs := c.AllReduce(localSuccess, mpi.SumOp)
-		gi := c.AllReduce(localItem, mpi.SumOp)
+		gw := c.AllReduce(work, mpi.SumOp)
 		if rank == 0 {
-			copy(contribOut, gc)
-			copy(globalTime, gt)
-			copy(successTime, gs)
-			copy(itemOps, gi)
+			contribOut, workOut = gc, gw
 		}
 		return nil
 	})
-	return contribOut, globalTime, successTime, itemOps, rep, firstErr
+	if workOut == nil {
+		return callResult{}, rep, firstErr
+	}
+	return callResult{
+		contrib:    contribOut,
+		fileOps:    workOut[:nf],
+		successOps: workOut[nf : 2*nf],
+		itemOps:    workOut[2*nf:],
+	}, rep, firstErr
 }

@@ -13,8 +13,7 @@ import (
 // splitting, two stealing lanes.
 func schedCfgFull() *sched.Config {
 	return &sched.Config{
-		Rebalance: true, Alpha: 0.5,
-		SplitShare: 0.25, MaxParts: 3,
+		Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
 		Lanes: 2, Steal: true,
 	}
 }
@@ -61,52 +60,10 @@ func TestSchedObjectiveBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestSchedRebalanceOffIsV1 pins "zero behavior change when Rebalance is
-// off": a Sched config with Rebalance false must leave the estimator on
-// the v1 path — same assignments, bit-identical residuals, no scheduler
-// state.
-func TestSchedRebalanceOffIsV1(t *testing.T) {
-	m := decayModel(t)
-	counts := []int{30, 10, 20, 15}
-	v1, err := New(m, makeFiles(1.0, counts), Config{Ranks: 2, LoadBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := New(m, makeFiles(1.0, counts), Config{
-		Ranks: 2, LoadBalance: true,
-		Sched: &sched.Config{Rebalance: false, Lanes: 4, Steal: true, SplitShare: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Plans() != nil || off.CostPredictions() != nil {
-		t.Fatal("Rebalance: off left scheduler state active")
-	}
-	for _, k := range []float64{1.0, 1.3} {
-		r1 := make([]float64, v1.ResidualDim())
-		r2 := make([]float64, off.ResidualDim())
-		if err := v1.Objective([]float64{k}, r1); err != nil {
-			t.Fatal(err)
-		}
-		if err := off.Objective([]float64{k}, r2); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Fatal("Rebalance: off residuals diverged from v1")
-		}
-		if !reflect.DeepEqual(v1.Assignment(), off.Assignment()) {
-			t.Fatal("Rebalance: off assignments diverged from v1")
-		}
-	}
-}
-
-// TestSchedPolicyLPTMatchesV1 holds the v2 machinery in PolicyLPT mode
-// to per-call parity with the v1 LoadBalance path: same measured file
-// costs, and plans that assign the same files to the same ranks.
-// Residuals are compared against the SERIAL path, not v1-multirank: v1
-// reduces rank-grouped partial sums, whose addition grouping shifts with
-// each rebalance, while the v2 path's file-ordered fold is bit-identical
-// to serial by construction — that order-independence is the fix.
+// TestSchedPolicyLPTMatchesV1 holds the lpt policy to the paper's
+// dynamic load balancer: after every call the next plan is exactly
+// sched.LPT over the measured per-file costs (FileTimes), as whole-file
+// items, and the residuals stay bit-identical to the serial path.
 func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 	m := decayModel(t)
 	counts := []int{25, 10, 40, 5, 15}
@@ -114,56 +71,39 @@ func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := New(m, makeFiles(1.1, counts), Config{Ranks: 3, LoadBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := New(m, makeFiles(1.1, counts), Config{
+	lpt, err := New(m, makeFiles(1.1, counts), Config{
 		Ranks: 3,
-		Sched: &sched.Config{Rebalance: true, Policy: sched.PolicyLPT},
+		Sched: &sched.Config{Policy: sched.PolicyLPT},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call, k := range []float64{1.1, 1.4, 0.8} {
 		rs := make([]float64, serial.ResidualDim())
-		r1 := make([]float64, v1.ResidualDim())
-		r2 := make([]float64, v2.ResidualDim())
+		rl := make([]float64, lpt.ResidualDim())
 		if err := serial.Objective([]float64{k}, rs); err != nil {
 			t.Fatal(err)
 		}
-		if err := v1.Objective([]float64{k}, r1); err != nil {
+		if err := lpt.Objective([]float64{k}, rl); err != nil {
 			t.Fatal(err)
 		}
-		if err := v2.Objective([]float64{k}, r2); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(rl, rs) {
+			t.Fatalf("call %d: lpt residuals diverged from serial", call)
 		}
-		if !reflect.DeepEqual(r2, rs) {
-			t.Fatalf("call %d: sched residuals diverged from serial", call)
-		}
-		if !reflect.DeepEqual(v1.FileTimes(), v2.FileTimes()) {
-			t.Fatalf("call %d: measured file costs diverged", call)
-		}
-		// v1's next assignment vs the v2 plan's per-rank file lists.
-		want := v1.Assignment()
+		want := sched.LPT(lpt.FileTimes(), 3)
 		got := make([][]int, 0, len(want))
-		for _, plan := range v2.Plans() {
-			fis := []int{}
+		for _, plan := range lpt.Plans() {
+			var fis []int
 			for _, it := range plan {
-				if it.Lo != 0 || it.Hi != counts[it.File] {
+				if it.IsSplit(counts[it.File]) {
 					t.Fatalf("call %d: PolicyLPT produced a split item %+v", call, it)
 				}
 				fis = append(fis, it.File)
 			}
 			got = append(got, fis)
 		}
-		for r := range want {
-			if want[r] == nil {
-				want[r] = []int{}
-			}
-		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("call %d: plans %v, v1 assignment %v", call, got, want)
+			t.Fatalf("call %d: plans %v, LPT over measured costs %v", call, got, want)
 		}
 	}
 }
@@ -192,7 +132,7 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	e, err := New(m, makeFiles(1.0, counts), Config{
 		Ranks:         1, // single rank: the poisoned closure is not thread-safe
 		FaultTolerant: true,
-		Sched:         &sched.Config{Rebalance: true, Alpha: 0.5},
+		Sched:         &sched.Config{Alpha: 0.5},
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -234,7 +174,7 @@ func TestSchedPreludeRunsFollowPlan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e, err := New(decayModel(t), makeFiles(1.0, []int{20}), Config{
 		Ranks:   2,
-		Sched:   &sched.Config{Rebalance: true, Lanes: 2, Steal: true},
+		Sched:   &sched.Config{Lanes: 2, Steal: true},
 		Metrics: reg,
 	})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/opt"
+	"rms/internal/sched"
 	"rms/internal/vulcan"
 )
 
@@ -180,7 +181,7 @@ func TestEstimationRecoversVulcanizationRates(t *testing.T) {
 		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "f2", Records: 50, T0: 0, T1: 1.5, Seed: 1}),
 	}
 	model := res.Model(prop, ode.Options{RTol: 1e-9, ATol: 1e-12})
-	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, LoadBalance: true})
+	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
 	if err != nil {
 		t.Fatal(err)
 	}

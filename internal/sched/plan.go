@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// LPT is the deterministic longest-processing-time assignment from the
-// v1 load balancer: items sorted by cost non-increasing (ties broken by
-// lower index), each placed on the currently least-loaded rank (ties
-// broken by lower rank). Returns per-rank item-index lists in placement
-// order. This is the exact algorithm estimator.AssignLPT shipped in
-// PR 1; the estimator now delegates here, and the parity property test
-// holds Plan with a constant cost model to this function's output.
+// LPT is the paper's deterministic longest-processing-time assignment:
+// items sorted by cost non-increasing (ties broken by lower index), each
+// placed on the currently least-loaded rank (ties broken by lower rank).
+// Returns per-rank item-index lists in placement order. The parity
+// property test holds Plan with a constant cost model to this
+// function's output.
 func LPT(costs []float64, ranks int) [][]int {
 	order := make([]int, len(costs))
 	for i := range order {

@@ -41,8 +41,8 @@ const (
 	// re-plans: the paper's static LPT baseline, at file granularity.
 	PolicyStatic
 	// PolicyLPT re-plans every call by LPT over the raw last-measured
-	// costs, with no smoothing and no splitting — exact parity with the
-	// PR 1 dynamic load balancer, expressed on the v2 machinery.
+	// costs, with no smoothing and no splitting — the paper's dynamic
+	// load balancer.
 	PolicyLPT
 )
 
@@ -71,13 +71,10 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("sched: unknown policy %q", s)
 }
 
-// Config shapes the v2 scheduler. The zero value is NOT enabled: the
-// estimator treats a nil config or Rebalance: false as "keep the v1
-// behavior exactly".
+// Config shapes the scheduler. The zero value is the default EWMA
+// scheduler with one lane; the estimator's nil config is the paper's
+// static block distribution instead.
 type Config struct {
-	// Rebalance is the master switch. Off means the owning component
-	// must behave exactly as if no scheduler were configured.
-	Rebalance bool
 	// Policy selects the re-planning rule (default PolicyEWMA).
 	Policy Policy
 	// Alpha is the EWMA weight of a new measurement in (0, 1]; 0 takes
@@ -118,7 +115,7 @@ func (c Config) WithDefaults() Config {
 		c.Lanes = 1
 	}
 	if c.Policy == PolicyLPT || c.Policy == PolicyStatic {
-		// v1 parity and the static baseline are file-granularity
+		// The dynamic and static LPT baselines are file-granularity
 		// policies: they never split.
 		c.SplitShare = 0
 	}

@@ -59,6 +59,87 @@ func TestLPTMatchesReference(t *testing.T) {
 	}
 }
 
+// lptMakespan is the maximum per-rank total time of an LPT assignment.
+func lptMakespan(assign [][]int, times []float64) float64 {
+	worst := 0.0
+	for _, files := range assign {
+		s := 0.0
+		for _, fi := range files {
+			s += times[fi]
+		}
+		worst = math.Max(worst, s)
+	}
+	return worst
+}
+
+func TestLPTKnown(t *testing.T) {
+	// Times 5,4,3,3,2,1 over 2 ranks: LPT gives makespan 9 (optimal).
+	times := []float64{5, 4, 3, 3, 2, 1}
+	if ms := lptMakespan(LPT(times, 2), times); ms != 9 {
+		t.Errorf("LPT makespan = %v, want 9", ms)
+	}
+}
+
+// Properties of LPT: within the greedy list-scheduling guarantee
+// sum/m + (1-1/m)·max, never below the lower bounds max(t_i) and sum/m,
+// and every file assigned exactly once. (LPT is a heuristic: a specific
+// static block layout can occasionally beat it, so no pairwise dominance
+// is asserted; the estimator's TestLoadBalanceImproves checks the win on
+// realistic imbalance.)
+func TestLPTProperties(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nf := 1 + rng.Intn(20)
+		ranks := 1 + rng.Intn(8)
+		times := make([]float64, nf)
+		sum, maxT := 0.0, 0.0
+		for i := range times {
+			times[i] = rng.Float64()*10 + 0.1
+			sum += times[i]
+			maxT = math.Max(maxT, times[i])
+		}
+		a := LPT(times, ranks)
+		lpt := lptMakespan(a, times)
+		lower := math.Max(maxT, sum/float64(ranks))
+		bound := sum/float64(ranks) + (1-1/float64(ranks))*maxT
+		if lpt < lower-1e-9 || lpt > bound+maxT*1e-9 {
+			t.Logf("LPT %v outside [%v, %v]", lpt, lower, bound)
+			return false
+		}
+		seen := make(map[int]bool)
+		for _, files := range a {
+			for _, fi := range files {
+				if seen[fi] {
+					return false
+				}
+				seen[fi] = true
+			}
+		}
+		return len(seen) == nf
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// With all-equal times the index tie-break makes the sorted order
+// exactly 0..n-1 and the least-loaded-rank rule (ties to the lower rank)
+// deals files round-robin, so the assignment is known in closed form.
+func TestLPTDeterministicUnderTies(t *testing.T) {
+	times := make([]float64, 11)
+	for i := range times {
+		times[i] = 3.5
+	}
+	const ranks = 4
+	for r, files := range LPT(times, ranks) {
+		for j, fi := range files {
+			if fi != j*ranks+r {
+				t.Fatalf("rank %d file %d = %d, want round-robin %d", r, j, fi, j*ranks+r)
+			}
+		}
+	}
+}
+
 // filesOf flattens an item plan back to per-rank file-index lists.
 func filesOf(plans [][]Item) [][]int {
 	out := make([][]int, len(plans))
@@ -218,7 +299,7 @@ func TestSplitDominant(t *testing.T) {
 }
 
 func TestWithDefaults(t *testing.T) {
-	c := Config{Rebalance: true, SplitShare: 0.25}.WithDefaults()
+	c := Config{SplitShare: 0.25}.WithDefaults()
 	if c.Alpha != 0.3 || c.MaxParts != 4 || c.Lanes != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}

@@ -74,7 +74,7 @@ func TestReplayExactRebalanceDecision(t *testing.T) {
 		{10, 90}, // round 0: planner believes seeds {100,10}
 		{10, 90}, // round 1: planner has observed round 0
 	}
-	rounds := Replay(Config{Rebalance: true, Alpha: 0.5}, recs, 2, trace)
+	rounds := Replay(Config{Alpha: 0.5}, recs, 2, trace)
 
 	// Round 0 plans on seeds: file 0 (cost 100) → rank 0, file 1 → rank 1.
 	r0 := rounds[0]
@@ -116,7 +116,7 @@ func TestReplayExactSplitDecision(t *testing.T) {
 		{80, 10, 10},
 		{80, 10, 10},
 	}
-	cfg := Config{Rebalance: true, Alpha: 1, SplitShare: 0.4, MaxParts: 4}
+	cfg := Config{Alpha: 1, SplitShare: 0.4, MaxParts: 4}
 	rounds := Replay(cfg, recs, 2, trace)
 
 	// Round 0: seeds are {8,4,4}; file 0 is 8/16 = exactly 0.5 > 0.4 of
@@ -169,7 +169,7 @@ func TestReplayEWMAConvergenceAfterShift(t *testing.T) {
 		}
 		trace = append(trace, []float64{c, 30})
 	}
-	rounds := Replay(Config{Rebalance: true, Alpha: 0.5}, recs, 2, trace)
+	rounds := Replay(Config{Alpha: 0.5}, recs, 2, trace)
 
 	// Pre-shift: converged after the first observation (constant costs).
 	if p := rounds[2].Predictions[0]; p != before {
@@ -216,9 +216,9 @@ func TestReplayPolicies(t *testing.T) {
 		{5, 40, 40},
 		{5, 40, 40},
 	}
-	static := Replay(Config{Rebalance: true, Policy: PolicyStatic}, recs, 2, trace)
-	lpt := Replay(Config{Rebalance: true, Policy: PolicyLPT}, recs, 2, trace)
-	ewma := Replay(Config{Rebalance: true, Policy: PolicyEWMA, Alpha: 0.5}, recs, 2, trace)
+	static := Replay(Config{Policy: PolicyStatic}, recs, 2, trace)
+	lpt := Replay(Config{Policy: PolicyLPT}, recs, 2, trace)
+	ewma := Replay(Config{Policy: PolicyEWMA, Alpha: 0.5}, recs, 2, trace)
 
 	// Static: identical plans every round, makespan stuck at 80 (both
 	// 40-cost files land on rank 1, which seeded as the light rank).
@@ -250,7 +250,7 @@ func TestReplayDeterministic(t *testing.T) {
 		{70, 5, 9, 4, 13, 3, 8, 7},
 		{85, 4, 6, 6, 12, 2, 10, 5},
 	}
-	cfg := Config{Rebalance: true, Alpha: 0.4, SplitShare: 0.3, MaxParts: 3, Lanes: 2, Steal: true}
+	cfg := Config{Alpha: 0.4, SplitShare: 0.3, MaxParts: 3, Lanes: 2, Steal: true}
 	first := Replay(cfg, recs, 4, trace)
 	for run := 1; run < 3; run++ {
 		again := Replay(cfg, recs, 4, trace)

@@ -75,8 +75,7 @@ func (s *SchedSpec) toConfig() (*sched.Config, error) {
 		return nil, nil
 	}
 	cfg := &sched.Config{
-		Rebalance: true, Alpha: s.Alpha,
-		SplitShare: s.SplitShare, MaxParts: s.MaxParts,
+		Alpha: s.Alpha, SplitShare: s.SplitShare, MaxParts: s.MaxParts,
 		Lanes: s.Lanes, Steal: s.Steal,
 	}
 	if s.Policy != "" {
@@ -107,7 +106,9 @@ type FitRequest struct {
 	RTol float64 `json:"rtol,omitempty"`
 	ATol float64 `json:"atol,omitempty"`
 
-	// Parallel-runtime shape (estimator.Config).
+	// Parallel-runtime shape (estimator.Config). LoadBalance is the
+	// paper's dynamic load balancer, sched policy "lpt"; a request gives
+	// it or Sched, not both.
 	Ranks       int        `json:"ranks,omitempty"` // default 1
 	LoadBalance bool       `json:"lb,omitempty"`
 	Batch       bool       `json:"batch,omitempty"`
@@ -226,6 +227,29 @@ func property(cm *CompiledModel, name string) (func(y []float64) float64, error)
 	return nil, fmt.Errorf("service: unknown property %q (sum|crosslink)", name)
 }
 
+// estConfig resolves the request's parallel-runtime shape to a validated
+// estimator config; the handler runs it before queueing, so a shape the
+// estimator cannot honour is the client's 400, not a failed job.
+func (req *FitRequest) estConfig() (estimator.Config, error) {
+	cfg := estimator.Config{Ranks: req.Ranks, Batch: req.Batch}
+	if cfg.Ranks == 0 {
+		cfg.Ranks = 1
+	}
+	if req.LoadBalance {
+		if req.Sched != nil {
+			return cfg, fmt.Errorf(`service: give either lb or sched, not both (lb is sched policy "lpt")`)
+		}
+		cfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
+	} else {
+		sc, err := req.Sched.toConfig()
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Sched = sc
+	}
+	return cfg, cfg.Validate()
+}
+
 // RunFit fits the model's rate constants to the request's data. It is
 // the single estimation code path: rmsrun wraps it with table output
 // and checkpoint files, the rmsd job runner with JSON results.
@@ -242,7 +266,7 @@ func RunFit(cm *CompiledModel, req FitRequest, fo FitOpts) (*FitOutcome, error) 
 	if err != nil {
 		return nil, err
 	}
-	schedCfg, err := req.Sched.toConfig()
+	ecfg, err := req.estConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -261,19 +285,13 @@ func RunFit(cm *CompiledModel, req FitRequest, fo FitOpts) (*FitOutcome, error) 
 	if req.ATol == 0 {
 		req.ATol = 1e-12
 	}
-	if req.Ranks == 0 {
-		req.Ranks = 1
-	}
 
 	model := cm.Res.Model(prop, ode.Options{RTol: req.RTol, ATol: req.ATol})
 	// Share the cached symbolic factorization: solves fork it instead
 	// of re-running the ordering and fill analysis per request.
 	model.SymbolicLU = cm.LU
-	est, err := estimator.New(model, files, estimator.Config{
-		Ranks: req.Ranks, LoadBalance: req.LoadBalance,
-		Batch: req.Batch, Sched: schedCfg,
-		Trace: fo.Tracer, Metrics: fo.Registry, Budget: fo.Budget, Log: fo.Log,
-	})
+	ecfg.Trace, ecfg.Metrics, ecfg.Budget, ecfg.Log = fo.Tracer, fo.Registry, fo.Budget, fo.Log
+	est, err := estimator.New(model, files, ecfg)
 	if err != nil {
 		return nil, err
 	}

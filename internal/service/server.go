@@ -293,6 +293,10 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
+	if _, err := req.estConfig(); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	s.submit(w, r, "fit", wireDeadline(req.DeadlineMS), func(j *Job) (any, error) {
 		cm, err := s.resolve(req.Model, req.Spec)
 		if err != nil {

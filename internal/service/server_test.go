@@ -307,6 +307,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/models", `{"kind": "rdl", "sources": "x"}`, 400},
 		{"array body", "/v1/fit", `[1,2,3]`, 400},
 		{"retired workers field", "/v1/fit", `{"workers": 2}`, 400},
+		{"lb with sched", "/v1/fit", `{"lb": true, "sched": {"policy": "ewma"}}`, 400},
+		{"batch with steal", "/v1/fit", `{"batch": true, "sched": {"lanes": 2, "steal": true}}`, 400},
 		{"empty body", "/v1/verify", ``, 400},
 		{"huge body", "/v1/models", `{"kind": "rdl", "source": "` + strings.Repeat("x", maxBodyBytes) + `"}`, 400},
 	}
