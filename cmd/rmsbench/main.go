@@ -5,7 +5,6 @@
 //	rmsbench -table 1            # Table 1, scaled sizes with timing
 //	rmsbench -table 1 -full      # Table 1, paper-scale op counts (slow)
 //	rmsbench -table 2            # Table 2, parallel speedup sweep
-//	rmsbench -batch              # serial vs batched SoA RHS eval sweep
 //	rmsbench -sparse             # dense vs sparse Jacobian build+factor
 //	rmsbench -sparse -variants 1000  # same, one custom system size
 //	rmsbench -ablate             # optimizer-pass ablation study
@@ -41,12 +40,12 @@ import (
 
 // benchConfig selects which benches run and how they report.
 type benchConfig struct {
-	table                                            int
-	full, ablate, sweep, batch, sparse, faults, skew bool
-	rate                                             float64
-	variants, evalMs, ranks, lanes                   int
-	jsonOut                                          bool
-	obs                                              telemetry.CLI
+	table                                     int
+	full, ablate, sweep, sparse, faults, skew bool
+	rate                                      float64
+	variants, evalMs, ranks, lanes            int
+	jsonOut                                   bool
+	obs                                       telemetry.CLI
 }
 
 // report is the -json document: one optional section per bench, plus the
@@ -54,7 +53,6 @@ type benchConfig struct {
 type report struct {
 	Table1   []bench.Table1Row       `json:"table1,omitempty"`
 	Table2   []bench.Table2Row       `json:"table2,omitempty"`
-	Batch    []bench.BatchRow        `json:"batch,omitempty"`
 	Sparse   []bench.SparseRow       `json:"sparse,omitempty"`
 	Faults   []bench.FaultsRow       `json:"faults,omitempty"`
 	Skew     []bench.SkewRow         `json:"skew,omitempty"`
@@ -78,14 +76,13 @@ func main() {
 	flag.BoolVar(&cfg.full, "full", false, "table 1: paper-scale sizes (static counts only)")
 	flag.BoolVar(&cfg.ablate, "ablate", false, "run the optimizer ablation study")
 	flag.BoolVar(&cfg.sweep, "sweep", false, "run the workload-redundancy sensitivity sweep")
-	flag.BoolVar(&cfg.batch, "batch", false, "compare serial vs batched SoA tape evaluation across batch widths")
 	flag.BoolVar(&cfg.sparse, "sparse", false, "compare dense vs sparse Jacobian build + factorization")
 	flag.BoolVar(&cfg.faults, "faults", false, "measure fault-tolerance recovery overhead under injected failures")
 	flag.Float64Var(&cfg.rate, "rate", 0, "-faults: transient per-file-solve failure rate (0 = default 0.05)")
 	flag.BoolVar(&cfg.skew, "skew", false, "measure scheduler scaling on skewed workloads (static vs lpt vs sched)")
 	flag.IntVar(&cfg.ranks, "ranks", 0, "-skew: simulated rank count (0 = default 4)")
 	flag.IntVar(&cfg.lanes, "lanes", 0, "-skew: work-stealing lanes per rank (0 = default 2)")
-	flag.IntVar(&cfg.variants, "variants", 0, "-batch/-sparse/-faults/-skew: system size (0 = defaults)")
+	flag.IntVar(&cfg.variants, "variants", 0, "-sparse/-faults/-skew: system size (0 = defaults)")
 	flag.IntVar(&cfg.evalMs, "evalms", 300, "milliseconds of timing per configuration")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON results on stdout")
 	flag.StringVar(&trace, "trace", "", "write a Chrome trace-event file of the estimator-driven benches")
@@ -163,19 +160,6 @@ func run(w io.Writer, cfg benchConfig) error {
 		rep.Table2 = rows
 		fmt.Fprintln(text, "Table 2 — parallel objective over 16 data files (modeled parallel seconds)")
 		fmt.Fprint(text, bench.FormatTable2(rows))
-	}
-	if cfg.batch {
-		did = true
-		rows, err := bench.BatchEval(bench.BatchConfig{
-			Variants:    cfg.variants,
-			MinEvalTime: time.Duration(cfg.evalMs) * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Batch = rows
-		fmt.Fprintln(text, "Batched SoA tape evaluation vs the serial interpreter (per-state throughput)")
-		fmt.Fprint(text, bench.FormatBatch(rows))
 	}
 	if cfg.sparse {
 		did = true

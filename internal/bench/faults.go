@@ -48,7 +48,7 @@ type FaultsRow struct {
 	// Recovery counts the fault-tolerance interventions performed.
 	Recovery estimator.RecoveryStats
 	// Degrade counts the graceful-degradation ladder activations
-	// (sparse→dense, batch→serial, ewma→lpt, watchdog timeouts).
+	// (sparse→dense, ewma→lpt, watchdog timeouts).
 	Degrade estimator.DegradeStats
 }
 
@@ -212,7 +212,6 @@ func formatDegrade(d estimator.DegradeStats) string {
 	}
 	add("tmo", d.SolveTimeouts)
 	add("sparse", d.SparseToDense)
-	add("batch", d.BatchSerial)
 	add("lpt", d.SchedStatic)
 	if len(parts) == 0 {
 		return "none"

@@ -243,8 +243,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 	// A run checkpoint written by a 2-rank load-balanced fit, interrupted
 	// at iteration 2, from before the lpt policy replaced the load-balance
 	// flag: its estimator state holds a legacy assignment and no cost
-	// model. It restores into the lpt estimator as whole-file plans, and
-	// the next objective call equals a fresh estimator's bit for bit.
+	// model, which the lpt estimator restores as whole-file plans.
 	lb, err := LoadRun(filepath.Join("testdata", "run_lb_v1.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -259,28 +258,48 @@ func TestRunStateRoundTrip(t *testing.T) {
 		lbFiles = append(lbFiles, f)
 	}
 	lpt := estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}}
-	next := func(restore bool) []float64 {
+
+	// A run checkpoint written by a 2-rank fit on the lpt schedule whose
+	// lanes solved their files as one lockstep batch, interrupted at
+	// iteration 2 after an injected one-attempt file fault sent the batch
+	// to the per-file path, from before per-file solves became the only
+	// kind: its degradation ledger carries the retired batch→serial count
+	// (1), which decoding skips.
+	batch, err := LoadRun(filepath.Join("testdata", "run_batch_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each restores into the lpt estimator, and the next objective call
+	// equals a fresh estimator's bit for bit.
+	next := func(name string, st *RunState, x []float64) []float64 {
 		t.Helper()
 		e, err := estimator.New(model, lbFiles, lpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restore {
-			if err := e.Restore(lb.Est); err != nil {
-				t.Fatalf("restore of a load-balanced estimator state: %v", err)
+		if st != nil {
+			if err := e.Restore(st.Est); err != nil {
+				t.Fatalf("restore of the %s estimator state: %v", name, err)
 			}
 			if e.Calls() != 5 || !reflect.DeepEqual(planFiles(e.Plans()), [][]int{{0}, {2, 1}}) {
-				t.Errorf("restored calls %d, plans %v; want 5, [[0] [2 1]]", e.Calls(), planFiles(e.Plans()))
+				t.Errorf("%s: restored calls %d, plans %v; want 5, [[0] [2 1]]", name, e.Calls(), planFiles(e.Plans()))
 			}
 		}
 		r := make([]float64, e.ResidualDim())
-		if err := e.Objective(lb.Opt.X, r); err != nil {
+		if err := e.Objective(x, r); err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	if got, want := next(true), next(false); !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed call %v, fresh estimator %v", got, want)
+	for _, c := range []struct {
+		name string
+		st   *RunState
+	}{{"load-balanced", &lb}, {"batch", &batch}} {
+		x := c.st.Opt.X
+		if got, want := next(c.name, c.st, x), next(c.name, nil, x); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: resumed call %v, fresh estimator %v", c.name, got, want)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package codegen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"rms/internal/eqgen"
 	"rms/internal/network"
 	"rms/internal/opt"
+	"rms/internal/telemetry"
 )
 
 func compileSystem(t testing.TB, sys *eqgen.System, o opt.Options) *Program {
@@ -89,5 +91,33 @@ func TestPreludeRunsWithNoRateConstants(t *testing.T) {
 	ev.Eval([]float64{3}, nil, dy)
 	if dy[0] != 12 {
 		t.Errorf("dy = %v, want 12 (prelude skipped on first evaluation?)", dy[0])
+	}
+}
+
+// TestSerialPreludeCacheNaN: tape.prelude_runs stays at 1 across
+// repeated evaluations with a NaN-containing k (the optimizer's penalty
+// path), instead of rerunning every time because NaN != NaN.
+func TestSerialPreludeCacheNaN(t *testing.T) {
+	sys := familySystem(4)
+	prog := compileSystem(t, sys, opt.Full())
+	ev := prog.NewEvaluator()
+	reg := telemetry.NewRegistry()
+	ev.Observe(reg)
+	preludes := reg.Counter("tape.prelude_runs")
+
+	y := make([]float64, prog.NumY)
+	for i := range y {
+		y[i] = 0.5
+	}
+	k := make([]float64, prog.NumK)
+	for j := range k {
+		k[j] = math.NaN()
+	}
+	dy := make([]float64, prog.NumY)
+	for rep := 0; rep < 5; rep++ {
+		ev.Eval(y, k, dy)
+	}
+	if got := preludes.Value(); got != 1 {
+		t.Fatalf("tape.prelude_runs = %d after 5 evals with constant NaN k, want 1", got)
 	}
 }

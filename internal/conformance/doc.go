@@ -13,7 +13,10 @@
 //     evaluation;
 //   - dense vs sparse Newton trajectories through the stiff solver;
 //   - the Go tape vs the generated-C kernel recompiled by ccomp;
-//   - single-rank vs multi-rank estimator residuals, exactly.
+//   - single-rank vs multi-rank estimator residuals, the serial vs the
+//     work-stealing scheduler, a checkpoint-resumed run vs the
+//     uninterrupted one, and the HTTP service vs the inline pipeline,
+//     all exactly.
 //
 // It also checks metamorphic properties that need no oracle at all:
 // species-permutation invariance, rate-constant/time rescaling

@@ -27,7 +27,7 @@ import (
 // (shared tape, forked symbolic LU) and the JSON float64 wire encoding
 // are both exactness-preserving by design, so any divergence at all is
 // a service-layer bug altering numerics. The fit comparison covers the
-// serial, batched-SoA and v2-scheduler (ewma) estimator paths.
+// serial and v2-scheduler (ewma) estimator paths.
 func stageService(cs *Case, rec *Recorder, _ float64) error {
 	spec := service.ModelSpec{Kind: service.KindNet, Source: network.FormatText(cs.Net)}
 	eng := service.NewEngine(nil, nil)
@@ -107,11 +107,6 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 			name: "serial", files: conformanceFiles,
 			ecfg: estimator.Config{Ranks: 1},
 			req:  service.FitRequest{Ranks: 1},
-		},
-		{
-			name: "batch", files: conformanceFiles,
-			ecfg: estimator.Config{Ranks: 2, Batch: true},
-			req:  service.FitRequest{Ranks: 2, Batch: true},
 		},
 		{
 			name: "sched-ewma", files: skewedFiles,

@@ -43,11 +43,10 @@ var Stages = []Stage{
 	{"tape", "optimized tree vs compiled tape (and prelude k-swap reuse)", true, stageTape},
 	{"jacobian", "analytic Jacobian vs finite differences; dense vs CSR", true, stageJacobian},
 	{"newton", "dense vs sparse Newton trajectories (stiff solver)", true, stageNewton},
-	{"batch", "serial vs batched SoA tape and lockstep batched BDF", true, stageBatch},
 	{"ccomp", "Go tape vs generated-C kernel recompiled at -O0 and -O4", true, stageCComp},
 	{"estimator", "single-rank vs multi-rank estimator residuals", true, stageEstimator},
 	{"sched", "serial vs work-stealing rebalanced scheduler residuals (exact)", true, stageSched},
-	{"resume", "checkpoint/resume bit-identity on serial, sched and batched paths", true, stageResume},
+	{"resume", "checkpoint/resume bit-identity on serial and sched paths", true, stageResume},
 	{"permute", "species-permutation invariance of compiled evaluation", true, stagePermute},
 	{"scalek", "rate-constant/time rescaling equivalence", true, stageScaleK},
 	{"conserve", "conservation-law residuals of dy and of trajectories", true, stageConserve},
@@ -215,116 +214,6 @@ func stageNewton(cs *Case, rec *Recorder, _ float64) error {
 		rec.Failf("sparse-configured solver stayed dense")
 	}
 	rec.CheckVec("y(1) dense-vs-sparse", yDense, ySparse, 1e-6)
-	return nil
-}
-
-// --- Batched evaluation and lockstep solves ---
-
-// stageBatch checks the batched SoA layer against the serial one at both
-// levels: the batched tape sweep must match per-lane serial evaluation
-// bit for bit (including the per-lane prelude cache on repeat
-// evaluations), a lockstep batched BDF solve of identical lanes must
-// reproduce the serial trajectory exactly, and heterogeneous lanes must
-// land on their per-lane serial solutions to integration tolerance (the
-// lockstep step control max-reduces error norms, so step sequences
-// differ).
-func stageBatch(cs *Case, rec *Recorder, _ float64) error {
-	n := len(cs.Y)
-	ev := cs.Tape.NewEvaluator()
-
-	// Batched tape sweep vs per-lane serial evaluation, varied y and k
-	// per lane so every lane is a distinct state.
-	const b = 5
-	ySoA := make([]float64, n*b)
-	kSoA := make([]float64, len(cs.K)*b)
-	want := make([][]float64, b)
-	yl := make([]float64, n)
-	kl := make([]float64, len(cs.K))
-	for l := 0; l < b; l++ {
-		for i, v := range cs.Y {
-			yl[i] = v * (1 + 0.05*float64(l))
-		}
-		for j, v := range cs.K {
-			kl[j] = v * (1 + 0.02*float64(l))
-		}
-		codegen.ScatterLane(ySoA, b, l, yl)
-		codegen.ScatterLane(kSoA, b, l, kl)
-		want[l] = make([]float64, n)
-		ev.Eval(yl, kl, want[l])
-	}
-	bev := cs.Tape.NewBatchEvaluator(b)
-	dy := make([]float64, n*b)
-	bev.EvalBatch(ySoA, kSoA, dy)
-	got := make([]float64, n)
-	for l := 0; l < b; l++ {
-		codegen.GatherLane(got, dy, b, l)
-		rec.CheckVec(fmt.Sprintf("dy serial-vs-batch lane%d", l), want[l], got, -1)
-	}
-	// Repeat with unchanged k: the per-lane prelude cache path must
-	// reproduce the first sweep exactly.
-	bev.EvalBatch(ySoA, kSoA, dy)
-	for l := 0; l < b; l++ {
-		codegen.GatherLane(got, dy, b, l)
-		rec.CheckVec(fmt.Sprintf("dy batch-prelude-cache lane%d", l), want[l], got, -1)
-	}
-
-	// Lockstep batched BDF, identical lanes: bit-equal to the serial
-	// solver (same arithmetic, same step-control decisions).
-	opts := ode.Options{RTol: 1e-8, ATol: 1e-11}
-	rhs := func(_ float64, y, dy []float64) { ev.Eval(y, cs.K, dy) }
-	serialY := append([]float64(nil), cs.Y...)
-	if err := ode.NewBDF(rhs, n, opts).Integrate(0, 1.0, serialY); err != nil {
-		return fmt.Errorf("batch serial solve: %w", err)
-	}
-	const bb = 3
-	bev2 := cs.Tape.NewBatchEvaluator(bb)
-	kSoA2 := make([]float64, len(cs.K)*bb)
-	ySoA2 := make([]float64, n*bb)
-	for l := 0; l < bb; l++ {
-		codegen.ScatterLane(kSoA2, bb, l, cs.K)
-		codegen.ScatterLane(ySoA2, bb, l, cs.Y)
-	}
-	bs := ode.NewBatchBDF(func(_ float64, y, dy []float64) {
-		bev2.EvalBatch(y, kSoA2, dy)
-	}, n, bb, ode.BatchOptions{Options: opts})
-	if err := bs.Integrate(0, 1.0, ySoA2); err != nil {
-		return fmt.Errorf("batch lockstep solve: %w", err)
-	}
-	lane := make([]float64, n)
-	for l := 0; l < bb; l++ {
-		codegen.GatherLane(lane, ySoA2, bb, l)
-		rec.CheckVec(fmt.Sprintf("y(1) serial-vs-batchbdf lane%d", l), serialY, lane, -1)
-	}
-
-	// Heterogeneous lanes vs per-lane serial solves, on a subset of cases
-	// (bb+1 extra stiff solves).
-	if cs.Seed%2 != 0 {
-		return nil
-	}
-	bev3 := cs.Tape.NewBatchEvaluator(bb)
-	for l := 0; l < bb; l++ {
-		for i, v := range cs.Y {
-			yl[i] = v * (1 + 0.1*float64(l))
-		}
-		codegen.ScatterLane(ySoA2, bb, l, yl)
-	}
-	hs := ode.NewBatchBDF(func(_ float64, y, dy []float64) {
-		bev3.EvalBatch(y, kSoA2, dy)
-	}, n, bb, ode.BatchOptions{Options: ode.Options{RTol: 1e-9, ATol: 1e-12}})
-	if err := hs.Integrate(0, 1.0, ySoA2); err != nil {
-		return fmt.Errorf("batch heterogeneous solve: %w", err)
-	}
-	for l := 0; l < bb; l++ {
-		for i, v := range cs.Y {
-			yl[i] = v * (1 + 0.1*float64(l))
-		}
-		ys := append([]float64(nil), yl...)
-		if err := ode.NewBDF(rhs, n, ode.Options{RTol: 1e-9, ATol: 1e-12}).Integrate(0, 1.0, ys); err != nil {
-			return fmt.Errorf("batch per-lane serial solve %d: %w", l, err)
-		}
-		codegen.GatherLane(lane, ySoA2, bb, l)
-		rec.CheckVec(fmt.Sprintf("y(1) hetero lane%d", l), ys, lane, 1e-5)
-	}
 	return nil
 }
 
@@ -507,9 +396,9 @@ func stageSched(cs *Case, rec *Recorder, _ float64) error {
 // (JSON + content hash, exactly what lands on disk), and restored into a
 // freshly-constructed estimator must produce the same remaining
 // residual vectors as the uninterrupted run — exactly, not to a
-// tolerance. Covered paths: serial single-rank, v2 work-stealing
-// scheduler (cost model, plans and policy all travel in the snapshot),
-// and the batched lockstep BDF path.
+// tolerance. Covered paths: serial single-rank and the v2
+// work-stealing scheduler (cost model, plans and policy all travel in
+// the snapshot).
 func stageResume(cs *Case, rec *Recorder, _ float64) error {
 	prop := func(y []float64) float64 {
 		s := 0.0
@@ -545,7 +434,6 @@ func stageResume(cs *Case, rec *Recorder, _ float64) error {
 				Lanes: 2, Steal: true,
 			}}
 		}},
-		{"batch", func() estimator.Config { return estimator.Config{Ranks: 2, Batch: true} }},
 	}
 	for _, v := range variants {
 		run := func(e *estimator.Estimator, from, to int) ([][]float64, error) {

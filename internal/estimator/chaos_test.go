@@ -20,8 +20,8 @@ import (
 
 // TestChaosAllLaddersFire runs one scenario per degradation ladder into
 // a shared telemetry registry and then demands every degrade.* counter
-// incremented: sparse→dense LU, batch→serial, ewma→lpt, and the
-// attempt-watchdog timeout.
+// incremented: sparse→dense LU, ewma→lpt, and the attempt-watchdog
+// timeout.
 func TestChaosAllLaddersFire(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	solve := func(e *Estimator, calls int) {
@@ -54,21 +54,7 @@ func TestChaosAllLaddersFire(t *testing.T) {
 		t.Errorf("SparseToDense = %d, want >= 1", got)
 	}
 
-	// Ladder 2: batched BDF → per-lane serial, via an injected batch
-	// fault that clears on the serial re-solve.
-	e, err = New(decayModel(t), makeFiles(1.0, []int{20, 25}), Config{
-		Ranks: 1, Batch: true, Metrics: reg,
-		Faults: faults.NewPlan(7).FlakyFile(1, 0, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve(e, 1)
-	if got := e.Degrade().BatchSerial; got != 1 {
-		t.Errorf("BatchSerial = %d, want 1", got)
-	}
-
-	// Ladder 3: sched ewma → static LPT, via heavy lane-cost jitter the
+	// Ladder 2: sched ewma → static LPT, via heavy lane-cost jitter the
 	// EWMA cost model cannot track.
 	e, err = New(decayModel(t), makeFiles(1.0, []int{30, 20, 25, 35}), Config{
 		Ranks:   2,
@@ -100,8 +86,7 @@ func TestChaosAllLaddersFire(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		"degrade.sparse_to_dense", "degrade.batch_serial",
-		"degrade.sched_static", "degrade.solve_timeout",
+		"degrade.sparse_to_dense", "degrade.sched_static", "degrade.solve_timeout",
 	} {
 		if v := reg.Counter(name).Value(); v < 1 {
 			t.Errorf("counter %s = %d, want >= 1", name, v)

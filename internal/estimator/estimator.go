@@ -72,24 +72,6 @@ type Model struct {
 type Config struct {
 	// Ranks is the number of simulated MPI processes (nodes in Table 2).
 	Ranks int
-	// Batch is how a lane runs its queued whole-file items: as ONE
-	// lockstep batched BDF integration (ode.NewBatchBDF over
-	// codegen.BatchEvaluator) in which every file is a lane of a
-	// structure-of-arrays batch, so the compiled tape runs once per
-	// corrector iteration for the whole queue instead of once per file,
-	// and batch lanes drop out as their record grids are exhausted. Files
-	// with non-ascending record times run on the per-file path. Batched
-	// residuals agree with serial ones to integration tolerance — the
-	// lockstep step control max-reduces error norms across the batch's
-	// files, so the step sequences differ.
-	//
-	// Batch composes with fault injection through the batch→serial
-	// degradation ladder: a failed (or fault-injected) batched solve is
-	// discarded whole and every file of the lane re-solves on the
-	// per-file path, counted in degrade.batch_serial. New rejects Batch
-	// with FaultTolerant, Sched.Steal or Sched.SplitShare (each needs
-	// per-file items) and with a non-stiff model.
-	Batch bool
 	// Sched shapes the schedule (package sched, docs/load-balancing.md).
 	// Nil is Fig. 9's static distribution: contiguous file blocks
 	// (BLOCK_SIZE()), one lane, no cost model, never re-planned. A
@@ -158,22 +140,18 @@ type estMetrics struct {
 	solveNs    *telemetry.Histogram // modeled successful-solve cost, ns
 	retryNs    *telemetry.Histogram // modeled cost of failed solve attempts, ns
 	stepSize   *telemetry.Histogram // |h| of every adaptive step attempt
+	solver     ode.StatsMetrics     // cumulative solver work
 	imbalance  *telemetry.Gauge     // makespan / mean rank load, last call
 
 	schedSteals, schedSplits, schedReplans *telemetry.Counter
 	costErr                                *telemetry.Histogram // relative cost-model error per file per call
 
-	steps, rejected, fevals, jevals  *telemetry.Counter
-	newtonIters, factorizations      *telemetry.Counter
-	sparseFactorizations             *telemetry.Counter
-	factorOps, solveOps              *telemetry.FloatCounter
 	mpiWaitSec                       *telemetry.FloatCounter
 	retries, penalized, rankFailures *telemetry.Counter
 	watchdogTrips, rerunCalls        *telemetry.Counter
 
 	// Degradation-ladder demotions (see DegradeStats).
-	degradeSparse, degradeBatch  *telemetry.Counter
-	degradeSched, degradeTimeout *telemetry.Counter
+	degradeSparse, degradeSched, degradeTimeout *telemetry.Counter
 }
 
 // costErrBuckets spans relative cost-model misprediction from "converged"
@@ -182,49 +160,32 @@ var costErrBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
 
 func newEstMetrics(reg *telemetry.Registry) estMetrics {
 	return estMetrics{
-		objectives:           reg.Counter("estimator.objective_calls"),
-		fileSolves:           reg.Counter("estimator.file_solves"),
-		solveNs:              reg.Histogram("estimator.file_solve_ns", nil),
-		retryNs:              reg.Histogram("estimator.file_retry_ns", nil),
-		schedSteals:          reg.Counter("sched.steals"),
-		schedSplits:          reg.Counter("sched.splits"),
-		schedReplans:         reg.Counter("sched.replans"),
-		costErr:              reg.Histogram("sched.cost_err_rel", costErrBuckets),
-		stepSize:             ode.StepSizeHistogram(reg),
-		imbalance:            reg.Gauge("estimator.imbalance"),
-		steps:                reg.Counter("ode.steps"),
-		rejected:             reg.Counter("ode.rejected_steps"),
-		fevals:               reg.Counter("ode.fevals"),
-		jevals:               reg.Counter("ode.jevals"),
-		newtonIters:          reg.Counter("ode.newton_iters"),
-		factorizations:       reg.Counter("ode.factorizations"),
-		sparseFactorizations: reg.Counter("ode.sparse_factorizations"),
-		factorOps:            reg.FloatCounter("ode.factor_ops"),
-		solveOps:             reg.FloatCounter("ode.solve_ops"),
-		mpiWaitSec:           reg.FloatCounter("mpi.wait_seconds"),
-		retries:              reg.Counter("faults.retries"),
-		penalized:            reg.Counter("faults.penalized_files"),
-		rankFailures:         reg.Counter("faults.rank_failures"),
-		watchdogTrips:        reg.Counter("faults.watchdog_trips"),
-		rerunCalls:           reg.Counter("faults.rerun_calls"),
-		degradeSparse:        reg.Counter("degrade.sparse_to_dense"),
-		degradeBatch:         reg.Counter("degrade.batch_serial"),
-		degradeSched:         reg.Counter("degrade.sched_static"),
-		degradeTimeout:       reg.Counter("degrade.solve_timeout"),
+		objectives:     reg.Counter("estimator.objective_calls"),
+		fileSolves:     reg.Counter("estimator.file_solves"),
+		solveNs:        reg.Histogram("estimator.file_solve_ns", nil),
+		retryNs:        reg.Histogram("estimator.file_retry_ns", nil),
+		schedSteals:    reg.Counter("sched.steals"),
+		schedSplits:    reg.Counter("sched.splits"),
+		schedReplans:   reg.Counter("sched.replans"),
+		costErr:        reg.Histogram("sched.cost_err_rel", costErrBuckets),
+		stepSize:       ode.StepSizeHistogram(reg),
+		imbalance:      reg.Gauge("estimator.imbalance"),
+		solver:         ode.NewStatsMetrics(reg),
+		mpiWaitSec:     reg.FloatCounter("mpi.wait_seconds"),
+		retries:        reg.Counter("faults.retries"),
+		penalized:      reg.Counter("faults.penalized_files"),
+		rankFailures:   reg.Counter("faults.rank_failures"),
+		watchdogTrips:  reg.Counter("faults.watchdog_trips"),
+		rerunCalls:     reg.Counter("faults.rerun_calls"),
+		degradeSparse:  reg.Counter("degrade.sparse_to_dense"),
+		degradeSched:   reg.Counter("degrade.sched_static"),
+		degradeTimeout: reg.Counter("degrade.solve_timeout"),
 	}
 }
 
 // publishStats folds one file solve's work counters into the registry.
 func (m *estMetrics) publishStats(st ode.Stats) {
-	m.steps.Add(int64(st.Steps))
-	m.rejected.Add(int64(st.Rejected))
-	m.fevals.Add(int64(st.FEvals))
-	m.jevals.Add(int64(st.JEvals))
-	m.newtonIters.Add(int64(st.NewtonIters))
-	m.factorizations.Add(int64(st.Factorizations))
-	m.sparseFactorizations.Add(int64(st.SparseFactorizations))
-	m.factorOps.Add(st.FactorOps)
-	m.solveOps.Add(st.SolveOps)
+	m.solver.Publish(st)
 	m.degradeSparse.Add(int64(st.SparseDemotions))
 }
 
@@ -293,9 +254,6 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		return nil, fmt.Errorf("estimator: Y0 length %d, program expects %d",
 			len(model.Y0), model.Prog.NumY)
 	}
-	if cfg.Batch && !model.Stiff {
-		return nil, fmt.Errorf("estimator: Batch needs a stiff model (Model.Stiff)")
-	}
 	e := &Estimator{
 		model:     model,
 		files:     files,
@@ -332,8 +290,7 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 }
 
 // Validate reports the first field combination an estimator cannot
-// honour. New runs it, plus the one rule that needs the model: Batch
-// requires Model.Stiff.
+// honour; New runs it.
 func (c Config) Validate() error {
 	if c.Ranks <= 0 {
 		return fmt.Errorf("estimator: invalid rank count %d", c.Ranks)
@@ -344,12 +301,6 @@ func (c Config) Validate() error {
 	}
 	split := sc.SplitShare > 0
 	switch {
-	case c.Batch && c.FaultTolerant:
-		return fmt.Errorf("estimator: Batch with FaultTolerant: retries and penalties need per-file solves")
-	case c.Batch && sc.Steal:
-		return fmt.Errorf("estimator: Batch with Sched.Steal: a lane's batch is one solve")
-	case c.Batch && split:
-		return fmt.Errorf("estimator: Batch with Sched.SplitShare: a batch solves whole files")
 	case split && c.FaultTolerant:
 		return fmt.Errorf("estimator: Sched.SplitShare with FaultTolerant: retries and penalties are per whole file")
 	case split && c.Faults != nil:
@@ -658,154 +609,6 @@ func (e *Estimator) stepObserver(prev ode.StepObserver) ode.StepObserver {
 			prev(sev)
 		}
 	}
-}
-
-// ascendingRecords reports whether a file's record times are
-// non-decreasing — the shape a batch lane's output grid requires.
-func ascendingRecords(f *dataset.File) bool {
-	for j := 1; j < len(f.Records); j++ {
-		if f.Records[j].T < f.Records[j-1].T {
-			return false
-		}
-	}
-	return true
-}
-
-// solveLaneBatch runs one lane's queued whole-file items as a single
-// lockstep batched BDF solve: each file is a batch lane, the compiled
-// tape evaluates once per corrector iteration for all of them
-// (codegen.BatchEvaluator), and each file's residual contributions land
-// in its own contrib block at its own record times, with per-lane
-// completion masking. done receives each batched item's solver work. It
-// returns the items left for the per-file path: the files whose record
-// grids are not ascending, or — after a failed or fault-injected batch,
-// whose blocks are cleared again (degrade.batch_serial) — every item.
-// Only a budget trip is returned as an error: cancellation must not be
-// retried serially.
-func (e *Estimator) solveLaneBatch(items []sched.Item, k, contrib []float64, m int, lane *telemetry.Lane, call, rank int, done func(sched.Item, ode.Stats)) (rest []sched.Item, degraded bool, err error) {
-	var batch []sched.Item
-	for _, it := range items {
-		if ascendingRecords(e.files[it.File]) {
-			batch = append(batch, it)
-		} else {
-			rest = append(rest, it)
-		}
-	}
-	if len(batch) == 0 {
-		return rest, false, nil
-	}
-	if e.cfg.Faults != nil {
-		for _, it := range batch {
-			if err := e.cfg.Faults.FileSolve(call, rank, it.File, 0); err != nil {
-				if budget.Exhausted(err) {
-					return nil, false, err
-				}
-				e.noteBatchDegrade(lane)
-				return items, true, nil
-			}
-		}
-	}
-	prog := e.model.Prog
-	n, b := prog.NumY, len(batch)
-	if lane != nil {
-		lane.Begin(fmt.Sprintf("batch solve (%d files)", b))
-		defer lane.End()
-	}
-
-	// Broadcast the shared rate vector and initial state across the lanes.
-	kSoA := make([]float64, prog.NumK*b)
-	for j := 0; j < prog.NumK; j++ {
-		for l := 0; l < b; l++ {
-			kSoA[j*b+l] = k[j]
-		}
-	}
-	y0 := make([]float64, n*b)
-	for i := 0; i < n; i++ {
-		for l := 0; l < b; l++ {
-			y0[i*b+l] = e.model.Y0[i]
-		}
-	}
-
-	bev := prog.NewBatchEvaluator(b)
-	bev.Observe(e.cfg.Metrics)
-	rhs := func(_ float64, y, dy []float64) {
-		bev.EvalBatch(y, kSoA, dy)
-	}
-	opts := e.model.SolverOpts
-	opts.Observer = e.stepObserver(opts.Observer)
-	if opts.Budget == nil {
-		opts.Budget = e.cfg.Budget
-	}
-	bopts := ode.BatchOptions{Options: opts}
-	if e.model.AnalyticJac != nil {
-		jacEv := e.model.AnalyticJac.NewBatchEvaluator(b)
-		bopts.SparsePattern = e.model.AnalyticJac.PatternCSR()
-		bopts.BatchJacobian = func(_ float64, y []float64, active []bool, dst []*linalg.CSR) {
-			jacEv.EvalCSR(y, kSoA, active, dst)
-		}
-		bopts.SymbolicLU = e.model.SymbolicLU
-	}
-	solver := ode.NewBatchBDF(rhs, n, b, bopts)
-
-	grids := make([][]float64, b)
-	for l, it := range batch {
-		recs := e.files[it.File].Records
-		grid := make([]float64, len(recs))
-		for j, rec := range recs {
-			grid[j] = rec.T
-		}
-		grids[l] = grid
-	}
-	errf := e.model.ErrorFunc
-	if errf == nil {
-		errf = func(sim, obs float64) float64 { return sim - obs }
-	}
-	solveErr := solver.Solve(0, y0, grids, func(l, idx int, y []float64) {
-		fi := batch[l].File
-		sim := e.model.Property(y)
-		contrib[fi*m+idx] += errf(sim, e.files[fi].Records[idx].Value)
-	})
-
-	var failErr error
-	for l := range batch {
-		err := solver.LaneErr(l)
-		if err == nil && solveErr != nil {
-			err = solveErr // a whole-batch failure charges every lane
-		}
-		if err != nil {
-			if budget.Exhausted(err) {
-				return nil, false, err
-			}
-			if failErr == nil {
-				failErr = err
-			}
-		}
-	}
-	if failErr != nil {
-		// Degrade: charge the wasted batch work to the retry histogram,
-		// discard the batch's contributions and hand every item back for
-		// the per-file path.
-		for l, it := range batch {
-			e.met.retryNs.Observe(e.workOps(solver.LaneStats(l)) * e.secPerOp * 1e9)
-			clear(contrib[it.File*m : (it.File+1)*m])
-		}
-		e.noteBatchDegrade(lane)
-		return items, true, nil
-	}
-	for l, it := range batch {
-		done(it, solver.LaneStats(l))
-	}
-	return rest, false, nil
-}
-
-// noteBatchDegrade records one batch→serial demotion.
-func (e *Estimator) noteBatchDegrade(lane *telemetry.Lane) {
-	e.met.degradeBatch.Inc()
-	e.recMu.Lock()
-	e.degrade.BatchSerial++
-	e.recMu.Unlock()
-	lane.Instant("degrade: batch → serial")
-	e.log.Warn("degrade", "batched solve demoted to per-file serial path")
 }
 
 // Estimate fits the rate constants within the chemist's bounds by

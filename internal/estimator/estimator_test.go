@@ -361,52 +361,15 @@ func TestAnalyzeFit(t *testing.T) {
 	}
 }
 
-// TestBatchObjectiveMatchesSerial: the batched solve path (each rank's
-// files as lanes of one lockstep BDF batch) reproduces the serial
-// per-file residuals to integration tolerance, records per-file work for
-// the load balancer, and survives an Estimate round trip.
-func TestBatchObjectiveMatchesSerial(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(0.9, []int{30, 25, 40, 20, 35})
-	serial, err := New(m, files, Config{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, serial.ResidualDim())
-	if err := serial.Objective([]float64{1.4}, want); err != nil {
-		t.Fatal(err)
-	}
-	for _, ranks := range []int{1, 2, 3} {
-		batch, err := New(m, files, Config{Ranks: ranks, Batch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, batch.ResidualDim())
-		if err := batch.Objective([]float64{1.4}, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-6 {
-				t.Errorf("ranks=%d residual[%d] = %v, serial %v", ranks, i, got[i], want[i])
-			}
-		}
-		for fi, w := range batch.FileTimes() {
-			if w <= 0 {
-				t.Errorf("ranks=%d file %d recorded no batched work", ranks, fi)
-			}
-		}
-	}
-}
-
-// TestBatchPathObservesSteps: the batched solve path feeds per-step
-// events into the ode.step_size histogram and chains the model's own
-// step observer, as the per-file path does.
-func TestBatchPathObservesSteps(t *testing.T) {
+// TestObjectiveObservesSteps: the per-file solves feed their step
+// events into the ode.step_size histogram and chain the model's own step
+// observer.
+func TestObjectiveObservesSteps(t *testing.T) {
 	m := *decayModel(t)
 	var events atomic.Int64
 	m.SolverOpts.Observer = func(ode.StepEvent) { events.Add(1) }
 	reg := telemetry.NewRegistry()
-	e, err := New(&m, makeFiles(0.9, []int{30, 25, 40}), Config{Ranks: 2, Batch: true, Metrics: reg})
+	e, err := New(&m, makeFiles(0.9, []int{30, 25, 40}), Config{Ranks: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,73 +381,4 @@ func TestBatchPathObservesSteps(t *testing.T) {
 		t.Errorf("model observer saw %d events, ode.step_size counted %d",
 			n, ode.StepSizeHistogram(reg).Count())
 	}
-}
-
-// TestBatchEstimateRecoversRate: a full fit through the batched path.
-func TestBatchEstimateRecoversRate(t *testing.T) {
-	m := decayModel(t)
-	kTrue := 1.2
-	files := makeFiles(kTrue, []int{50, 30, 40})
-	e, err := New(m, files, Config{Ranks: 2, Batch: true, Sched: &sched.Config{Policy: sched.PolicyLPT}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Estimate([]float64{0.3}, []float64{0.01}, []float64{10},
-		nlopt.Options{MaxIter: 60, RelStep: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-kTrue) > 1e-3 {
-		t.Errorf("estimated k = %v, want %v (rnorm %g)", res.X[0], kTrue, res.RNorm)
-	}
-}
-
-// TestBatchAnalyticJacobianAgrees: the batched analytic-Jacobian path
-// (codegen.BatchJacEvaluator through ode.BatchJac) matches the batched
-// finite-difference path.
-func TestBatchAnalyticJacobianAgrees(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.1, []int{30, 30})
-	fd, err := New(m, files, Config{Ranks: 1, Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, fd.ResidualDim())
-	if err := fd.Objective([]float64{0.7}, want); err != nil {
-		t.Fatal(err)
-	}
-
-	withJac := *m
-	sys := modelSystem(t)
-	jp, err := codegen.CompileJacobian(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withJac.AnalyticJac = jp
-	an, err := New(&withJac, files, Config{Ranks: 1, Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, an.ResidualDim())
-	if err := an.Objective([]float64{0.7}, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Errorf("residual[%d]: analytic %v vs FD %v", i, got[i], want[i])
-		}
-	}
-}
-
-// modelSystem rebuilds the decayModel's symbolic system (for Jacobian
-// compilation).
-func modelSystem(t *testing.T) *eqgen.System {
-	t.Helper()
-	n := network.New()
-	n.AddSpecies("A", "", 1)
-	n.AddSpecies("B", "", 0)
-	if _, err := n.AddReaction("r", "K_d", []string{"A"}, []string{"B"}); err != nil {
-		t.Fatal(err)
-	}
-	return eqgen.FromNetwork(n)
 }

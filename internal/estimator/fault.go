@@ -119,9 +119,6 @@ type DegradeStats struct {
 	// SparseToDense counts BDF solves demoted from sparse LU to dense
 	// LU after repeated sparse refactorization failures.
 	SparseToDense int
-	// BatchSerial counts rank batches abandoned to the per-file serial
-	// path after a batched solve failed.
-	BatchSerial int
 	// SchedStatic counts scheduler demotions from the EWMA policy to
 	// plain LPT after sustained cost-model misprediction.
 	SchedStatic int

@@ -139,63 +139,6 @@ func TestBudgetCancelNotRetriedUnderFT(t *testing.T) {
 	}
 }
 
-func TestBatchDegradesToSerialOnInjectedFault(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.0, []int{25, 25, 25})
-	k := []float64{1.3}
-
-	// Reference: plain serial (no batch, no faults).
-	ref, err := New(m, files, Config{Ranks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, ref.ResidualDim())
-	if err := ref.Objective(k, want); err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch with a one-attempt injected failure on file 1: the batch is
-	// abandoned whole and every file re-solves serially.
-	reg := telemetry.NewRegistry()
-	plan := faults.NewPlan(7).FlakyFile(1, 0, 1)
-	e, err := New(m, files, Config{Ranks: 1, Batch: true, Faults: plan, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, e.ResidualDim())
-	if err := e.Objective(k, got); err != nil {
-		t.Fatalf("degraded batch call failed: %v", err)
-	}
-	if d := e.Degrade().BatchSerial; d != 1 {
-		t.Fatalf("BatchSerial = %d, want 1", d)
-	}
-	if c := reg.Counter("degrade.batch_serial").Value(); c != 1 {
-		t.Errorf("degrade.batch_serial counter = %d, want 1", c)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("residual[%d]: degraded %v != serial %v (must be bit-identical)", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBatchPersistentFaultStillSurfaces(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.0, []int{20, 20})
-	plan := faults.NewPlan(7).FailFile(0, 0) // fails every attempt
-	e, err := New(m, files, Config{Ranks: 1, Batch: true, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, e.ResidualDim())
-	if err := e.Objective([]float64{1.0}, r); err == nil {
-		t.Fatal("persistent fault vanished into the batch degrade")
-	}
-	if d := e.Degrade().BatchSerial; d != 1 {
-		t.Errorf("BatchSerial = %d, want 1", d)
-	}
-}
-
 func TestSchedDemotesEwmaToLPTUnderJitter(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{30, 20, 25, 35})

@@ -23,7 +23,6 @@ import (
 	"rms/internal/mpi"
 	"rms/internal/ode"
 	"rms/internal/sched"
-	"rms/internal/telemetry"
 )
 
 // SchedStats counts the scheduler's decisions, accumulated across
@@ -209,43 +208,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 		lane := c.Lane()
 		useLane := lane != nil && lanes == 1 // spans can't interleave across lanes
 
-		queues := sched.LaneSplit(plans[rank], lanes)
-		// attempt0[l] is the injector attempt index of lane l's per-file
-		// solves: 0 normally, 1 after a batch→serial degrade (the batched
-		// solve consumed attempt 0, so one-attempt schedules don't re-fire
-		// on the fallback while persistent ones still surface).
-		attempt0 := make([]int, lanes)
-		if e.cfg.Batch {
-			// Batch lanes never steal, so each lane solves its own queue.
-			var wg sync.WaitGroup
-			for l := range queues {
-				wg.Add(1)
-				go func(l int) {
-					defer wg.Done()
-					slow := e.laneSlowdown(call, rank, l)
-					var blane *telemetry.Lane
-					if useLane {
-						blane = lane
-					}
-					rest, degraded, err := e.solveLaneBatch(queues[l], k, contrib, m, blane, call, rank,
-						func(it sched.Item, st ode.Stats) {
-							localItem[it.Seq] = e.workOps(st) * slow
-							localSucc[it.Seq] = localItem[it.Seq]
-							e.publishSolve(st)
-						})
-					if err != nil {
-						fail(err)
-					}
-					if degraded {
-						attempt0[l] = 1
-					}
-					queues[l] = rest
-				}(l)
-			}
-			wg.Wait()
-		}
-
-		set := sched.NewStealSet(queues, sc.Steal).WithBudget(e.cfg.Budget)
+		set := sched.NewStealSet(sched.LaneSplit(plans[rank], lanes), sc.Steal).WithBudget(e.cfg.Budget)
 		set.Run(func(laneIdx int, it sched.Item, victim int) {
 			f := e.files[it.File]
 			block := contrib[it.File*m : (it.File+1)*m]
@@ -292,7 +255,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 			var st ode.Stats
 			err := error(nil)
 			if e.cfg.Faults != nil {
-				err = e.cfg.Faults.FileSolve(call, rank, it.File, attempt0[planned])
+				err = e.cfg.Faults.FileSolve(call, rank, it.File, 0)
 			}
 			if err == nil {
 				st, err = e.solveFileRange(ev, f, k, block, e.model.SolverOpts, it.Lo, it.Hi)

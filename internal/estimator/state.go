@@ -4,7 +4,7 @@
 // freshly-constructed estimator over the same model, files and config
 // makes the resumed fit's remaining objective calls bit-identical to the
 // uninterrupted run's — the contract the conformance "resume" stage
-// holds across the block, sched and batched schedules.
+// holds across the block and sched schedules.
 
 package estimator
 

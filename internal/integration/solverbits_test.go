@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rms/internal/budget"
-	"rms/internal/codegen"
 	"rms/internal/core"
 	"rms/internal/linalg"
 	"rms/internal/ode"
@@ -131,8 +130,8 @@ func solveOnce(t *testing.T, p *pinLog, key string, m pinModel, f ode.Func, o od
 // step control. The cases cover each Jacobian source (finite
 // differences, dense analytic, sparse with a forked symbolic LU), the
 // sparse→dense demotion, fixed-step orders 1–4, continuation over the
-// estimator's uneven record grid and over an even row grid, a budget
-// trip, and a three-lane lockstep Solve with distinct lanes and grids.
+// estimator's uneven record grid and over an even row grid, and a budget
+// trip.
 // Regenerate only after an intentional numerical change:
 //
 //	go test ./internal/integration -run SolverBitPin -update-golden
@@ -237,42 +236,6 @@ func TestSolverBitPin(t *testing.T) {
 		}
 		p.state("budget/v10 y", y)
 		p.stats(t, "budget/v10 stats", s.Stats())
-	}
-
-	// Three lockstep lanes with distinct rates, initial states and output
-	// grids (lane 2's grid starts at t0).
-	{
-		const b = 3
-		n, nk := v10.n(), len(v10.k)
-		kSoA, y0 := make([]float64, nk*b), make([]float64, n*b)
-		for l := 0; l < b; l++ {
-			kl, yl := make([]float64, nk), v10.y0()
-			for j, v := range v10.k {
-				kl[j] = v * (1 + 0.03*float64(l))
-			}
-			for i := range yl {
-				yl[i] *= 1 - 0.05*float64(l)
-			}
-			codegen.ScatterLane(kSoA, b, l, kl)
-			codegen.ScatterLane(y0, b, l, yl)
-		}
-		bev := v10.res.Tape.NewBatchEvaluator(b)
-		s := ode.NewBatchBDF(func(_ float64, y, dy []float64) { bev.EvalBatch(y, kSoA, dy) },
-			n, b, ode.BatchOptions{Options: fit})
-		grids := [][]float64{{0.1, 0.5, 1.5}, {0.002, 0.003, 0.7}, {0, 0.3}}
-		err := s.Solve(0, y0, grids, func(lane, idx int, y []float64) {
-			p.state(fmt.Sprintf("batch3/v10 lane%d t%d", lane, idx), y)
-		})
-		if err != nil {
-			t.Fatalf("batch3: %v", err)
-		}
-		for l := 0; l < b; l++ {
-			if err := s.LaneErr(l); err != nil {
-				t.Fatalf("batch3 lane %d: %v", l, err)
-			}
-			p.stats(t, fmt.Sprintf("batch3/v10 lane%d stats", l), s.LaneStats(l))
-		}
-		p.stats(t, "batch3/v10 stats", s.Stats())
 	}
 
 	path := filepath.Join("testdata", solverBitsFile)

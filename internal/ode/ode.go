@@ -48,15 +48,13 @@ type Options struct {
 	// FixedOrder pins the BDF order to 1..5 (testing hook; 0 = adaptive).
 	FixedOrder int
 	// Jacobian, when non-nil, supplies an analytic ∂f/∂y for the BDF
-	// solver's dense Newton iteration in place of finite differences. It
-	// is called once per lane with that lane's state; dst is n×n and
-	// owned by the solver.
+	// solver's dense Newton iteration in place of finite differences; dst
+	// is n×n and owned by the solver.
 	Jacobian func(t float64, y []float64, dst *linalg.Matrix)
-	// SparsePattern with a sparse Jacobian source — SparseJacobian, per
-	// lane, or BatchOptions.BatchJacobian — enables the sparse Newton
-	// path: SparsePattern is the structural pattern of ∂f/∂y including
-	// the full diagonal (codegen.JacobianProgram.PatternCSR produces it),
-	// and SparseJacobian fills a matrix with that layout. The BDF solver
+	// SparsePattern with SparseJacobian enables the sparse Newton path:
+	// SparsePattern is the structural pattern of ∂f/∂y including the
+	// full diagonal (codegen.JacobianProgram.PatternCSR produces it), and
+	// SparseJacobian fills a matrix with that layout. The BDF solver
 	// switches to CSR storage and a sparse LU with one-time symbolic
 	// factorization when the pattern density is at most SparseThreshold
 	// and the dimension is at least SparseMinDim; otherwise it keeps the
@@ -81,9 +79,9 @@ type Options struct {
 	SymbolicLU *linalg.SparseLU
 	// Observer, when non-nil, receives one StepEvent per adaptive step
 	// attempt — accepted or rejected — with the step's size, order,
-	// error-norm and Newton/factorization work (summed over the lanes of
-	// a lockstep batch). Fixed-step testing modes do not emit events. The
-	// callback runs on the solver's goroutine; keep it cheap.
+	// error-norm and Newton/factorization work. Fixed-step testing modes
+	// do not emit events. The callback runs on the solver's goroutine;
+	// keep it cheap.
 	Observer StepObserver
 	// Budget, when non-nil, is checked once per step attempt; a tripped
 	// budget aborts the integration cooperatively with the budget's error
@@ -116,14 +114,6 @@ type StepEvent struct {
 
 // StepObserver consumes per-step solver telemetry.
 type StepObserver func(StepEvent)
-
-// StepSizeHistogram returns reg's ode.step_size histogram of |h| per
-// step attempt — the family's one definition site. Its buckets span the
-// step magnitudes chemistry integrations visit, from deep transients to
-// free-running cruise.
-func StepSizeHistogram(reg *telemetry.Registry) *telemetry.Histogram {
-	return reg.Histogram("ode.step_size", []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100})
-}
 
 func (o Options) withDefaults(t0, t1 float64) Options {
 	span := math.Abs(t1 - t0)

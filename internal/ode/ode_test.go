@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"rms/internal/linalg"
 )
 
 // exponential decay y' = -y, y(0)=1 → y(t) = e^-t.
@@ -325,5 +327,94 @@ func TestBDFAnalyticJacobian(t *testing.T) {
 	}
 	if stAJ.JEvals == 0 {
 		t.Error("analytic Jacobian never called")
+	}
+}
+
+// robertsonJac is the analytic Jacobian of robertson.
+func robertsonJac(_ float64, y []float64, dst *linalg.Matrix) {
+	dst.Set(0, 0, -0.04)
+	dst.Set(0, 1, 1e4*y[2])
+	dst.Set(0, 2, 1e4*y[1])
+	dst.Set(1, 0, 0.04)
+	dst.Set(1, 1, -1e4*y[2]-6e7*y[1])
+	dst.Set(1, 2, -1e4*y[1])
+	dst.Set(2, 0, 0)
+	dst.Set(2, 1, 6e7*y[1])
+	dst.Set(2, 2, 0)
+}
+
+// TestBDFContinuationBitIdentical: for each Jacobian source, three
+// Integrate calls that continue one another reproduce one call over the
+// whole span bit for bit — the free-running step sequence does not see
+// the output times — and each continued call's first step attempt
+// starts where the previous call's last accepted step ended. The
+// observer sees one StepEvent per attempt, and their accepted steps,
+// Newton iterations and factorizations add up to Stats.
+func TestBDFContinuationBitIdentical(t *testing.T) {
+	withJac := Options{RTol: 1e-6, ATol: 1e-10, InitialStep: 1e-6, Jacobian: robertsonJac}
+	cases := []struct {
+		name string
+		f    Func
+		n    int
+		y0   []float64
+		t1   float64
+		opts Options
+	}{
+		{"stiffLinear", stiffLinear, 2, []float64{2, 1}, 1,
+			Options{RTol: 1e-8, ATol: 1e-12, InitialStep: 1e-4}},
+		{"robertson", robertson, 3, []float64{1, 0, 0}, 0.3,
+			Options{RTol: 1e-6, ATol: 1e-10, InitialStep: 1e-6}},
+		{"robertsonJacobian", robertson, 3, []float64{1, 0, 0}, 0.3, withJac},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			whole := NewBDF(tc.f, tc.n, tc.opts)
+			want := append([]float64(nil), tc.y0...)
+			if err := whole.Integrate(0, tc.t1, want); err != nil {
+				t.Fatal(err)
+			}
+
+			var events []StepEvent
+			opts := tc.opts
+			opts.Observer = func(ev StepEvent) { events = append(events, ev) }
+			s := NewBDF(tc.f, tc.n, opts)
+			y := append([]float64(nil), tc.y0...)
+			var starts []int // index of each call's first event
+			for i := 1; i <= 3; i++ {
+				starts = append(starts, len(events))
+				if err := s.Integrate(tc.t1*float64(i-1)/3, tc.t1*float64(i)/3, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+					t.Errorf("y[%d] = %v after three continued calls, one call %v", i, y[i], want[i])
+				}
+			}
+			st := s.Stats()
+			if st != whole.Stats() {
+				t.Errorf("continued stats %+v != one-call stats %+v", st, whole.Stats())
+			}
+
+			var sum Stats
+			var last StepEvent
+			for i, ev := range events {
+				for _, start := range starts[1:] {
+					if i == start && ev.T != last.T+last.H {
+						t.Errorf("continued call starts at t=%v, previous step ended at %v", ev.T, last.T+last.H)
+					}
+				}
+				if ev.Accepted {
+					sum.Steps++
+					last = ev
+				}
+				sum.NewtonIters += ev.NewtonIters
+				sum.Factorizations += ev.Factorizations
+			}
+			if sum.Steps != st.Steps || sum.NewtonIters != st.NewtonIters || sum.Factorizations != st.Factorizations {
+				t.Errorf("step events add up to %d steps, %d Newton iterations, %d factorizations; Stats %+v",
+					sum.Steps, sum.NewtonIters, sum.Factorizations, st)
+			}
+		})
 	}
 }

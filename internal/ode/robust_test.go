@@ -1,7 +1,9 @@
 package ode
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rms/internal/budget"
@@ -65,78 +67,43 @@ func TestRKV65BudgetCancel(t *testing.T) {
 	}
 }
 
-func TestBatchBDFBudgetCancelFailsPendingLanes(t *testing.T) {
-	const n, b = 2, 3
+// TestBDFBudgetTripHoldsLastAccepted: a budget trip mid-step leaves y
+// at the solver's last accepted state — the newest history point, at the
+// time the last accepted step event reached, which the error reports —
+// not at the input and not mid-step.
+func TestBDFBudgetTripHoldsLastAccepted(t *testing.T) {
+	f, y0 := stiffDecay2()
 	bud := budget.New()
-	evals := 0
-	f := func(_ float64, y, dy []float64) {
-		evals++
-		if evals == 60 {
+	calls := 0
+	var last StepEvent
+	s := NewBDF(func(tt float64, y, dy []float64) {
+		if calls++; calls == 40 {
 			bud.Cancel("test")
 		}
-		for l := 0; l < b; l++ {
-			dy[0*b+l] = -1000*y[0*b+l] + y[1*b+l]
-			dy[1*b+l] = y[0*b+l] - 2*y[1*b+l]
+		f(tt, y, dy)
+	}, 2, Options{Budget: bud, Observer: func(ev StepEvent) {
+		if ev.Accepted {
+			last = ev
 		}
+	}})
+	y := append([]float64(nil), y0...)
+	err := s.Integrate(0, 50, y)
+	if !budget.Exhausted(err) {
+		t.Fatalf("want budget trip, got %v", err)
 	}
-	opts := BatchOptions{Options: Options{Budget: bud}}
-	s := NewBatchBDF(f, n, b, opts)
-	y0 := make([]float64, n*b)
-	for i := range y0 {
-		y0[i] = 1
-	}
-	grids := [][]float64{{50}, {50}, {50}}
-	_ = s.Solve(0, y0, grids, nil)
-	tripped := 0
-	for l := 0; l < b; l++ {
-		if e := s.LaneErr(l); e != nil {
-			if !budget.Exhausted(e) {
-				t.Fatalf("lane %d: non-budget error %v", l, e)
-			}
-			tripped++
-		}
-	}
-	if tripped == 0 {
-		t.Fatal("no lane reported the budget trip")
-	}
-}
-
-// TestBatchBDFIntegrateBudgetHoldsLastAccepted: a budget trip leaves
-// every lane of a batched Integrate at its last accepted state, exactly
-// as it leaves a one-lane solve.
-func TestBatchBDFIntegrateBudgetHoldsLastAccepted(t *testing.T) {
-	f, y0 := stiffDecay2()
-	run := func(b int) []float64 {
-		bud := budget.New()
-		calls, bf := 0, batchify(f, 2, b)
-		s := NewBatchBDF(func(tt float64, y, dy []float64) {
-			if calls++; calls == 40 {
-				bud.Cancel("test")
-			}
-			bf(tt, y, dy)
-		}, 2, b, BatchOptions{Options: Options{Budget: bud}})
-		y0s := make([][]float64, b)
-		for l := range y0s {
-			y0s[l] = y0
-		}
-		y := scatterLanes(y0s, 2, b)
-		if err := s.Integrate(0, 50, y); !budget.Exhausted(err) {
-			t.Fatalf("b=%d: want budget trip, got %v", b, err)
-		}
-		return y
-	}
-	want := run(1)
-	if want[0] == y0[0] && want[1] == y0[1] {
+	if last.H == 0 {
 		t.Fatal("budget tripped before the first accepted step")
 	}
-	const b = 3
-	got := run(b)
-	for l := 0; l < b; l++ {
-		for i := range want {
-			if math.Float64bits(got[i*b+l]) != math.Float64bits(want[i]) {
-				t.Errorf("lane %d y[%d] = %v, one-lane %v", l, i, got[i*b+l], want[i])
-			}
+	if at := fmt.Sprintf("(at t=%g)", last.T+last.H); !strings.Contains(err.Error(), at) {
+		t.Errorf("error %q does not report the last accepted time %s", err, at)
+	}
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(s.hist[0][i]) {
+			t.Errorf("y[%d] = %v, last accepted state %v", i, y[i], s.hist[0][i])
 		}
+	}
+	if y[0] == y0[0] && y[1] == y0[1] {
+		t.Error("y still holds the input state")
 	}
 }
 

@@ -171,3 +171,56 @@ func TestBDFSparseThresholdFallsBackToDense(t *testing.T) {
 		t.Fatal("8-dimensional system should stay dense (SparseMinDim)")
 	}
 }
+
+// TestBDFSparseSymbolicFork: solvers handed one prebuilt symbolic
+// factorization (Options.SymbolicLU, as the service's model cache shares
+// it) fork private numeric storage over it. Interleaved record by record
+// on the same symbolic LU, each reproduces a solver that analyzes the
+// pattern itself, bit for bit and with the same counters.
+func TestBDFSparseSymbolicFork(t *testing.T) {
+	const n = 60
+	f, _, pattern, sparseJac := tridiagSystem(n, 40, 1)
+	opts := Options{RTol: 1e-7, ATol: 1e-10, InitialStep: 1e-3,
+		SparsePattern: pattern, SparseJacobian: sparseJac}
+	y0 := make([]float64, n)
+	for i := range y0 {
+		y0[i] = 1 + math.Sin(float64(i))
+	}
+	own := NewBDF(f, n, opts)
+	want := append([]float64(nil), y0...)
+	if err := own.Integrate(0, 0.5, want); err != nil {
+		t.Fatal(err)
+	}
+	if !own.Sparse() {
+		t.Fatal("solver did not take the sparse path")
+	}
+
+	shared, err := linalg.NewSparseLU(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := opts
+	forked.SymbolicLU = shared
+	solvers := []*BDF{NewBDF(f, n, forked), NewBDF(f, n, forked)}
+	ys := [][]float64{append([]float64(nil), y0...), append([]float64(nil), y0...)}
+	for i := 1; i <= 4; i++ {
+		for s, solver := range solvers {
+			if err := solver.Integrate(0.5*float64(i-1)/4, 0.5*float64(i)/4, ys[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for s, solver := range solvers {
+		if !solver.Sparse() {
+			t.Fatalf("forked solver %d did not take the sparse path", s)
+		}
+		for i := range want {
+			if math.Float64bits(ys[s][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("forked solver %d: y[%d] = %v, own symbolic LU %v (bit difference)", s, i, ys[s][i], want[i])
+			}
+		}
+		if st := solver.Stats(); st != own.Stats() {
+			t.Errorf("forked solver %d stats %+v, own symbolic LU %+v", s, st, own.Stats())
+		}
+	}
+}

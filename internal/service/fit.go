@@ -111,7 +111,6 @@ type FitRequest struct {
 	// it or Sched, not both.
 	Ranks       int        `json:"ranks,omitempty"` // default 1
 	LoadBalance bool       `json:"lb,omitempty"`
-	Batch       bool       `json:"batch,omitempty"`
 	Sched       *SchedSpec `json:"sched,omitempty"`
 
 	// Optimizer shape (nlopt.Options); zero fields take the nlopt
@@ -231,7 +230,7 @@ func property(cm *CompiledModel, name string) (func(y []float64) float64, error)
 // estimator config; the handler runs it before queueing, so a shape the
 // estimator cannot honour is the client's 400, not a failed job.
 func (req *FitRequest) estConfig() (estimator.Config, error) {
-	cfg := estimator.Config{Ranks: req.Ranks, Batch: req.Batch}
+	cfg := estimator.Config{Ranks: req.Ranks}
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}

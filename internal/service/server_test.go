@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rms/internal/ode"
 	"rms/internal/telemetry"
 )
 
@@ -233,6 +234,52 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// TestSolverMetricFamilies runs one simulate and one fit on one
+// registry. The simulate's per-step solver metrics and the fit's
+// per-solve totals land in the same ode.* families: every family the ode
+// package defines is in the snapshot, and no registration conflicted.
+func TestSolverMetricFamilies(t *testing.T) {
+	_, ts, reg := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	spec := testSpec()
+	resp := postJSON(t, ts.URL+"/v1/simulate?wait=1", SimulateRequest{Spec: &spec, TEnd: 1, Points: 11})
+	var sim SimulateResult
+	decodeJob(t, resp, "done", &sim)
+	df := DataFile{Name: "synth"}
+	for _, row := range sim.Rows[1:] {
+		s := 0.0
+		for _, v := range row[1:] {
+			s += v
+		}
+		df.T = append(df.T, row[0])
+		df.V = append(df.V, s)
+	}
+	resp = postJSON(t, ts.URL+"/v1/fit?wait=1", FitRequest{
+		Spec: &spec, Data: []DataFile{df}, Property: "sum", MaxIter: 2, RelStep: 1e-4,
+		Start: []float64{1}, Lower: []float64{0.2}, Upper: []float64{20},
+	})
+	decodeJob(t, resp, "done", nil)
+
+	got := map[string]float64{}
+	for _, mv := range reg.Snapshot() {
+		got[mv.Name] = mv.Value
+	}
+	if c := got[telemetry.ConflictsMetric]; c != 0 {
+		t.Errorf("%s = %v, want 0", telemetry.ConflictsMetric, c)
+	}
+	defined := telemetry.NewRegistry()
+	ode.NewStatsMetrics(defined)
+	ode.ObserveSteps(defined)
+	families := defined.Snapshot()
+	if len(families) == 0 {
+		t.Fatal("the ode package defines no metric families")
+	}
+	for _, mv := range families {
+		if _, ok := got[mv.Name]; !ok {
+			t.Errorf("family %s missing after a simulate and a fit", mv.Name)
+		}
+	}
+}
+
 // TestAdmissionControl fills the queue with blocked jobs and checks the
 // 429 + Retry-After contract, then drains and checks recovery.
 func TestAdmissionControl(t *testing.T) {
@@ -308,7 +355,7 @@ func TestBadRequests(t *testing.T) {
 		{"array body", "/v1/fit", `[1,2,3]`, 400},
 		{"retired workers field", "/v1/fit", `{"workers": 2}`, 400},
 		{"lb with sched", "/v1/fit", `{"lb": true, "sched": {"policy": "ewma"}}`, 400},
-		{"batch with steal", "/v1/fit", `{"batch": true, "sched": {"lanes": 2, "steal": true}}`, 400},
+		{"retired batch field", "/v1/fit", `{"batch": true}`, 400},
 		{"empty body", "/v1/verify", ``, 400},
 		{"huge body", "/v1/models", `{"kind": "rdl", "source": "` + strings.Repeat("x", maxBodyBytes) + `"}`, 400},
 	}
@@ -428,12 +475,14 @@ func TestShutdownDeadline(t *testing.T) {
 }
 
 // TestSimulateDeadlinePartial checks a budget-stopped simulate job
-// reports canceled with the partial rows attached.
+// reports canceled with the partial rows attached. The tolerances are
+// ones the solver can start at (at rtol 1e-12 its first step underflows
+// at t = 0), and 400000 rows take many times the 50 ms deadline.
 func TestSimulateDeadlinePartial(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{QueueCap: 4, Workers: 1})
 	body := map[string]any{
-		"spec": testSpec(), "tend": 1e6, "points": 100000,
-		"rtol": 1e-12, "atol": 1e-14, "deadline_ms": 50,
+		"spec": testSpec(), "tend": 1e6, "points": 400000,
+		"rtol": 1e-10, "atol": 1e-12, "deadline_ms": 50,
 	}
 	resp := postJSON(t, ts.URL+"/v1/simulate?wait=1", body)
 	defer resp.Body.Close()
@@ -445,7 +494,7 @@ func TestSimulateDeadlinePartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if raw.Status != "canceled" {
-		t.Skipf("simulate finished before the deadline (status %s)", raw.Status)
+		t.Fatalf("status %s, want canceled at the deadline", raw.Status)
 	}
 	var sim SimulateResult
 	if err := json.Unmarshal(raw.Result, &sim); err != nil {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"math"
 
 	"rms/internal/budget"
 	"rms/internal/linalg"
@@ -77,28 +76,6 @@ type SimOpts struct {
 	Row func(row int, t float64, y []float64) error
 }
 
-// ObserveSolver publishes per-step solver telemetry into reg — the
-// shared wiring behind rmssim and the rmsd job runner.
-func ObserveSolver(reg *telemetry.Registry) ode.StepObserver {
-	steps := reg.Counter("ode.steps")
-	rejected := reg.Counter("ode.rejected_steps")
-	newton := reg.Counter("ode.newton_iters")
-	factor := reg.Counter("ode.factorizations")
-	h := ode.StepSizeHistogram(reg)
-	order := reg.Gauge("ode.order")
-	return func(ev ode.StepEvent) {
-		if ev.Accepted {
-			steps.Inc()
-		} else {
-			rejected.Inc()
-		}
-		newton.Add(int64(ev.NewtonIters))
-		factor.Add(int64(ev.Factorizations))
-		h.Observe(math.Abs(ev.H))
-		order.Set(float64(ev.Order))
-	}
-}
-
 // rateVector assembles the aligned rate-constant vector: request
 // overrides first, then the model's RCIP table.
 func rateVector(cm *CompiledModel, overrides map[string]float64) ([]float64, error) {
@@ -155,7 +132,7 @@ func RunSimulate(cm *CompiledModel, req SimulateRequest, so SimOpts) (*SimulateR
 	rhs := func(_ float64, y, dy []float64) { ev.Eval(y, k, dy) }
 	opts := ode.Options{RTol: req.RTol, ATol: req.ATol, Budget: so.Budget, Log: so.Log}
 	if so.Registry != nil {
-		opts.Observer = ObserveSolver(so.Registry)
+		opts.Observer = ode.ObserveSteps(so.Registry)
 	}
 	var integrate func(t0, t1 float64, y []float64) error
 	switch req.Solver {

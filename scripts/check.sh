@@ -47,9 +47,6 @@ go test -fuzz=FuzzParseRDL -fuzztime=10s ./internal/rdl
 echo "== fuzz smoke (FuzzParseSMILES, 10s)"
 go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
 
-echo "== batched-eval smoke (rmsbench -batch, small system)"
-go run ./cmd/rmsbench -batch -variants 64 -evalms 50
-
 echo "== scheduler skew smoke (rmsbench -skew, small model)"
 go run ./cmd/rmsbench -skew -variants 8
 
