@@ -43,24 +43,23 @@ chaos:
 	go test -race -run 'Chaos|Budget|Degrad|Demot|Hang|Timeout|Snapshot|Resume|Checkpoint|Interrupt|Deadline|Cancel' \
 		./internal/budget ./internal/estimator \
 		./internal/ode ./internal/nlopt ./internal/faults/... \
-		./internal/sched ./internal/mpi \
+		./internal/mpi \
 		./cmd/rmsrun ./cmd/rmssim
 	go test -race ./internal/checkpoint
 	go run ./cmd/rmsverify -seed 7 -n 3 -size 10 -stages resume
 
-# Flake hunt: the chaos, scheduler and configuration cross-product tests
-# of the estimator and the whole work-stealing scheduler package,
-# repeated at one and four CPUs. A result or fault schedule that depends
-# on goroutine timing shows up here as an intermittent failure.
+# Flake hunt: the estimator's chaos, load-balancer and configuration
+# cross-product tests, repeated at one and four CPUs. A result or fault
+# schedule that depends on goroutine timing shows up here as an
+# intermittent failure.
 flake:
 	go test -count=20 -cpu 1,4 -run 'Chaos|Sched|ConfigCrossProduct' ./internal/estimator
-	go test -count=20 -cpu 1,4 ./internal/sched
 
 bench:
 	go test -bench . -benchtime 1s ./internal/bench/ .
 
 # Bench regression gate (docs/observability.md): re-run the
-# deterministic scheduler-scaling bench and hold it to the committed
+# deterministic load-balancer scaling bench and hold it to the committed
 # BENCH_baseline.json within cmd/benchcmp's tolerance band. Re-seed the
 # baseline with bench-baseline after an intentional performance change.
 bench-compare:

@@ -120,7 +120,7 @@ func BenchmarkTable2Objective(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				cfg := estimator.Config{Ranks: ranks}
 				if lb {
-					cfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
+					cfg.Policy = sched.PolicyLPT
 				}
 				est, err := estimator.New(model, files, cfg)
 				if err != nil {

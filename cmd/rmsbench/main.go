@@ -11,8 +11,8 @@
 //	rmsbench -sweep              # workload-redundancy sensitivity sweep
 //	rmsbench -faults             # recovery overhead under injected faults
 //	rmsbench -faults -rate 0.2   # same, with 20% transient solve failures
-//	rmsbench -skew               # scheduler scaling on skewed workloads
-//	rmsbench -skew -ranks 8      # same, 8 ranks (x lanes = workers)
+//	rmsbench -skew               # load-balancer scaling on skewed workloads
+//	rmsbench -skew -ranks 4      # same, 4 ranks instead of 8
 //
 // Output and observability:
 //
@@ -43,7 +43,7 @@ type benchConfig struct {
 	table                                     int
 	full, ablate, sweep, sparse, faults, skew bool
 	rate                                      float64
-	variants, evalMs, ranks, lanes            int
+	variants, evalMs, ranks                   int
 	jsonOut                                   bool
 	obs                                       telemetry.CLI
 }
@@ -79,9 +79,8 @@ func main() {
 	flag.BoolVar(&cfg.sparse, "sparse", false, "compare dense vs sparse Jacobian build + factorization")
 	flag.BoolVar(&cfg.faults, "faults", false, "measure fault-tolerance recovery overhead under injected failures")
 	flag.Float64Var(&cfg.rate, "rate", 0, "-faults: transient per-file-solve failure rate (0 = default 0.05)")
-	flag.BoolVar(&cfg.skew, "skew", false, "measure scheduler scaling on skewed workloads (static vs lpt vs sched)")
-	flag.IntVar(&cfg.ranks, "ranks", 0, "-skew: simulated rank count (0 = default 4)")
-	flag.IntVar(&cfg.lanes, "lanes", 0, "-skew: work-stealing lanes per rank (0 = default 2)")
+	flag.BoolVar(&cfg.skew, "skew", false, "measure load-balancer scaling on skewed workloads (static vs lpt)")
+	flag.IntVar(&cfg.ranks, "ranks", 8, "-skew: simulated rank count")
 	flag.IntVar(&cfg.variants, "variants", 0, "-sparse/-faults/-skew: system size (0 = defaults)")
 	flag.IntVar(&cfg.evalMs, "evalms", 300, "milliseconds of timing per configuration")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON results on stdout")
@@ -191,7 +190,7 @@ func run(w io.Writer, cfg benchConfig) error {
 	}
 	if cfg.skew {
 		did = true
-		sk := bench.SkewConfig{Ranks: cfg.ranks, Lanes: cfg.lanes, Metrics: reg}
+		sk := bench.SkewConfig{Ranks: cfg.ranks, Metrics: reg}
 		if cfg.variants > 0 {
 			sk.Variants = cfg.variants
 		}
@@ -200,7 +199,7 @@ func run(w io.Writer, cfg benchConfig) error {
 			return err
 		}
 		rep.Skew = rows
-		fmt.Fprintln(text, "Scheduler scaling on skewed workloads (v2 cost model + work stealing vs static plan)")
+		fmt.Fprintln(text, "Load-balancer scaling on skewed workloads (per-call LPT on measured cost vs static plan)")
 		fmt.Fprint(text, bench.FormatSkew(rows))
 	}
 	if cfg.ablate {

@@ -56,7 +56,7 @@ func main() {
 	fmt.Println("\n=== Generated C ===")
 	fmt.Print(res.C)
 
-	// Simulate with the Adams-Gear solver: k vector in res.System.Rates
+	// Integrate with the Adams-Gear solver: k vector in res.System.Rates
 	// order.
 	k := make([]float64, len(res.System.Rates))
 	vals := map[string]float64{"K_sc": 2, "K_cap": 3}

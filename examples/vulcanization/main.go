@@ -61,7 +61,7 @@ func main() {
 	// fits the two uncertain ones (scission and crosslinking) within a
 	// decade of their nominal values.
 	model := res.Model(prop, ode.Options{RTol: 1e-9, ATol: 1e-12})
-	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func fitAndAnalyze(src string, data []*dataset.File) stats.Fit {
 		log.Fatal(err)
 	}
 	model := res.Model(bridgeProperty(res), ode.Options{RTol: 1e-9, ATol: 1e-12})
-	est, err := estimator.New(model, data, estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	est, err := estimator.New(model, data, estimator.Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -343,7 +343,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	measure := func(ranks int, lb bool) (modelSec, wallSec float64, err error) {
 		ecfg := estimator.Config{Ranks: ranks, Metrics: cfg.Metrics}
 		if lb {
-			ecfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
+			ecfg.Policy = sched.PolicyLPT
 		}
 		est, err := estimator.New(model, files, ecfg)
 		if err != nil {

@@ -48,7 +48,7 @@ type FaultsRow struct {
 	// Recovery counts the fault-tolerance interventions performed.
 	Recovery estimator.RecoveryStats
 	// Degrade counts the graceful-degradation ladder activations
-	// (sparse→dense, ewma→lpt, watchdog timeouts).
+	// (sparse→dense, watchdog timeouts).
 	Degrade estimator.DegradeStats
 }
 
@@ -127,7 +127,7 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 		log := telemetry.NewLogger(rec)
 		bud = bud.WithLogger(log.Scope("budget"))
 		ecfg := estimator.Config{
-			Ranks: cfg.Ranks, Sched: &sched.Config{Policy: sched.PolicyLPT},
+			Ranks: cfg.Ranks, Policy: sched.PolicyLPT,
 			FaultTolerant: true, Watchdog: watchdog,
 			Budget: bud, Retry: estimator.RetryPolicy{AttemptTimeout: attempt},
 			Metrics: cfg.Metrics, Log: log,
@@ -212,7 +212,6 @@ func formatDegrade(d estimator.DegradeStats) string {
 	}
 	add("tmo", d.SolveTimeouts)
 	add("sparse", d.SparseToDense)
-	add("lpt", d.SchedStatic)
 	if len(parts) == 0 {
 		return "none"
 	}

@@ -1,17 +1,15 @@
-// Skewed-workload scaling study for the v2 scheduler (rmsbench -skew):
+// Skewed-workload scaling study for the load balancer (rmsbench -skew):
 // deliberately pathological per-file cost distributions — one heavy file
 // among light ones, and Zipf-distributed costs decoupled from record
-// counts — run under three scheduling policies on identical data. The
+// counts — run under two load-balancing policies on identical data. The
 // static policy plans once from the a-priori record counts (all the
 // paper's balancer knows before the first call) and is exactly what
 // saturates on these workloads; the lpt policy is the paper's per-call
-// rebalance on raw measured cost; the sched policy is the full ewma
-// loop (EWMA cost model + re-planning + splits + work-stealing lanes).
-// Everything is measured in deterministic modeled op units (counted
-// solver work, critical path over ranks under the virtual-clock
-// replay), so rows are reproducible across hosts, and every policy must
-// produce bit-identical fitted parameters — the scheduler is not
-// allowed to buy throughput with numerics.
+// rebalance on measured cost. Everything is measured in deterministic
+// modeled op units (counted solver work, critical path over ranks), so
+// rows are reproducible across hosts, and every policy must produce
+// bit-identical fitted parameters — the load balancer is not allowed to
+// buy throughput with numerics.
 package bench
 
 import (
@@ -33,21 +31,19 @@ import (
 // SkewRow is one (scenario, policy) measurement.
 type SkewRow struct {
 	Scenario string
-	// Policy is "serial", "static", "lpt" or "sched".
+	// Policy is "serial", "static" or "lpt".
 	Policy string
-	// Ranks and Lanes shape the run; Workers = Ranks × Lanes.
-	Ranks, Lanes int
+	// Ranks is the simulated node count of the run.
+	Ranks int
 	// ModeledOps is the fit's total modeled parallel work (critical path
-	// over ranks, virtual-clock replayed — deterministic).
+	// over ranks — deterministic).
 	ModeledOps float64
 	// ModeledSec is ModeledOps scaled by this host's calibrated op rate.
 	ModeledSec float64
 	// Speedup is serial ModeledOps / this row's (parallel speedup).
 	Speedup float64
-	// Efficiency is Speedup / Workers — the scaling-efficiency column.
+	// Efficiency is Speedup / Ranks — the scaling-efficiency column.
 	Efficiency float64
-	// Steals and Splits are the scheduler's decision counts for the fit.
-	Steals, Splits int
 	// BitIdentical reports whether the fitted parameters equal the
 	// serial fit's bit for bit.
 	BitIdentical bool
@@ -58,19 +54,15 @@ type SkewConfig struct {
 	// Variants sizes the kinetic model (default 16; min 8).
 	Variants int
 	// Files sizes the zipf corpus (default 20); the one-heavy corpus is
-	// capped at 12 files so its dominant file keeps a cost share above
-	// the split threshold.
+	// capped at 12 files so its dominant file stays the critical path.
 	Files int
-	// Ranks is the simulated node count (default 4).
+	// Ranks is the simulated node count (default 8).
 	Ranks int
-	// Lanes is the work-stealing lane count per rank (default 2), so the
-	// default totals 8 workers.
-	Lanes int
 	// MaxIter bounds the LM fit per policy (default 2 — enough calls for
-	// the cost model to converge and re-plan several times).
+	// lpt to re-plan several times).
 	MaxIter int
-	// Metrics, when non-nil, receives the estimator/scheduler telemetry
-	// of every run (accumulated).
+	// Metrics, when non-nil, receives the estimator telemetry of every
+	// run (accumulated).
 	Metrics *telemetry.Registry
 }
 
@@ -82,10 +74,7 @@ func (c SkewConfig) withDefaults() SkewConfig {
 		c.Files = 20
 	}
 	if c.Ranks == 0 {
-		c.Ranks = 4
-	}
-	if c.Lanes == 0 {
-		c.Lanes = 2
+		c.Ranks = 8
 	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 2
@@ -121,10 +110,9 @@ func skewFiles(scenario string, n, ranks int) []*dataset.File {
 	windows := make([]float64, n)
 	switch scenario {
 	case "oneheavy":
-		// One dominant file (past the split threshold's share of total
-		// cost) with few records: saturation-bound — its solve IS the
-		// critical path under any whole-file plan, so this scenario
-		// isolates the split heuristic rather than rebalancing.
+		// One dominant file with few records: saturation-bound — its
+		// solve IS the critical path under any plan, so rebalancing can
+		// only pack the light files around it.
 		for i := range windows {
 			windows[i] = 0.003
 			records[i] = 40
@@ -138,7 +126,7 @@ func skewFiles(scenario string, n, ranks int) []*dataset.File {
 		// strides through equilibrium) and at a startup floor for tiny
 		// windows, so the steep Zipf realizes as a cluster of
 		// comparably-heavy head files over a much cheaper tail — while
-		// no single file exceeds a 1/workers share of total cost, so an
+		// no single file exceeds a 1/ranks share of total cost, so an
 		// ideal plan stays balance-bound rather than saturation-bound.
 		mags := make([]float64, n)
 		for j := range mags {
@@ -150,8 +138,10 @@ func skewFiles(scenario string, n, ranks int) []*dataset.File {
 		// Adversarial co-location: the record-count plan's rank-0 files
 		// get the heaviest windows, the rest follow in plan order.
 		order := []int{}
-		for _, rankFiles := range sched.LPT(recf, ranks) {
-			order = append(order, rankFiles...)
+		for _, items := range sched.LPT(recf, ranks) {
+			for _, it := range items {
+				order = append(order, it.File)
+			}
 		}
 		for idx, fi := range order {
 			windows[fi] = mags[idx]
@@ -201,10 +191,9 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 	fitOpts := nlopt.Options{MaxIter: cfg.MaxIter, RelStep: 1e-4}
 
 	type outcome struct {
-		x     []float64
-		ops   float64
-		sec   float64
-		stats estimator.SchedStats
+		x   []float64
+		ops float64
+		sec float64
 	}
 	fit := func(files []*dataset.File, ecfg estimator.Config) (outcome, error) {
 		ecfg.Metrics = cfg.Metrics
@@ -217,16 +206,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{x: r.X, ops: est.ModeledOps(), sec: est.ModeledSeconds(), stats: est.SchedStats()}, nil
-	}
-	schedCfg := func(p sched.Policy) *sched.Config {
-		sc := &sched.Config{Policy: p, Alpha: 0.5, Lanes: cfg.Lanes, Steal: true}
-		if p == sched.PolicyEWMA {
-			// Only ewma splits: a file predicted above 30% of total cost
-			// is carved into record sub-ranges.
-			sc.SplitShare, sc.MaxParts = 0.3, 2
-		}
-		return sc
+		return outcome{x: r.X, ops: est.ModeledOps(), sec: est.ModeledSeconds()}, nil
 	}
 
 	var rows []SkewRow
@@ -236,17 +216,14 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 			return nil, fmt.Errorf("%s serial: %w", scenario, err)
 		}
 		rows = append(rows, SkewRow{
-			Scenario: scenario, Policy: "serial", Ranks: 1, Lanes: 1,
+			Scenario: scenario, Policy: "serial", Ranks: 1,
 			ModeledOps: serial.ops, ModeledSec: serial.sec,
 			Speedup: 1, Efficiency: 1, BitIdentical: true,
 		})
-		for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicyLPT, sched.PolicyEWMA} {
+		for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicyLPT} {
 			name := pol.String()
-			if pol == sched.PolicyEWMA {
-				name = "sched"
-			}
 			out, err := fit(skewFiles(scenario, cfg.Files, cfg.Ranks), estimator.Config{
-				Ranks: cfg.Ranks, Sched: schedCfg(pol),
+				Ranks: cfg.Ranks, Policy: pol,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", scenario, name, err)
@@ -257,14 +234,11 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 					bit = false
 				}
 			}
-			workers := cfg.Ranks * cfg.Lanes
 			rows = append(rows, SkewRow{
-				Scenario: scenario, Policy: name,
-				Ranks: cfg.Ranks, Lanes: cfg.Lanes,
+				Scenario: scenario, Policy: name, Ranks: cfg.Ranks,
 				ModeledOps: out.ops, ModeledSec: out.sec,
-				Speedup:    serial.ops / out.ops,
-				Efficiency: serial.ops / out.ops / float64(workers),
-				Steals:     out.stats.Steals, Splits: out.stats.Splits,
+				Speedup:      serial.ops / out.ops,
+				Efficiency:   serial.ops / out.ops / float64(cfg.Ranks),
 				BitIdentical: bit,
 			})
 		}
@@ -272,7 +246,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 	return rows, nil
 }
 
-// SkewSpeedupOverStatic returns sched's throughput gain over the static
+// SkewSpeedupOverStatic returns lpt's throughput gain over the static
 // plan for one scenario (0 when the rows are missing) — the acceptance
 // measure the verdict line prints.
 func SkewSpeedupOverStatic(rows []SkewRow, scenario string) float64 {
@@ -284,7 +258,7 @@ func SkewSpeedupOverStatic(rows []SkewRow, scenario string) float64 {
 		switch r.Policy {
 		case "static":
 			static = r.ModeledOps
-		case "sched":
+		case "lpt":
 			dyn = r.ModeledOps
 		}
 	}
@@ -297,19 +271,17 @@ func SkewSpeedupOverStatic(rows []SkewRow, scenario string) float64 {
 // FormatSkew renders the skewed-workload scaling table.
 func FormatSkew(rows []SkewRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-8s %-8s %-12s %-9s %-8s %-7s %-7s %-6s"+NL,
-		"scenario", "policy", "workers", "modeled ops", "speedup", "effic", "steals", "splits", "bitid")
+	fmt.Fprintf(&b, "%-10s %-8s %-8s %-12s %-9s %-8s %-6s"+NL,
+		"scenario", "policy", "ranks", "modeled ops", "speedup", "effic", "bitid")
 	for _, r := range rows {
-		workers := r.Ranks * r.Lanes
 		bit := "yes"
 		if !r.BitIdentical {
 			bit = "NO"
 		}
-		fmt.Fprintf(&b, "%-10s %-8s %-8d %-12.4g %-9s %-8s %-7d %-7d %-6s"+NL,
-			r.Scenario, r.Policy, workers, r.ModeledOps,
+		fmt.Fprintf(&b, "%-10s %-8s %-8d %-12.4g %-9s %-8s %-6s"+NL,
+			r.Scenario, r.Policy, r.Ranks, r.ModeledOps,
 			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.0f%%", 100*r.Efficiency),
-			r.Steals, r.Splits, bit)
+			fmt.Sprintf("%.0f%%", 100*r.Efficiency), bit)
 	}
 	for _, scenario := range []string{"zipf", "oneheavy"} {
 		if gain := SkewSpeedupOverStatic(rows, scenario); gain > 0 {
@@ -322,10 +294,10 @@ func FormatSkew(rows []SkewRow) string {
 				// the critical path); no target applies.
 				verdict = "saturation-bound"
 			}
-			fmt.Fprintf(&b, "%s: sched vs static %.2fx — %s"+NL, scenario, gain, verdict)
+			fmt.Fprintf(&b, "%s: lpt vs static %.2fx — %s"+NL, scenario, gain, verdict)
 		}
 	}
 	b.WriteString("speedup/effic vs the serial fit in deterministic modeled ops; costs are" + NL)
-	b.WriteString("counted solver work on the virtual-clock replay (docs/load-balancing.md)" + NL)
+	b.WriteString("counted solver work, critical path over ranks (docs/load-balancing.md)" + NL)
 	return b.String()
 }

@@ -12,15 +12,15 @@ func TestSkewSmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 scenarios × (serial + 3 policies).
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
+	// 2 scenarios × (serial + static + lpt).
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
 	for _, r := range rows {
 		if r.ModeledOps <= 0 {
 			t.Errorf("%s/%s: no modeled work", r.Scenario, r.Policy)
 		}
-		// The scheduler must never buy throughput with numerics.
+		// The load balancer must never buy throughput with numerics.
 		if !r.BitIdentical {
 			t.Errorf("%s/%s: fitted parameters diverged from serial", r.Scenario, r.Policy)
 		}
@@ -28,14 +28,14 @@ func TestSkewSmallRun(t *testing.T) {
 			t.Errorf("%s/%s: parallel slower than serial (%.2fx)", r.Scenario, r.Policy, r.Speedup)
 		}
 	}
-	// The dynamic scheduler must beat the record-count static plan on the
+	// The dynamic load balancer must beat the record-count static plan on the
 	// anti-correlated workloads (the full-size zipf target of >=1.5x is
 	// checked by the rmsbench run; this guards the direction at toy size).
 	if gain := SkewSpeedupOverStatic(rows, "zipf"); gain <= 1 {
-		t.Errorf("zipf: sched vs static %.2fx, want > 1x", gain)
+		t.Errorf("zipf: lpt vs static %.2fx, want > 1x", gain)
 	}
 	out := FormatSkew(rows)
-	for _, want := range []string{"scenario", "zipf", "oneheavy", "sched vs static"} {
+	for _, want := range []string{"scenario", "zipf", "oneheavy", "lpt vs static"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatSkew missing %q:\n%s", want, out)
 		}

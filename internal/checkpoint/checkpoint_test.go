@@ -257,7 +257,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 		}
 		lbFiles = append(lbFiles, f)
 	}
-	lpt := estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}}
+	lpt := estimator.Config{Ranks: 2, Policy: sched.PolicyLPT}
 
 	// A run checkpoint written by a 2-rank fit on the lpt schedule whose
 	// lanes solved their files as one lockstep batch, interrupted at
@@ -270,20 +270,40 @@ func TestRunStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each restores into the lpt estimator, and the next objective call
-	// equals a fresh estimator's bit for bit.
-	next := func(name string, st *RunState, x []float64) []float64 {
+	// A run checkpoint written by a 2-rank fit on the ewma schedule
+	// (Alpha 0.5, two work-stealing lanes per rank, no splits) under
+	// injected slow-lane jitter, interrupted at iteration 2, from before
+	// the EWMA cost model, the lanes and the slow-lane injectors were
+	// retired: its estimator state carries cost, sched_policy "ewma" and
+	// mispredicts keys and per-item Lo/Hi/Seq fields, its fault plan
+	// slow_rate, slow_max and counts.SlowLanes. Decoding skips them all.
+	ewma, err := LoadRun(filepath.Join("testdata", "run_ewma_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ewma.Faults == nil {
+		t.Fatal("ewma fault plan dropped")
+	}
+	ewmaPlan := faults.FromState(*ewma.Faults)
+	if st := ewmaPlan.Snapshot(); st.Seed != 7 || st.Counts != (faults.Counts{}) {
+		t.Errorf("rebuilt ewma fault plan %+v, want seed 7 and no fired injections", st)
+	}
+
+	// Each restores into the lpt estimator — the ewma one with its
+	// rebuilt fault plan attached — and the next objective call equals a
+	// fresh estimator's bit for bit.
+	next := func(name string, st *estimator.State, cfg estimator.Config, x []float64, plans [][]int) []float64 {
 		t.Helper()
-		e, err := estimator.New(model, lbFiles, lpt)
+		e, err := estimator.New(model, lbFiles, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != nil {
-			if err := e.Restore(st.Est); err != nil {
+			if err := e.Restore(*st); err != nil {
 				t.Fatalf("restore of the %s estimator state: %v", name, err)
 			}
-			if e.Calls() != 5 || !reflect.DeepEqual(planFiles(e.Plans()), [][]int{{0}, {2, 1}}) {
-				t.Errorf("%s: restored calls %d, plans %v; want 5, [[0] [2 1]]", name, e.Calls(), planFiles(e.Plans()))
+			if e.Calls() != 5 || !reflect.DeepEqual(planFiles(e.Plans()), plans) {
+				t.Errorf("%s: restored calls %d, plans %v; want 5, %v", name, e.Calls(), planFiles(e.Plans()), plans)
 			}
 		}
 		r := make([]float64, e.ResidualDim())
@@ -292,12 +312,20 @@ func TestRunStateRoundTrip(t *testing.T) {
 		}
 		return r
 	}
+	withFaults := lpt
+	withFaults.Faults = ewmaPlan
 	for _, c := range []struct {
-		name string
-		st   *RunState
-	}{{"load-balanced", &lb}, {"batch", &batch}} {
+		name  string
+		st    *RunState
+		cfg   estimator.Config
+		plans [][]int
+	}{
+		{"load-balanced", &lb, lpt, [][]int{{0}, {2, 1}}},
+		{"batch", &batch, lpt, [][]int{{0}, {2, 1}}},
+		{"ewma", &ewma, withFaults, [][]int{{0}, {1, 2}}},
+	} {
 		x := c.st.Opt.X
-		if got, want := next(c.name, c.st, x), next(c.name, nil, x); !reflect.DeepEqual(got, want) {
+		if got, want := next(c.name, &c.st.Est, c.cfg, x, c.plans), next(c.name, nil, lpt, x, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: resumed call %v, fresh estimator %v", c.name, got, want)
 		}
 	}

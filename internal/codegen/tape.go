@@ -144,21 +144,6 @@ func (e *Evaluator) EvalSlots(y, k []float64) {
 	}
 	s := e.slots
 	copy(s[len(p.Consts):], y)
-	e.Prime(k)
-	e.telEvals.Inc()
-	runCode(s, p.Code)
-}
-
-// Prime runs the prelude for k unless the evaluator already holds its
-// results, so later evaluations at k run only the per-evaluation code.
-// Eval primes implicitly; a caller that knows k before it knows which
-// evaluators will evaluate primes each one up front, which makes the
-// prelude-run count a function of the evaluators it created.
-func (e *Evaluator) Prime(k []float64) {
-	p := e.prog
-	if len(k) != p.NumK {
-		panic(fmt.Sprintf("codegen: Prime got %d rate constants, want %d", len(k), p.NumK))
-	}
 	// Rerun the prelude whenever the rate constants change *by value*: the
 	// caller may mutate k in place between evaluations (the optimizer's
 	// line-search loop does exactly that), so slice identity proves
@@ -166,15 +151,15 @@ func (e *Evaluator) Prime(k []float64) {
 	// is on bit patterns, not ==: NaN != NaN would force a prelude rerun on
 	// every evaluation once a non-finite trial parameter appears (the
 	// optimizer's penalty path produces exactly these).
-	if e.preludeDone && floatsBitEqual(e.lastK, k) {
-		return
+	if !e.preludeDone || !floatsBitEqual(e.lastK, k) {
+		copy(s[len(p.Consts)+p.NumY:], k)
+		runCode(s, p.Prelude)
+		e.lastK = append(e.lastK[:0], k...)
+		e.preludeDone = true
+		e.telPrelude.Inc()
 	}
-	s := e.slots
-	copy(s[len(p.Consts)+p.NumY:], k)
-	runCode(s, p.Prelude)
-	e.lastK = append(e.lastK[:0], k...)
-	e.preludeDone = true
-	e.telPrelude.Inc()
+	e.telEvals.Inc()
+	runCode(s, p.Code)
 }
 
 // Slot reads a slot value after EvalSlots.

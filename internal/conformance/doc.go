@@ -13,8 +13,8 @@
 //     evaluation;
 //   - dense vs sparse Newton trajectories through the stiff solver;
 //   - the Go tape vs the generated-C kernel recompiled by ccomp;
-//   - single-rank vs multi-rank estimator residuals, the serial vs the
-//     work-stealing scheduler, a checkpoint-resumed run vs the
+//   - single-rank vs multi-rank estimator residuals under the block plan
+//     and the lpt load balancer, a checkpoint-resumed run vs the
 //     uninterrupted one, and the HTTP service vs the inline pipeline,
 //     all exactly.
 //

@@ -104,13 +104,13 @@ func TestFaultedFitMatchesCleanFit(t *testing.T) {
 		return res
 	}
 
-	clean := fit(estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	clean := fit(estimator.Config{Ranks: 2, Policy: sched.PolicyLPT})
 
 	// Fail file 0's first attempt on two early objective calls; each
 	// retry succeeds, so nothing is penalized.
 	plan := faults.NewPlan(3).FlakyFile(0, 1, 1).FlakyFile(0, 3, 1)
 	e, err := estimator.New(model, files, estimator.Config{
-		Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}, FaultTolerant: true, Faults: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

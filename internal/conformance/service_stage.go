@@ -27,7 +27,7 @@ import (
 // (shared tape, forked symbolic LU) and the JSON float64 wire encoding
 // are both exactness-preserving by design, so any divergence at all is
 // a service-layer bug altering numerics. The fit comparison covers the
-// serial and v2-scheduler (ewma) estimator paths.
+// serial path and three ranks under the lpt load balancer.
 func stageService(cs *Case, rec *Recorder, _ float64) error {
 	spec := service.ModelSpec{Kind: service.KindNet, Source: network.FormatText(cs.Net)}
 	eng := service.NewEngine(nil, nil)
@@ -109,19 +109,11 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 			req:  service.FitRequest{Ranks: 1},
 		},
 		{
-			name: "sched-ewma", files: skewedFiles,
-			ecfg: estimator.Config{Ranks: 3, Sched: &sched.Config{
-				Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
-				Lanes: 2, Steal: true,
-			}},
-			req: service.FitRequest{Ranks: 3, Sched: &service.SchedSpec{
-				Policy: "ewma", Alpha: 0.5,
-				SplitShare: 0.25, MaxParts: 3,
-				Lanes: 2, Steal: true,
-			}},
+			name: "sched-lpt", files: skewedFiles,
+			ecfg: estimator.Config{Ranks: 3, Policy: sched.PolicyLPT},
+			req:  service.FitRequest{Ranks: 3, Sched: &service.SchedSpec{Policy: "lpt"}},
 		},
 	}
-	var serialFit *service.FitResult
 	for _, v := range variants {
 		files := v.files(cs)
 		req := v.req
@@ -146,9 +138,6 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 		if ref.Iterations != fr.Iterations {
 			rec.Failf("fit %s: %d iterations inline vs %d served", v.name, ref.Iterations, fr.Iterations)
 		}
-		if v.name == "serial" {
-			serialFit = &fr
-		}
 
 		req.Model = cm.ID // resolve by cached id over HTTP
 		var httpFit service.FitResult
@@ -158,7 +147,6 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 		rec.CheckVec("fit http-vs-engine x "+v.name, fr.X, httpFit.X, -1)
 		rec.CheckExact("fit http-vs-engine rnorm "+v.name, fr.RNorm, httpFit.RNorm)
 	}
-	_ = serialFit
 	return nil
 }
 

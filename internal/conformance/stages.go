@@ -45,8 +45,7 @@ var Stages = []Stage{
 	{"newton", "dense vs sparse Newton trajectories (stiff solver)", true, stageNewton},
 	{"ccomp", "Go tape vs generated-C kernel recompiled at -O0 and -O4", true, stageCComp},
 	{"estimator", "single-rank vs multi-rank estimator residuals", true, stageEstimator},
-	{"sched", "serial vs work-stealing rebalanced scheduler residuals (exact)", true, stageSched},
-	{"resume", "checkpoint/resume bit-identity on serial and sched paths", true, stageResume},
+	{"resume", "checkpoint/resume bit-identity on serial and lpt paths", true, stageResume},
 	{"permute", "species-permutation invariance of compiled evaluation", true, stagePermute},
 	{"scalek", "rate-constant/time rescaling equivalence", true, stageScaleK},
 	{"conserve", "conservation-law residuals of dy and of trajectories", true, stageConserve},
@@ -303,7 +302,7 @@ func stageEstimator(cs *Case, rec *Recorder, _ float64) error {
 	if err != nil {
 		return fmt.Errorf("estimator ranks=3: %w", err)
 	}
-	lpt, err := resid(estimator.Config{Ranks: 3, Sched: &sched.Config{Policy: sched.PolicyLPT}}, cs.K, k2)
+	lpt, err := resid(estimator.Config{Ranks: 3, Policy: sched.PolicyLPT}, cs.K, k2)
 	if err != nil {
 		return fmt.Errorf("estimator ranks=3 lpt: %w", err)
 	}
@@ -316,7 +315,7 @@ func stageEstimator(cs *Case, rec *Recorder, _ float64) error {
 }
 
 // skewedFiles is conformanceFiles with one dominant file — the shape
-// that forces the v2 scheduler to split, steal and re-plan.
+// that makes the lpt load balancer re-plan.
 func skewedFiles(cs *Case) []*dataset.File {
 	counts := []int{60, 6, 9, 5, 7, 8}
 	files := make([]*dataset.File, len(counts))
@@ -331,73 +330,14 @@ func skewedFiles(cs *Case) []*dataset.File {
 	return files
 }
 
-// stageSched holds the v2 scheduler path (estimator.Config.Sched: EWMA
-// cost-model rebalancing, dominant-file splitting, work-stealing lanes)
-// to BIT-IDENTICAL residuals against the serial single-rank path — not
-// a tolerance band: the sched path's per-file contribution fold is
-// order-independent by construction, and splitting fast-forwards the
-// record prefix through the same integration, so any divergence at all
-// is a scheduler bug corrupting numerics. Two objective calls per
-// parameter point: the first runs the seed plan, the second the
-// measured, re-planned (and split) schedule.
-func stageSched(cs *Case, rec *Recorder, _ float64) error {
-	prop := func(y []float64) float64 {
-		s := 0.0
-		for _, v := range y {
-			s += v
-		}
-		return s
-	}
-	model := &estimator.Model{
-		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop, Stiff: true,
-		AnalyticJac: cs.Jac,
-		SolverOpts:  ode.Options{RTol: 1e-7, ATol: 1e-10},
-	}
-	files := skewedFiles(cs)
-	k2 := make([]float64, len(cs.K))
-	for i, v := range cs.K {
-		k2[i] = 1.3 * v
-	}
-	resid := func(cfg estimator.Config) ([][]float64, error) {
-		e, err := estimator.New(model, files, cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		var out [][]float64
-		for _, k := range [][]float64{cs.K, k2} {
-			r := make([]float64, e.ResidualDim())
-			if err := e.Objective(k, r); err != nil {
-				return nil, err
-			}
-			out = append(out, append([]float64(nil), r...))
-		}
-		return out, nil
-	}
-	serial, err := resid(estimator.Config{Ranks: 1})
-	if err != nil {
-		return fmt.Errorf("sched serial: %w", err)
-	}
-	dyn, err := resid(estimator.Config{Ranks: 3, Sched: &sched.Config{
-		Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
-		Lanes: 2, Steal: true,
-	}})
-	if err != nil {
-		return fmt.Errorf("sched dynamic: %w", err)
-	}
-	rec.CheckVec("residual serial-vs-sched call0", serial[0], dyn[0], -1)
-	rec.CheckVec("residual serial-vs-sched call1 (replanned)", serial[1], dyn[1], -1)
-	return nil
-}
-
 // stageResume holds the checkpoint/resume contract to BIT-IDENTICAL
 // residuals on every estimator execution path: a run interrupted at an
 // objective-call boundary, snapshotted through the checkpoint envelope
 // (JSON + content hash, exactly what lands on disk), and restored into a
 // freshly-constructed estimator must produce the same remaining
 // residual vectors as the uninterrupted run — exactly, not to a
-// tolerance. Covered paths: serial single-rank and the v2
-// work-stealing scheduler (cost model, plans and policy all travel in
+// tolerance. Covered paths: serial single-rank and three ranks under the
+// lpt load balancer (the plans and the last measured costs travel in
 // the snapshot).
 func stageResume(cs *Case, rec *Recorder, _ float64) error {
 	prop := func(y []float64) float64 {
@@ -413,8 +353,8 @@ func stageResume(cs *Case, rec *Recorder, _ float64) error {
 		SolverOpts:  ode.Options{RTol: 1e-7, ATol: 1e-10},
 	}
 	files := skewedFiles(cs)
-	// Four-call k schedule: enough that the sched path replans and the
-	// cost model evolves before and after the interruption point.
+	// Four-call k schedule: enough that the lpt path re-plans before and
+	// after the interruption point.
 	kseq := make([][]float64, 4)
 	for c := range kseq {
 		k := make([]float64, len(cs.K))
@@ -428,11 +368,8 @@ func stageResume(cs *Case, rec *Recorder, _ float64) error {
 		cfg  func() estimator.Config
 	}{
 		{"serial", func() estimator.Config { return estimator.Config{Ranks: 1} }},
-		{"sched", func() estimator.Config {
-			return estimator.Config{Ranks: 3, Sched: &sched.Config{
-				Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
-				Lanes: 2, Steal: true,
-			}}
+		{"lpt", func() estimator.Config {
+			return estimator.Config{Ranks: 3, Policy: sched.PolicyLPT}
 		}},
 	}
 	for _, v := range variants {

@@ -128,7 +128,7 @@ func TestEstimateThroughPipeline(t *testing.T) {
 		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "e1", Records: 40, T0: 0, T1: 2}),
 		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "e2", Records: 25, T0: 0, T1: 2, Seed: 1}),
 	}
-	fit, named, err := res.Estimate(files, estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}},
+	fit, named, err := res.Estimate(files, estimator.Config{Ranks: 2, Policy: sched.PolicyLPT},
 		property, ode.Options{RTol: 1e-10, ATol: 1e-12},
 		nlopt.Options{MaxIter: 60, RelStep: 1e-4})
 	if err != nil {

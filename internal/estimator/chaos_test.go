@@ -14,14 +14,12 @@ import (
 
 	"rms/internal/faults"
 	"rms/internal/linalg"
-	"rms/internal/sched"
 	"rms/internal/telemetry"
 )
 
 // TestChaosAllLaddersFire runs one scenario per degradation ladder into
 // a shared telemetry registry and then demands every degrade.* counter
-// incremented: sparse→dense LU, ewma→lpt, and the attempt-watchdog
-// timeout.
+// incremented: sparse→dense LU and the attempt-watchdog timeout.
 func TestChaosAllLaddersFire(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	solve := func(e *Estimator, calls int) {
@@ -54,22 +52,6 @@ func TestChaosAllLaddersFire(t *testing.T) {
 		t.Errorf("SparseToDense = %d, want >= 1", got)
 	}
 
-	// Ladder 2: sched ewma → static LPT, via heavy lane-cost jitter the
-	// EWMA cost model cannot track.
-	e, err = New(decayModel(t), makeFiles(1.0, []int{30, 20, 25, 35}), Config{
-		Ranks:   2,
-		Sched:   &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
-		Faults:  faults.NewPlan(7).SlowLaneJitter(1.0, 64),
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve(e, 2+schedMispredictLimit)
-	if got := e.Degrade().SchedStatic; got != 1 {
-		t.Errorf("SchedStatic = %d, want 1", got)
-	}
-
 	// Watchdog: an injected hang parked on the attempt budget, recovered
 	// by retry.
 	e, err = New(decayModel(t), makeFiles(1.0, []int{20, 20}), Config{
@@ -86,7 +68,7 @@ func TestChaosAllLaddersFire(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		"degrade.sparse_to_dense", "degrade.sched_static", "degrade.solve_timeout",
+		"degrade.sparse_to_dense", "degrade.solve_timeout",
 	} {
 		if v := reg.Counter(name).Value(); v < 1 {
 			t.Errorf("counter %s = %d, want >= 1", name, v)
@@ -149,7 +131,7 @@ func TestChaosCheckpointResumeUnderFaults(t *testing.T) {
 }
 
 // TestChaosSoakFaultTolerantFinishes is the longer soak: many calls with
-// a mixed injection schedule (hangs, timeouts, flaky files, slow lanes)
+// a mixed injection schedule (hangs, timeouts, flaky files)
 // under the fault-tolerant path; the run must finish every call and the
 // recovery ledger must show the interventions happened.
 func TestChaosSoakFaultTolerantFinishes(t *testing.T) {
@@ -157,8 +139,7 @@ func TestChaosSoakFaultTolerantFinishes(t *testing.T) {
 		HangFile(0, 1).
 		TimeoutFile(2, 3).
 		FlakyFile(1, 5, 1).
-		TimeoutFile(0, 7).
-		SlowLaneJitter(0.3, 8)
+		TimeoutFile(0, 7)
 	e, err := New(decayModel(t), makeFiles(1.0, []int{25, 20, 30}), Config{
 		Ranks: 3, FaultTolerant: true, Faults: plan,
 		Retry: RetryPolicy{AttemptTimeout: 30 * time.Millisecond},

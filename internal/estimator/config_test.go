@@ -3,7 +3,6 @@ package estimator
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"rms/internal/faults"
@@ -11,13 +10,10 @@ import (
 )
 
 // TestConfigCrossProduct walks the configuration space: Ranks {1, 3} ×
-// Sched {nil, static, lpt, ewma} × FaultTolerant, and for a non-nil
-// Sched also × SplitShare {0, 0.25} × {one lane, two stealing lanes}.
-// Every cell either fails at New, naming the field it cannot combine, or
-// runs three objective calls that match Config{Ranks: 1} bit for bit.
-// New rejects exactly SplitShare with FaultTolerant, Faults or a
-// file-granularity policy (static, lpt); an extra row pins the Faults
-// rule the axes do not reach.
+// Policy {block, static, lpt} × FaultTolerant, plus one row per policy
+// with a fault plan attached whose only injection is scheduled past the
+// run. New accepts every cell, and every cell runs three objective
+// calls that match Config{Ranks: 1} bit for bit.
 func TestConfigCrossProduct(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.2, []int{30, 6, 9, 5, 7})
@@ -43,48 +39,30 @@ func TestConfigCrossProduct(t *testing.T) {
 	}
 
 	type cell struct {
-		name   string
-		cfg    Config
-		reject bool
+		name string
+		cfg  Config
 	}
-	cells := []cell{
-		{"split with faults", Config{Ranks: 1, Faults: faults.NewPlan(1),
-			Sched: &sched.Config{SplitShare: 0.25}}, true},
-	}
-	policies := []*sched.Policy{nil, ptr(sched.PolicyStatic), ptr(sched.PolicyLPT), ptr(sched.PolicyEWMA)}
+	var cells []cell
+	policies := []sched.Policy{sched.PolicyBlock, sched.PolicyStatic, sched.PolicyLPT}
 	for _, ranks := range []int{1, 3} {
 		for _, pol := range policies {
 			for _, ft := range []bool{false, true} {
-				cfg := Config{Ranks: ranks, FaultTolerant: ft}
-				name := fmt.Sprintf("ranks=%d/ft=%v", ranks, ft)
-				if pol == nil {
-					cells = append(cells, cell{name + "/sched=nil", cfg, false})
-					continue
-				}
-				for _, split := range []float64{0, 0.25} {
-					for _, lanes := range []int{1, 2} {
-						c := cfg
-						c.Sched = &sched.Config{Policy: *pol, SplitShare: split, Lanes: lanes, Steal: lanes == 2}
-						cells = append(cells, cell{
-							fmt.Sprintf("%s/sched=%s/split=%g/lanes=%d", name, *pol, split, lanes),
-							c, split > 0 && (ft || *pol != sched.PolicyEWMA),
-						})
-					}
-				}
+				cells = append(cells, cell{
+					fmt.Sprintf("ranks=%d/policy=%s/ft=%v", ranks, pol, ft),
+					Config{Ranks: ranks, Policy: pol, FaultTolerant: ft},
+				})
 			}
 		}
+	}
+	for _, pol := range policies {
+		cells = append(cells, cell{
+			fmt.Sprintf("ranks=3/policy=%s/faults", pol),
+			Config{Ranks: 3, Policy: pol, Faults: faults.NewPlan(1).FailFile(0, len(ks))},
+		})
 	}
 
 	for _, c := range cells {
 		got, err := run(c.cfg)
-		if c.reject {
-			if err == nil {
-				t.Errorf("%s: New accepted a combination it cannot honour", c.name)
-			} else if !strings.Contains(err.Error(), "SplitShare") {
-				t.Errorf("%s: error %q does not name SplitShare", c.name, err)
-			}
-			continue
-		}
 		if err != nil {
 			t.Errorf("%s: New rejected a supported combination: %v", c.name, err)
 			continue
@@ -99,5 +77,3 @@ func TestConfigCrossProduct(t *testing.T) {
 		}
 	}
 }
-
-func ptr[T any](v T) *T { return &v }

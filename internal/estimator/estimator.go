@@ -6,17 +6,17 @@
 //
 // Every objective evaluation runs one mpi.Run over the configured number
 // of ranks: each rank solves the ODE system across the time grid of the
-// items (data files or record sub-ranges of them) its plan assigns it,
-// writing each item's per-timestep differences between simulated and
-// measured property values into a per-(file, record) buffer, and two
-// AllReduce operations combine the buffers and the per-item solve costs.
-// The caller folds the buffers in ascending file order, so the residual
-// is bit-identical to the serial single-rank path for any plan. Between
-// objective calls the scheduler (package sched, Config.Sched) may
-// re-plan: the paper's dynamic load balancing algorithm orders solve
-// times non-increasing (a priority queue) and gives each file to the
-// rank with the least total allocated time so far (LPT scheduling), so
-// the next call sees balanced work.
+// data files its plan assigns it, writing each file's per-timestep
+// differences between simulated and measured property values into a
+// per-(file, record) buffer, and two AllReduce operations combine the
+// buffers and the per-file solve costs. The caller folds the buffers in
+// ascending file order, so the residual is bit-identical to the serial
+// single-rank path for any plan. Between objective calls the load
+// balancer (package sched, Config.Policy) may re-plan: the paper's
+// dynamic load balancing algorithm orders solve times non-increasing (a
+// priority queue) and gives each file to the rank with the least total
+// allocated time so far (LPT scheduling), so the next call sees balanced
+// work.
 package estimator
 
 import (
@@ -72,25 +72,21 @@ type Model struct {
 type Config struct {
 	// Ranks is the number of simulated MPI processes (nodes in Table 2).
 	Ranks int
-	// Sched shapes the schedule (package sched, docs/load-balancing.md).
-	// Nil is Fig. 9's static distribution: contiguous file blocks
-	// (BLOCK_SIZE()), one lane, no cost model, never re-planned. A
-	// non-nil config plans call 0 by LPT over record counts and then
-	// follows its Policy: static never re-plans, lpt re-plans by LPT over
-	// the last measured costs (the paper's dynamic load balancer), ewma
-	// re-plans from a persistent per-file EWMA cost model and may split
-	// dominant files into record sub-ranges (SplitShare). Lanes and Steal
-	// add intra-rank work-stealing lanes. Every schedule folds per-file
-	// contribution buffers in ascending file order, so fits stay
-	// bit-identical to the serial path for any plan, lane count or steal
-	// schedule. New rejects SplitShare with FaultTolerant, Faults, or a
-	// policy other than ewma.
-	Sched *sched.Config
+	// Policy selects the load balancer (package sched,
+	// docs/load-balancing.md). The zero value is Fig. 9's static
+	// distribution: contiguous file blocks (BLOCK_SIZE()), never
+	// re-planned. static plans call 0 by LPT over record counts and keeps
+	// that plan; lpt does the same and then re-plans every call by LPT
+	// over the last measured per-file costs (the paper's dynamic load
+	// balancer). Every plan folds per-file contribution buffers in
+	// ascending file order, so fits stay bit-identical to the serial path
+	// for any policy.
+	Policy sched.Policy
 	// FaultTolerant enables graceful degradation (docs/fault-tolerance.md):
 	// failed file solves are retried per Retry and then penalized instead
 	// of aborting the fit, residual accumulation is guarded against
 	// NaN/Inf, and a crashed or stalled rank is recovered by re-planning
-	// its items onto the survivors and re-running the call.
+	// its files onto the survivors and re-running the call.
 	FaultTolerant bool
 	// Retry shapes the per-file retry/penalty policy (zero fields take
 	// defaults; only consulted when FaultTolerant).
@@ -107,11 +103,11 @@ type Config struct {
 	// disables it.
 	Watchdog time.Duration
 	// Budget, when non-nil, makes every objective call cooperatively
-	// cancellable: it is checked once per solver step, per claimed file
-	// and per scheduler item, and its Done channel releases ranks blocked
-	// in collectives (see mpi.RunConfig.Budget). A tripped budget makes
-	// Objective return its error with the residual untouched — a budget
-	// trip is never retried, penalized or recovered. Nil costs nothing.
+	// cancellable: it is checked once per solver step and per planned
+	// file, and its Done channel releases ranks blocked in collectives
+	// (see mpi.RunConfig.Budget). A tripped budget makes Objective return
+	// its error with the residual untouched — a budget trip is never
+	// retried, penalized or recovered. Nil costs nothing.
 	Budget *budget.Budget
 	// Trace, when non-nil, records the estimator's timeline: one
 	// "objective #N" span per call on an "estimator" lane, per-file solve
@@ -143,20 +139,15 @@ type estMetrics struct {
 	solver     ode.StatsMetrics     // cumulative solver work
 	imbalance  *telemetry.Gauge     // makespan / mean rank load, last call
 
-	schedSteals, schedSplits, schedReplans *telemetry.Counter
-	costErr                                *telemetry.Histogram // relative cost-model error per file per call
+	schedReplans *telemetry.Counter
 
 	mpiWaitSec                       *telemetry.FloatCounter
 	retries, penalized, rankFailures *telemetry.Counter
 	watchdogTrips, rerunCalls        *telemetry.Counter
 
 	// Degradation-ladder demotions (see DegradeStats).
-	degradeSparse, degradeSched, degradeTimeout *telemetry.Counter
+	degradeSparse, degradeTimeout *telemetry.Counter
 }
-
-// costErrBuckets spans relative cost-model misprediction from "converged"
-// (<1%) to "off by 5x" — the range that decides whether re-planning helps.
-var costErrBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
 
 func newEstMetrics(reg *telemetry.Registry) estMetrics {
 	return estMetrics{
@@ -164,10 +155,7 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		fileSolves:     reg.Counter("estimator.file_solves"),
 		solveNs:        reg.Histogram("estimator.file_solve_ns", nil),
 		retryNs:        reg.Histogram("estimator.file_retry_ns", nil),
-		schedSteals:    reg.Counter("sched.steals"),
-		schedSplits:    reg.Counter("sched.splits"),
 		schedReplans:   reg.Counter("sched.replans"),
-		costErr:        reg.Histogram("sched.cost_err_rel", costErrBuckets),
 		stepSize:       ode.StepSizeHistogram(reg),
 		imbalance:      reg.Gauge("estimator.imbalance"),
 		solver:         ode.NewStatsMetrics(reg),
@@ -178,7 +166,6 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		watchdogTrips:  reg.Counter("faults.watchdog_trips"),
 		rerunCalls:     reg.Counter("faults.rerun_calls"),
 		degradeSparse:  reg.Counter("degrade.sparse_to_dense"),
-		degradeSched:   reg.Counter("degrade.sched_static"),
 		degradeTimeout: reg.Counter("degrade.solve_timeout"),
 	}
 }
@@ -195,15 +182,11 @@ type Estimator struct {
 	files []*dataset.File
 	cfg   Config
 
-	// Schedule state: schedCfg is cfg.Sched with defaults resolved (one
-	// static lane when nil), plans the per-rank item plans for the next
-	// call, nrecs the per-file record counts (split bounds and cost
-	// seed), cost the persistent per-file EWMA model (nil without
-	// cfg.Sched), and lastTimes[i] file i's most recent solve cost.
-	schedCfg   sched.Config
+	// Schedule state: plans are the per-rank file plans for the next
+	// call, nrecs the per-file record counts (the cost estimate before
+	// the first call), and lastTimes[i] file i's most recent solve cost.
 	plans      [][]sched.Item
 	nrecs      []int
-	cost       *sched.CostModel
 	lastTimes  []float64
 	schedStats SchedStats
 
@@ -214,11 +197,6 @@ type Estimator struct {
 	recMu    sync.Mutex
 	recovery RecoveryStats
 	degrade  DegradeStats
-
-	// mispredicts is the ewma→lpt degradation latch (mutated only between
-	// calls, on the caller's goroutine): consecutive calls of high
-	// cost-model error on the way to the demotion.
-	mispredicts int
 
 	// met holds the registry handles (all nil without cfg.Metrics); lane
 	// is the estimator's own telemetry timeline (nil without cfg.Trace);
@@ -266,49 +244,36 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 	e.lane = cfg.Trace.Lane("estimator")
 	e.log = cfg.Log.Scope("estimator")
 	e.mpiLog = cfg.Log.Scope("mpi")
-	seed := make([]float64, len(files))
 	for i, f := range files {
 		e.nrecs[i] = f.NumRecords()
-		seed[i] = float64(e.nrecs[i])
 	}
-	if cfg.Sched == nil {
-		e.schedCfg = sched.Config{Policy: sched.PolicyStatic}.WithDefaults()
-		e.plans = blockPlan(e.nrecs, cfg.Ranks)
+	if cfg.Policy == sched.PolicyBlock {
+		e.plans = sched.Block(e.recordCosts(), cfg.Ranks)
 	} else {
-		e.schedCfg = cfg.Sched.WithDefaults()
-		e.cost = sched.NewCostModel(len(files), e.schedCfg.Alpha)
-		e.cost.Seed(seed)
-		// Iteration-0 plan: LPT over the static a-priori estimate, the
-		// only cost signal that exists before the first call.
-		var splits int
-		e.plans, splits = sched.Plan(seed, e.nrecs, cfg.Ranks, e.schedCfg)
-		e.schedStats.Splits += splits
-		e.met.schedSplits.Add(int64(splits))
+		e.plans = sched.LPT(e.recordCosts(), cfg.Ranks)
 	}
 	e.calibrate()
 	return e, nil
 }
 
-// Validate reports the first field combination an estimator cannot
-// honour; New runs it.
+// Validate reports a config an estimator cannot honour; New runs it.
+// Every combination of fields is supported, so only the rank count is
+// checked.
 func (c Config) Validate() error {
 	if c.Ranks <= 0 {
 		return fmt.Errorf("estimator: invalid rank count %d", c.Ranks)
 	}
-	var sc sched.Config
-	if c.Sched != nil {
-		sc = *c.Sched
-	}
-	split := sc.SplitShare > 0
-	switch {
-	case split && c.FaultTolerant:
-		return fmt.Errorf("estimator: Sched.SplitShare with FaultTolerant: retries and penalties are per whole file")
-	case split && c.Faults != nil:
-		return fmt.Errorf("estimator: Sched.SplitShare with Faults: injected failures are per whole file")
-	case split && sc.Policy != sched.PolicyEWMA:
-		return fmt.Errorf("estimator: Sched.SplitShare with Sched.Policy %s: only ewma splits", sc.Policy)
-	}
 	return nil
+}
+
+// recordCosts returns the per-file record counts as costs: the static
+// a-priori estimate, the only one that exists before the first call.
+func (e *Estimator) recordCosts() []float64 {
+	out := make([]float64, len(e.nrecs))
+	for i, n := range e.nrecs {
+		out[i] = float64(n)
+	}
+	return out
 }
 
 // Close is a no-op: the estimator holds nothing beyond memory. Callers
@@ -372,7 +337,7 @@ func (e *Estimator) publishSolveStats(st ode.Stats) {
 // units): right-hand-side evaluations at the tape's cost plus the Newton
 // linear algebra as the solver itself accounted it — dense ⅔n³/2n², or
 // the sparse pattern's actual multiply-add counts when the BDF ran the
-// sparse path (so the cost model reflects the asymptotic win).
+// sparse path (so the measured cost reflects the asymptotic win).
 func (e *Estimator) workOps(st ode.Stats) float64 {
 	return float64(st.FEvals)*e.opsPerEval + st.FactorOps + st.SolveOps
 }
@@ -421,9 +386,9 @@ func (e *Estimator) FileTimes() []float64 {
 //
 // Under Config.FaultTolerant, solver breakdowns degrade gracefully (a
 // retry/penalty policy per file, see RetryPolicy) and rank failures are
-// recovered ULFM-style: the survivors re-plan every item through
-// sched.Plan — over the cost model's predictions, or the last measured
-// costs without one — and the call re-runs on the shrunk communicator.
+// recovered ULFM-style: the survivors re-plan every file through
+// sched.LPT over the last measured per-file costs (record counts before
+// the first call) and the call re-runs on the shrunk communicator.
 // Recovery is per call — the next call sees the full rank count again
 // (the simulated runtime respawns ranks each call).
 func (e *Estimator) Objective(k []float64, residual []float64) error {
@@ -483,10 +448,10 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		// Shrink and retry on the best cost estimate available mid-call.
 		ranks -= len(dead)
 		costs := e.lastTimes
-		if e.cost != nil {
-			costs = e.cost.Predictions()
+		if e.calls == 0 {
+			costs = e.recordCosts()
 		}
-		plans, _ = sched.Plan(costs, e.nrecs, ranks, e.schedCfg)
+		plans = sched.LPT(costs, ranks)
 		e.lane.Instant(fmt.Sprintf("rank recovery (shrink to %d)", ranks))
 		e.log.Warn("recovery", "rank recovery: shrink and re-plan",
 			"call", e.calls, "dead", len(dead), "ranks", ranks,
@@ -494,7 +459,7 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 	}
 	if err := e.cfg.Budget.Check(); err != nil {
 		// Tripped after the last collective completed: ranks may have
-		// stopped claiming items mid-plan, so the reduction cannot be
+		// stopped solving files mid-plan, so the reduction cannot be
 		// trusted as complete — honor the cancellation.
 		return err
 	}
@@ -525,20 +490,6 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 // them between attempts). It returns the solver work statistics, the
 // per-file cost measure.
 func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
-	return e.solveFileRange(ev, f, k, errvec, opts, 0, len(f.Records))
-}
-
-// solveFileRange is solveFile restricted to emitting records [lo, hi):
-// the trajectory is integrated from t=0 through record hi-1 exactly as
-// the whole-file solve would (one ODE trajectory is inherently
-// sequential — the prefix [0, lo) must be fast-forwarded through the
-// same adaptive integration, so a sub-range's emitted residuals are
-// bit-identical to the corresponding slice of the whole-file solve),
-// but only records >= lo contribute to errvec. This exactness is what
-// lets the scheduler split a dominant file across ranks without
-// perturbing the fit; the cost asymmetry it implies (a later sub-range
-// costs nearly the whole file) is documented in docs/load-balancing.md.
-func (e *Estimator) solveFileRange(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options, lo, hi int) (ode.Stats, error) {
 	if opts.Budget == nil {
 		// Per-attempt child budgets arrive via opts; everything else runs
 		// directly under the run budget.
@@ -578,16 +529,12 @@ func (e *Estimator) solveFileRange(ev *codegen.Evaluator, f *dataset.File, k []f
 		errf = func(sim, obs float64) float64 { return sim - obs }
 	}
 	t := 0.0
-	for j := 0; j < hi; j++ {
-		rec := f.Records[j]
+	for j, rec := range f.Records {
 		if rec.T > t {
 			if err := solver.Integrate(t, rec.T, y); err != nil {
 				return solver.Stats(), err
 			}
 			t = rec.T
-		}
-		if j < lo {
-			continue // fast-forward: integrate the prefix, emit nothing
 		}
 		sim := e.model.Property(y)
 		errvec[j] += errf(sim, rec.Value)
@@ -656,24 +603,4 @@ func (e *Estimator) Analyze(fit *nlopt.Result) (stats.Fit, []stats.Interval, err
 		return good, nil, err
 	}
 	return good, ivs, nil
-}
-
-// blockPlan is the static distribution of Fig. 9's BLOCK_SIZE():
-// contiguous, near-equal blocks of whole files per rank, in file order.
-func blockPlan(nrecs []int, ranks int) [][]sched.Item {
-	out := make([][]sched.Item, ranks)
-	base := len(nrecs) / ranks
-	rem := len(nrecs) % ranks
-	fi := 0
-	for r := 0; r < ranks; r++ {
-		n := base
-		if r < rem {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			out[r] = append(out[r], sched.Item{File: fi, Hi: nrecs[fi], Cost: float64(nrecs[fi]), Seq: fi})
-			fi++
-		}
-	}
-	return out
 }

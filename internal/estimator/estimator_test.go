@@ -115,7 +115,7 @@ func TestEstimateRecoversRate(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
 	files := makeFiles(kTrue, []int{50, 30})
-	e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	e, err := New(m, files, Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +158,15 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestBlockAssign(t *testing.T) {
+	// The zero policy deals contiguous blocks of whole files; each item
+	// carries its file's record count as cost.
+	plan := func(counts []int, ranks int) [][]sched.Item {
+		e, err := New(decayModel(t), makeFiles(1, counts), Config{Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Plans()
+	}
 	files := func(plans [][]sched.Item) [][]int {
 		out := make([][]int, len(plans))
 		for r, plan := range plans {
@@ -167,33 +176,25 @@ func TestBlockAssign(t *testing.T) {
 		}
 		return out
 	}
-	recs := func(n int) []int { return make([]int, n) }
-	a := files(blockPlan(recs(16), 4))
+	a := files(plan(make([]int, 16), 4))
 	for r := range a {
 		if len(a[r]) != 4 {
 			t.Errorf("rank %d got %d files", r, len(a[r]))
 		}
 	}
 	// 5 files over 2 ranks: contiguous blocks of 3 + 2.
-	if b := files(blockPlan(recs(5), 2)); !reflect.DeepEqual(b, [][]int{{0, 1, 2}, {3, 4}}) {
-		t.Errorf("blockPlan(5,2) = %v", b)
+	if b := files(plan(make([]int, 5), 2)); !reflect.DeepEqual(b, [][]int{{0, 1, 2}, {3, 4}}) {
+		t.Errorf("block plan (5 files, 2 ranks) = %v", b)
 	}
 	// More ranks than files: some ranks idle.
-	if c := files(blockPlan(recs(2), 4)); !reflect.DeepEqual(c, [][]int{{0}, {1}, nil, nil}) {
-		t.Errorf("blockPlan(2,4) = %v", c)
+	if c := files(plan(make([]int, 2), 4)); !reflect.DeepEqual(c, [][]int{{0}, {1}, nil, nil}) {
+		t.Errorf("block plan (2 files, 4 ranks) = %v", c)
 	}
-	// Whole-file items, Seq numbered in placement order.
-	for seq, it := range blockPlan([]int{7, 3, 5}, 2)[0] {
-		if it.Lo != 0 || it.Hi != []int{7, 3}[seq] || it.Seq != seq {
+	for i, it := range plan([]int{7, 3, 5}, 2)[0] {
+		if it.File != i || it.Cost != []float64{7, 3}[i] {
 			t.Errorf("item %+v", it)
 		}
 	}
-}
-
-// makespan is the maximum per-rank total of the given per-file times
-// over a plan's files.
-func makespan(plans [][]sched.Item, times []float64) float64 {
-	return sched.MakespanItems(plans, func(it sched.Item) float64 { return times[it.File] })
 }
 
 // Dynamic load balancing takes effect: after one call with imbalanced
@@ -204,22 +205,22 @@ func TestLoadBalanceImproves(t *testing.T) {
 	// One big file and several small ones — static blocks pair the big
 	// file with another on the same rank.
 	files := makeFiles(1.0, []int{400, 20, 20, 400, 20, 20, 20, 20})
-	e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	e, err := New(m, files, Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticPlan := blockPlan(e.nrecs, 2)
+	staticPlan := sched.Block(make([]float64, len(files)), 2)
 	r := make([]float64, e.ResidualDim())
 	if err := e.Objective([]float64{1}, r); err != nil {
 		t.Fatal(err)
 	}
 	times := e.FileTimes()
-	if lpt, static := makespan(e.Plans(), times), makespan(staticPlan, times); lpt > static+1e-9 {
+	if lpt, static := sched.MakespanItems(e.Plans(), times), sched.MakespanItems(staticPlan, times); lpt > static+1e-9 {
 		t.Errorf("LPT makespan %v worse than static %v", lpt, static)
 	}
 }
 
-// Without a scheduler config the block plan never changes.
+// Under the block policy the plan never changes.
 func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{60, 10, 10, 10})
@@ -233,7 +234,7 @@ func TestNoLoadBalanceKeepsAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, e.Plans()) {
-		t.Fatalf("plan changed without a scheduler: %v → %v", before, e.Plans())
+		t.Fatalf("block plan changed: %v → %v", before, e.Plans())
 	}
 }
 

@@ -119,9 +119,6 @@ type DegradeStats struct {
 	// SparseToDense counts BDF solves demoted from sparse LU to dense
 	// LU after repeated sparse refactorization failures.
 	SparseToDense int
-	// SchedStatic counts scheduler demotions from the EWMA policy to
-	// plain LPT after sustained cost-model misprediction.
-	SchedStatic int
 	// SolveTimeouts counts solve attempts cut off by the per-attempt
 	// watchdog (real deadline trips, injected hangs and injected
 	// timeouts alike).
@@ -143,19 +140,6 @@ func (e *Estimator) noteTimeout(call, rank, fi int) {
 	e.recMu.Unlock()
 	e.log.Warn("timeout", "solve attempt watchdog tripped",
 		"call", call, "rank", rank, "file", fi)
-}
-
-// laneSlowdown returns the injected cost-inflation factor for a solve
-// planned on {rank, lane} during the given call (1 without injection).
-// The factor scales the *measured* cost a slowed lane reports, which is
-// how a chronically slow worker looks to the scheduler's cost model.
-func (e *Estimator) laneSlowdown(call, rank, lane int) float64 {
-	if ls, ok := e.cfg.Faults.(interface {
-		LaneSlowdown(call, rank, lane int) float64
-	}); ok {
-		return ls.LaneSlowdown(call, rank, lane)
-	}
-	return 1
 }
 
 // errNonFinite flags a solve whose residual contribution contains NaN or
@@ -229,19 +213,15 @@ func (e *Estimator) retryOpts(f *dataset.File, attempt int) ode.Options {
 // integrates into scratch (so a half-failed attempt contributes
 // nothing); success folds scratch into errvec, and exhausted or
 // non-retryable failures fold in the penalty instead. It returns the
-// accumulated solver work across attempts, the work of the SUCCESSFUL
-// attempt alone (zero stats when the file ended penalized), the number
-// of retries performed, and whether the file ended penalized.
+// accumulated solver work across attempts, the number of retries
+// performed, and whether the file ended penalized.
 //
 // Cost-histogram publication happens here, keyed by attempt outcome:
-// only the successful attempt's cost enters estimator.file_solve_ns —
-// the histogram the cost model reads — while every failed attempt's
-// cost goes to estimator.file_retry_ns. Bucketing retries together with
-// clean solves (the pre-v2 behavior) inflated a file's apparent cost by
-// up to MaxAttempts× after one bad LM trial point, and the EWMA would
-// then mis-plan several subsequent calls; the scheduler's model is fed
-// from the successful-attempt measure alone for the same reason.
-func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []float64, scratch, errvec []float64, call, rank, fi int) (total, success ode.Stats, retries int, penalized bool) {
+// only the successful attempt's cost enters estimator.file_solve_ns,
+// while every failed attempt's cost goes to estimator.file_retry_ns, so
+// one bad LM trial point does not inflate a file's solve-cost
+// distribution by up to MaxAttempts×.
+func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []float64, scratch, errvec []float64, call, rank, fi int) (total ode.Stats, retries int, penalized bool) {
 	pol := e.retry
 	nr := f.NumRecords()
 	for attempt := 0; ; attempt++ {
@@ -291,7 +271,7 @@ func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []floa
 				// Run-level cancellation: fold nothing, penalize nothing —
 				// the caller's loop stops claiming files and the partial
 				// residual is discarded with the aborted call.
-				return total, ode.Stats{}, attempt, false
+				return total, attempt, false
 			}
 			// Attempt-level watchdog trip: a retryable timeout.
 			e.noteTimeout(call, rank, fi)
@@ -304,7 +284,7 @@ func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []floa
 				errvec[i] += scratch[i]
 			}
 			e.met.solveNs.Observe(e.workOps(st) * e.secPerOp * 1e9)
-			return total, st, attempt, false
+			return total, attempt, false
 		}
 		if attempted {
 			e.met.retryNs.Observe(e.workOps(st) * e.secPerOp * 1e9)
@@ -316,7 +296,7 @@ func (e *Estimator) solveFileFT(ev *codegen.Evaluator, f *dataset.File, k []floa
 			e.log.Warn("penalize", "file penalized: attempts exhausted or unretryable",
 				"call", call, "rank", rank, "file", fi,
 				"attempts", attempt+1, "err", err)
-			return total, ode.Stats{}, attempt, true
+			return total, attempt, true
 		}
 		e.log.Info("retry", "solve retry at tightened tolerances",
 			"call", call, "rank", rank, "file", fi, "attempt", attempt+1)

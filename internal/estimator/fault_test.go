@@ -180,13 +180,13 @@ func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 		}
 		return res.X[0]
 	}
-	kClean := fit(Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	kClean := fit(Config{Ranks: 2, Policy: sched.PolicyLPT})
 	// Call 2 is the first LM trial step (call 0 = start, call 1 = the
 	// one-parameter Jacobian column); failing every retry there forces
 	// the penalty path mid-fit.
 	plan := faults.NewPlan(1).FailFile(0, 2)
 	e, err := New(m, files, Config{
-		Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}, FaultTolerant: true, Faults: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestRankCrashRecoveredMidFit(t *testing.T) {
 	// rank 1 lands in objective call 3 — mid-fit.
 	plan := faults.NewPlan(1).CrashRank(1, 6)
 	e, err := New(m, files, Config{
-		Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}, FaultTolerant: true, Faults: plan, Hook: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan, Hook: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package estimator
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,41 +141,6 @@ func TestBudgetCancelNotRetriedUnderFT(t *testing.T) {
 	}
 }
 
-func TestSchedDemotesEwmaToLPTUnderJitter(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.0, []int{30, 20, 25, 35})
-	reg := telemetry.NewRegistry()
-	// Heavy jitter: every lane-call is slowed by up to 64x with fresh
-	// keyed draws, so the EWMA's predictions are consistently far off the
-	// measured costs. Seed 7 yields three consecutive mispredicted calls
-	// (1–3), tripping the demotion at call 3.
-	plan := faults.NewPlan(7).SlowLaneJitter(1.0, 64)
-	e, err := New(m, files, Config{
-		Ranks:   2,
-		Sched:   &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true},
-		Faults:  plan,
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, e.ResidualDim())
-	for call := 0; call < 2+schedMispredictLimit; call++ {
-		if err := e.Objective([]float64{1.1}, r); err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-	}
-	if d := e.Degrade().SchedStatic; d != 1 {
-		t.Fatalf("SchedStatic = %d, want 1", d)
-	}
-	if pol := e.Snapshot().SchedPolicy; pol != "lpt" {
-		t.Errorf("post-demotion policy = %q, want lpt", pol)
-	}
-	if c := reg.Counter("degrade.sched_static").Value(); c != 1 {
-		t.Errorf("degrade.sched_static counter = %d, want 1", c)
-	}
-}
-
 // resumeResiduals runs `calls` objective evaluations and returns each
 // call's residual vector. k varies with the estimator's own call
 // counter, so a resumed estimator continues the same k sequence the
@@ -195,7 +162,7 @@ func TestSnapshotResumeBitIdenticalV1(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{30, 20, 25})
 	mk := func() *Estimator {
-		e, err := New(m, files, Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+		e, err := New(m, files, Config{Ranks: 2, Policy: sched.PolicyLPT})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,16 +193,14 @@ func TestSnapshotResumeBitIdenticalV1(t *testing.T) {
 	}
 }
 
+// TestSnapshotResumeBitIdenticalSched resumes an lpt fit over four
+// files: besides the residuals, the re-planned plans, the measured costs
+// and the modeled time must come through the snapshot exactly.
 func TestSnapshotResumeBitIdenticalSched(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{30, 20, 25, 35})
-	cfg := Config{
-		Ranks: 2,
-		Sched: &sched.Config{Policy: sched.PolicyEWMA, Lanes: 2, Steal: true,
-			SplitShare: 0.4},
-	}
 	mk := func() *Estimator {
-		e, err := New(m, files, cfg)
+		e, err := New(m, files, Config{Ranks: 2, Policy: sched.PolicyLPT})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,17 +221,17 @@ func TestSnapshotResumeBitIdenticalSched(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		for i := range refRes[2+c] {
 			if gotRes[c][i] != refRes[2+c][i] {
-				t.Fatalf("resumed sched call %d residual[%d]: %v != %v", 2+c, i, gotRes[c][i], refRes[2+c][i])
+				t.Fatalf("resumed lpt call %d residual[%d]: %v != %v", 2+c, i, gotRes[c][i], refRes[2+c][i])
 			}
 		}
 	}
-	// The cost model must have come through: predictions match the
-	// uninterrupted run's exactly.
-	wantPred, gotPred := ref.CostPredictions(), b.CostPredictions()
-	for i := range wantPred {
-		if wantPred[i] != gotPred[i] {
-			t.Errorf("cost prediction[%d]: %v != %v", i, gotPred[i], wantPred[i])
-		}
+	if !reflect.DeepEqual(b.Plans(), ref.Plans()) || !reflect.DeepEqual(b.FileTimes(), ref.FileTimes()) {
+		t.Errorf("resumed plans %v / costs %v, uninterrupted %v / %v",
+			b.Plans(), b.FileTimes(), ref.Plans(), ref.FileTimes())
+	}
+	if b.ModeledOps() != ref.ModeledOps() || b.SchedStats() != ref.SchedStats() {
+		t.Errorf("resumed modeled ops %v, replans %d; uninterrupted %v, %d",
+			b.ModeledOps(), b.SchedStats().Replans, ref.ModeledOps(), ref.SchedStats().Replans)
 	}
 }
 
@@ -283,18 +248,10 @@ func TestRestoreRejectsIncompatibleSnapshot(t *testing.T) {
 	if err := e2.Restore(e3.Snapshot()); err == nil {
 		t.Error("snapshot with a different file count was accepted")
 	}
-	es, err := New(m, makeFiles(1.0, []int{20, 20}), Config{Ranks: 2,
-		Sched: &sched.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Restore(es.Snapshot()); err == nil {
-		t.Error("sched snapshot restored into a non-sched estimator")
-	}
 	bad := e2.Snapshot()
-	bad.Plans[0][0].Hi = 99
+	bad.Plans[0][0].File = 99
 	if err := e2.Restore(bad); err == nil {
-		t.Error("snapshot planning records past a file's end was accepted")
+		t.Error("snapshot planning an unknown file was accepted")
 	}
 	wide, err := New(m, makeFiles(1.0, []int{20, 20}), Config{Ranks: 3})
 	if err != nil {
@@ -302,6 +259,32 @@ func TestRestoreRejectsIncompatibleSnapshot(t *testing.T) {
 	}
 	if err := wide.Restore(e2.Snapshot()); err == nil {
 		t.Error("2-rank snapshot restored into a 3-rank estimator")
+	}
+
+	// Three files on two ranks: the block plan is [[0 1] [2]]. A plan
+	// that drops a file would silently lose its residual, and one that
+	// repeats a file would count it twice; both are refused, naming the
+	// file.
+	e, err := New(m, makeFiles(1.0, []int{20, 20, 20}), Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := e.Snapshot()
+	dropped := e.Snapshot()
+	dropped.Plans[1] = nil
+	repeated := e.Snapshot()
+	repeated.Plans[1] = append(repeated.Plans[1], repeated.Plans[0][0])
+	for _, c := range []struct {
+		name, file string
+		st         State
+	}{{"dropped", "expC", dropped}, {"repeated", "expA", repeated}} {
+		err := e.Restore(c.st)
+		if err == nil || !strings.Contains(err.Error(), c.file) {
+			t.Errorf("%s file: Restore error %v, want one naming %s", c.name, err, c.file)
+		}
+	}
+	if !reflect.DeepEqual(e.Snapshot(), want) {
+		t.Error("a rejected snapshot changed the estimator")
 	}
 }
 

@@ -9,32 +9,24 @@ import (
 	"rms/internal/telemetry"
 )
 
-// schedCfgFull exercises everything at once: EWMA re-planning, dominant
-// splitting, two stealing lanes.
-func schedCfgFull() *sched.Config {
-	return &sched.Config{
-		Alpha: 0.5, SplitShare: 0.25, MaxParts: 3,
-		Lanes: 2, Steal: true,
-	}
-}
-
 // TestSchedObjectiveBitIdenticalToSerial is the core numerical claim:
-// the v2 scheduler path — re-planned, split, stolen — produces residuals
-// bit-identical to the serial single-rank plain path, call after call.
+// the lpt path — re-planned every call from measured costs — produces
+// residuals bit-identical to the serial single-rank path, call after
+// call.
 func TestSchedObjectiveBitIdenticalToSerial(t *testing.T) {
 	m := decayModel(t)
-	// Skewed record counts: one dominant file that splitting will carve up.
+	// Skewed record counts: one dominant file the re-plan isolates.
 	counts := []int{60, 6, 9, 5, 7, 8}
 	serial, err := New(m, makeFiles(1.2, counts), Config{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := New(m, makeFiles(1.2, counts), Config{Ranks: 3, Sched: schedCfgFull()})
+	dyn, err := New(m, makeFiles(1.2, counts), Config{Ranks: 3, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Several calls so the second and later run on measured, re-planned,
-	// split schedules — the interesting ones.
+	// Several calls so the second and later run on measured, re-planned
+	// schedules — the interesting ones.
 	for call, k := range []float64{1.2, 1.5, 0.9, 1.2} {
 		rs := make([]float64, serial.ResidualDim())
 		rd := make([]float64, dyn.ResidualDim())
@@ -46,24 +38,20 @@ func TestSchedObjectiveBitIdenticalToSerial(t *testing.T) {
 		}
 		for j := range rs {
 			if rs[j] != rd[j] {
-				t.Fatalf("call %d: residual[%d] differs: serial %v sched %v",
+				t.Fatalf("call %d: residual[%d] differs: serial %v lpt %v",
 					call, j, rs[j], rd[j])
 			}
 		}
 	}
-	// The schedule must have actually split the dominant file.
-	if dyn.SchedStats().Splits == 0 {
-		t.Fatal("dominant file never split")
-	}
-	if dyn.SchedStats().Replans == 0 {
-		t.Fatal("EWMA policy never re-planned")
+	if got := dyn.SchedStats().Replans; got != 4 {
+		t.Fatalf("lpt re-planned %d times in 4 calls", got)
 	}
 }
 
 // TestSchedPolicyLPTMatchesV1 holds the lpt policy to the paper's
 // dynamic load balancer: after every call the next plan is exactly
-// sched.LPT over the measured per-file costs (FileTimes), as whole-file
-// items, and the residuals stay bit-identical to the serial path.
+// sched.LPT over the measured per-file costs (FileTimes), and the
+// residuals stay bit-identical to the serial path.
 func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 	m := decayModel(t)
 	counts := []int{25, 10, 40, 5, 15}
@@ -71,10 +59,7 @@ func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := New(m, makeFiles(1.1, counts), Config{
-		Ranks: 3,
-		Sched: &sched.Config{Policy: sched.PolicyLPT},
-	})
+	lpt, err := New(m, makeFiles(1.1, counts), Config{Ranks: 3, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,29 +75,16 @@ func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 		if !reflect.DeepEqual(rl, rs) {
 			t.Fatalf("call %d: lpt residuals diverged from serial", call)
 		}
-		want := sched.LPT(lpt.FileTimes(), 3)
-		got := make([][]int, 0, len(want))
-		for _, plan := range lpt.Plans() {
-			var fis []int
-			for _, it := range plan {
-				if it.IsSplit(counts[it.File]) {
-					t.Fatalf("call %d: PolicyLPT produced a split item %+v", call, it)
-				}
-				fis = append(fis, it.File)
-			}
-			got = append(got, fis)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got, want := lpt.Plans(), sched.LPT(lpt.FileTimes(), 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d: plans %v, LPT over measured costs %v", call, got, want)
 		}
 	}
 }
 
-// TestSchedFTRetryCostSeparation is the satellite fix: a file whose
-// first attempt does real solver work but fails (non-finite residual)
-// and succeeds on retry must feed only the successful attempt's cost to
-// the EWMA (prediction < total measured work), and the failed attempt
-// must land in the file_retry_ns histogram rather than file_solve_ns.
+// TestSchedFTRetryCostSeparation: a file whose first attempt does real
+// solver work but fails (non-finite residual) and succeeds on retry is
+// measured at the work of both attempts, while the failed attempt lands
+// in the file_retry_ns histogram rather than file_solve_ns.
 func TestSchedFTRetryCostSeparation(t *testing.T) {
 	m := decayModel(t)
 	// Poison the very first property evaluation: attempt 0 of file 0
@@ -132,7 +104,7 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	e, err := New(m, makeFiles(1.0, counts), Config{
 		Ranks:         1, // single rank: the poisoned closure is not thread-safe
 		FaultTolerant: true,
-		Sched:         &sched.Config{Alpha: 0.5},
+		Policy:        sched.PolicyLPT,
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -145,15 +117,9 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	if got := e.Recovery().Retries; got != 1 {
 		t.Fatalf("retries = %d, want 1", got)
 	}
-	total := e.FileTimes()[0]      // includes the failed attempt's work
-	pred := e.CostPredictions()[0] // successful attempt only
-	if !(pred > 0 && pred < total) {
-		t.Fatalf("EWMA fed %v, total measured %v — retry cost leaked into the model", pred, total)
-	}
-	// The clean file's prediction equals its total (nothing was retried).
-	if e.CostPredictions()[1] != e.FileTimes()[1] {
-		t.Fatalf("clean file: prediction %v != measured %v",
-			e.CostPredictions()[1], e.FileTimes()[1])
+	// The retried file pays for both attempts; the clean file for one.
+	if times := e.FileTimes(); !(times[0] > times[1]) {
+		t.Fatalf("retried file measured %v, clean file %v — the failed attempt's work is missing", times[0], times[1])
 	}
 	retryH := reg.Histogram("estimator.file_retry_ns", nil)
 	solveH := reg.Histogram("estimator.file_solve_ns", nil)
@@ -165,16 +131,15 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	}
 }
 
-// TestSchedPreludeRunsFollowPlan: every lane of every rank primes its
-// tape evaluator for the call's k, so tape.prelude_runs counts ranks ×
-// lanes per call however few items there are and whichever lane ends
-// up running them. One file over two ranks of two lanes leaves three
-// lanes without work on every call.
+// TestSchedPreludeRunsFollowPlan: each rank evaluates its plan with one
+// tape evaluator, which runs the prelude once per call at the first
+// evaluation, so tape.prelude_runs counts the ranks that solve a file.
+// One file over two ranks leaves one rank idle on every call.
 func TestSchedPreludeRunsFollowPlan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e, err := New(decayModel(t), makeFiles(1.0, []int{20}), Config{
 		Ranks:   2,
-		Sched:   &sched.Config{Lanes: 2, Steal: true},
+		Policy:  sched.PolicyLPT,
 		Metrics: reg,
 	})
 	if err != nil {
@@ -187,17 +152,17 @@ func TestSchedPreludeRunsFollowPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := reg.Counter("tape.prelude_runs").Value(), int64(calls*2*2); got != want {
-		t.Errorf("tape.prelude_runs = %d, want %d (calls × ranks × lanes)", got, want)
+	if got, want := reg.Counter("tape.prelude_runs").Value(), int64(calls); got != want {
+		t.Errorf("tape.prelude_runs = %d, want %d (one solving rank per call)", got, want)
 	}
 }
 
-// TestSchedEstimateRecoversRate runs a full fit through the v2 path —
-// the optimizer must converge to the true rate exactly as on v1.
+// TestSchedEstimateRecoversRate runs a full fit on skewed files through
+// the lpt path — the optimizer must converge to the true rate.
 func TestSchedEstimateRecoversRate(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.5, []int{50, 8, 12, 6})
-	e, err := New(m, files, Config{Ranks: 2, Sched: schedCfgFull()})
+	e, err := New(m, files, Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}

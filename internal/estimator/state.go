@@ -4,7 +4,7 @@
 // freshly-constructed estimator over the same model, files and config
 // makes the resumed fit's remaining objective calls bit-identical to the
 // uninterrupted run's — the contract the conformance "resume" stage
-// holds across the block and sched schedules.
+// holds on the block and lpt plans.
 
 package estimator
 
@@ -17,7 +17,10 @@ import (
 // State is the JSON-serializable snapshot of an Estimator's mutable
 // state. Slice fields are deep copies; the encoding is canonical for a
 // given state (fixed field order, no maps), so checkpoint files hash
-// stably.
+// stably. Checkpoints written before the EWMA cost model, record-range
+// splits and work-stealing lanes were retired also carry cost,
+// sched_policy and mispredicts keys and per-item Lo, Hi and Seq fields;
+// decoding skips them.
 type State struct {
 	// Calls is the objective-call counter — the key every deterministic
 	// fault schedule and the planner's call indexing hang off.
@@ -27,22 +30,15 @@ type State struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	ModelOps    float64 `json:"model_ops"`
 	// LastTimes are the most recent per-file solve costs (op units) —
-	// the lpt policy's and the cost-model-free recovery's input.
+	// the lpt policy's and rank recovery's input.
 	LastTimes []float64 `json:"last_times"`
 	// Assignment is the legacy per-rank file assignment of checkpoints
-	// written before plans replaced it. Restore reads it as whole-file
-	// plans when Plans is absent; Snapshot never writes it.
+	// written before plans replaced it. Restore reads it as plans when
+	// Plans is absent; Snapshot never writes it.
 	Assignment [][]int `json:"assignment,omitempty"`
-	// Plans are the per-rank item plans for the next call. Cost and
-	// SchedPolicy capture the scheduler's cost model and its *current*
-	// policy, which the ewma→lpt demotion may have changed from the
-	// configured one (both absent without Config.Sched).
-	Plans       [][]sched.Item   `json:"plans,omitempty"`
-	Cost        *sched.CostState `json:"cost,omitempty"`
-	SchedPolicy string           `json:"sched_policy,omitempty"`
-	SchedStats  SchedStats       `json:"sched_stats"`
-	// Mispredicts is the ewma→lpt degradation-ladder latch.
-	Mispredicts int `json:"mispredicts,omitempty"`
+	// Plans are the per-rank file plans for the next call.
+	Plans      [][]sched.Item `json:"plans,omitempty"`
+	SchedStats SchedStats     `json:"sched_stats"`
 	// Recovery and Degrade carry the cumulative intervention ledgers.
 	Recovery RecoveryStats `json:"recovery"`
 	Degrade  DegradeStats  `json:"degrade"`
@@ -55,31 +51,24 @@ func (e *Estimator) Snapshot() State {
 	e.recMu.Lock()
 	recovery, degrade := e.recovery, e.degrade
 	e.recMu.Unlock()
-	st := State{
+	return State{
 		Calls:       e.calls,
 		WallSeconds: e.wallSeconds,
 		ModelOps:    e.modelOps,
 		LastTimes:   append([]float64(nil), e.lastTimes...),
 		Plans:       copyPlanItems(e.plans),
 		SchedStats:  e.schedStats,
-		Mispredicts: e.mispredicts,
 		Recovery:    recovery,
 		Degrade:     degrade,
 	}
-	if e.cost != nil {
-		cs := e.cost.State()
-		st.Cost = &cs
-		st.SchedPolicy = e.schedCfg.Policy.String()
-	}
-	return st
 }
 
 // Restore overwrites the estimator's mutable state from a snapshot taken
-// by a compatible estimator (same files and ranks; a cost model exactly
-// when this one has one). A legacy snapshot — an assignment, no plans
-// and no cost model — restores into any scheduler mode, its assignment
-// becoming whole-file plans. Restore validates shapes and rejects
-// incompatible snapshots; on error the estimator is unchanged.
+// by a compatible estimator: same files and ranks, under any policy. A
+// legacy snapshot — an assignment and no plans — restores its
+// assignment as plans. The plans must put every file in exactly one
+// rank's plan; Restore rejects any other snapshot, naming the file, and
+// on error the estimator is unchanged.
 func (e *Estimator) Restore(st State) error {
 	nf := len(e.files)
 	if len(st.LastTimes) != nf {
@@ -87,50 +76,37 @@ func (e *Estimator) Restore(st State) error {
 			len(st.LastTimes), nf)
 	}
 	plans := st.Plans
-	legacy := plans == nil && st.Cost == nil
-	if legacy {
-		seq := 0
+	if plans == nil {
 		plans = make([][]sched.Item, len(st.Assignment))
 		for r, files := range st.Assignment {
 			for _, fi := range files {
-				if fi < 0 || fi >= nf {
-					return fmt.Errorf("estimator: snapshot assigns unknown file %d", fi)
+				it := sched.Item{File: fi}
+				if fi >= 0 && fi < nf {
+					it.Cost = st.LastTimes[fi]
 				}
-				plans[r] = append(plans[r], sched.Item{File: fi, Hi: e.nrecs[fi], Cost: st.LastTimes[fi], Seq: seq})
-				seq++
+				plans[r] = append(plans[r], it)
 			}
 		}
-	}
-	if !legacy && (e.cost != nil) != (st.Cost != nil) {
-		return fmt.Errorf("estimator: snapshot scheduler mode mismatch (snapshot cost model=%v, estimator cost model=%v)",
-			st.Cost != nil, e.cost != nil)
 	}
 	if len(plans) != e.cfg.Ranks {
 		return fmt.Errorf("estimator: snapshot plans %d ranks, estimator has %d", len(plans), e.cfg.Ranks)
 	}
-	nItems := 0
-	for _, plan := range plans {
-		nItems += len(plan)
-	}
-	seen := make([]bool, nItems)
+	planned := make([]bool, nf)
 	for _, plan := range plans {
 		for _, it := range plan {
-			if it.File < 0 || it.File >= nf || it.Lo < 0 || it.Lo > it.Hi || it.Hi > e.nrecs[it.File] ||
-				it.Seq < 0 || it.Seq >= nItems || seen[it.Seq] {
-				return fmt.Errorf("estimator: snapshot plans an invalid item %+v", it)
+			switch {
+			case it.File < 0 || it.File >= nf:
+				return fmt.Errorf("estimator: snapshot plans unknown file %d", it.File)
+			case planned[it.File]:
+				return fmt.Errorf("estimator: snapshot plans file %d (%s) more than once",
+					it.File, e.files[it.File].Name)
 			}
-			seen[it.Seq] = true
+			planned[it.File] = true
 		}
 	}
-	var pol sched.Policy
-	if st.Cost != nil {
-		if len(st.Cost.Pred) != nf {
-			return fmt.Errorf("estimator: snapshot cost model covers %d files, estimator has %d",
-				len(st.Cost.Pred), nf)
-		}
-		var err error
-		if pol, err = sched.ParsePolicy(st.SchedPolicy); err != nil {
-			return err
+	for fi, ok := range planned {
+		if !ok {
+			return fmt.Errorf("estimator: snapshot plans no rank for file %d (%s)", fi, e.files[fi].Name)
 		}
 	}
 	e.calls = st.Calls
@@ -139,18 +115,10 @@ func (e *Estimator) Restore(st State) error {
 	e.lastTimes = append([]float64(nil), st.LastTimes...)
 	e.plans = copyPlanItems(plans)
 	e.schedStats = st.SchedStats
-	e.mispredicts = st.Mispredicts
 	e.recMu.Lock()
 	e.recovery = st.Recovery
 	e.degrade = st.Degrade
 	e.recMu.Unlock()
-	if st.Cost != nil {
-		e.cost = sched.CostModelFromState(*st.Cost)
-		e.schedCfg.Policy = pol
-		if pol != sched.PolicyEWMA {
-			e.schedCfg.SplitShare = 0
-		}
-	}
 	return nil
 }
 

@@ -34,10 +34,10 @@ var ErrInjected = fmt.Errorf("faults: injected solver failure: %w", ode.ErrStepT
 // Counts reports how many injections a Plan has fired, by kind.
 type Counts struct {
 	Crashes, Stalls, FileFailures int
-	// Hangs, Timeouts and SlowLanes count the robustness layer's chaos
-	// kinds: solves that block until their attempt budget trips, solves
-	// that report a watchdog timeout, and lane-slowdown injections.
-	Hangs, Timeouts, SlowLanes int
+	// Hangs and Timeouts count the robustness layer's chaos kinds:
+	// solves that block until their attempt budget trips and solves that
+	// report a watchdog timeout.
+	Hangs, Timeouts int
 }
 
 type key struct{ a, b int }
@@ -62,15 +62,10 @@ type Plan struct {
 	fileFail map[key]int
 	rate     float64
 
-	// Robustness-layer chaos kinds (see robust.go): hang/timeout are
-	// keyed like fileFail; slow holds persistent per-{rank, lane}
-	// slowdown factors; slowRate/slowMax drive jittered slow-lane
-	// decisions drawn from per-lane streams.
-	hang     map[key]int
-	timeout  map[key]int
-	slow     map[key]float64
-	slowRate float64
-	slowMax  float64
+	// Robustness-layer chaos kinds (see robust.go), keyed like
+	// fileFail.
+	hang    map[key]int
+	timeout map[key]int
 
 	// log, when set, records every fired injection in the flight
 	// recorder — the "what was injected when" half of a chaos run's
@@ -93,7 +88,6 @@ func NewPlan(seed int64) *Plan {
 		fileFail: make(map[key]int),
 		hang:     make(map[key]int),
 		timeout:  make(map[key]int),
-		slow:     make(map[key]float64),
 	}
 }
 

@@ -3,7 +3,6 @@ package faults
 import (
 	"encoding/json"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -27,65 +26,12 @@ func TestHangAndTimeoutSchedules(t *testing.T) {
 	}
 }
 
-// Per-lane streams must make slowdown decisions independent of the order
-// in which lanes (goroutines) reach the injection point.
-func TestLaneSlowdownScheduleIndependent(t *testing.T) {
-	draw := func(order []int) map[int]float64 {
-		p := NewPlan(42).SlowLaneJitter(0.5, 4)
-		out := make(map[int]float64)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for _, lane := range order {
-			wg.Add(1)
-			go func(l int) {
-				defer wg.Done()
-				for call := 0; call < 8; call++ {
-					f := p.LaneSlowdown(call, 0, l)
-					mu.Lock()
-					out[l*100+call] = f
-					mu.Unlock()
-				}
-			}(lane)
-		}
-		wg.Wait()
-		return out
-	}
-	a := draw([]int{0, 1, 2, 3})
-	b := draw([]int{3, 2, 1, 0})
-	if len(a) != len(b) {
-		t.Fatalf("draw counts differ: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("lane %d call %d: %g vs %g under different interleavings", k/100, k%100, v, b[k])
-		}
-	}
-	// Distinct lanes must see distinct streams.
-	if a[0*100+0] == a[1*100+0] && a[0*100+1] == a[1*100+1] && a[0*100+2] == a[1*100+2] {
-		t.Fatal("lanes 0 and 1 drew identical streams")
-	}
-}
-
-func TestPersistentSlowLaneStacks(t *testing.T) {
-	p := NewPlan(7).SlowLane(1, 2, 3.5)
-	if f := p.LaneSlowdown(0, 1, 2); f != 3.5 {
-		t.Fatalf("factor = %g, want 3.5", f)
-	}
-	if f := p.LaneSlowdown(0, 0, 0); f != 1 {
-		t.Fatalf("unscheduled lane slowed: %g", f)
-	}
-	if p.Counts().SlowLanes == 0 {
-		t.Fatal("slow-lane injection not counted")
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := NewPlan(99).
 		CrashRank(1, 4).StallRank(2, 3).
 		FailFile(5, 6).FlakyFile(7, 8, 2).
 		HangFile(1, 2).TimeoutFile(3, 4).
-		SlowLane(0, 1, 2.5).
-		FailRate(0.1).SlowLaneJitter(0.2, 3)
+		FailRate(0.1)
 
 	// Fire part of the schedule so the snapshot holds real progress.
 	p.AtCollective(1, 0) // seen[1] = 1
@@ -125,10 +71,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot encoding not canonical:\n%s\n%s", b1, b2)
 	}
 
-	// Jittered slow-lane decisions must agree across the restore.
-	for call := 0; call < 6; call++ {
-		if p.LaneSlowdown(call, 0, 3) != p2.LaneSlowdown(call, 0, 3) {
-			t.Fatalf("slow-lane draw diverged at call %d", call)
+	// Rate-based failure decisions must agree across the restore.
+	for call := 10; call < 40; call++ {
+		a, b := p.FileSolve(call, 0, 9, 0), p2.FileSolve(call, 0, 9, 0)
+		if (a == nil) != (b == nil) {
+			t.Fatalf("rate-based failure diverged at call %d: %v vs %v", call, a, b)
 		}
 	}
 }

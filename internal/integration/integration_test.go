@@ -181,7 +181,7 @@ func TestEstimationRecoversVulcanizationRates(t *testing.T) {
 		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "f2", Records: 50, T0: 0, T1: 1.5, Seed: 1}),
 	}
 	model := res.Model(prop, ode.Options{RTol: 1e-9, ATol: 1e-12})
-	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, Sched: &sched.Config{Policy: sched.PolicyLPT}})
+	est, err := estimator.New(model, files, estimator.Config{Ranks: 2, Policy: sched.PolicyLPT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ type Stats struct {
 	// FactorOps and SolveOps accumulate the counted floating-point work
 	// of the Newton linear algebra — dense: ⅔n³ per factorization and
 	// 2n² per corrector solve; sparse: the pattern's actual multiply-add
-	// counts. The estimator's deterministic cost model reads these.
+	// counts. The estimator's deterministic work accounting reads these.
 	FactorOps, SolveOps float64
 }
 

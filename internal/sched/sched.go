@@ -1,55 +1,44 @@
-// Package sched is dynamic load balancing v2: the cost-model-driven
-// scheduler that replaces the paper's static-per-call LPT assignment
-// (Fig. 9, Table 2) with the runtime-rebalancing posture of the DLBFoam
-// line of work. Three mechanisms compose:
+// Package sched is the parallel estimator's load balancer: it plans
+// which rank solves which data file in each objective call. There are
+// three plans:
 //
-//   - a persistent per-item cost model (CostModel), seeded from the
-//     static a-priori estimate — record counts, the only thing the
-//     paper's balancer knows before the first call — and updated after
-//     every objective call with an EWMA of measured solve costs;
-//   - a planner (Plan) that re-assigns items to ranks between calls by
-//     LPT over the model's predictions, optionally splitting a dominant
-//     item into record sub-ranges when its predicted cost exceeds a
-//     configurable share of the total;
-//   - an intra-rank work-stealing executor (StealSet): one deque per
-//     lane, lanes pop their own front and, when dry, steal from the back
-//     of the busiest victim's deque under a lock.
+//   - the block plan of Fig. 9 (BLOCK_SIZE()): contiguous, near-equal
+//     blocks of files per rank, in file order, never re-planned;
+//   - static: the paper's LPT over record counts — all a planner knows
+//     before the first call — planned once and never re-planned;
+//   - lpt: the paper's dynamic load balancer (Table 2), which re-plans
+//     every call by LPT over the per-file solve costs measured in the
+//     previous call.
 //
-// Scheduling decisions never touch numerics: the estimator accumulates
-// every item's residual contribution into a per-file buffer and reduces
-// the buffers in ascending file order, so results are bit-identical for
-// any rank count, lane count, steal order or split decision — and
-// identical to the serial single-rank path. The package itself is
-// execution-agnostic: the same StealSet drives both the concurrent
-// runner (Run) and the deterministic virtual-clock simulator (Simulate),
-// which replays scripted per-item cost traces through the real scheduler
-// code so policy changes are regression-tested against exact expected
-// decisions (sim_test.go, docs/load-balancing.md).
+// Plans never touch numerics: the estimator accumulates every file's
+// residual contribution into its own buffer and folds the buffers in
+// ascending file order, so fits are bit-identical for any plan and any
+// rank count (docs/load-balancing.md).
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// Policy selects how the planner reacts to measured costs between
-// objective calls.
+// Policy selects how the estimator plans files onto ranks.
 type Policy int
 
 const (
-	// PolicyEWMA re-plans on the EWMA cost model's predictions and may
-	// split dominant items — dynamic load balancing v2 (the default).
-	PolicyEWMA Policy = iota
-	// PolicyStatic plans once from the seed estimates and never
-	// re-plans: the paper's static LPT baseline, at file granularity.
+	// PolicyBlock is Fig. 9's static block distribution (the zero value).
+	PolicyBlock Policy = iota
+	// PolicyStatic plans once by LPT over record counts and never
+	// re-plans: the static baseline of the skew bench.
 	PolicyStatic
-	// PolicyLPT re-plans every call by LPT over the raw last-measured
-	// costs, with no smoothing and no splitting — the paper's dynamic
-	// load balancer.
+	// PolicyLPT re-plans every call by LPT over the last measured
+	// per-file costs: the paper's dynamic load balancer.
 	PolicyLPT
 )
 
 func (p Policy) String() string {
 	switch p {
-	case PolicyEWMA:
-		return "ewma"
+	case PolicyBlock:
+		return "block"
 	case PolicyStatic:
 		return "static"
 	case PolicyLPT:
@@ -58,87 +47,92 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
-// ParsePolicy inverts Policy.String — checkpoint decoding.
+// ParsePolicy reads a policy a request names: "static" or "lpt". The
+// block plan is what a request gets by naming none.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
-	case "ewma":
-		return PolicyEWMA, nil
 	case "static":
 		return PolicyStatic, nil
 	case "lpt":
 		return PolicyLPT, nil
 	}
-	return 0, fmt.Errorf("sched: unknown policy %q", s)
+	return 0, fmt.Errorf("sched: unknown policy %q (static|lpt)", s)
 }
 
-// Config shapes the scheduler. The zero value is the default EWMA
-// scheduler with one lane; the estimator's nil config is the paper's
-// static block distribution instead.
-type Config struct {
-	// Policy selects the re-planning rule (default PolicyEWMA).
-	Policy Policy
-	// Alpha is the EWMA weight of a new measurement in (0, 1]; 0 takes
-	// the default 0.3. (A *constant* cost model — predictions frozen at
-	// the seed — is obtained by constructing a CostModel with alpha 0
-	// directly; see NewCostModel.)
-	Alpha float64
-	// SplitShare, when > 0, splits an item whose predicted cost exceeds
-	// SplitShare × (total predicted cost) into record sub-ranges. 0
-	// disables splitting. Sub-range execution is numerically exact (the
-	// prefix records are fast-forwarded through the same integration
-	// loop), so splitting is safe anywhere; see docs/load-balancing.md
-	// for its cost trade-off on trajectory workloads.
-	SplitShare float64
-	// MaxParts caps the sub-ranges one item may split into (default 4
-	// when SplitShare > 0).
-	MaxParts int
-	// Lanes is the number of worker lanes per rank (default 1). With
-	// one lane the executor degenerates to the sequential per-rank loop.
-	Lanes int
-	// Steal enables work stealing between a rank's lanes. Without it,
-	// lanes drain only their own deques.
-	Steal bool
-}
-
-// WithDefaults resolves the zero fields to their documented defaults.
-func (c Config) WithDefaults() Config {
-	if c.Alpha <= 0 {
-		c.Alpha = 0.3
-	}
-	if c.Alpha > 1 {
-		c.Alpha = 1
-	}
-	if c.SplitShare > 0 && c.MaxParts <= 0 {
-		c.MaxParts = 4
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = 1
-	}
-	if c.Policy == PolicyLPT || c.Policy == PolicyStatic {
-		// The dynamic and static LPT baselines are file-granularity
-		// policies: they never split.
-		c.SplitShare = 0
-	}
-	return c
-}
-
-// Item is one schedulable unit of work: a record sub-range [Lo, Hi) of
-// one data file. An unsplit file is a single item covering [0, records).
+// Item is one data file in a rank's plan.
 type Item struct {
-	// File is the data-file index the item belongs to.
+	// File is the data-file index.
 	File int
-	// Lo and Hi bound the half-open record range the item emits.
-	Lo, Hi int
-	// Cost is the predicted cost at planning time (op units).
+	// Cost is the per-file cost the plan was made from: record counts
+	// before the first call, measured op units after it.
 	Cost float64
-	// Seq is an opaque caller tag (the estimator uses it to map items
-	// back to per-item measurement slots); the planner assigns items
-	// their final position after assignment.
-	Seq int
 }
 
-// Split reports whether the item is a proper sub-range of its file
-// (rather than the whole file), given the file's record count.
-func (it Item) IsSplit(records int) bool {
-	return it.Lo != 0 || it.Hi != records
+// Block deals files to ranks in contiguous, near-equal blocks in file
+// order — Fig. 9's BLOCK_SIZE(). costs[i] is file i's cost estimate,
+// carried into the items.
+func Block(costs []float64, ranks int) [][]Item {
+	out := make([][]Item, ranks)
+	base := len(costs) / ranks
+	rem := len(costs) % ranks
+	fi := 0
+	for r := 0; r < ranks; r++ {
+		n := base
+		if r < rem {
+			n++
+		}
+		for i := 0; i < n; i++ {
+			out[r] = append(out[r], Item{File: fi, Cost: costs[fi]})
+			fi++
+		}
+	}
+	return out
+}
+
+// LPT is the paper's deterministic longest-processing-time assignment:
+// files sorted by cost non-increasing (ties broken by lower index), each
+// placed on the currently least-loaded rank (ties broken by lower rank).
+// Returns per-rank plans in placement order.
+func LPT(costs []float64, ranks int) [][]Item {
+	order := make([]int, len(costs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ta, tb := costs[order[a]], costs[order[b]]
+		if ta != tb {
+			return ta > tb
+		}
+		return order[a] < order[b]
+	})
+	out := make([][]Item, ranks)
+	loads := make([]float64, ranks)
+	for _, fi := range order {
+		r := 0
+		for q := 1; q < ranks; q++ {
+			if loads[q] < loads[r] {
+				r = q
+			}
+		}
+		out[r] = append(out[r], Item{File: fi, Cost: costs[fi]})
+		loads[r] += costs[fi]
+	}
+	return out
+}
+
+// MakespanItems returns the largest per-rank sum of cost[it.File] over
+// a plan — the modeled parallel time of one objective call when every
+// rank owns a processor. Each rank's sum runs in plan order.
+func MakespanItems(plans [][]Item, cost []float64) float64 {
+	worst := 0.0
+	for _, items := range plans {
+		s := 0.0
+		for _, it := range items {
+			s += cost[it.File]
+		}
+		if s > worst {
+			worst = s
+		}
+	}
+	return worst
 }

@@ -59,33 +59,9 @@ func FromDataset(files []*dataset.File) []DataFile {
 	return out
 }
 
-// SchedSpec mirrors sched.Config on the wire.
+// SchedSpec selects the load-balancing policy on the wire.
 type SchedSpec struct {
-	Policy     string  `json:"policy,omitempty"` // ewma (default) | lpt | static
-	Alpha      float64 `json:"alpha,omitempty"`
-	SplitShare float64 `json:"split_share,omitempty"`
-	MaxParts   int     `json:"max_parts,omitempty"`
-	Lanes      int     `json:"lanes,omitempty"`
-	Steal      bool    `json:"steal,omitempty"`
-}
-
-// toConfig resolves the wire spec to a live scheduler config.
-func (s *SchedSpec) toConfig() (*sched.Config, error) {
-	if s == nil {
-		return nil, nil
-	}
-	cfg := &sched.Config{
-		Alpha: s.Alpha, SplitShare: s.SplitShare, MaxParts: s.MaxParts,
-		Lanes: s.Lanes, Steal: s.Steal,
-	}
-	if s.Policy != "" {
-		p, err := sched.ParsePolicy(s.Policy)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Policy = p
-	}
-	return cfg, nil
+	Policy string `json:"policy"` // static | lpt
 }
 
 // FitRequest is one parameter-estimation request against a compiled
@@ -108,7 +84,8 @@ type FitRequest struct {
 
 	// Parallel-runtime shape (estimator.Config). LoadBalance is the
 	// paper's dynamic load balancer, sched policy "lpt"; a request gives
-	// it or Sched, not both.
+	// it or Sched, not both. With neither, files are dealt to ranks in
+	// Fig. 9's contiguous blocks.
 	Ranks       int        `json:"ranks,omitempty"` // default 1
 	LoadBalance bool       `json:"lb,omitempty"`
 	Sched       *SchedSpec `json:"sched,omitempty"`
@@ -234,17 +211,17 @@ func (req *FitRequest) estConfig() (estimator.Config, error) {
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}
-	if req.LoadBalance {
-		if req.Sched != nil {
-			return cfg, fmt.Errorf(`service: give either lb or sched, not both (lb is sched policy "lpt")`)
-		}
-		cfg.Sched = &sched.Config{Policy: sched.PolicyLPT}
-	} else {
-		sc, err := req.Sched.toConfig()
+	switch {
+	case req.LoadBalance && req.Sched != nil:
+		return cfg, fmt.Errorf(`service: give either lb or sched, not both (lb is sched policy "lpt")`)
+	case req.LoadBalance:
+		cfg.Policy = sched.PolicyLPT
+	case req.Sched != nil:
+		p, err := sched.ParsePolicy(req.Sched.Policy)
 		if err != nil {
 			return cfg, err
 		}
-		cfg.Sched = sc
+		cfg.Policy = p
 	}
 	return cfg, cfg.Validate()
 }

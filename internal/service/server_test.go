@@ -133,7 +133,7 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("GET model = %d", resp.StatusCode)
 	}
 
-	// Simulate asynchronously, then poll.
+	// Submit a simulate job asynchronously, then poll.
 	resp = postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Model: info.ID, TEnd: 1, Points: 11})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("simulate submit = %d", resp.StatusCode)
@@ -356,6 +356,9 @@ func TestBadRequests(t *testing.T) {
 		{"retired workers field", "/v1/fit", `{"workers": 2}`, 400},
 		{"lb with sched", "/v1/fit", `{"lb": true, "sched": {"policy": "ewma"}}`, 400},
 		{"retired batch field", "/v1/fit", `{"batch": true}`, 400},
+		{"retired ewma policy", "/v1/fit", `{"sched": {"policy": "ewma"}}`, 400},
+		{"retired lanes and steal fields", "/v1/fit", `{"sched": {"lanes": 2, "steal": true}}`, 400},
+		{"retired alpha field", "/v1/fit", `{"sched": {"alpha": 0.5}}`, 400},
 		{"empty body", "/v1/verify", ``, 400},
 		{"huge body", "/v1/models", `{"kind": "rdl", "source": "` + strings.Repeat("x", maxBodyBytes) + `"}`, 400},
 	}

@@ -1,11 +1,11 @@
 #!/bin/sh
-# Bench regression gate: re-run the deterministic scheduler-scaling
+# Bench regression gate: re-run the deterministic load-balancer scaling
 # bench (rmsbench -json -skew) and compare the document against the
 # committed BENCH_baseline.json with cmd/benchcmp's tolerance band.
 # Wall-clock-derived fields (ModeledSec, *_ns / *_seconds metrics) are
-# excluded; everything else — modeled op counts, speedups, scheduler
-# decision counts, degradation/fault counters, metric families — must
-# stay within the band. See docs/observability.md.
+# excluded; everything else — modeled op counts, speedups, re-plan
+# counts, degradation/fault counters, metric families — must stay
+# within the band. See docs/observability.md.
 #
 # Usage:
 #   scripts/bench_compare.sh            # gate: exit 1 outside the band
@@ -32,9 +32,9 @@ for arg in "$@"; do
 	esac
 done
 
-# The baseline workload: skewed-corpus scheduler scaling. Everything it
-# reports except wall-clock scaling replays a virtual clock, so the
-# document is stable across hosts (docs/load-balancing.md).
+# The baseline workload: skewed-corpus load-balancer scaling at 8 ranks.
+# Everything it reports except wall-clock scaling is counted solver
+# work, so the document is stable across hosts (docs/load-balancing.md).
 run_bench() {
 	go run ./cmd/rmsbench -json -skew -variants 8 2>/dev/null
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository checks: hold every Go file to gofmt, vet everything,
 # race-test the concurrency-heavy packages (the simulated MPI runtime,
-# the parallel estimator and its scheduler) and the numerical core the
+# the parallel estimator and its load balancer) and the numerical core the
 # sparse Jacobian path touches (solver, linear algebra), give both
 # parser fuzzers a short smoke run, then run the cross-stack conformance
 # matrix (docs/testing.md). Run from the repository root; the full
@@ -47,7 +47,7 @@ go test -fuzz=FuzzParseRDL -fuzztime=10s ./internal/rdl
 echo "== fuzz smoke (FuzzParseSMILES, 10s)"
 go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
 
-echo "== scheduler skew smoke (rmsbench -skew, small model)"
+echo "== load-balancer skew smoke (rmsbench -skew, static vs lpt, small model)"
 go run ./cmd/rmsbench -skew -variants 8
 
 echo "== conformance matrix (make verify)"
