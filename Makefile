@@ -29,18 +29,21 @@ verify:
 	go run ./cmd/rmsverify -seed 1 -n 25
 
 # The deterministic fault-injection suite (docs/fault-tolerance.md)
-# under the race detector: solver retries, penalty fallbacks, rank
-# crash/stall recovery, watchdog diagnosis, optimizer NaN handling.
+# under the race detector: solver retries, NaN rejection, rank
+# crash/stall recovery, watchdog diagnosis, optimizer NaN handling, and
+# the conformance fault tests on random models.
 faults:
-	go test -race -run 'Fault|Recover|Watchdog|Inject|Penal|NaN|NonFinite|Flaky|Stall|Crash|Abort' \
-		./internal/faults/... ./internal/mpi ./internal/estimator ./internal/nlopt
+	go test -race -run 'Fault|Recover|Watchdog|Inject|Penal|NaN|NonFinite|Flaky|Stall|Crash' \
+		./internal/faults/... ./internal/mpi ./internal/estimator ./internal/nlopt \
+		./internal/conformance
 
-# The chaos soak (docs/checkpointing.md): every graceful-degradation
-# ladder driven by injected faults under the race detector, plus the
+# The chaos soak (docs/checkpointing.md): the graceful-degradation
+# ladder and the failure path driven by injected faults under the race
+# detector, plus the
 # budget/cancellation, checkpoint/resume and SIGINT-interrupt paths of
 # the estimator, solvers, optimizer and both CLI front ends.
 chaos:
-	go test -race -run 'Chaos|Budget|Degrad|Demot|Hang|Timeout|Snapshot|Resume|Checkpoint|Interrupt|Deadline|Cancel' \
+	go test -race -run 'Chaos|Budget|Demot|Snapshot|Resume|Checkpoint|Interrupt|Deadline|Cancel' \
 		./internal/budget ./internal/estimator \
 		./internal/ode ./internal/nlopt ./internal/faults/... \
 		./internal/mpi \

@@ -1,7 +1,7 @@
 // Fault-tolerance overhead measurement: the same Table 2-style parallel
 // objective, run clean and under injected faults, reporting the modeled
 // extra solver work and the recovery interventions each failure mode
-// costs. This quantifies the price of the robustness machinery
+// costs. This quantifies the price of the failure path
 // (docs/fault-tolerance.md) the way Table 2 quantifies load balancing.
 package bench
 
@@ -45,10 +45,10 @@ type FaultsRow struct {
 	// enabled-but-idle recorder overhead sits well under this bound.
 	RecEvents uint64
 	RecOvhPct float64
-	// Recovery counts the fault-tolerance interventions performed.
+	// Recovery counts the failure path's interventions.
 	Recovery estimator.RecoveryStats
-	// Degrade counts the graceful-degradation ladder activations
-	// (sparse→dense, watchdog timeouts).
+	// Degrade counts the graceful-degradation ladder's activations
+	// (sparse→dense).
 	Degrade estimator.DegradeStats
 }
 
@@ -115,7 +115,7 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 	model := res.Model(vulcan.CrosslinkProperty(res.System), ode.Options{RTol: 1e-7, ATol: 1e-10})
 	files := syntheticFiles(cfg.Files, cfg.Records)
 
-	measure := func(scenario string, plan *faults.Plan, watchdog, attempt time.Duration) (FaultsRow, error) {
+	measure := func(scenario string, plan *faults.Plan, watchdog time.Duration) (FaultsRow, error) {
 		// Every scenario runs with a (never-tripping) budget attached, so
 		// the table shows what the cancellation machinery costs when armed.
 		bud := budget.New()
@@ -127,15 +127,11 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 		log := telemetry.NewLogger(rec)
 		bud = bud.WithLogger(log.Scope("budget"))
 		ecfg := estimator.Config{
-			Ranks: cfg.Ranks, Policy: sched.PolicyLPT,
-			FaultTolerant: true, Watchdog: watchdog,
-			Budget: bud, Retry: estimator.RetryPolicy{AttemptTimeout: attempt},
-			Metrics: cfg.Metrics, Log: log,
+			Ranks: cfg.Ranks, Policy: sched.PolicyLPT, Watchdog: watchdog,
+			Budget: bud, Metrics: cfg.Metrics, Log: log,
 		}
 		if plan != nil {
-			plan.WithLogger(log.Scope("faults"))
-			ecfg.Faults = plan
-			ecfg.Hook = plan
+			ecfg.Faults = plan.WithLogger(log.Scope("faults"))
 		}
 		est, err := estimator.New(model, files, ecfg)
 		if err != nil {
@@ -168,27 +164,22 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 		name     string
 		plan     *faults.Plan
 		watchdog time.Duration
-		attempt  time.Duration
 	}{
-		{"clean", nil, 0, 0},
+		{"clean", nil, 0},
 		{fmt.Sprintf("flaky solves (rate %g)", cfg.Rate),
-			faults.NewPlan(cfg.Seed).FailRate(cfg.Rate), 0, 0},
+			faults.NewPlan(cfg.Seed).FailRate(cfg.Rate), 0},
 		// One rank dies at its third collective — during objective call 1,
 		// with call 0's balanced assignment already in place.
-		{"rank crash", faults.NewPlan(cfg.Seed).CrashRank(cfg.Ranks-1, 2), 0, 0},
+		{"rank crash", faults.NewPlan(cfg.Seed).CrashRank(cfg.Ranks-1, 2), 0},
 		// One rank wedges instead of dying; a short watchdog (generous
 		// against this benchmark's sub-second calls) converts the hang
 		// into a diagnosed failure and the survivors re-run.
 		{"rank stall + watchdog", faults.NewPlan(cfg.Seed).StallRank(cfg.Ranks-1, 2),
-			500 * time.Millisecond, 0},
-		// One solve hangs mid-call; the per-attempt budget watchdog trips,
-		// the degradation ladder counts a timeout, and the retry succeeds.
-		{"solve hang + attempt budget", faults.NewPlan(cfg.Seed).HangFile(0, 1).HangFile(1, 2),
-			0, 250 * time.Millisecond},
+			500 * time.Millisecond},
 	}
 	var rows []FaultsRow
 	for _, sc := range scenarios {
-		row, err := measure(sc.name, sc.plan, sc.watchdog, sc.attempt)
+		row, err := measure(sc.name, sc.plan, sc.watchdog)
 		if err != nil {
 			return nil, err
 		}
@@ -201,21 +192,12 @@ func FaultTolerance(cfg FaultsConfig) ([]FaultsRow, error) {
 	return rows, nil
 }
 
-// formatDegrade renders the degradation ladder activations compactly,
-// omitting ladders that never fired.
+// formatDegrade renders the degradation ladder's activations compactly.
 func formatDegrade(d estimator.DegradeStats) string {
-	var parts []string
-	add := func(label string, n int) {
-		if n > 0 {
-			parts = append(parts, fmt.Sprintf("%s %d", label, n))
-		}
-	}
-	add("tmo", d.SolveTimeouts)
-	add("sparse", d.SparseToDense)
-	if len(parts) == 0 {
+	if d.SparseToDense == 0 {
 		return "none"
 	}
-	return strings.Join(parts, ", ")
+	return fmt.Sprintf("sparse %d", d.SparseToDense)
 }
 
 // FormatFaults renders the fault-tolerance overhead table.
@@ -243,7 +225,7 @@ func FormatFaults(rows []FaultsRow) string {
 	b.WriteString("bdgt ovh bounds the cancellation polls' cost (checks per modeled op," + NL)
 	b.WriteString("each a single atomic load); rec ovh bounds the always-on flight" + NL)
 	b.WriteString("recorder the same way (events per modeled op, each one allocation plus" + NL)
-	b.WriteString("one atomic store — docs/observability.md); degrade counts ladder" + NL)
-	b.WriteString("activations (docs/checkpointing.md)" + NL)
+	b.WriteString("one atomic store — docs/observability.md); degrade counts the" + NL)
+	b.WriteString("sparse→dense ladder's activations (docs/checkpointing.md)" + NL)
 	return b.String()
 }

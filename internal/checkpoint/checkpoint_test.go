@@ -169,7 +169,7 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 func TestRunStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	plan := faults.NewPlan(42).FailFile(1, 3).HangFile(0, 5)
+	plan := faults.NewPlan(42).FailFile(1, 3).FlakyFile(0, 5, 1)
 	ps := plan.Snapshot()
 	in := RunState{
 		Opt:    nlopt.CheckState{Iter: 4, X: []float64{0.5, 1.5}, Lambda: 1e-3, RNorm: 0.25},
@@ -289,9 +289,31 @@ func TestRunStateRoundTrip(t *testing.T) {
 		t.Errorf("rebuilt ewma fault plan %+v, want seed 7 and no fired injections", st)
 	}
 
-	// Each restores into the lpt estimator — the ewma one with its
-	// rebuilt fault plan attached — and the next objective call equals a
-	// fresh estimator's bit for bit.
+	// A run checkpoint written by a 2-rank lpt fit interrupted at
+	// iteration 2, from before the per-attempt watchdog and the hang and
+	// timeout injectors were retired: its degradation ledger carries
+	// SolveTimeouts 1 from an injected timeout that already fired, and its
+	// fault plan a fired timeout entry, a pending hang entry and their
+	// counts. Decoding skips them all.
+	hang, err := LoadRun(filepath.Join("testdata", "run_hang_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hang.Faults == nil {
+		t.Fatal("hang fault plan dropped")
+	}
+	hangPlan := faults.FromState(*hang.Faults)
+	if st := hangPlan.Snapshot(); st.Seed != 5 || st.Counts != (faults.Counts{}) || st.FileFail != nil {
+		t.Errorf("rebuilt hang fault plan %+v, want seed 5 and nothing scheduled or fired", st)
+	}
+	if hang.Est.Recovery.Retries != 1 || hang.Est.Degrade != (estimator.DegradeStats{}) {
+		t.Errorf("hang estimator state: recovery %+v, degrade %+v; want the one retry and no demotion",
+			hang.Est.Recovery, hang.Est.Degrade)
+	}
+
+	// Each restores into the lpt estimator — the ewma and hang ones with
+	// their rebuilt fault plans attached — and the next objective call
+	// equals a fresh estimator's bit for bit.
 	next := func(name string, st *estimator.State, cfg estimator.Config, x []float64, plans [][]int) []float64 {
 		t.Helper()
 		e, err := estimator.New(model, lbFiles, cfg)
@@ -314,6 +336,8 @@ func TestRunStateRoundTrip(t *testing.T) {
 	}
 	withFaults := lpt
 	withFaults.Faults = ewmaPlan
+	withHang := lpt
+	withHang.Faults = hangPlan
 	for _, c := range []struct {
 		name  string
 		st    *RunState
@@ -323,6 +347,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 		{"load-balanced", &lb, lpt, [][]int{{0}, {2, 1}}},
 		{"batch", &batch, lpt, [][]int{{0}, {2, 1}}},
 		{"ewma", &ewma, withFaults, [][]int{{0}, {1, 2}}},
+		{"hang", &hang, withHang, [][]int{{0}, {2, 1}}},
 	} {
 		x := c.st.Opt.X
 		if got, want := next(c.name, &c.st.Est, c.cfg, x, c.plans), next(c.name, nil, lpt, x, nil); !reflect.DeepEqual(got, want) {

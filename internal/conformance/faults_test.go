@@ -107,10 +107,10 @@ func TestFaultedFitMatchesCleanFit(t *testing.T) {
 	clean := fit(estimator.Config{Ranks: 2, Policy: sched.PolicyLPT})
 
 	// Fail file 0's first attempt on two early objective calls; each
-	// retry succeeds, so nothing is penalized.
+	// retry succeeds, so no file is rejected.
 	plan := faults.NewPlan(3).FlakyFile(0, 1, 1).FlakyFile(0, 3, 1)
 	e, err := estimator.New(model, files, estimator.Config{
-		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +137,14 @@ func TestFaultedFitMatchesCleanFit(t *testing.T) {
 	}
 }
 
-// A penalized file (retries exhausted) must still leave the objective
-// finite over conformance models — the NaN guard holds on random
-// networks, not just the hand-built decay fixtures.
+// A rejected file (retries exhausted) writes NaN into exactly its own
+// records and leaves the rest of the objective finite over conformance
+// models — the accumulation guard holds on random networks, not just the
+// hand-built decay fixtures.
 func TestPenaltyKeepsResidualFinite(t *testing.T) {
 	cs, model, files := faultFixture(t)
 	e, err := estimator.New(model, files, estimator.Config{
-		Ranks: 2, FaultTolerant: true,
+		Ranks:  2,
 		Faults: faults.NewPlan(5).FailFile(1, 0),
 	})
 	if err != nil {
@@ -154,12 +155,16 @@ func TestPenaltyKeepsResidualFinite(t *testing.T) {
 	if err := e.Objective(cs.K, r); err != nil {
 		t.Fatal(err)
 	}
+	failed := files[1].NumRecords()
 	for i, v := range r {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("residual[%d] = %v", i, v)
+		if i < failed && !math.IsNaN(v) {
+			t.Errorf("residual[%d] = %v, want NaN (a record of the rejected file)", i, v)
+		}
+		if i >= failed && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			t.Errorf("residual[%d] = %v, want finite", i, v)
 		}
 	}
 	if rec := e.Recovery(); rec.PenalizedFiles != 1 {
-		t.Errorf("recovery = %+v, want one penalized file", rec)
+		t.Errorf("recovery = %+v, want one rejected file", rec)
 	}
 }

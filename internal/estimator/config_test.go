@@ -10,10 +10,10 @@ import (
 )
 
 // TestConfigCrossProduct walks the configuration space: Ranks {1, 3} ×
-// Policy {block, static, lpt} × FaultTolerant, plus one row per policy
-// with a fault plan attached whose only injection is scheduled past the
-// run. New accepts every cell, and every cell runs three objective
-// calls that match Config{Ranks: 1} bit for bit.
+// Policy {block, static, lpt}, plus one row per policy with a fault plan
+// attached whose only injection is scheduled past the run. New accepts
+// every cell, and every cell runs three objective calls that match
+// Config{Ranks: 1} bit for bit.
 func TestConfigCrossProduct(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.2, []int{30, 6, 9, 5, 7})
@@ -46,12 +46,10 @@ func TestConfigCrossProduct(t *testing.T) {
 	policies := []sched.Policy{sched.PolicyBlock, sched.PolicyStatic, sched.PolicyLPT}
 	for _, ranks := range []int{1, 3} {
 		for _, pol := range policies {
-			for _, ft := range []bool{false, true} {
-				cells = append(cells, cell{
-					fmt.Sprintf("ranks=%d/policy=%s/ft=%v", ranks, pol, ft),
-					Config{Ranks: ranks, Policy: pol, FaultTolerant: ft},
-				})
-			}
+			cells = append(cells, cell{
+				fmt.Sprintf("ranks=%d/policy=%s", ranks, pol),
+				Config{Ranks: ranks, Policy: pol},
+			})
 		}
 	}
 	for _, pol := range policies {

@@ -4,9 +4,9 @@
 // bounded non-linear least-squares optimizer, parallelized over data
 // files in the style of the paper's Fig. 9 MPI objective function.
 //
-// Every objective evaluation runs one mpi.Run over the configured number
-// of ranks: each rank solves the ODE system across the time grid of the
-// data files its plan assigns it, writing each file's per-timestep
+// Every objective evaluation runs one mpi.RunErr over the configured
+// number of ranks: each rank solves the ODE system across the time grid
+// of the data files its plan assigns it, writing each file's per-timestep
 // differences between simulated and measured property values into a
 // per-(file, record) buffer, and two AllReduce operations combine the
 // buffers and the per-file solve costs. The caller folds the buffers in
@@ -28,8 +28,8 @@ import (
 	"rms/internal/budget"
 	"rms/internal/codegen"
 	"rms/internal/dataset"
+	"rms/internal/faults"
 	"rms/internal/linalg"
-	"rms/internal/mpi"
 	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/sched"
@@ -82,24 +82,13 @@ type Config struct {
 	// ascending file order, so fits stay bit-identical to the serial path
 	// for any policy.
 	Policy sched.Policy
-	// FaultTolerant enables graceful degradation (docs/fault-tolerance.md):
-	// failed file solves are retried per Retry and then penalized instead
-	// of aborting the fit, residual accumulation is guarded against
-	// NaN/Inf, and a crashed or stalled rank is recovered by re-planning
-	// its files onto the survivors and re-running the call.
-	FaultTolerant bool
-	// Retry shapes the per-file retry/penalty policy (zero fields take
-	// defaults; only consulted when FaultTolerant).
-	Retry RetryPolicy
-	// Faults, when non-nil, injects deterministic per-file solve
-	// failures (package faults). Without FaultTolerant an injected
-	// failure surfaces as an objective error, like a real one.
-	Faults FaultInjector
-	// Hook passes through to the mpi runtime's collective-entry
-	// injection hook (package faults).
-	Hook mpi.Hook
+	// Faults, when non-nil, injects deterministic faults (package faults,
+	// docs/fault-tolerance.md): per-file solve failures before each solve
+	// attempt, and rank crashes and stalls at collective entries. An
+	// injected fault takes the same path as a real one.
+	Faults *faults.Plan
 	// Watchdog arms the mpi hang watchdog for objective calls: a stuck
-	// collective is aborted and — when FaultTolerant — recovered. Zero
+	// collective is aborted and recovered like a crashed rank. Zero
 	// disables it.
 	Watchdog time.Duration
 	// Budget, when non-nil, makes every objective call cooperatively
@@ -107,7 +96,7 @@ type Config struct {
 	// file, and its Done channel releases ranks blocked in collectives
 	// (see mpi.RunConfig.Budget). A tripped budget makes Objective return
 	// its error with the residual untouched — a budget trip is never
-	// retried, penalized or recovered. Nil costs nothing.
+	// retried, rejected or recovered. Nil costs nothing.
 	Budget *budget.Budget
 	// Trace, when non-nil, records the estimator's timeline: one
 	// "objective #N" span per call on an "estimator" lane, per-file solve
@@ -120,11 +109,10 @@ type Config struct {
 	// time and the fault-recovery counters. Nil costs nothing — every
 	// metric degrades to a no-op.
 	Metrics *telemetry.Registry
-	// Log, when non-nil, records the estimator's fault/recovery/
-	// degradation narrative — retries, penalties, watchdog trips, rank
-	// recoveries, ladder demotions, sched replans — in the flight
-	// recorder (and any attached sink). Per-step hot paths never log;
-	// nil costs nothing.
+	// Log, when non-nil, records the estimator's fault/recovery
+	// narrative — retries, rejected files (the penalize events), watchdog
+	// trips, rank recoveries, sched replans — in the flight recorder (and
+	// any attached sink). Per-step hot paths never log; nil costs nothing.
 	Log *telemetry.Logger
 }
 
@@ -146,27 +134,26 @@ type estMetrics struct {
 	watchdogTrips, rerunCalls        *telemetry.Counter
 
 	// Degradation-ladder demotions (see DegradeStats).
-	degradeSparse, degradeTimeout *telemetry.Counter
+	degradeSparse *telemetry.Counter
 }
 
 func newEstMetrics(reg *telemetry.Registry) estMetrics {
 	return estMetrics{
-		objectives:     reg.Counter("estimator.objective_calls"),
-		fileSolves:     reg.Counter("estimator.file_solves"),
-		solveNs:        reg.Histogram("estimator.file_solve_ns", nil),
-		retryNs:        reg.Histogram("estimator.file_retry_ns", nil),
-		schedReplans:   reg.Counter("sched.replans"),
-		stepSize:       ode.StepSizeHistogram(reg),
-		imbalance:      reg.Gauge("estimator.imbalance"),
-		solver:         ode.NewStatsMetrics(reg),
-		mpiWaitSec:     reg.FloatCounter("mpi.wait_seconds"),
-		retries:        reg.Counter("faults.retries"),
-		penalized:      reg.Counter("faults.penalized_files"),
-		rankFailures:   reg.Counter("faults.rank_failures"),
-		watchdogTrips:  reg.Counter("faults.watchdog_trips"),
-		rerunCalls:     reg.Counter("faults.rerun_calls"),
-		degradeSparse:  reg.Counter("degrade.sparse_to_dense"),
-		degradeTimeout: reg.Counter("degrade.solve_timeout"),
+		objectives:    reg.Counter("estimator.objective_calls"),
+		fileSolves:    reg.Counter("estimator.file_solves"),
+		solveNs:       reg.Histogram("estimator.file_solve_ns", nil),
+		retryNs:       reg.Histogram("estimator.file_retry_ns", nil),
+		schedReplans:  reg.Counter("sched.replans"),
+		stepSize:      ode.StepSizeHistogram(reg),
+		imbalance:     reg.Gauge("estimator.imbalance"),
+		solver:        ode.NewStatsMetrics(reg),
+		mpiWaitSec:    reg.FloatCounter("mpi.wait_seconds"),
+		retries:       reg.Counter("faults.retries"),
+		penalized:     reg.Counter("faults.penalized_files"),
+		rankFailures:  reg.Counter("faults.rank_failures"),
+		watchdogTrips: reg.Counter("faults.watchdog_trips"),
+		rerunCalls:    reg.Counter("faults.rerun_calls"),
+		degradeSparse: reg.Counter("degrade.sparse_to_dense"),
 	}
 }
 
@@ -190,10 +177,9 @@ type Estimator struct {
 	lastTimes  []float64
 	schedStats SchedStats
 
-	// retry is cfg.Retry with defaults resolved.
-	retry RetryPolicy
-	// recovery counts fault-tolerance interventions (recMu guards it and
-	// degrade: ranks report retries, penalties and demotions concurrently).
+	// recovery counts failure-path interventions (recMu guards it and
+	// degrade: ranks report retries, rejections and demotions
+	// concurrently).
 	recMu    sync.Mutex
 	recovery RecoveryStats
 	degrade  DegradeStats
@@ -236,7 +222,6 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		model:     model,
 		files:     files,
 		cfg:       cfg,
-		retry:     cfg.Retry.withDefaults(),
 		nrecs:     make([]int, len(files)),
 		lastTimes: make([]float64, len(files)),
 	}
@@ -313,15 +298,6 @@ func (e *Estimator) calibrate() {
 	e.opsPerEval = opsPerEval
 }
 
-// publishSolve records one file solve's work in the registry: the solve
-// counter, the modeled cost histogram, and the cumulative solver
-// counters. Free when metrics are disabled (all handles nil).
-func (e *Estimator) publishSolve(st ode.Stats) {
-	e.met.fileSolves.Inc()
-	e.met.solveNs.Observe(e.workOps(st) * e.secPerOp * 1e9)
-	e.publishSolveStats(st)
-}
-
 // publishSolveStats publishes a solve's cumulative counters and folds
 // any sparse→dense demotions it performed into the degradation ledger.
 func (e *Estimator) publishSolveStats(st ode.Stats) {
@@ -384,13 +360,14 @@ func (e *Estimator) FileTimes() []float64 {
 // constants, in parallel over the configured ranks. residual must have
 // length ResidualDim.
 //
-// Under Config.FaultTolerant, solver breakdowns degrade gracefully (a
-// retry/penalty policy per file, see RetryPolicy) and rank failures are
-// recovered ULFM-style: the survivors re-plan every file through
-// sched.LPT over the last measured per-file costs (record counts before
-// the first call) and the call re-runs on the shrunk communicator.
-// Recovery is per call — the next call sees the full rank count again
-// (the simulated runtime respawns ranks each call).
+// A file whose solve fails is retried at tightened tolerances and, when
+// its attempts run out, rejected: its records come back NaN, and the
+// optimizer's non-finite rules decide (see solveWithRetry). A rank
+// failure is recovered ULFM-style: the survivors re-plan every file
+// through sched.LPT over the last measured per-file costs (record counts
+// before the first call) and the call re-runs on the shrunk
+// communicator. Recovery is per call — the next call sees the full rank
+// count again (the simulated runtime respawns ranks each call).
 func (e *Estimator) Objective(k []float64, residual []float64) error {
 	m := e.ResidualDim()
 	if len(residual) != m {
@@ -413,12 +390,9 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 	ranks := e.cfg.Ranks
 	var out callResult
 	for {
-		res, rep, solveErr := e.runCallSched(k, plans, ranks, m)
+		res, rep := e.runCallSched(k, plans, ranks, m)
 		for _, st := range rep.States {
 			e.met.mpiWaitSec.Add(float64(st.WaitNs) / 1e9)
-		}
-		if solveErr != nil {
-			return solveErr
 		}
 		if rep.OK() {
 			out = res
@@ -427,9 +401,6 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 		if budget.Exhausted(rep.Err()) {
 			// The budget released the ranks — cancellation, not a failure.
 			return rep.Err()
-		}
-		if !e.cfg.FaultTolerant {
-			return fmt.Errorf("estimator: parallel objective failed: %w", rep.Err())
 		}
 		dead := rep.Culprits()
 		if len(dead) == 0 || len(dead) >= ranks {
@@ -487,12 +458,11 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 // accumulating simulated-minus-observed into errvec (per Fig. 9's inner
 // loop: initialize the solver, then integrate record to record). opts
 // are the solver options for this attempt (the retry policy tightens
-// them between attempts). It returns the solver work statistics, the
-// per-file cost measure.
+// them between attempts); the solve runs under the run budget unless the
+// model's options carry their own. It returns the solver work
+// statistics, the per-file cost measure.
 func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
 	if opts.Budget == nil {
-		// Per-attempt child budgets arrive via opts; everything else runs
-		// directly under the run budget.
 		opts.Budget = e.cfg.Budget
 	}
 	n := e.model.Prog.NumY

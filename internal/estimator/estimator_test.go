@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -278,8 +279,9 @@ func TestAnalyticJacobianAgrees(t *testing.T) {
 }
 
 // TestSolverFailurePropagates: an exploding model (positive feedback with
-// a huge rate) aborts the integration, and the objective surfaces the
-// error instead of silently zero-filling.
+// a huge rate) aborts every integration attempt. The objective does not
+// fail and does not zero-fill: the file's records come back NaN, and a
+// fit started there fails with nlopt.ErrNonFinite.
 func TestSolverFailurePropagates(t *testing.T) {
 	n := network.New()
 	n.AddSpecies("A", "", 1)
@@ -305,8 +307,21 @@ func TestSolverFailurePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := make([]float64, e.ResidualDim())
-	if err := e.Objective([]float64{1e9}, r); err == nil {
-		t.Error("exploding solve did not surface an error")
+	if err := e.Objective([]float64{1e9}, r); err != nil {
+		t.Fatalf("Objective = %v, want the failure in the residual", err)
+	}
+	for i, v := range r {
+		if !math.IsNaN(v) {
+			t.Errorf("residual[%d] = %v, want NaN", i, v)
+		}
+	}
+	if rec := e.Recovery(); rec.PenalizedFiles != 1 {
+		t.Errorf("recovery = %+v, want the one file rejected", rec)
+	}
+	_, err = e.Estimate([]float64{1e9}, []float64{1}, []float64{1e10},
+		nlopt.Options{MaxIter: 10, RelStep: 1e-4})
+	if !errors.Is(err, nlopt.ErrNonFinite) {
+		t.Errorf("Estimate = %v, want nlopt.ErrNonFinite", err)
 	}
 }
 

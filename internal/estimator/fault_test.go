@@ -8,30 +8,16 @@ import (
 
 	"rms/internal/faults"
 	"rms/internal/nlopt"
-	"rms/internal/ode"
 	"rms/internal/sched"
 )
 
 // fitOpts matches TestEstimateRecoversRate's optimizer settings.
 func fitOpts() nlopt.Options { return nlopt.Options{MaxIter: 60, RelStep: 1e-4} }
 
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	if p.MaxAttempts != 3 || p.TolTighten != 0.1 || p.StepShrink != 0.25 ||
-		p.Penalty != 1e6 || p.MaxSteps != 500_000 {
-		t.Errorf("defaults = %+v", p)
-	}
-	// Explicit values survive.
-	q := RetryPolicy{MaxAttempts: 5, Penalty: 10}.withDefaults()
-	if q.MaxAttempts != 5 || q.Penalty != 10 {
-		t.Errorf("explicit = %+v", q)
-	}
-}
-
 func TestRetryOptsTightenAndShrink(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.0, []int{20})
-	e, err := New(m, files, Config{Ranks: 1, FaultTolerant: true})
+	e, err := New(m, files, Config{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +38,7 @@ func TestRetryOptsTightenAndShrink(t *testing.T) {
 	// A tighter model budget wins over the policy's.
 	tight := *m
 	tight.SolverOpts.MaxSteps = 1000
-	e2, err := New(&tight, files, Config{Ranks: 1, FaultTolerant: true})
+	e2, err := New(&tight, files, Config{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +65,7 @@ func TestFlakySolveRecoversViaRetry(t *testing.T) {
 		return r
 	}()
 	e, err := New(m, files, Config{
-		Ranks: 2, FaultTolerant: true,
+		Ranks:  2,
 		Faults: faults.NewPlan(1).FlakyFile(0, 0, 1),
 	})
 	if err != nil {
@@ -100,13 +86,13 @@ func TestFlakySolveRecoversViaRetry(t *testing.T) {
 	}
 }
 
-// An unsalvageable file exhausts its attempts and falls back to the
-// penalty residual instead of aborting the objective.
+// An unsalvageable file exhausts its attempts and writes NaN into its
+// records instead of aborting the objective.
 func TestPenaltyOnUnsalvageableFile(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.5, []int{30, 20})
 	e, err := New(m, files, Config{
-		Ranks: 2, FaultTolerant: true,
+		Ranks:  2,
 		Faults: faults.NewPlan(1).FailFile(1, 0),
 	})
 	if err != nil {
@@ -120,12 +106,11 @@ func TestPenaltyOnUnsalvageableFile(t *testing.T) {
 	if rec.PenalizedFiles != 1 || rec.Retries != 2 {
 		t.Errorf("recovery = %+v, want 1 penalized after 2 retries", rec)
 	}
-	// File 1 has 20 records: those entries carry the penalty; the tail
-	// (file 0 only) stays small, near the true rate.
-	pol := RetryPolicy{}.withDefaults()
+	// File 1 has 20 records: those entries are NaN; the tail (file 0
+	// only) stays small, near the true rate.
 	for i := 0; i < 20; i++ {
-		if math.Abs(r[i]-pol.Penalty) > 1e-2 {
-			t.Errorf("residual[%d] = %v, want ≈ penalty %v", i, r[i], pol.Penalty)
+		if !math.IsNaN(r[i]) {
+			t.Errorf("residual[%d] = %v, want NaN", i, r[i])
 		}
 	}
 	for i := 20; i < len(r); i++ {
@@ -135,32 +120,9 @@ func TestPenaltyOnUnsalvageableFile(t *testing.T) {
 	}
 }
 
-// Without FaultTolerant an injected failure surfaces as an objective
-// error, exactly like a real solver breakdown (the pre-existing
-// contract, TestSolverFailurePropagates).
-func TestNonFaultTolerantInjectionSurfaces(t *testing.T) {
-	m := decayModel(t)
-	files := makeFiles(1.0, []int{20})
-	e, err := New(m, files, Config{
-		Ranks:  1,
-		Faults: faults.NewPlan(1).FailFile(0, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, e.ResidualDim())
-	err = e.Objective([]float64{1.0}, r)
-	if err == nil {
-		t.Fatal("injected failure did not surface")
-	}
-	if !errors.Is(err, ode.ErrStepTooSmall) {
-		t.Errorf("err = %v, want a step-underflow chain", err)
-	}
-}
-
-// Acceptance (b): an injected solver failure at a trial point yields a
-// penalized residual, LM rejects the step, and the fit converges to the
-// same optimum as the failure-free run.
+// An injected solver failure at a trial point yields NaN records, LM
+// rejects the step, and the fit converges to the same optimum as the
+// failure-free run.
 func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 	m := decayModel(t)
 	kTrue := 1.2
@@ -182,11 +144,11 @@ func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 	}
 	kClean := fit(Config{Ranks: 2, Policy: sched.PolicyLPT})
 	// Call 2 is the first LM trial step (call 0 = start, call 1 = the
-	// one-parameter Jacobian column); failing every retry there forces
-	// the penalty path mid-fit.
+	// one-parameter Jacobian column); failing every retry there rejects
+	// the file mid-fit.
 	plan := faults.NewPlan(1).FailFile(0, 2)
 	e, err := New(m, files, Config{
-		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +160,7 @@ func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 	}
 	rec := e.Recovery()
 	if rec.PenalizedFiles < 1 {
-		t.Errorf("recovery = %+v: the injected failure never penalized", rec)
+		t.Errorf("recovery = %+v: the injected failure never rejected the file", rec)
 	}
 	if math.Abs(res.X[0]-kTrue) > 1e-3 {
 		t.Errorf("faulted fit k = %v, want %v", res.X[0], kTrue)
@@ -208,7 +170,7 @@ func TestFitConvergesThroughTrialPointFailure(t *testing.T) {
 	}
 }
 
-// Acceptance (a): a rank crash mid-objective is recovered by
+// A rank crash mid-objective is recovered by
 // reassigning its files to the survivors, and the fit completes with
 // the correct parameters.
 func TestRankCrashRecoveredMidFit(t *testing.T) {
@@ -220,7 +182,7 @@ func TestRankCrashRecoveredMidFit(t *testing.T) {
 	// rank 1 lands in objective call 3 — mid-fit.
 	plan := faults.NewPlan(1).CrashRank(1, 6)
 	e, err := New(m, files, Config{
-		Ranks: 2, Policy: sched.PolicyLPT, FaultTolerant: true, Faults: plan, Hook: plan,
+		Ranks: 2, Policy: sched.PolicyLPT, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +222,7 @@ func TestWatchdogStallRecovered(t *testing.T) {
 	}()
 	plan := faults.NewPlan(1).StallRank(1, 0)
 	e, err := New(m, files, Config{
-		Ranks: 2, FaultTolerant: true, Faults: plan, Hook: plan,
-		Watchdog: 150 * time.Millisecond,
+		Ranks: 2, Faults: plan, Watchdog: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +243,9 @@ func TestWatchdogStallRecovered(t *testing.T) {
 }
 
 // NaN escaping the model (here: the property function) is caught by the
-// accumulation guard and converted to the penalty, never surfacing in
-// the residual the optimizer sees.
+// accumulation guard, retried, and then written into every record of the
+// failed files: the residual the optimizer sees is NaN there, never a
+// finite stand-in.
 func TestNaNPropertyPenalized(t *testing.T) {
 	m := decayModel(t)
 	poisoned := *m
@@ -294,7 +256,7 @@ func TestNaNPropertyPenalized(t *testing.T) {
 		return y[1]
 	}
 	files := makeFiles(1.5, []int{30, 20})
-	e, err := New(&poisoned, files, Config{Ranks: 2, FaultTolerant: true})
+	e, err := New(&poisoned, files, Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +265,34 @@ func TestNaNPropertyPenalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range r {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("residual[%d] = %v: NaN leaked through the guard", i, v)
+		if !math.IsNaN(v) {
+			t.Errorf("residual[%d] = %v, want NaN", i, v)
 		}
 	}
 	rec := e.Recovery()
-	if rec.PenalizedFiles != len(files) {
-		t.Errorf("recovery = %+v, want all %d files penalized", rec, len(files))
+	if rec.PenalizedFiles != len(files) || rec.Retries != 2*len(files) {
+		t.Errorf("recovery = %+v, want all %d files rejected after 2 retries each", rec, len(files))
+	}
+}
+
+// A fit whose every solve fails cannot start: the start point's residual
+// is NaN, so the optimizer returns nlopt.ErrNonFinite instead of
+// reporting a fit converged at its start point.
+func TestFitWithEverySolveFailingIsNonFinite(t *testing.T) {
+	m := decayModel(t)
+	m.Property = func([]float64) float64 { return math.NaN() }
+	e, err := New(m, makeFiles(1.2, []int{20, 10}), Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Estimate([]float64{0.3}, []float64{0.01}, []float64{10}, fitOpts())
+	if !errors.Is(err, nlopt.ErrNonFinite) {
+		t.Fatalf("err = %v, want nlopt.ErrNonFinite", err)
+	}
+	if res != nil && res.Converged {
+		t.Errorf("fit with every solve failing reported converged at %v", res.X)
+	}
+	if rec := e.Recovery(); rec.PenalizedFiles != 2 {
+		t.Errorf("recovery = %+v, want both files rejected", rec)
 	}
 }

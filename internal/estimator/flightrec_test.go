@@ -24,9 +24,7 @@ func warnTimeline(t *testing.T) []string {
 	// file order, so the recorded timeline is exactly reproducible.
 	plan := faults.NewPlan(7).FlakyFile(0, 0, 1).FailFile(1, 0).
 		WithLogger(log.Scope("faults"))
-	e, err := New(m, files, Config{
-		Ranks: 1, FaultTolerant: true, Faults: plan, Log: log,
-	})
+	e, err := New(m, files, Config{Ranks: 1, Faults: plan, Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,8 @@ func TestFlightRecorderGoldenTimeline(t *testing.T) {
 
 // TestWatchdogAbortDumpsFlightRecorder arms the auto-dump and stalls a
 // rank: the mpi watchdog's error-level event must trigger exactly one
-// post-mortem dump containing the recent history.
+// post-mortem dump containing the recent history and, in the watchdog
+// event itself, the per-rank state dump naming the stalled rank's phase.
 func TestWatchdogAbortDumpsFlightRecorder(t *testing.T) {
 	m := decayModel(t)
 	files := makeFiles(1.5, []int{40, 40})
@@ -87,8 +86,7 @@ func TestWatchdogAbortDumpsFlightRecorder(t *testing.T) {
 	log := telemetry.NewLogger(rec)
 	plan := faults.NewPlan(1).StallRank(1, 0).WithLogger(log.Scope("faults"))
 	e, err := New(m, files, Config{
-		Ranks: 2, FaultTolerant: true, Faults: plan, Hook: plan,
-		Watchdog: 150 * time.Millisecond, Log: log,
+		Ranks: 2, Faults: plan, Watchdog: 150 * time.Millisecond, Log: log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +101,9 @@ func TestWatchdogAbortDumpsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(out, "injected rank stall") {
 		t.Fatalf("dump missing the injection history:\n%s", out)
+	}
+	if !strings.Contains(out, "rank1=stalled before AllReduce #0 (injected)") {
+		t.Fatalf("dump missing the stalled rank's phase:\n%s", out)
 	}
 	if strings.Count(out, "post-mortem dump") != 1 {
 		t.Fatalf("dump fired more than once:\n%s", out)

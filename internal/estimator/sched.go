@@ -14,11 +14,7 @@
 package estimator
 
 import (
-	"fmt"
-	"sync"
-
 	"rms/internal/mpi"
-	"rms/internal/ode"
 	"rms/internal/sched"
 )
 
@@ -74,23 +70,18 @@ func (e *Estimator) replan(out callResult) {
 
 // runCallSched executes one parallel objective evaluation over per-rank
 // file plans on the given number of ranks. It returns the reduced call
-// output, the mpi report, and the first solver error (non-nil only
-// without FaultTolerant, which handles solves in-rank).
-func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int) (out callResult, rep *mpi.RunReport, firstErr error) {
+// output and the mpi report; every file solve runs under the retry
+// policy, so a failed solve never fails the rank.
+func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int) (callResult, *mpi.RunReport) {
 	nf := len(e.files)
 	var contribOut, workOut []float64
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
 	call := e.calls
-	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Hook: e.cfg.Hook, Trace: e.cfg.Trace,
+	cfg := mpi.RunConfig{Watchdog: e.cfg.Watchdog, Trace: e.cfg.Trace,
 		Budget: e.cfg.Budget, Log: e.mpiLog}
-	rep = mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
+	if e.cfg.Faults != nil {
+		cfg.Hook = e.cfg.Faults
+	}
+	rep := mpi.RunErr(ranks, cfg, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		// One contribution buffer per rank; every (file, record) entry is
 		// written by exactly one file solve on exactly one rank, so the
@@ -99,10 +90,6 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 		work := make([]float64, nf)
 		ev := e.model.Prog.NewEvaluator()
 		ev.Observe(e.cfg.Metrics)
-		var scratch []float64
-		if e.cfg.FaultTolerant {
-			scratch = make([]float64, m)
-		}
 		lane := c.Lane()
 		for _, it := range plans[rank] {
 			if e.cfg.Budget.Check() != nil {
@@ -112,47 +99,28 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 			block := contrib[it.File*m : (it.File+1)*m]
 			e.log.Debug("solve", "file solve", "call", call, "rank", rank, "file", f.Name)
 			lane.Begin("solve " + f.Name)
-			if e.cfg.FaultTolerant {
-				st, retries, penalized := e.solveFileFT(ev, f, k, scratch, block, call, rank, it.File)
-				work[it.File] = e.workOps(st)
-				e.met.fileSolves.Inc()
-				e.publishSolveStats(st)
-				e.met.retries.Add(int64(retries))
-				if retries > 0 || penalized {
-					e.recMu.Lock()
-					e.recovery.Retries += retries
-					if penalized {
-						e.recovery.PenalizedFiles++
-						e.met.penalized.Inc()
-					}
-					e.recMu.Unlock()
+			st, retries, rejected := e.solveWithRetry(ev, f, k, block, call, rank, it.File)
+			work[it.File] = e.workOps(st)
+			e.met.fileSolves.Inc()
+			e.publishSolveStats(st)
+			e.met.retries.Add(int64(retries))
+			if retries > 0 || rejected {
+				e.recMu.Lock()
+				e.recovery.Retries += retries
+				if rejected {
+					e.recovery.PenalizedFiles++
+					e.met.penalized.Inc()
 				}
-			} else {
-				var st ode.Stats
-				var err error
-				if e.cfg.Faults != nil {
-					err = e.cfg.Faults.FileSolve(call, rank, it.File, 0)
-				}
-				if err == nil {
-					st, err = e.solveFile(ev, f, k, block, e.model.SolverOpts)
-				}
-				if err != nil {
-					fail(fmt.Errorf("estimator: file %s: %w", f.Name, err))
-				}
-				work[it.File] = e.workOps(st)
-				e.publishSolve(st)
+				e.recMu.Unlock()
 			}
 			lane.End()
 		}
-		gc := c.AllReduce(contrib, mpi.SumOp)
-		gw := c.AllReduce(work, mpi.SumOp)
+		gc := c.AllReduce(contrib)
+		gw := c.AllReduce(work)
 		if rank == 0 {
 			contribOut, workOut = gc, gw
 		}
 		return nil
 	})
-	if workOut == nil {
-		return callResult{}, rep, firstErr
-	}
-	return callResult{contrib: contribOut, fileOps: workOut}, rep, firstErr
+	return callResult{contrib: contribOut, fileOps: workOut}, rep
 }

@@ -89,7 +89,8 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	m := decayModel(t)
 	// Poison the very first property evaluation: attempt 0 of file 0
 	// integrates the whole file (full solver cost) but produces one NaN
-	// residual entry, which the FT guard turns into a retryable failure.
+	// residual entry, which the non-finite guard turns into a retryable
+	// failure.
 	base := m.Property
 	poisoned := false
 	m.Property = func(y []float64) float64 {
@@ -102,10 +103,9 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	counts := []int{20, 20}
 	reg := telemetry.NewRegistry()
 	e, err := New(m, makeFiles(1.0, counts), Config{
-		Ranks:         1, // single rank: the poisoned closure is not thread-safe
-		FaultTolerant: true,
-		Policy:        sched.PolicyLPT,
-		Metrics:       reg,
+		Ranks:   1, // single rank: the poisoned closure is not thread-safe
+		Policy:  sched.PolicyLPT,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,15 +4,15 @@
 //
 //   - collective entries in the simulated MPI runtime (crash or stall a
 //     specific rank at its nth collective — Plan implements mpi.Hook);
-//   - per-file solver calls in the parallel estimator (fail file i at
+//   - per-file solve attempts in the parallel estimator (fail file i at
 //     objective call j, or fail a seeded pseudo-random fraction of all
-//     solves — Plan implements the estimator's FaultInjector interface).
+//     solves — Plan.FileSolve, which estimator.Config.Faults consults).
 //
 // Every injection is deterministic: keyed injections fire exactly once
 // at their trigger, and rate-based injections decide by hashing
 // (seed, call, file, attempt), so the schedule does not depend on the
 // order in which concurrent ranks reach the injection points. That
-// determinism is what lets the recovery paths — retry/penalty, rank
+// determinism is what lets the recovery paths — retry then reject, rank
 // shrink-and-retry, the hang watchdog — be exercised by ordinary unit
 // tests instead of hoped-for in production.
 package faults
@@ -34,10 +34,6 @@ var ErrInjected = fmt.Errorf("faults: injected solver failure: %w", ode.ErrStepT
 // Counts reports how many injections a Plan has fired, by kind.
 type Counts struct {
 	Crashes, Stalls, FileFailures int
-	// Hangs and Timeouts count the robustness layer's chaos kinds:
-	// solves that block until their attempt budget trips and solves that
-	// report a watchdog timeout.
-	Hangs, Timeouts int
 }
 
 type key struct{ a, b int }
@@ -62,11 +58,6 @@ type Plan struct {
 	fileFail map[key]int
 	rate     float64
 
-	// Robustness-layer chaos kinds (see robust.go), keyed like
-	// fileFail.
-	hang    map[key]int
-	timeout map[key]int
-
 	// log, when set, records every fired injection in the flight
 	// recorder — the "what was injected when" half of a chaos run's
 	// post-mortem timeline.
@@ -86,8 +77,6 @@ func NewPlan(seed int64) *Plan {
 		stall:    make(map[key]bool),
 		seen:     make(map[int]int),
 		fileFail: make(map[key]int),
-		hang:     make(map[key]int),
-		timeout:  make(map[key]int),
 	}
 }
 
@@ -112,7 +101,7 @@ func (p *Plan) StallRank(rank, nthCollective int) *Plan {
 
 // FailFile schedules the solve of the given file to fail at the given
 // objective call, on every retry attempt — the solve is unsalvageable
-// and must end in a penalty residual.
+// and its records must end NaN.
 func (p *Plan) FailFile(file, call int) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -182,27 +171,17 @@ func (p *Plan) AtCollective(rank, seq int) mpi.HookAction {
 	return mpi.ActProceed
 }
 
-// FileSolve implements the estimator's FaultInjector interface: it is
+// FileSolve is the estimator's per-solve injection point: it is
 // consulted before attempt number `attempt` (0-based) of solving file
 // `file` during objective call `call` on rank `rank`, and returns
-// ErrInjected when the schedule says this attempt fails.
+// ErrInjected when the schedule says this attempt fails. A nil plan
+// injects nothing.
 func (p *Plan) FileSolve(call, rank, file, attempt int) error {
+	if p == nil {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n, ok := p.hang[key{file, call}]; ok {
-		if n == allAttempts || attempt < n {
-			p.counts.Hangs++
-			p.logSolve("injected solve hang", call, rank, file, attempt)
-			return ErrInjectedHang
-		}
-	}
-	if n, ok := p.timeout[key{file, call}]; ok {
-		if n == allAttempts || attempt < n {
-			p.counts.Timeouts++
-			p.logSolve("injected solve timeout", call, rank, file, attempt)
-			return ErrInjectedTimeout
-		}
-	}
 	if n, ok := p.fileFail[key{file, call}]; ok {
 		if n == allAttempts || attempt < n {
 			p.counts.FileFailures++

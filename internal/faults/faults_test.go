@@ -4,17 +4,13 @@ import (
 	"errors"
 	"testing"
 
-	"rms/internal/estimator"
 	"rms/internal/faults"
 	"rms/internal/mpi"
 	"rms/internal/ode"
 )
 
-// The plan must satisfy both injection seams.
-var (
-	_ mpi.Hook                = (*faults.Plan)(nil)
-	_ estimator.FaultInjector = (*faults.Plan)(nil)
-)
+// The plan is the mpi runtime's collective-entry hook.
+var _ mpi.Hook = (*faults.Plan)(nil)
 
 // Injected solve failures must look like real solver breakdowns so the
 // retry policy treats them identically.
@@ -131,8 +127,8 @@ func TestCrashRankOneShotAcrossRuns(t *testing.T) {
 func TestPlanDrivesRuntime(t *testing.T) {
 	p := faults.NewPlan(7).CrashRank(2, 1)
 	rep := mpi.RunErr(4, mpi.RunConfig{Hook: p}, func(c *mpi.Comm) error {
-		c.Barrier()
-		c.Barrier()
+		c.AllReduce([]float64{1})
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if got := rep.Culprits(); len(got) != 1 || got[0] != 2 {
@@ -148,7 +144,7 @@ func TestPlanDrivesRuntime(t *testing.T) {
 
 	p2 := faults.NewPlan(7).StallRank(0, 0)
 	rep2 := mpi.RunErr(3, mpi.RunConfig{Hook: p2, Watchdog: 100_000_000}, func(c *mpi.Comm) error {
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if !rep2.WatchdogFired {

@@ -1,26 +1,23 @@
 // Package mpi is a message-passing runtime with MPI's collective
 // semantics, implemented over goroutines and channels. It stands in for
 // the MPI library of the paper's parallel parameter estimator (Fig. 9):
-// ranks are goroutines, point-to-point messages travel over per-pair
-// channels, and the collectives (Barrier, Bcast, Reduce, AllReduce,
-// AllGather) must be called by every rank of the communicator, exactly as
-// in MPI.
+// ranks are goroutines, and the one collective the objective function
+// needs — a summing AllReduce over per-file errors — must be called by
+// every rank of the communicator, exactly as in MPI.
 //
 // On the paper's IBM SP each rank was one processor of one node; here
 // ranks share a machine, so speedups are reported both as wall time and
 // as modeled parallel time (the per-rank critical path), the quantity
 // Table 2 measures on hardware where every rank really owns a CPU.
 //
-// Two entry points start a communicator. Run keeps the classic MPI
-// posture: any rank failure aborts the job and re-raises the panic.
-// RunErr is the fault-tolerant path: rank functions return errors, rank
+// RunErr starts a communicator: rank functions return errors, rank
 // panics are captured instead of re-raised, and the caller receives a
 // per-rank RunReport it can use to recover (the estimator's
-// shrink-and-retry protocol). Both accept a configurable watchdog that
-// converts a stuck collective — a deadlocked communicator — into a
-// diagnosed error with a per-rank state dump instead of a hang, and a
-// Hook consulted at every collective entry, the seam deterministic fault
-// injection (package faults) plugs into.
+// shrink-and-retry protocol). A configurable watchdog converts a stuck
+// collective — a deadlocked communicator — into a diagnosed error with a
+// per-rank state dump instead of a hang, and a Hook consulted at every
+// collective entry is the seam deterministic fault injection (package
+// faults) plugs into.
 package mpi
 
 import (
@@ -33,13 +30,6 @@ import (
 	"rms/internal/budget"
 	"rms/internal/telemetry"
 )
-
-// DefaultWatchdog is the hang-protection window used by Run (RunErr uses
-// exactly what its RunConfig says; zero disables). The watchdog only
-// fires on provable deadlock — every live rank blocked inside the
-// runtime with no progress for a full window — so the default can stay
-// generous without risking false positives on slow computation.
-var DefaultWatchdog = 2 * time.Minute
 
 // HookAction is a Hook's verdict on a rank entering a collective.
 type HookAction int
@@ -58,7 +48,7 @@ const (
 
 // Hook intercepts ranks at collective entry. AtCollective is invoked by
 // each rank as it enters its seq-th collective (0-based, counted per
-// rank within one Run/RunErr); implementations must be safe for
+// rank within one RunErr); implementations must be safe for
 // concurrent use by all ranks.
 type Hook interface {
 	AtCollective(rank, seq int) HookAction
@@ -77,20 +67,21 @@ type RunConfig struct {
 	Hook Hook
 	// Trace, when non-nil, gives every rank a telemetry lane named
 	// "rank N" (reused across runs of equal rank) and records a span for
-	// each blocking runtime wait — collectives, blocked sends and
-	// receives — so a Chrome trace shows per-rank wait-time gaps and the
-	// text summary attributes communicator imbalance.
+	// each blocking collective wait, so a Chrome trace shows per-rank
+	// wait-time gaps and the text summary attributes communicator
+	// imbalance.
 	Trace *telemetry.Tracer
 	// Budget, when non-nil, bounds the whole communicator: when it trips,
 	// the run aborts exactly like a watchdog trip — per-rank states are
-	// snapshotted, ranks blocked in runtime primitives unwind — but every
+	// snapshotted, ranks blocked in collectives unwind — but every
 	// released rank's report error carries the budget's cause (matching
 	// budget.ErrExhausted), and none of them count as Culprits, so
 	// recovery protocols do not mistake a cancellation for a dead rank.
 	Budget *budget.Budget
 	// Log, when non-nil, records communicator failure events — watchdog
-	// firings, rank panics, injected stalls, budget releases — in the
-	// flight recorder. The happy path never logs.
+	// firings (carrying the per-rank state dump), rank panics, injected
+	// stalls, budget releases — in the flight recorder. The happy path
+	// never logs.
 	Log *telemetry.Logger
 }
 
@@ -99,9 +90,9 @@ type RunConfig struct {
 type RankState struct {
 	Rank int
 	// Phase describes what the rank was doing ("running", "AllReduce #3",
-	// "stalled before Barrier #0 (injected)", ...).
+	// "stalled before AllReduce #0 (injected)", ...).
 	Phase string
-	// Waiting reports the rank was blocked inside a runtime primitive.
+	// Waiting reports the rank was blocked inside a collective.
 	Waiting bool
 	// Stalled reports an injected stall (Hook returned ActStall).
 	Stalled bool
@@ -150,7 +141,7 @@ func (r *RunReport) OK() bool {
 }
 
 // Culprits returns the ranks responsible for a failure: ranks whose
-// error is primary (a panic, an Abort call, an injected crash or stall)
+// error is primary (a panic, a returned error, an injected crash or stall)
 // rather than a sympathetic ErrAborted/ErrWatchdog release. Recovery
 // protocols treat these ranks as dead and redistribute their work.
 func (r *RunReport) Culprits() []int {
@@ -178,22 +169,16 @@ func (r *RunReport) Err() error {
 	return nil
 }
 
-// DumpString renders the per-rank state dump, one rank per line — the
-// diagnostic attached to watchdog aborts. Each line carries the rank's
-// last completed collective and its telemetry-clock timestamp, so a
-// deadlock dump shows exactly where and when each rank's protocol
-// sequence stopped advancing.
-func (r *RunReport) DumpString() string {
-	var b []byte
-	for _, st := range r.States {
-		last := "none"
-		if st.LastCollective != "" {
-			last = fmt.Sprintf("%s at +%.3fs", st.LastCollective, float64(st.LastDoneNs)/1e9)
-		}
-		b = fmt.Appendf(b, "rank %d: %s (collectives done %d, last %s, waited %.3fs)\n",
-			st.Rank, st.Phase, st.Collectives, last, float64(st.WaitNs)/1e9)
+// describe renders one rank's line of a state dump: its phase, its last
+// completed collective with the telemetry-clock timestamp, and its total
+// wait — where and when the rank's protocol sequence stopped advancing.
+func (st RankState) describe() string {
+	last := "none"
+	if st.LastCollective != "" {
+		last = fmt.Sprintf("%s at +%.3fs", st.LastCollective, float64(st.LastDoneNs)/1e9)
 	}
-	return string(b)
+	return fmt.Sprintf("%s (collectives done %d, last %s, waited %.3fs)",
+		st.Phase, st.Collectives, last, float64(st.WaitNs)/1e9)
 }
 
 // ErrAborted marks the sympathetic errors on ranks released from a
@@ -229,10 +214,8 @@ type rankState struct {
 	stalled     bool
 	done        bool
 	collectives int
-	// lastName/lastSeq/lastDoneNs identify the most recently completed
-	// collective and when (telemetry clock) it finished.
-	lastName   string
-	lastSeq    int
+	// lastDoneNs is when (telemetry clock) the most recently completed
+	// collective, number collectives-1, finished.
 	lastDoneNs int64
 	// waitNs accumulates completed blocking time; waitStart is the entry
 	// timestamp of the wait in flight (0 when not waiting).
@@ -242,13 +225,11 @@ type rankState struct {
 
 type world struct {
 	size int
-	// ch[from][to] carries point-to-point messages.
-	ch [][]chan any
 	// collective plumbing: every rank sends to rank 0, rank 0 answers.
-	up   []chan any
-	down []chan any
+	up   []chan []float64
+	down []chan []float64
 	// dead closes when any rank panics (or the watchdog fires),
-	// releasing peers blocked in runtime primitives.
+	// releasing peers blocked in collectives.
 	dead     chan struct{}
 	deadOnce sync.Once
 
@@ -256,8 +237,8 @@ type world struct {
 	// lanes has one telemetry lane per rank; entries are nil (no-op)
 	// unless the run was configured with a Tracer.
 	lanes []*telemetry.Lane
-	// activity counts runtime events (blocking-point entries/exits,
-	// message transfers); the watchdog watches it for progress.
+	// activity counts runtime events (collective entries/exits, value
+	// transfers); the watchdog watches it for progress.
 	activity      atomic.Int64
 	states        []*rankState
 	watchdogFired atomic.Bool
@@ -279,61 +260,24 @@ func (abortError) Error() string { return "mpi: communicator aborted (peer rank 
 // communicator's death.
 type stallError struct{ seq int }
 
-// abortCall unwinds a rank that called Comm.Abort.
-type abortCall struct{ reason string }
-
-// Run starts a communicator of the given size and invokes fn once per
-// rank, each on its own goroutine, then waits for all ranks to return. A
-// panic on any rank is re-raised by Run after all ranks finish, and hang
-// protection (a DefaultWatchdog-sized watchdog) converts a deadlocked
-// communicator into a panic carrying the per-rank state dump. Callers
-// that want to recover instead of crash use RunErr.
-func Run(size int, fn func(c *Comm)) {
-	rep := RunErr(size, RunConfig{Watchdog: DefaultWatchdog}, func(c *Comm) error {
-		fn(c)
-		return nil
-	})
-	// Report the original failure, not the secondary communicator aborts
-	// it triggered on innocent ranks.
-	for _, rank := range rep.Culprits() {
-		if re, ok := rep.Errs[rank].(*RankError); ok {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", re.Rank, re.Val))
-		}
-		panic(rep.Errs[rank].Error())
-	}
-	if rep.WatchdogFired {
-		panic(fmt.Sprintf("%v\n%s", ErrWatchdog, rep.DumpString()))
-	}
-	if err := rep.Err(); err != nil {
-		panic(fmt.Sprintf("mpi: rank failed: %v", err))
-	}
-}
-
 // RunErr starts a communicator of the given size and invokes fn once per
 // rank, each on its own goroutine, then waits for all ranks to return
 // and reports per-rank outcomes instead of panicking. A rank panic
-// aborts the communicator (peers blocked in collectives or
-// point-to-point calls unwind with ErrAborted) and surfaces as a
-// RankError for that rank; cfg arms the watchdog and the injection hook.
+// aborts the communicator (peers blocked in a collective unwind with
+// ErrAborted) and surfaces as a RankError for that rank; cfg arms the
+// watchdog and the injection hook.
 func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid communicator size %d", size))
 	}
 	w := &world{size: size, hook: cfg.Hook, log: cfg.Log}
-	w.ch = make([][]chan any, size)
-	for i := range w.ch {
-		w.ch[i] = make([]chan any, size)
-		for j := range w.ch[i] {
-			w.ch[i][j] = make(chan any, 16)
-		}
-	}
-	w.up = make([]chan any, size)
-	w.down = make([]chan any, size)
+	w.up = make([]chan []float64, size)
+	w.down = make([]chan []float64, size)
 	w.states = make([]*rankState, size)
 	w.lanes = make([]*telemetry.Lane, size)
 	for i := 0; i < size; i++ {
-		w.up[i] = make(chan any, 1)
-		w.down[i] = make(chan any, 1)
+		w.up[i] = make(chan []float64, 1)
+		w.down[i] = make(chan []float64, 1)
 		w.states[i] = &rankState{phase: "running"}
 		if cfg.Trace != nil {
 			// Lanes are keyed by name, so shrink-and-retry reruns reuse
@@ -403,15 +347,11 @@ func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 					errs[rank] = fmt.Errorf("mpi: rank %d stalled at collective %d (injected fault)", rank, v.seq)
 					w.log.Warn("stall", "rank stalled at collective",
 						"rank", rank, "collective", v.seq)
-				case abortCall:
-					errs[rank] = fmt.Errorf("mpi: rank %d called Abort: %s", rank, v.reason)
-					w.log.Warn("abort", "rank called Abort",
-						"rank", rank, "reason", v.reason)
 				default:
 					errs[rank] = &RankError{Rank: rank, Val: p}
 					w.log.Error("rank_panic", "rank panicked",
 						"rank", rank, "value", fmt.Sprint(p))
-					// Unblock peers waiting in runtime primitives.
+					// Unblock peers waiting in collectives.
 					w.deadOnce.Do(func() { close(w.dead) })
 				}
 			}()
@@ -434,10 +374,12 @@ func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 }
 
 // watchdog aborts the communicator when every live rank has been blocked
-// inside a runtime primitive with no progress for a full window — a
-// state nothing internal can ever change, i.e. a deadlock. Ranks wedged
-// in user code are indistinguishable from slow computation and are not
-// flagged; the all-blocked rule keeps false positives impossible.
+// inside a collective with no progress for a full window — a state
+// nothing internal can ever change, i.e. a deadlock. Ranks wedged in
+// user code are indistinguishable from slow computation and are not
+// flagged; the all-blocked rule keeps false positives impossible. Its
+// error event carries the per-rank state dump, one field per rank, so
+// the flight recorder's post-mortem shows where every rank stood.
 func (w *world) watchdog(limit time.Duration, stop chan struct{}) {
 	tick := limit / 8
 	if tick < time.Millisecond {
@@ -462,12 +404,16 @@ func (w *world) watchdog(limit time.Duration, stop chan struct{}) {
 		if time.Since(lastChange) < limit || !w.deadlocked() {
 			continue
 		}
+		dump := w.snapshot()
 		w.dumpMu.Lock()
-		w.dump = w.snapshot()
+		w.dump = dump
 		w.dumpMu.Unlock()
 		w.watchdogFired.Store(true)
-		w.log.Error("watchdog", "deadlock watchdog fired — aborting communicator",
-			"ranks", w.size, "limit", limit.String())
+		kv := []any{"ranks", w.size, "limit", limit.String()}
+		for _, st := range dump {
+			kv = append(kv, fmt.Sprintf("rank%d", st.Rank), st.describe())
+		}
+		w.log.Error("watchdog", "deadlock watchdog fired — aborting communicator", kv...)
 		w.deadOnce.Do(func() { close(w.dead) })
 		return
 	}
@@ -507,8 +453,8 @@ func (w *world) snapshot() []RankState {
 			LastDoneNs:  st.lastDoneNs,
 			WaitNs:      st.waitNs,
 		}
-		if st.lastName != "" {
-			out[r].LastCollective = fmt.Sprintf("%s #%d", st.lastName, st.lastSeq)
+		if st.collectives > 0 {
+			out[r].LastCollective = fmt.Sprintf("AllReduce #%d", st.collectives-1)
 		}
 		if st.waiting && st.waitStart > 0 {
 			// Charge the wait in flight so a deadlock dump shows how long
@@ -520,9 +466,9 @@ func (w *world) snapshot() []RankState {
 	return out
 }
 
-// enterWait marks the rank blocked inside a runtime primitive. phase is
-// the seq-numbered label for state dumps; span is the bare name ("Send",
-// "AllReduce") under which the telemetry lane aggregates wait time.
+// enterWait marks the rank blocked inside a collective. phase is the
+// seq-numbered label for state dumps; span is the bare name
+// ("AllReduce") under which the telemetry lane aggregates wait time.
 func (w *world) enterWait(rank int, phase, span string) {
 	st := w.states[rank]
 	st.mu.Lock()
@@ -534,7 +480,7 @@ func (w *world) enterWait(rank int, phase, span string) {
 	w.lanes[rank].Begin(span)
 }
 
-// abortWait unwinds a rank blocked in a runtime primitive when the
+// abortWait unwinds a rank blocked in a collective when the
 // communicator dies. Closing the wait span (via leaveWait) before the
 // panic matters because lanes are keyed by name and reused across
 // shrink-and-retry reruns: a leaked Begin would nest every later span of
@@ -571,66 +517,12 @@ func (c *Comm) Lane() *telemetry.Lane { return c.world.lanes[c.rank] }
 // Size returns the communicator size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Abort kills the communicator: peers blocked in collectives or
-// point-to-point calls unwind with ErrAborted, and the calling rank
-// unwinds immediately, surfacing the reason in its report entry — the
-// analogue of MPI_Abort. Only meaningful under RunErr; under Run it
-// behaves like a rank panic.
-func (c *Comm) Abort(reason string) {
-	c.world.deadOnce.Do(func() { close(c.world.dead) })
-	panic(abortCall{reason: reason})
-}
-
-// Send delivers data to the given rank (buffered, non-blocking up to the
-// channel capacity). Like the collectives, a Send blocked on a full
-// buffer aborts when a peer rank dies instead of hanging.
-func (c *Comm) Send(to int, data any) {
-	w := c.world
-	select {
-	case w.ch[c.rank][to] <- data:
-		w.activity.Add(1)
-		return
-	default:
-	}
-	w.enterWait(c.rank, fmt.Sprintf("Send(to=%d)", to), "Send")
-	select {
-	case w.ch[c.rank][to] <- data:
-		w.leaveWait(c.rank)
-	case <-w.dead:
-		w.abortWait(c.rank)
-	}
-}
-
-// Recv receives the next message sent by the given rank (FIFO per pair).
-// A Recv from a rank that dies before sending aborts the communicator
-// instead of blocking forever; messages already buffered before the
-// death still drain in order.
-func (c *Comm) Recv(from int) any {
-	w := c.world
-	// Prefer buffered messages over the abort signal so an in-flight
-	// message from a since-dead peer is not lost.
-	select {
-	case v := <-w.ch[from][c.rank]:
-		w.activity.Add(1)
-		return v
-	default:
-	}
-	w.enterWait(c.rank, fmt.Sprintf("Recv(from=%d)", from), "Recv")
-	select {
-	case v := <-w.ch[from][c.rank]:
-		w.leaveWait(c.rank)
-		return v
-	case <-w.dead:
-		w.abortWait(c.rank)
-		panic("unreachable") // abortWait always panics
-	}
-}
-
-// collect gathers one value per rank at rank 0, applies f there, and
-// distributes the result to every rank. It is the engine behind the
-// collectives and must be called by all ranks. name labels the
-// collective in state dumps.
-func (c *Comm) collect(name string, local any, f func(all []any) any) any {
+// AllReduce sums every rank's vector element-wise and returns the sum on
+// every rank — MPI_Allreduce with MPI_SUM, the reduction of Fig. 9's
+// error vector. It must be called by all ranks, and all vectors must
+// share a length. Rank 0 gathers the vectors and adds them in rank
+// order, so the result does not depend on arrival order.
+func (c *Comm) AllReduce(local []float64) []float64 {
 	w := c.world
 	st := w.states[c.rank]
 	st.mu.Lock()
@@ -642,7 +534,7 @@ func (c *Comm) collect(name string, local any, f func(all []any) any) any {
 			panic(fmt.Sprintf("injected crash at collective %d", seq))
 		case ActStall:
 			st.mu.Lock()
-			st.phase = fmt.Sprintf("stalled before %s #%d (injected)", name, seq)
+			st.phase = fmt.Sprintf("stalled before AllReduce #%d (injected)", seq)
 			st.waiting = true
 			st.stalled = true
 			st.waitStart = telemetry.Now()
@@ -655,24 +547,27 @@ func (c *Comm) collect(name string, local any, f func(all []any) any) any {
 			panic(stallError{seq: seq})
 		}
 	}
-	w.enterWait(c.rank, fmt.Sprintf("%s #%d", name, seq), name)
-	var out any
+	w.enterWait(c.rank, fmt.Sprintf("AllReduce #%d", seq), "AllReduce")
+	var sum []float64
 	if c.rank == 0 {
-		all := make([]any, w.size)
-		all[0] = local
+		sum = append([]float64(nil), local...)
 		for r := 1; r < w.size; r++ {
 			select {
-			case v := <-w.up[r]:
-				all[r] = v
+			case xs := <-w.up[r]:
 				w.activity.Add(1)
+				if len(xs) != len(sum) {
+					panic(fmt.Sprintf("mpi: AllReduce length mismatch: %d vs %d", len(xs), len(sum)))
+				}
+				for i, x := range xs {
+					sum[i] += x
+				}
 			case <-w.dead:
 				w.abortWait(c.rank)
 			}
 		}
-		out = f(all)
 		for r := 1; r < w.size; r++ {
 			select {
-			case w.down[r] <- out:
+			case w.down[r] <- sum:
 				w.activity.Add(1)
 			case <-w.dead:
 				w.abortWait(c.rank)
@@ -686,8 +581,7 @@ func (c *Comm) collect(name string, local any, f func(all []any) any) any {
 			w.abortWait(c.rank)
 		}
 		select {
-		case v := <-w.down[c.rank]:
-			out = v
+		case sum = <-w.down[c.rank]:
 			w.activity.Add(1)
 		case <-w.dead:
 			w.abortWait(c.rank)
@@ -696,110 +590,8 @@ func (c *Comm) collect(name string, local any, f func(all []any) any) any {
 	w.leaveWait(c.rank)
 	st.mu.Lock()
 	st.collectives++
-	st.lastName = name
-	st.lastSeq = seq
 	st.lastDoneNs = telemetry.Now()
 	st.mu.Unlock()
-	return out
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	c.collect("Barrier", nil, func([]any) any { return nil })
-}
-
-// Bcast distributes root's value to every rank (root's argument is
-// returned everywhere; other ranks' arguments are ignored).
-func (c *Comm) Bcast(root int, value any) any {
-	return c.collect("Bcast", value, func(all []any) any { return all[root] })
-}
-
-// AllGather returns every rank's contribution, indexed by rank, on every
-// rank.
-func (c *Comm) AllGather(local any) []any {
-	v := c.collect("AllGather", local, func(all []any) any {
-		cp := make([]any, len(all))
-		copy(cp, all)
-		return cp
-	})
-	return v.([]any)
-}
-
-// ReduceOp combines two equal-length vectors element-wise.
-type ReduceOp func(dst, src []float64)
-
-// SumOp accumulates element-wise sums — MPI_SUM.
-func SumOp(dst, src []float64) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
-// MaxOp keeps element-wise maxima — MPI_MAX.
-func MaxOp(dst, src []float64) {
-	for i := range dst {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// Gather collects every rank's vector at root (indexed by rank); other
-// ranks receive nil — MPI_Gather.
-func (c *Comm) Gather(root int, local []float64) [][]float64 {
-	v := c.collect("Gather", local, func(all []any) any {
-		out := make([][]float64, len(all))
-		for r, x := range all {
-			src := x.([]float64)
-			out[r] = append([]float64(nil), src...)
-		}
-		return out
-	})
-	if c.rank != root {
-		return nil
-	}
-	return v.([][]float64)
-}
-
-// Reduce combines every rank's vector with op at root; other ranks
-// receive nil — MPI_Reduce.
-func (c *Comm) Reduce(root int, local []float64, op ReduceOp) []float64 {
-	v := c.collect("Reduce", local, func(all []any) any {
-		first := all[0].([]float64)
-		acc := append([]float64(nil), first...)
-		for _, x := range all[1:] {
-			op(acc, x.([]float64))
-		}
-		return acc
-	})
-	if c.rank != root {
-		return nil
-	}
-	out := v.([]float64)
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
-}
-
-// AllReduce combines every rank's vector with op and returns the combined
-// vector on every rank — MPI_Allreduce. All vectors must share a length.
-func (c *Comm) AllReduce(local []float64, op ReduceOp) []float64 {
-	v := c.collect("AllReduce", local, func(all []any) any {
-		first := all[0].([]float64)
-		acc := make([]float64, len(first))
-		copy(acc, first)
-		for _, x := range all[1:] {
-			xs := x.([]float64)
-			if len(xs) != len(acc) {
-				panic(fmt.Sprintf("mpi: AllReduce length mismatch: %d vs %d", len(xs), len(acc)))
-			}
-			op(acc, xs)
-		}
-		return acc
-	})
-	out := v.([]float64)
 	// Each rank gets its own copy so later mutation stays rank-local.
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
+	return append([]float64(nil), sum...)
 }

@@ -2,18 +2,32 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rms/internal/budget"
+	"rms/internal/telemetry"
 )
+
+// run is RunErr for tests whose ranks must all succeed.
+func run(t *testing.T, size int, fn func(c *Comm)) {
+	t.Helper()
+	rep := RunErr(size, RunConfig{}, func(c *Comm) error {
+		fn(c)
+		return nil
+	})
+	if !rep.OK() {
+		t.Fatalf("run failed: %v", rep.Err())
+	}
+}
 
 func TestRankAndSize(t *testing.T) {
 	var seen [4]int32
-	Run(4, func(c *Comm) {
+	run(t, 4, func(c *Comm) {
 		if c.Size() != 4 {
 			t.Errorf("Size = %d", c.Size())
 		}
@@ -26,66 +40,11 @@ func TestRankAndSize(t *testing.T) {
 	}
 }
 
-func TestSendRecvFIFO(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 10)
-			c.Send(1, 20)
-			c.Send(1, 30)
-		} else {
-			for _, want := range []int{10, 20, 30} {
-				if got := c.Recv(0).(int); got != want {
-					t.Errorf("Recv = %d, want %d", got, want)
-				}
-			}
-		}
-	})
-}
-
-func TestBarrierOrdering(t *testing.T) {
-	var before, after int32
-	Run(8, func(c *Comm) {
-		atomic.AddInt32(&before, 1)
-		c.Barrier()
-		if n := atomic.LoadInt32(&before); n != 8 {
-			t.Errorf("rank %d passed barrier with only %d arrivals", c.Rank(), n)
-		}
-		atomic.AddInt32(&after, 1)
-	})
-	if after != 8 {
-		t.Errorf("after = %d", after)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	Run(5, func(c *Comm) {
-		v := -1
-		if c.Rank() == 2 {
-			v = 42
-		}
-		got := c.Bcast(2, v).(int)
-		if got != 42 {
-			t.Errorf("rank %d: Bcast = %d", c.Rank(), got)
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	Run(4, func(c *Comm) {
-		all := c.AllGather(c.Rank() * 10)
-		for r := 0; r < 4; r++ {
-			if all[r].(int) != r*10 {
-				t.Errorf("all[%d] = %v", r, all[r])
-			}
-		}
-	})
-}
-
 func TestAllReduceSum(t *testing.T) {
 	const n = 6
-	Run(n, func(c *Comm) {
+	run(t, n, func(c *Comm) {
 		local := []float64{float64(c.Rank()), 1}
-		got := c.AllReduce(local, SumOp)
+		got := c.AllReduce(local)
 		want0 := float64(n * (n - 1) / 2)
 		if got[0] != want0 || got[1] != n {
 			t.Errorf("rank %d: AllReduce = %v", c.Rank(), got)
@@ -95,15 +54,8 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
-func TestAllReduceMax(t *testing.T) {
-	Run(4, func(c *Comm) {
-		got := c.AllReduce([]float64{float64(c.Rank())}, MaxOp)
-		if got[0] != 3 {
-			t.Errorf("max = %v", got)
-		}
-	})
-}
-
+// The sum is taken in rank order, so it equals the sequential sum bit
+// for bit whatever order the ranks arrive in.
 func TestAllReduceMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,129 +70,55 @@ func TestAllReduceMatchesSequential(t *testing.T) {
 				want[i] += data[r][i]
 			}
 		}
-		ok := true
-		Run(size, func(c *Comm) {
-			got := c.AllReduce(data[c.Rank()], SumOp)
+		var bad atomic.Bool
+		run(t, size, func(c *Comm) {
+			got := c.AllReduce(data[c.Rank()])
 			for i := range want {
-				d := got[i] - want[i]
-				if d > 1e-12 || d < -1e-12 {
-					ok = false
+				if got[i] != want[i] {
+					bad.Store(true)
 				}
 			}
 		})
-		return ok
+		return !bad.Load()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
+// A rank that panics after completed rounds is the one culprit, its
+// panic value is kept, and the peers blocked in the next AllReduce are
+// released; the states show the last round the culprit completed. (A
+// peer may itself be released inside the culprit's last round, so only
+// its first round is certain.)
 func TestPanicPropagates(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("rank panic not propagated")
+	rep := RunErr(3, RunConfig{}, func(c *Comm) error {
+		for round := 0; round < 3; round++ {
+			if c.Rank() == 1 && round == 2 {
+				panic("boom")
+			}
+			c.AllReduce([]float64{1})
 		}
-		if !strings.Contains(p.(string), "rank 1 panicked") {
-			t.Errorf("panic = %v", p)
-		}
-	}()
-	Run(3, func(c *Comm) {
-		if c.Rank() == 1 {
-			panic("boom")
-		}
-		// Other ranks blocked in a collective must be released.
-		c.Barrier()
+		return nil
 	})
-}
-
-// A rank blocked in Recv from a peer that panics must abort with the
-// communicator instead of hanging (the point-to-point analogue of
-// TestPanicPropagates). Run itself would never return on a hang, so the
-// test drives Run from a goroutine and fails on timeout.
-func TestRecvFromDeadPeerAborts(t *testing.T) {
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		Run(2, func(c *Comm) {
-			if c.Rank() == 0 {
-				panic("boom")
-			}
-			c.Recv(0) // rank 0 never sends
-		})
-	}()
-	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("Run returned without propagating the panic")
-		}
-		if !strings.Contains(p.(string), "rank 0 panicked: boom") {
-			t.Errorf("panic = %v", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("rank blocked in Recv from a dead peer hung")
+	if got := rep.Culprits(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("culprits = %v, want [1]", got)
 	}
-}
-
-// A Send blocked on a full channel buffer must also unblock when the
-// receiving rank dies.
-func TestSendToDeadPeerAborts(t *testing.T) {
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		Run(2, func(c *Comm) {
-			if c.Rank() == 1 {
-				panic("boom")
-			}
-			for i := 0; ; i++ { // overflow the 16-slot buffer
-				c.Send(1, i)
-			}
-		})
-	}()
-	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("Run returned without propagating the panic")
-		}
-		if !strings.Contains(p.(string), "rank 1 panicked: boom") {
-			t.Errorf("panic = %v", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("rank blocked in Send to a dead peer hung")
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "rank 1 panicked: boom") {
+		t.Errorf("Err = %v", err)
 	}
-}
-
-// Messages buffered before a peer's death still drain in FIFO order
-// before the abort fires.
-func TestRecvDrainsBufferedBeforeAbort(t *testing.T) {
-	done := make(chan any, 1)
-	var got []int
-	go func() {
-		defer func() { done <- recover() }()
-		Run(2, func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(1, 1)
-				c.Send(1, 2)
-				panic("boom")
-			}
-			// Wait for the peer to die so both messages are buffered and
-			// the dead channel is closed before the first Recv.
-			<-time.After(50 * time.Millisecond)
-			got = append(got, c.Recv(0).(int))
-			got = append(got, c.Recv(0).(int))
-			c.Recv(0) // nothing more: must abort, not hang
-		})
-	}()
-	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("Run returned without propagating the panic")
+	for _, r := range []int{0, 2} {
+		if !errors.Is(rep.Errs[r], ErrAborted) {
+			t.Errorf("rank %d error = %v, want ErrAborted", r, rep.Errs[r])
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv hung with messages drained and peer dead")
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("drained %v, want [1 2]", got)
+	if st := rep.States[1]; st.Collectives != 2 || st.LastCollective != "AllReduce #1" {
+		t.Errorf("rank 1 state = %+v, want two completed rounds", st)
+	}
+	for _, r := range []int{0, 2} {
+		if st := rep.States[r]; st.Collectives < 1 {
+			t.Errorf("rank %d state = %+v, want round 0 completed", r, st)
+		}
 	}
 }
 
@@ -250,26 +128,28 @@ func TestInvalidSize(t *testing.T) {
 			t.Fatal("size 0 accepted")
 		}
 	}()
-	Run(0, func(c *Comm) {})
+	RunErr(0, RunConfig{}, func(c *Comm) error { return nil })
 }
 
 func TestSingleRankCollectives(t *testing.T) {
-	Run(1, func(c *Comm) {
-		c.Barrier()
-		if got := c.AllReduce([]float64{5}, SumOp); got[0] != 5 {
+	run(t, 1, func(c *Comm) {
+		local := []float64{5}
+		got := c.AllReduce(local)
+		if got[0] != 5 {
 			t.Errorf("AllReduce = %v", got)
 		}
-		if got := c.Bcast(0, "x").(string); got != "x" {
-			t.Errorf("Bcast = %q", got)
+		got[0] = -1
+		if local[0] != 5 {
+			t.Error("AllReduce returned the caller's own slice")
 		}
 	})
 }
 
 func TestManyRounds(t *testing.T) {
 	// Repeated collectives reuse the plumbing without deadlock.
-	Run(6, func(c *Comm) {
+	run(t, 6, func(c *Comm) {
 		for round := 0; round < 100; round++ {
-			got := c.AllReduce([]float64{1}, SumOp)
+			got := c.AllReduce([]float64{1})
 			if got[0] != 6 {
 				t.Errorf("round %d: %v", round, got)
 				return
@@ -278,30 +158,7 @@ func TestManyRounds(t *testing.T) {
 	})
 }
 
-func TestReduceAndGather(t *testing.T) {
-	Run(4, func(c *Comm) {
-		red := c.Reduce(2, []float64{float64(c.Rank()), 1}, SumOp)
-		if c.Rank() == 2 {
-			if red[0] != 6 || red[1] != 4 {
-				t.Errorf("Reduce at root = %v", red)
-			}
-		} else if red != nil {
-			t.Errorf("rank %d received a Reduce result", c.Rank())
-		}
-		g := c.Gather(0, []float64{float64(c.Rank() * 10)})
-		if c.Rank() == 0 {
-			for r := 0; r < 4; r++ {
-				if g[r][0] != float64(r*10) {
-					t.Errorf("Gather[%d] = %v", r, g[r])
-				}
-			}
-		} else if g != nil {
-			t.Errorf("rank %d received a Gather result", c.Rank())
-		}
-	})
-}
-
-// ---- fault-tolerance: RunErr, hooks, watchdog ----
+// ---- failures: RunErr, hooks, watchdog, budget ----
 
 // hookFunc adapts a function to the Hook interface for tests.
 type hookFunc func(rank, seq int) HookAction
@@ -310,7 +167,7 @@ func (h hookFunc) AtCollective(rank, seq int) HookAction { return h(rank, seq) }
 
 func TestRunErrClean(t *testing.T) {
 	rep := RunErr(4, RunConfig{}, func(c *Comm) error {
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if !rep.OK() {
@@ -340,7 +197,7 @@ func TestRunErrRankPanic(t *testing.T) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if rep.OK() {
@@ -380,29 +237,6 @@ func TestRunErrReturnedError(t *testing.T) {
 	}
 }
 
-// Abort kills the communicator: the caller's report entry carries the
-// reason, peers unwind with ErrAborted.
-func TestAbort(t *testing.T) {
-	rep := RunErr(3, RunConfig{}, func(c *Comm) error {
-		if c.Rank() == 2 {
-			c.Abort("bad input detected")
-		}
-		c.Barrier()
-		return nil
-	})
-	if rep.Errs[2] == nil || !strings.Contains(rep.Errs[2].Error(), "Abort: bad input detected") {
-		t.Errorf("rank 2 error = %v", rep.Errs[2])
-	}
-	for _, r := range []int{0, 1} {
-		if !errors.Is(rep.Errs[r], ErrAborted) {
-			t.Errorf("rank %d error = %v, want ErrAborted", r, rep.Errs[r])
-		}
-	}
-	if got := rep.Culprits(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("culprits = %v, want [2]", got)
-	}
-}
-
 // An injected crash at a collective entry surfaces as that rank's
 // RankError, exactly like a process death mid-protocol.
 func TestHookCrash(t *testing.T) {
@@ -414,7 +248,7 @@ func TestHookCrash(t *testing.T) {
 			return ActProceed
 		}),
 	}, func(c *Comm) error {
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	var re *RankError
@@ -426,13 +260,16 @@ func TestHookCrash(t *testing.T) {
 	}
 }
 
-// Acceptance: the watchdog converts an injected collective deadlock into
-// a diagnosed error with a per-rank state dump — never a hung test.
+// Acceptance: the watchdog converts an injected collective deadlock (a
+// hook stall) into a diagnosed error with a per-rank state dump — never
+// a hung test — and its error event carries that dump.
 func TestWatchdogDiagnosesInjectedDeadlock(t *testing.T) {
+	rec := telemetry.NewRecorder(64)
 	done := make(chan *RunReport, 1)
 	go func() {
 		done <- RunErr(3, RunConfig{
 			Watchdog: 100 * time.Millisecond,
+			Log:      telemetry.NewLogger(rec).Scope("mpi"),
 			Hook: hookFunc(func(rank, seq int) HookAction {
 				if rank == 2 && seq == 0 {
 					return ActStall
@@ -440,7 +277,7 @@ func TestWatchdogDiagnosesInjectedDeadlock(t *testing.T) {
 				return ActProceed
 			}),
 		}, func(c *Comm) error {
-			c.Barrier()
+			c.AllReduce([]float64{1})
 			return nil
 		})
 	}()
@@ -473,8 +310,16 @@ func TestWatchdogDiagnosesInjectedDeadlock(t *testing.T) {
 			t.Errorf("state dump for rank %d = %+v, want waiting", r, rep.States[r])
 		}
 	}
-	if dump := rep.DumpString(); !strings.Contains(dump, "rank 2") {
-		t.Errorf("dump = %q", dump)
+	var event string
+	for _, ev := range rec.Events() {
+		if ev.Kind == "watchdog" {
+			event = ev.Text()
+		}
+	}
+	for _, want := range []string{"rank0=AllReduce #0", "rank2=stalled before AllReduce #0 (injected)"} {
+		if !strings.Contains(event, want) {
+			t.Errorf("watchdog event %q lacks %q", event, want)
+		}
 	}
 }
 
@@ -483,9 +328,9 @@ func TestWatchdogDiagnosesInjectedDeadlock(t *testing.T) {
 func TestWatchdogMismatchedCollectives(t *testing.T) {
 	rep := RunErr(3, RunConfig{Watchdog: 100 * time.Millisecond}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return nil // skips the barrier the others entered
+			return nil // skips the AllReduce the others entered
 		}
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if !rep.WatchdogFired {
@@ -505,7 +350,7 @@ func TestWatchdogNoFalsePositiveOnSlowRank(t *testing.T) {
 		if c.Rank() == 2 {
 			time.Sleep(400 * time.Millisecond) // "computing"
 		}
-		c.Barrier()
+		c.AllReduce([]float64{1})
 		return nil
 	})
 	if rep.WatchdogFired {
@@ -516,32 +361,37 @@ func TestWatchdogNoFalsePositiveOnSlowRank(t *testing.T) {
 	}
 }
 
-// Run (the classic path) gains the promised hang protection: with the
-// package default watchdog shortened, a deadlocked communicator panics
-// with a diagnosis instead of hanging forever.
-func TestRunHangProtection(t *testing.T) {
-	old := DefaultWatchdog
-	DefaultWatchdog = 100 * time.Millisecond
-	defer func() { DefaultWatchdog = old }()
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		Run(2, func(c *Comm) {
-			if c.Rank() == 0 {
-				return // abandons the barrier: deadlock
-			}
-			c.Barrier()
-		})
-	}()
-	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("Run returned cleanly from a deadlock")
+// A budget trip releases the ranks blocked in an AllReduce: every
+// released rank's error carries the budget's cause, and none of them is
+// a culprit, so a recovery protocol does not mistake a cancellation for
+// a dead rank.
+func TestBudgetReleasesAllReduce(t *testing.T) {
+	bud := budget.New()
+	rec := telemetry.NewRecorder(64)
+	rep := RunErr(3, RunConfig{Budget: bud, Log: telemetry.NewLogger(rec).Scope("mpi")}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			bud.Cancel("test cancel")
+			return nil // never joins: only the budget can release the others
 		}
-		if !strings.Contains(fmt.Sprint(p), "watchdog") {
-			t.Errorf("panic = %v, want a watchdog diagnosis", p)
+		c.AllReduce([]float64{1})
+		return nil
+	})
+	for _, r := range []int{1, 2} {
+		if !budget.Exhausted(rep.Errs[r]) {
+			t.Errorf("rank %d error = %v, want the budget's cause", r, rep.Errs[r])
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run hung despite hang protection")
+	}
+	if got := rep.Culprits(); len(got) != 0 {
+		t.Errorf("culprits = %v, want none", got)
+	}
+	if !budget.Exhausted(rep.Err()) {
+		t.Errorf("Err = %v, want the budget's cause", rep.Err())
+	}
+	found := false
+	for _, ev := range rec.Events() {
+		found = found || ev.Kind == "budget_release"
+	}
+	if !found {
+		t.Error("budget release not logged")
 	}
 }

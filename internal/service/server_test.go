@@ -234,6 +234,49 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// TestFitUnsolvableStartFailsNonFinite submits a fit whose start point
+// breaks the solver: every attempt underflows, the file's records come
+// back NaN, and the job fails with the optimizer's start-point error
+// while its event stream carries the retries and the rejection, each
+// with the solver error.
+func TestFitUnsolvableStartFailsNonFinite(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	var info ModelInfo
+	decodeJob(t, postJSON(t, ts.URL+"/v1/models?wait=1", testSpec()), "done", &info)
+	df := DataFile{Name: "synth", T: []float64{0.1, 0.2, 0.3}, V: []float64{0.8, 0.7, 0.5}}
+	fitReq := FitRequest{
+		Model: info.ID, Data: []DataFile{df}, Property: "sum", MaxIter: 5,
+		Start: []float64{1e30}, Lower: []float64{0.2}, Upper: []float64{1e40},
+	}
+	jv := decodeJob(t, postJSON(t, ts.URL+"/v1/fit?wait=1", fitReq), "failed", nil)
+	if !strings.Contains(jv.Error, "nlopt: non-finite residual at the starting point") {
+		t.Fatalf("job error = %q", jv.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jv.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	kinds := map[string]int{}
+	for sc.Scan() {
+		var ev telemetry.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad ndjson line %q: %v", sc.Text(), err)
+		}
+		if ev.Scope != "estimator" || (ev.Kind != "retry" && ev.Kind != "penalize") {
+			continue
+		}
+		kinds[ev.Kind]++
+		if !strings.Contains(ev.Text(), "err=ode: step size underflow") {
+			t.Errorf("event %q lacks the solver error", ev.Text())
+		}
+	}
+	if kinds["retry"] != 2 || kinds["penalize"] != 1 {
+		t.Errorf("estimator events %v, want 2 retries and 1 penalize", kinds)
+	}
+}
+
 // TestSolverMetricFamilies runs one simulate and one fit on one
 // registry. The simulate's per-step solver metrics and the fit's
 // per-solve totals land in the same ode.* families: every family the ode
@@ -286,7 +329,9 @@ func TestAdmissionControl(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{QueueCap: 1, Workers: 1})
 
 	release := make(chan struct{})
-	running := make(chan struct{})
+	// Buffered: the worker's non-blocking send must not be lost when it
+	// runs before the test goroutine reaches its receive.
+	running := make(chan struct{}, 1)
 	block := func(j *Job) (any, error) {
 		select {
 		case running <- struct{}{}:

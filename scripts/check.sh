@@ -33,12 +33,10 @@ echo "== introspection endpoints smoke (rmssim -listen)"
 echo "== service smoke (rmsd + rmsctl vs rmssim/rmsrun)"
 ./scripts/service_smoke.sh
 
-echo "== fault-injection suite (-race)"
-go test -race -run 'Fault|Recover|Watchdog|Inject|Penal|NaN|NonFinite|Flaky|Stall|Crash|Abort' \
-	./internal/faults/... ./internal/mpi ./internal/estimator ./internal/nlopt \
-	./internal/conformance
+echo "== fault-injection suite (make faults, -race)"
+make faults
 
-echo "== chaos soak (make chaos: degradation ladders, checkpoint/resume, budgets)"
+echo "== chaos soak (make chaos: degradation ladder, checkpoint/resume, budgets)"
 make chaos
 
 echo "== fuzz smoke (FuzzParseRDL, 10s)"
