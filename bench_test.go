@@ -181,7 +181,8 @@ func BenchmarkDistOpt(b *testing.B) {
 }
 
 // BenchmarkSolvers compares the two IMSL-replacement integrators on the
-// vulcanization kinetics.
+// vulcanization kinetics, then times the stiff one on the estimator's
+// record grid.
 func BenchmarkSolvers(b *testing.B) {
 	res := buildCase(b, 10, opt.Full())
 	k, err := vulcan.RateVector(res.System.Rates, vulcan.TrueRates)
@@ -207,6 +208,31 @@ func BenchmarkSolvers(b *testing.B) {
 			}
 		})
 	}
+	// adams-gear-records is the estimator's per-file loop on a warm
+	// solver: each iteration restarts at t = 0 and continues record to
+	// record over a 50-record grid, so ns/op and allocs/op are the hot
+	// path's, without the solver's construction.
+	b.Run("adams-gear-records", func(b *testing.B) {
+		ev := res.Tape.NewEvaluator()
+		rhs := func(_ float64, y, dy []float64) { ev.Eval(y, k, dy) }
+		s := ode.NewBDF(rhs, n, ode.Options{RTol: 1e-6, ATol: 1e-9})
+		y := make([]float64, n)
+		const records = 50
+		grid := func() {
+			copy(y, res.System.Y0)
+			for r := 0; r < records; r++ {
+				if err := s.Integrate(float64(r)/records, float64(r+1)/records, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		grid()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			grid()
+		}
+	})
 }
 
 // BenchmarkEstimator measures a small end-to-end parameter fit.

@@ -73,24 +73,44 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// LU is an LU factorization with partial pivoting: P·A = L·U.
+// LU is an LU factorization with partial pivoting: P·A = L·U. The zero
+// value holds no factorization; Refactor fills it.
 type LU struct {
 	lu   *Matrix
 	piv  []int
-	sign int
+	sign int // ±1 once factored, 0 while the LU holds no factorization
 }
 
 // LU factors the square matrix; it does not modify m.
 func (m *Matrix) LU() (*LU, error) {
+	f := &LU{}
+	if err := f.Refactor(m); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor factors the square matrix m into f's storage, reusing it when
+// m has the dimension of the previous factorization, so a solver that
+// refactors one iteration matrix many times allocates only once. It does
+// not modify m. After an error f holds no factorization until the next
+// successful Refactor, and SolveTo reports ErrSingular.
+func (f *LU) Refactor(m *Matrix) error {
+	f.sign = 0
 	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: LU of non-square %d×%d matrix", m.Rows, m.Cols)
+		return fmt.Errorf("linalg: LU of non-square %d×%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	f := &LU{lu: m.Clone(), piv: make([]int, n), sign: 1}
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu = NewMatrix(n, n)
+		f.piv = make([]int, n)
+	}
 	a := f.lu
+	copy(a.Data, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
 	}
+	sign := 1
 	for col := 0; col < n; col++ {
 		// Pivot: largest magnitude in the column at or below the diagonal.
 		p := col
@@ -101,7 +121,7 @@ func (m *Matrix) LU() (*LU, error) {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, fmt.Errorf("%w (pivot column %d)", ErrSingular, col)
+			return fmt.Errorf("%w (pivot column %d)", ErrSingular, col)
 		}
 		if p != col {
 			ri := a.Data[p*n : (p+1)*n]
@@ -110,7 +130,7 @@ func (m *Matrix) LU() (*LU, error) {
 				ri[k], rj[k] = rj[k], ri[k]
 			}
 			f.piv[p], f.piv[col] = f.piv[col], f.piv[p]
-			f.sign = -f.sign
+			sign = -sign
 		}
 		d := a.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -126,7 +146,8 @@ func (m *Matrix) LU() (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	f.sign = sign
+	return nil
 }
 
 // Solve returns x with A·x = b.
@@ -142,6 +163,9 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 // Newton loop calls once per corrector iteration. dst must have length n
 // and may not alias b (the pivot permutation reads b out of order).
 func (f *LU) SolveTo(dst, b []float64) error {
+	if f.sign == 0 {
+		return fmt.Errorf("%w (no factorization)", ErrSingular)
+	}
 	n := f.lu.Rows
 	if len(b) != n || len(dst) != n {
 		return fmt.Errorf("linalg: SolveTo length %d/%d, want %d", len(dst), len(b), n)

@@ -72,6 +72,78 @@ func TestLUPivoting(t *testing.T) {
 	}
 }
 
+// TestLURefactorReuse: one LU refactored across size changes and past a
+// singular failure solves bit-identically to a fresh Matrix.LU, leaves
+// its input untouched, and holds no factorization after a failure.
+func TestLURefactorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	system := func(n int) (*Matrix, []float64) {
+		m := NewMatrix(n, n)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		return m, b
+	}
+	var f LU
+	check := func(m *Matrix, b []float64) {
+		t.Helper()
+		in := append([]float64(nil), m.Data...)
+		if err := f.Refactor(m); err != nil {
+			t.Fatal(err)
+		}
+		for i := range in {
+			if math.Float64bits(m.Data[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("Refactor modified its input at %d", i)
+			}
+		}
+		fresh, err := m.LU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := make([]float64, m.Rows), make([]float64, m.Rows)
+		if err := f.SolveTo(got, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SolveTo(want, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d x[%d] = %v after reuse, fresh LU %v", m.Rows, i, got[i], want[i])
+			}
+		}
+		if math.Float64bits(f.Det()) != math.Float64bits(fresh.Det()) {
+			t.Fatalf("n=%d det %v after reuse, fresh LU %v", m.Rows, f.Det(), fresh.Det())
+		}
+	}
+	for _, n := range []int{5, 5, 12, 3} {
+		check(system(n))
+	}
+	// Singular at pivot column 1, after the first column has been
+	// eliminated in place.
+	singular := NewMatrix(3, 3)
+	copy(singular.Data, []float64{1, 2, 3, 2, 4, 7, 4, 8, 5})
+	if err := f.Refactor(singular); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Refactor of a singular matrix: %v, want ErrSingular", err)
+	}
+	if err := f.SolveTo(make([]float64, 3), []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("SolveTo after a failed Refactor: %v, want ErrSingular", err)
+	}
+	check(system(3)) // same size as the failed matrix
+	if err := f.Refactor(singular); err == nil {
+		t.Fatal("singular Refactor succeeded")
+	}
+	check(system(7)) // size change after a failure
+	if err := f.Refactor(NewMatrix(2, 3)); err == nil {
+		t.Fatal("Refactor of a non-square matrix succeeded")
+	}
+	check(system(7))
+}
+
 // Property: LU solves random well-conditioned systems to high accuracy.
 func TestLUSolveRandom(t *testing.T) {
 	f := func(seed int64) bool {

@@ -228,8 +228,9 @@ type world struct {
 	// collective plumbing: every rank sends to rank 0, rank 0 answers.
 	up   []chan []float64
 	down []chan []float64
-	// dead closes when any rank panics (or the watchdog fires),
-	// releasing peers blocked in collectives.
+	// dead closes when any rank panics or returns an error (or the
+	// watchdog or the budget fires), releasing peers blocked in
+	// collectives.
 	dead     chan struct{}
 	deadOnce sync.Once
 
@@ -262,10 +263,11 @@ type stallError struct{ seq int }
 
 // RunErr starts a communicator of the given size and invokes fn once per
 // rank, each on its own goroutine, then waits for all ranks to return
-// and reports per-rank outcomes instead of panicking. A rank panic
-// aborts the communicator (peers blocked in a collective unwind with
-// ErrAborted) and surfaces as a RankError for that rank; cfg arms the
-// watchdog and the injection hook.
+// and reports per-rank outcomes instead of panicking. A rank panic or a
+// returned error aborts the communicator (peers blocked in a collective
+// unwind with ErrAborted); a panic surfaces as a RankError for that
+// rank, a returned error as itself. cfg arms the watchdog and the
+// injection hook.
 func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid communicator size %d", size))
@@ -325,7 +327,7 @@ func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 				st.done = true
 				st.waiting = false
 				switch {
-				case p != nil:
+				case p != nil || errs[rank] != nil:
 					st.phase = "failed"
 				default:
 					st.phase = "done"
@@ -355,7 +357,12 @@ func RunErr(size int, cfg RunConfig, fn func(c *Comm) error) *RunReport {
 					w.deadOnce.Do(func() { close(w.dead) })
 				}
 			}()
-			errs[rank] = fn(&Comm{rank: rank, world: w})
+			if err := fn(&Comm{rank: rank, world: w}); err != nil {
+				errs[rank] = err
+				// A rank that gives up releases its peers as a dead one does:
+				// they would otherwise wait in a collective it never joins.
+				w.deadOnce.Do(func() { close(w.dead) })
+			}
 		}(r)
 	}
 	wg.Wait()

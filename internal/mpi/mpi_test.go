@@ -237,6 +237,38 @@ func TestRunErrReturnedError(t *testing.T) {
 	}
 }
 
+// A returned error aborts the communicator the way a panic does: a peer
+// blocked in AllReduce is released with ErrAborted instead of waiting
+// forever, even with no watchdog armed.
+func TestRunErrReturnedErrorReleasesPeers(t *testing.T) {
+	sentinel := errors.New("local failure")
+	done := make(chan *RunReport, 1)
+	go func() {
+		done <- RunErr(2, RunConfig{}, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return sentinel
+			}
+			c.AllReduce([]float64{1})
+			return nil
+		})
+	}()
+	var rep *RunReport
+	select {
+	case rep = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunErr still blocked 5s after rank 0 returned an error")
+	}
+	if !errors.Is(rep.Errs[0], sentinel) {
+		t.Errorf("rank 0 error = %v, want the returned error", rep.Errs[0])
+	}
+	if !errors.Is(rep.Errs[1], ErrAborted) {
+		t.Errorf("rank 1 error = %v, want ErrAborted", rep.Errs[1])
+	}
+	if got := rep.Culprits(); len(got) != 1 || got[0] != 0 {
+		t.Errorf("culprits = %v, want [0]", got)
+	}
+}
+
 // An injected crash at a collective entry surfaces as that rank's
 // RankError, exactly like a process death mid-protocol.
 func TestHookCrash(t *testing.T) {

@@ -20,6 +20,9 @@ var (
 	bdfBeta = [6]float64{0, 1, 2.0 / 3, 6.0 / 11, 12.0 / 25, 60.0 / 137}
 )
 
+// maxHist is the most history points the solver keeps: order 5 needs six.
+const maxHist = 6
+
 // sparseFailLimit is how many consecutive sparse refactorization rounds
 // may fail before the solver demotes itself to the dense LU path for
 // good. Step-size shrinks between attempts give the sparse path real
@@ -40,8 +43,13 @@ type BDF struct {
 	n    int
 	opts Options
 
-	// Integration state.
-	hist   [][]float64 // hist[i] = y at tInt - i*h
+	// Integration state. The history vectors are recycled: an accepted
+	// step rotates the headers and overwrites the oldest, a rescale writes
+	// into spares and swaps them in, so a warm solver steps without
+	// allocating.
+	hist   [][]float64 // hist[i] = y at tInt - i*h; at most maxHist
+	spare  [][]float64 // free n-vectors for new history points
+	work   [][]float64 // Neville scratch vectors (see neville)
 	order  int
 	h      float64
 	streak int // consecutive accepted steps at the current order
@@ -69,8 +77,8 @@ type BDF struct {
 
 	// Dense Newton path.
 	jac     *linalg.Matrix
-	lu      *linalg.LU
-	iterMat *linalg.Matrix // workspace; LU() clones it
+	lu      linalg.LU      // refactored in place
+	iterMat *linalg.Matrix // I − hb·J, copied into lu by Refactor
 
 	// Sparse Newton path: a fork of the one-time symbolic factorization.
 	sparse       bool
@@ -94,6 +102,9 @@ func NewBDF(f Func, n int, opts Options) *BDF {
 		scratch:  make([]float64, n),
 		resid:    make([]float64, n),
 		dx:       make([]float64, n),
+		hist:     make([][]float64, 0, maxHist),
+		spare:    make([][]float64, 0, 2*maxHist),
+		work:     make([][]float64, 0, maxHist-2),
 	}
 	s.initSparse(opts.withDefaults(0, 0)) // the sparse gates ignore the interval
 	return s
@@ -275,7 +286,9 @@ func (s *BDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 		s.h = o.MaxStep * dir
 	}
 	s.order = 1
-	s.hist = append(s.hist[:0], append([]float64(nil), y0...))
+	s.spare = append(s.spare, s.hist...)
+	s.hist = s.hist[:0]
+	s.push(y0)
 	s.tInt = t0
 	s.jacFresh = false
 	s.luH = math.NaN()
@@ -302,7 +315,7 @@ func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error 
 				return errWrap(err, t)
 			}
 			t += s.h
-			s.hist = append([][]float64{append([]float64(nil), ys...)}, s.hist...)
+			s.push(ys)
 		}
 		s.order = o.FixedOrder
 	}
@@ -380,11 +393,7 @@ func (s *BDF) attemptStep(t float64, o Options) (bool, float64) {
 	if errNorm > 1 {
 		return false, errNorm
 	}
-	const maxHist = 6
-	s.hist = append([][]float64{append([]float64(nil), s.ycorr...)}, s.hist...)
-	if len(s.hist) > maxHist {
-		s.hist = s.hist[:maxHist]
-	}
+	s.push(s.ycorr)
 	return true, errNorm
 }
 
@@ -506,12 +515,10 @@ func (s *BDF) factor(hb float64) bool {
 			m.Set(i, j, v)
 		}
 	}
-	lu, err := m.LU()
-	s.haveFactor = err == nil
+	s.haveFactor = s.lu.Refactor(m) == nil
 	if !s.haveFactor {
 		return false
 	}
-	s.lu = lu
 	nf := float64(n)
 	s.stats.Factorizations++
 	s.stats.FactorOps += (2.0 / 3.0) * nf * nf * nf
@@ -582,29 +589,52 @@ func (s *BDF) adaptOrderAndStep(errNorm float64, o Options) {
 	}
 }
 
+// push makes y the newest history point, dropping the oldest once
+// maxHist are stored. y is copied into a recycled vector.
+func (s *BDF) push(y []float64) {
+	var v []float64
+	if m := len(s.hist); m == maxHist {
+		v = s.hist[m-1]
+	} else {
+		v = s.takeSpare()
+		s.hist = s.hist[:m+1]
+	}
+	copy(s.hist[1:], s.hist[:len(s.hist)-1])
+	copy(v, y)
+	s.hist[0] = v
+}
+
+// takeSpare returns a free n-vector, allocating only while the pool
+// grows to the most the solver has needed at once.
+func (s *BDF) takeSpare() []float64 {
+	k := len(s.spare)
+	if k == 0 {
+		return make([]float64, s.n)
+	}
+	v := s.spare[k-1]
+	s.spare = s.spare[:k-1]
+	return v
+}
+
 // rescaleHistory re-samples the stored history polynomial onto a grid
-// with spacing ratio·h, keeping the current point fixed — every
-// component is one scalar history.
+// with spacing ratio·h, keeping the current point fixed. The new points
+// are written into spare vectors and swapped in, since each of them
+// reads every old one.
 func (s *BDF) rescaleHistory(ratio float64) {
 	m := len(s.hist)
 	if m <= 1 || ratio == 1 {
 		return
 	}
-	old := s.hist
-	s.hist = make([][]float64, m)
-	s.hist[0] = old[0]
+	// Neville interpolation: old hist[j] at x = -j, new grid at x = -i*ratio.
+	var next [maxHist][]float64
+	work := s.nevilleWork(m)
 	for i := 1; i < m; i++ {
-		s.hist[i] = make([]float64, len(old[0]))
+		next[i] = s.takeSpare()
+		neville(next[i], s.hist, -float64(i)*ratio, work)
 	}
-	// Neville interpolation: old[j] at x = -j, new grid at x = -i*ratio.
-	work := make([]float64, m)
-	for c := range old[0] {
-		for i := 1; i < m; i++ {
-			for j := 0; j < m; j++ {
-				work[j] = old[j][c]
-			}
-			s.hist[i][c] = neville(work, -float64(i)*ratio)
-		}
+	for i := 1; i < m; i++ {
+		s.spare = append(s.spare, s.hist[i])
+		s.hist[i] = next[i]
 	}
 	s.luH = math.NaN()
 }
@@ -616,27 +646,64 @@ func (s *BDF) interpolate(q int, x float64, dst []float64) {
 	if m > len(s.hist) {
 		m = len(s.hist)
 	}
-	work := make([]float64, m)
-	for c := range dst {
-		for j := 0; j < m; j++ {
-			work[j] = s.hist[j][c]
-		}
-		dst[c] = neville(work, x)
-	}
+	neville(dst, s.hist[:m], x, s.nevilleWork(m))
 }
 
-// neville evaluates at x the polynomial through the points (-j, w[j]),
-// overwriting w.
-func neville(w []float64, x float64) float64 {
-	m := len(w)
+// nevilleWork returns the m-2 scratch vectors neville needs for m
+// points, growing the pool on first use.
+func (s *BDF) nevilleWork(m int) [][]float64 {
+	for len(s.work) < m-2 {
+		s.work = append(s.work, make([]float64, s.n))
+	}
+	return s.work
+}
+
+// neville evaluates at x, for every component c, the polynomial through
+// the points (-j, rows[j][c]) and writes it to dst. It runs Neville's
+// recursion once per (level, j) across all components: each component
+// sees the operations of the scalar recursion in the same order, so the
+// result is bit-identical to evaluating the components one by one. Level
+// 1 reads the rows directly; later levels work in place in dst and
+// work[:len(rows)-2], none of which may alias a row.
+func neville(dst []float64, rows [][]float64, x float64, work [][]float64) {
+	m := len(rows)
+	if m == 1 {
+		copy(dst, rows[0])
+		return
+	}
+	var w [maxHist][]float64
+	w[0] = dst
+	copy(w[1:m-1], work)
 	for level := 1; level < m; level++ {
 		for j := 0; j < m-level; j++ {
 			xj := -float64(j)
 			xjl := -float64(j + level)
-			w[j] = ((x-xjl)*w[j] - (x-xj)*w[j+1]) / (xj - xjl)
+			lo, hi := w[j], w[j+1]
+			if level == 1 {
+				lo, hi = rows[j], rows[j+1]
+			}
+			nevilleCombine(w[j], lo, hi, x-xjl, x-xj, xj-xjl)
 		}
 	}
-	return w[0]
+}
+
+// nevilleCombine sets dst[c] = (a·lo[c] − b·hi[c]) / d for every c. The
+// divisor is the recursion level, an exact small integer; at the powers
+// of two (1, 2, 4) the reciprocal is exact too, and multiplying by it
+// rounds the same real number as dividing, so the result is
+// bit-identical and cheaper.
+func nevilleCombine(dst, lo, hi []float64, a, b, d float64) {
+	lo, hi = lo[:len(dst)], hi[:len(dst)]
+	if d == 1 || d == 2 || d == 4 {
+		r := 1 / d
+		for c := range dst {
+			dst[c] = (a*lo[c] - b*hi[c]) * r
+		}
+		return
+	}
+	for c := range dst {
+		dst[c] = (a*lo[c] - b*hi[c]) / d
+	}
 }
 
 // sign returns -1 for negative v and 1 otherwise.
