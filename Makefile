@@ -1,7 +1,7 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: build test check race fuzz bench faults verify chaos flake \
-	bench-compare bench-baseline introspect-smoke service-smoke
+.PHONY: build test check race fuzz bench bench-smoke faults verify chaos \
+	flake bench-compare bench-baseline introspect-smoke service-smoke
 
 build:
 	go build ./...
@@ -60,6 +60,11 @@ flake:
 
 bench:
 	go test -bench . -benchtime 1s ./internal/bench/ .
+
+# One iteration of every benchmark, so a benchmark that panics or fails
+# its own checks fails the build.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/bench/ .
 
 # Bench regression gate (docs/observability.md): re-run the
 # deterministic load-balancer scaling bench and hold it to the committed

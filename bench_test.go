@@ -75,6 +75,64 @@ func BenchmarkTable1RHS(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseLU measures the stiff solver's sparse Newton kernels on
+// the iteration matrices M = I − hβ·J of the 12-, 20- and 35-variant
+// vulcanization models at the true rates: one numeric refactorization
+// over the one-time symbolic pattern, and one pair of triangular solves.
+func BenchmarkSparseLU(b *testing.B) {
+	for _, variants := range []int{12, 20, 35} {
+		net, err := vulcan.Network(variants)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := CompileNetwork(net, Config{Optimize: opt.Full(), AnalyticJacobian: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, err := vulcan.RateVector(res.System.Rates, vulcan.TrueRates)
+		if err != nil {
+			b.Fatal(err)
+		}
+		y, _, rhs := evalInputs(res.Tape)
+		jp := res.Jacobian
+		m := jp.PatternCSR()
+		jp.NewEvaluator().EvalCSR(y, k, m)
+		const hb = 1e-3
+		for p := range m.Data {
+			m.Data[p] *= -hb
+		}
+		for i := 0; i < jp.N; i++ {
+			m.Data[m.Index(i, i)]++
+		}
+		slu, err := linalg.NewSparseLU(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("v%d/refactor", variants), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := slu.Refactor(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("v%d/solve", variants), func(b *testing.B) {
+			if err := slu.Refactor(m); err != nil {
+				b.Fatal(err)
+			}
+			for i := range rhs {
+				rhs[i] = 1 + 0.01*float64(i%13)
+			}
+			x := make([]float64, len(rhs))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := slu.SolveTo(x, rhs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable1Optimizer measures the chemical compiler's own cost:
 // generating and optimizing each test case.
 func BenchmarkTable1Optimizer(b *testing.B) {

@@ -459,9 +459,11 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 // loop: initialize the solver, then integrate record to record). opts
 // are the solver options for this attempt (the retry policy tightens
 // them between attempts); the solve runs under the run budget unless the
-// model's options carry their own. It returns the solver work
-// statistics, the per-file cost measure.
-func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
+// model's options carry their own. ev evaluates the model's tape and
+// jacEv, non-nil when a stiff model has an analytic Jacobian, its
+// Jacobian. It returns the solver work statistics, the per-file cost
+// measure.
+func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
 	if opts.Budget == nil {
 		opts.Budget = e.cfg.Budget
 	}
@@ -477,8 +479,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, f *dataset.File, k []float6
 		Stats() ode.Stats
 	}
 	if e.model.Stiff {
-		if e.model.AnalyticJac != nil {
-			jacEv := e.model.AnalyticJac.NewEvaluator()
+		if jacEv != nil {
 			opts.Jacobian = func(_ float64, yy []float64, dst *linalg.Matrix) {
 				jacEv.Eval(yy, k, dst)
 			}

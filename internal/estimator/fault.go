@@ -162,7 +162,7 @@ func (e *Estimator) retryOpts(f *dataset.File, attempt int) ode.Options {
 // while every failed attempt's cost goes to estimator.file_retry_ns, so
 // one bad LM trial point does not inflate a file's solve-cost
 // distribution by up to maxAttempts×.
-func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, f *dataset.File, k []float64, errvec []float64, call, rank, fi int) (total ode.Stats, retries int, rejected bool) {
+func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator, f *dataset.File, k []float64, errvec []float64, call, rank, fi int) (total ode.Stats, retries int, rejected bool) {
 	recs := errvec[:f.NumRecords()]
 	for attempt := 0; ; attempt++ {
 		err := e.cfg.Faults.FileSolve(call, rank, fi, attempt)
@@ -171,7 +171,7 @@ func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, f *dataset.File, k []f
 		if err == nil {
 			clear(recs)
 			attempted = true
-			st, err = e.solveFile(ev, f, k, recs, e.retryOpts(f, attempt))
+			st, err = e.solveFile(ev, jacEv, f, k, recs, e.retryOpts(f, attempt))
 			addStats(&total, st)
 			if err == nil && !finite(recs) {
 				err = errNonFinite

@@ -14,6 +14,7 @@
 package estimator
 
 import (
+	"rms/internal/codegen"
 	"rms/internal/mpi"
 	"rms/internal/sched"
 )
@@ -90,6 +91,14 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 		work := make([]float64, nf)
 		ev := e.model.Prog.NewEvaluator()
 		ev.Observe(e.cfg.Metrics)
+		// One Jacobian evaluator serves every file solve of the rank:
+		// each evaluation rewrites every slot of the per-evaluation code
+		// and the prelude reruns whenever k changes, so it returns the
+		// bits a fresh evaluator would.
+		var jacEv *codegen.JacEvaluator
+		if e.model.Stiff && e.model.AnalyticJac != nil {
+			jacEv = e.model.AnalyticJac.NewEvaluator()
+		}
 		lane := c.Lane()
 		for _, it := range plans[rank] {
 			if e.cfg.Budget.Check() != nil {
@@ -99,7 +108,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 			block := contrib[it.File*m : (it.File+1)*m]
 			e.log.Debug("solve", "file solve", "call", call, "rank", rank, "file", f.Name)
 			lane.Begin("solve " + f.Name)
-			st, retries, rejected := e.solveWithRetry(ev, f, k, block, call, rank, it.File)
+			st, retries, rejected := e.solveWithRetry(ev, jacEv, f, k, block, call, rank, it.File)
 			work[it.File] = e.workOps(st)
 			e.met.fileSolves.Inc()
 			e.publishSolveStats(st)

@@ -105,8 +105,8 @@ func (f *LU) Refactor(m *Matrix) error {
 		f.lu = NewMatrix(n, n)
 		f.piv = make([]int, n)
 	}
-	a := f.lu
-	copy(a.Data, m.Data)
+	data := f.lu.Data[:n*n]
+	copy(data, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -114,35 +114,40 @@ func (f *LU) Refactor(m *Matrix) error {
 	for col := 0; col < n; col++ {
 		// Pivot: largest magnitude in the column at or below the diagonal.
 		p := col
-		max := math.Abs(a.At(col, col))
+		max := math.Abs(data[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > max {
+			if v := math.Abs(data[r*n+col]); v > max {
 				max, p = v, r
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
 			return fmt.Errorf("%w (pivot column %d)", ErrSingular, col)
 		}
+		crow := data[col*n : (col+1)*n]
 		if p != col {
-			ri := a.Data[p*n : (p+1)*n]
-			rj := a.Data[col*n : (col+1)*n]
-			for k := range ri {
-				ri[k], rj[k] = rj[k], ri[k]
+			prow := data[p*n : (p+1)*n]
+			prow = prow[:len(crow)]
+			for k, v := range crow {
+				crow[k], prow[k] = prow[k], v
 			}
 			f.piv[p], f.piv[col] = f.piv[col], f.piv[p]
 			sign = -sign
 		}
-		d := a.At(col, col)
+		// Eliminate below the pivot; cu is the pivot row right of the
+		// diagonal, and each row's update walks the same range.
+		d := crow[col]
+		cu := crow[col+1:]
 		for r := col + 1; r < n; r++ {
-			l := a.At(r, col) / d
-			a.Set(r, col, l)
+			arow := data[r*n : (r+1)*n]
+			l := arow[col] / d
+			arow[col] = l
 			if l == 0 {
 				continue
 			}
-			arow := a.Data[r*n : (r+1)*n]
-			crow := a.Data[col*n : (col+1)*n]
-			for k := col + 1; k < n; k++ {
-				arow[k] -= l * crow[k]
+			au := arow[col+1:]
+			au = au[:len(cu)]
+			for k, c := range cu {
+				au[k] -= l * c
 			}
 		}
 	}
@@ -170,32 +175,33 @@ func (f *LU) SolveTo(dst, b []float64) error {
 	if len(b) != n || len(dst) != n {
 		return fmt.Errorf("linalg: SolveTo length %d/%d, want %d", len(dst), len(b), n)
 	}
-	x := dst
+	x := dst[:n]
+	b = b[:n]
 	for i, p := range f.piv {
 		x[i] = b[p]
 	}
-	a := f.lu
+	data := f.lu.Data[:n*n]
 	// Forward substitution (L has unit diagonal).
 	for i := 1; i < n; i++ {
-		row := a.Data[i*n : i*n+i]
+		row := data[i*n : i*n+i]
+		xs := x[:len(row)]
 		s := x[i]
 		for j, v := range row {
-			s -= v * x[j]
+			s -= v * xs[j]
 		}
 		x[i] = s
 	}
-	// Back substitution.
+	// Back substitution. Refactor leaves no zero on U's diagonal: each
+	// is the pivot its column was chosen for.
 	for i := n - 1; i >= 0; i-- {
-		row := a.Data[i*n+i+1 : (i+1)*n]
+		row := data[i*n+i+1 : (i+1)*n]
+		xs := x[i+1:]
+		xs = xs[:len(row)]
 		s := x[i]
 		for j, v := range row {
-			s -= v * x[i+1+j]
+			s -= v * xs[j]
 		}
-		d := a.At(i, i)
-		if d == 0 {
-			return ErrSingular
-		}
-		x[i] = s / d
+		x[i] = s / data[i*n+i]
 	}
 	return nil
 }

@@ -175,6 +175,10 @@ type SparseLU struct {
 	rhs  []float64
 
 	refactorFlops int64 // multiply-add count of one numeric refactorization
+
+	// factored is set by a successful Refactor and cleared by a failed
+	// one: the factor of a failed Refactor is half written.
+	factored bool
 }
 
 // minDegreeOrder returns a greedy minimum-degree elimination order of the
@@ -371,18 +375,19 @@ func (h *intHeap) pop() int32 {
 
 // Fork returns a factorization sharing f's symbolic structure (ordering,
 // fill pattern, flop counts — the expensive one-time phase) with private
-// numeric storage and workspaces. The batched stiff solver forks one
-// symbolic factorization per lane: every lane's iteration matrix has the
-// same sparsity pattern, so the min-degree ordering and fill-in analysis
-// are computed once and only the per-lane numeric Refactor/SolveTo state
-// is duplicated. The shared slices are never written after NewSparseLU,
-// so forks are safe to use from different goroutines (each fork from one
+// numeric storage and workspaces, holding no factorization until its
+// first Refactor. Every iteration matrix of one model has the same
+// sparsity pattern, so each solver forks the model's one symbolic
+// factorization instead of repeating the min-degree ordering and fill-in
+// analysis. The shared slices are never written after NewSparseLU, so
+// forks are safe to use from different goroutines (each fork from one
 // goroutine at a time, as with any SparseLU).
 func (f *SparseLU) Fork() *SparseLU {
 	g := *f
 	g.data = make([]float64, len(f.data))
 	g.work = make([]float64, f.n)
 	g.rhs = make([]float64, f.n)
+	g.factored = false
 	return &g
 }
 
@@ -403,32 +408,43 @@ func (f *SparseLU) SolveFlops() int64 { return 2 * int64(len(f.colIdx)) }
 
 // Refactor computes the numeric factorization of a, which must have a
 // pattern contained in the symbolic pattern NewSparseLU was built from
-// (structurally missing entries are treated as zero).
+// (structurally missing entries are treated as zero). After an error f
+// holds no factorization until the next successful Refactor, and
+// SolveTo reports ErrSingular.
 func (f *SparseLU) Refactor(a *CSR) error {
+	f.factored = false
 	if a.N != f.n {
 		return fmt.Errorf("linalg: Refactor of %d×%d matrix into %d×%d factorization", a.N, a.N, f.n, f.n)
 	}
-	w := f.work
-	for i := 0; i < f.n; i++ {
+	n := f.n
+	w := f.work[:n]
+	rowPtr, diag, colIdx, data := f.rowPtr[:n+1], f.diag[:n], f.colIdx, f.data
+	for i, v := range f.perm[:n] {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols := colIdx[lo:hi]
 		// Scatter row perm[i] of A onto the fill pattern, mapping columns
 		// through the fill-reducing permutation.
-		for p := f.rowPtr[i]; p < f.rowPtr[i+1]; p++ {
-			w[f.colIdx[p]] = 0
+		for _, c := range cols {
+			w[c] = 0
 		}
-		v := f.perm[i]
-		for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-			w[f.iperm[a.ColIdx[p]]] = a.Data[p]
+		acols := a.ColIdx[a.RowPtr[v]:a.RowPtr[v+1]]
+		avals := a.Data[a.RowPtr[v]:a.RowPtr[v+1]]
+		avals = avals[:len(acols)]
+		for p, c := range acols {
+			w[f.iperm[c]] = avals[p]
 		}
 		// Eliminate with previous rows, in column order.
-		for p := f.rowPtr[i]; p < f.diag[i]; p++ {
-			k := f.colIdx[p]
-			l := w[k] / f.data[f.diag[k]]
+		for _, k := range colIdx[lo:diag[i]] {
+			l := w[k] / data[diag[k]]
 			w[k] = l
 			if l == 0 {
 				continue
 			}
-			for q := f.diag[k] + 1; q < f.rowPtr[k+1]; q++ {
-				w[f.colIdx[q]] -= l * f.data[q]
+			ucols := colIdx[diag[k]+1 : rowPtr[k+1]]
+			uvals := data[diag[k]+1 : rowPtr[k+1]]
+			uvals = uvals[:len(ucols)]
+			for q, c := range ucols {
+				w[c] -= l * uvals[q]
 			}
 		}
 		piv := w[i]
@@ -436,47 +452,58 @@ func (f *SparseLU) Refactor(a *CSR) error {
 			return fmt.Errorf("%w (sparse pivot row %d)", ErrSingular, v)
 		}
 		// Gather back into the factor storage.
-		for p := f.rowPtr[i]; p < f.rowPtr[i+1]; p++ {
-			f.data[p] = w[f.colIdx[p]]
+		row := data[lo:hi]
+		row = row[:len(cols)]
+		for p, c := range cols {
+			row[p] = w[c]
 		}
 	}
+	f.factored = true
 	return nil
 }
 
 // SolveTo solves A·x = b into dst without allocating. dst and b must have
 // length n; dst may alias b.
 func (f *SparseLU) SolveTo(dst, b []float64) error {
-	if len(b) != f.n || len(dst) != f.n {
-		return fmt.Errorf("linalg: SolveTo length %d/%d, want %d", len(dst), len(b), f.n)
+	if !f.factored {
+		return fmt.Errorf("%w (no factorization)", ErrSingular)
+	}
+	n := f.n
+	if len(b) != n || len(dst) != n {
+		return fmt.Errorf("linalg: SolveTo length %d/%d, want %d", len(dst), len(b), n)
 	}
 	// The factorization is of PAPᵀ, so solve (PAPᵀ)(P·x) = P·b in the
 	// internal buffer and permute the result back out.
-	r := f.rhs
-	for i := 0; i < f.n; i++ {
-		r[i] = b[f.perm[i]]
+	perm, r := f.perm[:n], f.rhs[:n]
+	rowPtr, diag, colIdx, data := f.rowPtr[:n+1], f.diag[:n], f.colIdx, f.data
+	for i, v := range perm {
+		r[i] = b[v]
 	}
 	// Forward substitution: L has unit diagonal.
-	for i := 0; i < f.n; i++ {
+	for i := range r {
+		cols := colIdx[rowPtr[i]:diag[i]]
+		vals := data[rowPtr[i]:diag[i]]
+		vals = vals[:len(cols)]
 		s := r[i]
-		for p := f.rowPtr[i]; p < f.diag[i]; p++ {
-			s -= f.data[p] * r[f.colIdx[p]]
+		for p, c := range cols {
+			s -= vals[p] * r[c]
 		}
 		r[i] = s
 	}
-	// Back substitution with U.
-	for i := f.n - 1; i >= 0; i-- {
+	// Back substitution with U. Refactor leaves no zero pivot.
+	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
+		cols := colIdx[d+1 : rowPtr[i+1]]
+		vals := data[d+1 : rowPtr[i+1]]
+		vals = vals[:len(cols)]
 		s := r[i]
-		for p := f.diag[i] + 1; p < f.rowPtr[i+1]; p++ {
-			s -= f.data[p] * r[f.colIdx[p]]
+		for p, c := range cols {
+			s -= vals[p] * r[c]
 		}
-		d := f.data[f.diag[i]]
-		if d == 0 {
-			return ErrSingular
-		}
-		r[i] = s / d
+		r[i] = s / data[d]
 	}
-	for i := 0; i < f.n; i++ {
-		dst[f.perm[i]] = r[i]
+	for i, v := range perm {
+		dst[v] = r[i]
 	}
 	return nil
 }

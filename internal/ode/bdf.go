@@ -429,7 +429,7 @@ func (s *BDF) newton(t, hb float64, o Options) bool {
 			for i, d := range s.dx {
 				s.ycorr[i] -= d
 			}
-			if weightedNorm(s.dx, s.ycorr, s.ycorr, o.ATol, o.RTol) < 0.3 {
+			if weightedNormAt(s.dx, s.ycorr, o.ATol, o.RTol) < 0.3 {
 				return true
 			}
 		}

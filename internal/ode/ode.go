@@ -196,12 +196,32 @@ func reached(t, t1, dir float64) bool {
 }
 
 // weightedNorm is the standard mixed-tolerance RMS norm used for error
-// control: ||e|| = sqrt(mean((e_i / (atol + rtol*|y_i|))^2)).
+// control: ||e|| = sqrt(mean((e_i / (atol + rtol*max(|y_i|, |ynew_i|)))^2)).
+// The builtin max inlines where math.Max is a call. The two agree on ±0
+// and on NaN except for one pair: max(+Inf, NaN) is NaN, math.Max's is
+// +Inf. A component pair holding both arises only in a solve that has
+// already blown up, and in the BDF error test its e_i is NaN (the
+// corrector or the predictor is NaN), so the norm is NaN either way.
 func weightedNorm(err, y, ynew []float64, atol, rtol float64) float64 {
+	y, ynew = y[:len(err)], ynew[:len(err)]
 	s := 0.0
-	for i := range err {
-		sc := atol + rtol*math.Max(math.Abs(y[i]), math.Abs(ynew[i]))
-		e := err[i] / sc
+	for i, v := range err {
+		sc := atol + rtol*max(math.Abs(y[i]), math.Abs(ynew[i]))
+		e := v / sc
+		s += e * e
+	}
+	return math.Sqrt(s / float64(len(err)))
+}
+
+// weightedNormAt is weightedNorm with y and ynew the same vector, as in
+// the Newton convergence test: max(|y_i|, |y_i|) is |y_i|, NaN included,
+// so it returns the same bits from one load per component.
+func weightedNormAt(err, y []float64, atol, rtol float64) float64 {
+	y = y[:len(err)]
+	s := 0.0
+	for i, v := range err {
+		sc := atol + rtol*math.Abs(y[i])
+		e := v / sc
 		s += e * e
 	}
 	return math.Sqrt(s / float64(len(err)))
