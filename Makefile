@@ -21,6 +21,7 @@ race:
 fuzz:
 	go test -fuzz=FuzzParseRDL -fuzztime=10s ./internal/rdl
 	go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
+	go test -fuzz=FuzzCanonicalMatchesReference -fuzztime=10s ./internal/chem
 
 # The cross-stack conformance matrix (docs/testing.md): every
 # optimization layer differentially checked against the reference

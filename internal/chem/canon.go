@@ -1,8 +1,11 @@
 package chem
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -14,101 +17,174 @@ import (
 // re-refining (the standard canonical-labeling device). The result maps
 // each atom to a dense rank; equal molecules (up to graph isomorphism over
 // our invariants) receive identical rank structures.
+//
+// The invariants are decimal strings compared bytewise: an atom starts
+// with "element|Hs|charge|class|degree|bond-order sum" and each round's
+// key is "rank|order:rank,order:rank,..." over its bonds, the items in
+// byte order. Ranks of 10 and above therefore sort as strings ("1:10"
+// before "1:2"), and every species' canonical SMILES depends on that
+// order (docs/rdl.md), so the keys are built as exactly those bytes, in
+// one buffer reused across rounds.
 func canonicalRanks(m *Molecule) []int {
 	n := len(m.Atoms)
 	if n == 0 {
 		return nil
 	}
-	// Initial invariant string per atom.
-	inv := make([]string, n)
-	for i, a := range m.Atoms {
-		inv[i] = fmt.Sprintf("%s|%d|%d|%d|%d|%d",
-			a.Element, a.Hs, a.Charge, a.Class, len(m.Neighbors(i)), m.BondOrderSum(i))
-	}
-	ranks := denseRanks(inv)
-
-	adj := make([][]Bond, n)
-	for _, b := range m.Bonds {
-		adj[b.A] = append(adj[b.A], b)
-		adj[b.B] = append(adj[b.B], b)
-	}
-
-	refine := func(r []int) []int {
-		for {
-			next := make([]string, n)
-			for i := range next {
-				var nb []string
-				for _, b := range adj[i] {
-					nb = append(nb, fmt.Sprintf("%d:%d", b.Order, r[b.Other(i)]))
-				}
-				sort.Strings(nb)
-				next[i] = fmt.Sprintf("%d|%s", r[i], strings.Join(nb, ","))
-			}
-			nr := denseRanks(next)
-			if countDistinct(nr) == countDistinct(r) {
-				return nr
-			}
-			r = nr
-		}
-	}
-	ranks = refine(ranks)
+	l := newLabeller(m)
+	ranks, distinct := l.initial(m)
+	ranks, distinct = l.refine(ranks, distinct)
 
 	// Tie-breaking until all ranks distinct.
-	for countDistinct(ranks) < n {
-		// Find the first tied cell (smallest rank value with >1 member),
-		// promote its lowest-index member.
-		byRank := make(map[int][]int)
-		for i, r := range ranks {
-			byRank[r] = append(byRank[r], i)
+	count := make([]int, n)
+	for distinct < n {
+		// Find the first tied cell (smallest rank value with >1 member)
+		// and promote its lowest-index member: shift all ranks >= r up by
+		// one, give that member rank r, leave the rest of the cell at r+1.
+		clear(count)
+		for _, r := range ranks {
+			count[r]++
 		}
-		var rankVals []int
-		for r := range byRank {
-			rankVals = append(rankVals, r)
+		r := 0
+		for count[r] < 2 {
+			r++
 		}
-		sort.Ints(rankVals)
-		for _, r := range rankVals {
-			cell := byRank[r]
-			if len(cell) > 1 {
-				sort.Ints(cell)
-				// Promote: shift all ranks >= r up by one, give cell[0] rank r,
-				// leave the rest at r+1.
-				for i := range ranks {
-					if ranks[i] > r || (ranks[i] == r && i != cell[0]) {
-						ranks[i]++
-					}
-				}
-				break
+		first := slices.Index(ranks, r)
+		for i := range ranks {
+			if ranks[i] > r || (ranks[i] == r && i != first) {
+				ranks[i]++
 			}
 		}
-		ranks = refine(ranks)
+		ranks, distinct = l.refine(ranks, distinct+1)
 	}
 	return ranks
 }
 
-func denseRanks(keys []string) []int {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	pos := make(map[string]int, len(sorted))
-	d := 0
-	for i, k := range sorted {
-		if i == 0 || k != sorted[i-1] {
-			pos[k] = d
-			d++
-		}
-	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = pos[k]
-	}
-	return out
+// labeller holds canonicalRanks' adjacency and scratch storage; every
+// refinement round reuses it.
+type labeller struct {
+	adjacency
+	// keys holds this round's key of every atom, atom i's at
+	// keys[end[i]:end[i+1]].
+	keys []byte
+	end  []int
+	// items holds one atom's "order:rank" items, item j at
+	// items[itemEnd[j]:itemEnd[j+1]], and itemOrder sorts them.
+	items     []byte
+	itemEnd   []int
+	itemOrder []int
+	// order sorts the atoms by key; next receives the new ranks.
+	order []int
+	next  []int
 }
 
-func countDistinct(r []int) int {
-	seen := make(map[int]bool, len(r))
-	for _, v := range r {
-		seen[v] = true
+func newLabeller(m *Molecule) *labeller {
+	n := len(m.Atoms)
+	return &labeller{
+		adjacency: newAdjacency(m),
+		end:       make([]int, n+1),
+		order:     make([]int, n),
+		next:      make([]int, n),
 	}
-	return len(seen)
+}
+
+// initial ranks the atoms by their local invariants and returns the ranks
+// and their count of distinct values.
+func (l *labeller) initial(m *Molecule) ([]int, int) {
+	n := len(m.Atoms)
+	// Degree and bond-order sum count a bond once per atom it touches,
+	// as Neighbors and BondOrderSum do.
+	deg := make([]int, n)
+	bos := make([]int, n)
+	for _, b := range m.Bonds {
+		deg[b.A]++
+		bos[b.A] += b.Order
+		if b.B != b.A {
+			deg[b.B]++
+			bos[b.B] += b.Order
+		}
+	}
+	l.keys = l.keys[:0]
+	for i, a := range m.Atoms {
+		l.keys = append(l.keys, a.Element...)
+		for _, v := range [...]int{a.Hs, a.Charge, a.Class, deg[i], bos[i]} {
+			l.keys = append(l.keys, '|')
+			l.keys = strconv.AppendInt(l.keys, int64(v), 10)
+		}
+		l.end[i+1] = len(l.keys)
+	}
+	ranks := make([]int, n)
+	return ranks, l.rank(ranks)
+}
+
+// refine absorbs sorted neighbor ranks into each atom's rank until a
+// round leaves the number of distinct ranks unchanged, and returns that
+// round's ranks (they may renumber the cells) and their distinct count.
+// It may overwrite ranks.
+func (l *labeller) refine(ranks []int, distinct int) ([]int, int) {
+	for {
+		l.keys = l.keys[:0]
+		for i := range ranks {
+			l.keys = strconv.AppendInt(l.keys, int64(ranks[i]), 10)
+			l.keys = append(l.keys, '|')
+			l.appendNeighborItems(i, ranks)
+			l.end[i+1] = len(l.keys)
+		}
+		next := l.next
+		d := l.rank(next)
+		l.next = ranks
+		if d == distinct {
+			return next, d
+		}
+		ranks, distinct = next, d
+	}
+}
+
+// appendNeighborItems appends atom i's "order:rank" items to its key, in
+// byte order and joined by commas.
+func (l *labeller) appendNeighborItems(i int, ranks []int) {
+	l.items = l.items[:0]
+	l.itemEnd = append(l.itemEnd[:0], 0)
+	for j := l.start[i]; j < l.start[i+1]; j++ {
+		l.items = strconv.AppendInt(l.items, int64(l.ord[j]), 10)
+		l.items = append(l.items, ':')
+		l.items = strconv.AppendInt(l.items, int64(ranks[l.nbr[j]]), 10)
+		l.itemEnd = append(l.itemEnd, len(l.items))
+	}
+	item := func(j int) []byte { return l.items[l.itemEnd[j]:l.itemEnd[j+1]] }
+	// Insertion sort: an atom has a handful of bonds.
+	l.itemOrder = l.itemOrder[:0]
+	for j := 0; j < len(l.itemEnd)-1; j++ {
+		k := len(l.itemOrder)
+		l.itemOrder = append(l.itemOrder, j)
+		for ; k > 0 && bytes.Compare(item(l.itemOrder[k-1]), item(j)) > 0; k-- {
+			l.itemOrder[k] = l.itemOrder[k-1]
+		}
+		l.itemOrder[k] = j
+	}
+	for k, j := range l.itemOrder {
+		if k > 0 {
+			l.keys = append(l.keys, ',')
+		}
+		l.keys = append(l.keys, item(j)...)
+	}
+}
+
+// rank writes each atom's dense rank among the distinct keys, in byte
+// order, into ranks and returns the number of distinct keys.
+func (l *labeller) rank(ranks []int) int {
+	key := func(i int) []byte { return l.keys[l.end[i]:l.end[i+1]] }
+	for i := range l.order {
+		l.order[i] = i
+	}
+	slices.SortFunc(l.order, func(a, b int) int { return bytes.Compare(key(a), key(b)) })
+	d := 0
+	for k, i := range l.order {
+		if k > 0 && !bytes.Equal(key(i), key(l.order[k-1])) {
+			d++
+		}
+		ranks[i] = d
+	}
+	return d + 1
 }
 
 // Canonical returns the canonical SMILES of the molecule. Two molecules
@@ -117,16 +193,18 @@ func countDistinct(r []int) int {
 // uses as species identity. Disconnected parts are each canonicalized and
 // joined with '.' in sorted order.
 func (m *Molecule) Canonical() string {
-	frags := m.Fragments()
-	if len(frags) == 0 {
+	comp, nc := m.components()
+	switch nc {
+	case 0:
 		return ""
+	case 1:
+		// The one fragment would be a copy of m, atoms and bonds in order.
+		return writeCanonicalFragment(m, canonicalRanks(m))
 	}
-	if len(frags) == 1 {
-		return writeCanonicalFragment(frags[0])
-	}
+	frags := m.split(comp, nc)
 	parts := make([]string, len(frags))
 	for i, f := range frags {
-		parts[i] = writeCanonicalFragment(f)
+		parts[i] = writeCanonicalFragment(f, canonicalRanks(f))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ".")
@@ -135,13 +213,13 @@ func (m *Molecule) Canonical() string {
 // SMILES is an alias of Canonical; the writer always emits canonical form.
 func (m *Molecule) SMILES() string { return m.Canonical() }
 
-// writeCanonicalFragment emits one connected component as canonical SMILES.
-func writeCanonicalFragment(m *Molecule) string {
+// writeCanonicalFragment emits one connected component as canonical
+// SMILES, given its canonical ranks.
+func writeCanonicalFragment(m *Molecule, ranks []int) string {
 	n := len(m.Atoms)
 	if n == 0 {
 		return ""
 	}
-	ranks := canonicalRanks(m)
 
 	// Root: the atom with the smallest canonical rank.
 	root := 0

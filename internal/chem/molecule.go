@@ -250,28 +250,36 @@ func (m *Molecule) Combine(other *Molecule) int {
 // standalone molecule. Atom order within each fragment follows the original
 // indices, so edits remain deterministic.
 func (m *Molecule) Fragments() []*Molecule {
+	comp, nc := m.components()
+	return m.split(comp, nc)
+}
+
+// components labels every atom with its connected component and returns
+// the labels and the component count. Components are numbered in the
+// order of their lowest atom index.
+func (m *Molecule) components() ([]int, int) {
 	n := len(m.Atoms)
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
+	adj := newAdjacency(m)
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	var order []int
+	queue := make([]int, 0, n)
 	nc := 0
 	for i := 0; i < n; i++ {
 		if comp[i] >= 0 {
 			continue
 		}
-		// BFS
-		queue := []int{i}
+		// Flood the component from its lowest atom.
 		comp[i] = nc
+		queue = append(queue[:0], i)
 		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, w := range m.Neighbors(v) {
+			v := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			for _, w := range adj.neighbors(v) {
 				if comp[w] < 0 {
 					comp[w] = nc
 					queue = append(queue, w)
@@ -280,14 +288,21 @@ func (m *Molecule) Fragments() []*Molecule {
 		}
 		nc++
 	}
-	_ = order
+	return comp, nc
+}
+
+// split copies each component of m into its own molecule.
+func (m *Molecule) split(comp []int, nc int) []*Molecule {
+	if nc == 0 {
+		return nil
+	}
 	frags := make([]*Molecule, nc)
-	remap := make([]int, n)
+	remap := make([]int, len(m.Atoms))
 	for c := 0; c < nc; c++ {
 		frags[c] = New()
 	}
-	for i := 0; i < n; i++ {
-		remap[i] = frags[comp[i]].AddAtom(m.Atoms[i])
+	for i, c := range comp {
+		remap[i] = frags[c].AddAtom(m.Atoms[i])
 	}
 	for _, b := range m.Bonds {
 		f := frags[comp[b.A]]
@@ -295,6 +310,43 @@ func (m *Molecule) Fragments() []*Molecule {
 	}
 	return frags
 }
+
+// adjacency lists every atom's bonds, built in one pass over Bonds: atom
+// i's bonds lead to nbr[start[i]:start[i+1]], with orders
+// ord[start[i]:start[i+1]], in bond order. A bond from an atom to itself
+// is listed twice, once per endpoint.
+type adjacency struct {
+	start    []int
+	nbr, ord []int
+}
+
+func newAdjacency(m *Molecule) adjacency {
+	n := len(m.Atoms)
+	a := adjacency{
+		start: make([]int, n+1),
+		nbr:   make([]int, 2*len(m.Bonds)),
+		ord:   make([]int, 2*len(m.Bonds)),
+	}
+	for _, b := range m.Bonds {
+		a.start[b.A+1]++
+		a.start[b.B+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.start[i+1] += a.start[i]
+	}
+	fill := make([]int, n)
+	copy(fill, a.start[:n])
+	for _, b := range m.Bonds {
+		a.nbr[fill[b.A]], a.ord[fill[b.A]] = b.B, b.Order
+		fill[b.A]++
+		a.nbr[fill[b.B]], a.ord[fill[b.B]] = b.A, b.Order
+		fill[b.B]++
+	}
+	return a
+}
+
+// neighbors returns the atoms bonded to atom i, in bond order.
+func (a adjacency) neighbors(i int) []int { return a.nbr[a.start[i]:a.start[i+1]] }
 
 // CountElement returns the number of atoms of element e (implicit
 // hydrogens are counted when e is "H").

@@ -17,6 +17,7 @@ package eqgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"rms/internal/expr"
@@ -190,20 +191,32 @@ type JacEntry struct {
 // species its right-hand side references. Mass-action systems are sparse:
 // an equation only depends on the species participating in its reactions,
 // so the entry list is far smaller than the dense n² matrix.
+//
+// Each equation is differentiated in one pass over its products
+// (expr.Diff), so the whole Jacobian costs time linear in the size of the
+// system. Entries come row by row and, within a row, in the canonical
+// order of their species' names (expr.TermLess).
 func (s *System) Jacobian() []JacEntry {
 	index := s.SpeciesIndex()
+	// order[c] is species c's position in canonical name order.
+	byName := make([]int, len(s.Species))
+	for c := range byName {
+		byName[c] = c
+	}
+	slices.SortFunc(byName, func(a, b int) int { return expr.TermCompare(s.Species[a], s.Species[b]) })
+	order := make([]int, len(s.Species))
+	for pos, c := range byName {
+		order[c] = pos
+	}
+	cols := make([]*expr.Sum, len(s.Species))
+	var touched []int
 	var entries []JacEntry
 	for row, eq := range s.Equations {
-		for _, name := range eq.RHS.Variables() {
-			col, ok := index[name]
-			if !ok {
-				continue // rate constants are parameters, not state
-			}
-			d := expr.DiffSum(eq.RHS, name)
-			if d.IsZero() {
-				continue
-			}
-			entries = append(entries, JacEntry{Row: row, Col: col, RHS: d})
+		touched = expr.Diff(eq.RHS, index, cols, touched[:0])
+		slices.SortFunc(touched, func(a, b int) int { return order[a] - order[b] })
+		for _, col := range touched {
+			entries = append(entries, JacEntry{Row: row, Col: col, RHS: cols[col]})
+			cols[col] = nil
 		}
 	}
 	return entries

@@ -1,35 +1,42 @@
 package expr
 
-// DiffSum returns ∂s/∂wrt as a canonical sum. Mass-action right-hand
-// sides are polynomials in the concentrations, so the derivative of each
-// product follows the power rule: a product containing the variable with
-// multiplicity m contributes m·coef times the product with one occurrence
-// removed. Products not containing the variable vanish.
+// Diff differentiates s with respect to all of its variables in one pass
+// over its products in canonical order. Mass-action right-hand sides are
+// polynomials in the concentrations, so each product follows the power
+// rule: for every distinct factor v of multiplicity m that index maps to
+// a column, the product adds m·Coef times itself with one occurrence of
+// v removed to d[index[v]]. Factors that index does not map (rate
+// constants) are constants. Products add to their columns in Products()
+// order, so each derivative's products keep that insertion order.
+//
+// Every entry of d must be nil on entry; Diff allocates the columns it
+// touches, appends each touched column to touched in first-touch order
+// and returns it. The caller takes the derivatives and resets those
+// entries to nil before the next call, so one d serves a whole system.
 //
 // The analytic Jacobian generator uses this to differentiate every ODE
-// with respect to every species it references, giving the stiff solver an
-// exact Jacobian at a fraction of the finite-difference cost.
-func DiffSum(s *Sum, wrt string) *Sum {
-	d := NewSum()
+// with respect to every species it references in time linear in the
+// size of the equation, giving the stiff solver an exact Jacobian at a
+// fraction of the finite-difference cost.
+func Diff(s *Sum, index map[string]int, d []*Sum, touched []int) []int {
+	var q []string
 	for _, p := range s.Products() {
-		m := multiplicity(p, wrt)
-		if m == 0 {
-			continue
-		}
-		q := p.Divide(wrt)
-		q.Coef *= float64(m)
-		d.Add(q)
-	}
-	return d
-}
-
-// multiplicity counts occurrences of the factor in the product.
-func multiplicity(p Product, name string) int {
-	n := 0
-	for _, f := range p.Factors {
-		if f == name {
-			n++
+		fs := p.Factors
+		for i := 0; i < len(fs); {
+			j := i + 1
+			for j < len(fs) && fs[j] == fs[i] {
+				j++
+			}
+			if c, ok := index[fs[i]]; ok {
+				q = append(append(q[:0], fs[:i]...), fs[i+1:]...)
+				if d[c] == nil {
+					d[c] = NewSum()
+					touched = append(touched, c)
+				}
+				d[c].Add(Product{Coef: p.Coef * float64(j-i), Factors: q})
+			}
+			i = j
 		}
 	}
-	return n
+	return touched
 }

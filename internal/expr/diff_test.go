@@ -7,7 +7,17 @@ import (
 	"testing/quick"
 )
 
-func TestDiffSumBasics(t *testing.T) {
+// diffOne returns ∂s/∂wrt: Diff with wrt as the only column.
+func diffOne(s *Sum, wrt string) *Sum {
+	d := []*Sum{nil}
+	Diff(s, map[string]int{wrt: 0}, d, nil)
+	if d[0] == nil {
+		return NewSum()
+	}
+	return d[0]
+}
+
+func TestDiffBasics(t *testing.T) {
 	cases := []struct {
 		sum  *Sum
 		wrt  string
@@ -28,28 +38,66 @@ func TestDiffSumBasics(t *testing.T) {
 		{SumOf(NewProduct(1, "K_1", "A", "A", "A")), "A", "3*K_1*A*A"},
 	}
 	for _, c := range cases {
-		if got := DiffSum(c.sum, c.wrt).String(); got != c.want {
+		if got := diffOne(c.sum, c.wrt).String(); got != c.want {
 			t.Errorf("d(%s)/d%s = %q, want %q", c.sum, c.wrt, got, c.want)
 		}
 	}
 }
 
-// Property: the symbolic derivative matches a central finite difference.
-func TestDiffSumMatchesFiniteDifference(t *testing.T) {
+// One call differentiates with respect to every indexed variable, touches
+// each column once in first-touch order, and leaves unindexed factors
+// (the rate constants here) as constants.
+func TestDiffAllColumns(t *testing.T) {
+	s := SumOf(
+		NewProduct(2, "K_A", "A", "A", "B"),
+		NewProduct(-1, "k1", "C"),
+		NewProduct(5, "K_A", "K_B"),
+	)
+	index := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3}
+	d := make([]*Sum, 4)
+	touched := Diff(s, index, d, []int{9})
+	if len(touched) != 4 || touched[0] != 9 || touched[1] != 0 || touched[2] != 1 || touched[3] != 2 {
+		t.Fatalf("touched = %v, want [9 0 1 2]", touched)
+	}
+	want := []string{"4*K_A*A*B", "2*K_A*A*A", "-k1"}
+	for c, w := range want {
+		if got := d[c].String(); got != w {
+			t.Errorf("column %d = %q, want %q", c, got, w)
+		}
+	}
+	if d[3] != nil {
+		t.Errorf("untouched column 3 = %s", d[3])
+	}
+}
+
+// Property: every column matches a central finite difference.
+func TestDiffMatchesFiniteDifference(t *testing.T) {
+	index := make(map[string]int)
+	for i, name := range testNames {
+		index[name] = i
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSum(rng, testNames)
-		wrt := testNames[rng.Intn(len(testNames))]
-		d := DiffSum(s, wrt)
+		d := make([]*Sum, len(testNames))
+		Diff(s, index, d, nil)
 		env := randomEnv(rng, testNames)
-		const h = 1e-6
-		envP := cloneEnv(env)
-		envP[wrt] += h
-		envM := cloneEnv(env)
-		envM[wrt] -= h
-		fd := (s.Eval(envP) - s.Eval(envM)) / (2 * h)
-		sym := d.Eval(env)
-		return math.Abs(fd-sym) <= 1e-4*(1+math.Abs(sym))
+		for i, wrt := range testNames {
+			const h = 1e-6
+			envP := cloneEnv(env)
+			envP[wrt] += h
+			envM := cloneEnv(env)
+			envM[wrt] -= h
+			fd := (s.Eval(envP) - s.Eval(envM)) / (2 * h)
+			sym := 0.0
+			if d[i] != nil {
+				sym = d[i].Eval(env)
+			}
+			if math.Abs(fd-sym) > 1e-4*(1+math.Abs(sym)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -57,7 +105,7 @@ func TestDiffSumMatchesFiniteDifference(t *testing.T) {
 }
 
 // Property: differentiation is linear.
-func TestDiffSumLinear(t *testing.T) {
+func TestDiffLinear(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomSum(rng, testNames)
@@ -65,9 +113,9 @@ func TestDiffSumLinear(t *testing.T) {
 		wrt := testNames[rng.Intn(len(testNames))]
 		sum := a.Clone()
 		sum.AddSum(b)
-		lhs := DiffSum(sum, wrt)
-		rhs := DiffSum(a, wrt)
-		rhs.AddSum(DiffSum(b, wrt))
+		lhs := diffOne(sum, wrt)
+		rhs := diffOne(a, wrt)
+		rhs.AddSum(diffOne(b, wrt))
 		env := randomEnv(rng, testNames)
 		return approxEqual(lhs.Eval(env), rhs.Eval(env), 1e-9)
 	}

@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"rms/internal/expr"
+	"rms/internal/rdl"
 )
 
 // Species is one concrete molecule participating in the network.
@@ -74,9 +77,13 @@ func New() *Network {
 }
 
 // AddSpecies registers a species. The SMILES may be empty for abstract
-// species. It is an error to register a duplicate name, or a duplicate
-// structure under a different name.
+// species. It is an error to register a name that is not an identifier
+// or that follows the rate-constant convention (expr.IsRateConstant), a
+// duplicate name, or a duplicate structure under a different name.
 func (n *Network) AddSpecies(name, smiles string, init float64) (*Species, error) {
+	if err := checkName(name, false); err != nil {
+		return nil, fmt.Errorf("network: %w", err)
+	}
 	if _, dup := n.byName[name]; dup {
 		return nil, fmt.Errorf("network: duplicate species name %q", name)
 	}
@@ -124,8 +131,12 @@ func (n *Network) InternSMILES(smiles string) (*Species, error) {
 }
 
 // AddReaction appends a reaction instance. All participating species must
-// already be registered.
+// already be registered, and the rate name must be an identifier that
+// follows the rate-constant convention (expr.IsRateConstant).
 func (n *Network) AddReaction(name, rate string, consumed, produced []string) (*Reaction, error) {
+	if err := checkName(rate, true); err != nil {
+		return nil, fmt.Errorf("network: reaction %q: %w", name, err)
+	}
 	for _, lists := range [][]string{consumed, produced} {
 		for _, s := range lists {
 			if n.byName[s] == nil {
@@ -206,4 +217,22 @@ func (n *Network) DOT() string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
+}
+
+// checkName holds a species or rate-constant name to the RDL front end's
+// rules, which the symbolic layers rely on: a product is keyed by its
+// factor names joined with '*', and a factor is a rate constant exactly
+// when expr.IsRateConstant says so. Without them a species "A*B" would
+// merge with the product A·B, and a species "k1" would pass for the rate
+// constant k1.
+func checkName(name string, rate bool) error {
+	switch {
+	case !rdl.IsIdentifier(name):
+		return fmt.Errorf("name %q is not an identifier (a letter or '_', then letters, digits or '_')", name)
+	case rate && !expr.IsRateConstant(name):
+		return fmt.Errorf("rate constant %q must start with 'K' or 'k' followed by '_' or a digit", name)
+	case !rate && expr.IsRateConstant(name):
+		return fmt.Errorf("species %q uses the rate-constant naming convention (K/k prefix)", name)
+	}
+	return nil
 }

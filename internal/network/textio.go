@@ -14,9 +14,10 @@ import (
 //	species <name> <init>
 //	reaction <name> <rate> : A B -> C D
 //
-// Species and rate names must be whitespace-free; a reaction's product
-// list may be empty. The format is deliberately minimal — reproducers
-// should be readable at a glance and trivially replayable.
+// Species and rate names follow the RDL rules (see AddSpecies and
+// AddReaction) and reaction names must be whitespace-free; a reaction's
+// product list may be empty. The format is deliberately minimal —
+// reproducers should be readable at a glance and trivially replayable.
 func FormatText(net *Network) string {
 	var b strings.Builder
 	b.WriteString("# rms network\n")
@@ -30,7 +31,8 @@ func FormatText(net *Network) string {
 	return b.String()
 }
 
-// ParseText parses the FormatText representation.
+// ParseText parses the FormatText representation. An error names the
+// offending line.
 func ParseText(src string) (*Network, error) {
 	net := New()
 	for ln, line := range strings.Split(src, "\n") {

@@ -62,6 +62,20 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
+// IsIdentifier reports whether name is one whole RDL identifier: a
+// letter or '_', then letters, digits or '_'.
+func IsIdentifier(name string) bool {
+	if name == "" || !isIdentStart(name[0]) {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if !isIdentCont(name[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }

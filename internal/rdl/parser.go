@@ -512,7 +512,7 @@ func check(prog *Program) error {
 			return errAt(r.Line, 1, "reaction %q has no actions", r.Name)
 		}
 		bound := make(map[string]bool)
-		for i, ref := range r.Reactants {
+		for _, ref := range r.Reactants {
 			sd, ok := species[ref.Species]
 			if !ok {
 				return errAt(r.Line, 1, "reaction %q: unknown species %q", r.Name, ref.Species)
@@ -527,7 +527,6 @@ func check(prog *Program) error {
 				}
 				bound[ref.Var] = true
 			}
-			_ = i
 		}
 		for _, f := range r.Foralls {
 			if bound[f.Var] {

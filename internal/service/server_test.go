@@ -447,6 +447,25 @@ func TestBadRequests(t *testing.T) {
 // TestShutdownDrain submits a slow job, shuts down, and checks the
 // in-flight job finishes inside the drain window while new submissions
 // bounce with 503.
+// Network text whose names would compile to a wrong model (a species
+// "A*B" shares the product key of A·B; a species "k1" passes for the rate
+// constant k1) fails its compile job instead of serving a model.
+func TestCompileRejectsAmbiguousNetworkNames(t *testing.T) {
+	_, ts, reg := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	for _, src := range []string{
+		"species A 2\nspecies B 3\nspecies A*B 1\nspecies C 4\nreaction r1 k1 : A B -> C\nreaction r2 k1 : A*B -> C\n",
+		"species A 2\nspecies k1 3\nreaction r1 k1 : A ->\n",
+	} {
+		jv := decodeJob(t, postJSON(t, ts.URL+"/v1/models?wait=1", ModelSpec{Kind: KindNet, Source: src}), "failed", nil)
+		if !strings.Contains(jv.Error, "line ") {
+			t.Errorf("compile error %q does not name the line", jv.Error)
+		}
+	}
+	if got := reg.Counter("service.compilations").Value(); got != 0 {
+		t.Fatalf("compilations = %d, want 0", got)
+	}
+}
+
 func TestShutdownDrain(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{QueueCap: 4, Workers: 1})
 
