@@ -65,7 +65,7 @@ bench:
 # One iteration of every benchmark, so a benchmark that panics or fails
 # its own checks fails the build.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime 1x ./internal/bench/ .
+	go test -run '^$$' -bench . -benchtime 1x ./internal/bench/ ./internal/opt/ .
 
 # Bench regression gate (docs/observability.md): re-run the
 # deterministic load-balancer scaling bench and hold it to the committed

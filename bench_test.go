@@ -26,13 +26,13 @@ import (
 
 // buildCase compiles one scaled Table 1 test case at both optimization
 // extremes.
-func buildCase(b *testing.B, variants int, opts opt.Options) *Result {
+func buildCase(b *testing.B, variants int, level opt.Level) *Result {
 	b.Helper()
 	net, err := vulcan.Network(variants)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := CompileNetwork(net, Config{Optimize: opts})
+	res, err := CompileNetwork(net, Config{Optimize: level})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func evalInputs(prog *codegen.Program) (y, k, dy []float64) {
 func BenchmarkTable1RHS(b *testing.B) {
 	for _, c := range vulcan.Cases {
 		for _, mode := range []struct {
-			name string
-			opts opt.Options
-		}{{"raw", opt.Options{}}, {"optimized", opt.Full()}} {
+			name  string
+			level opt.Level
+		}{{"raw", opt.LevelNone}, {"optimized", opt.Full()}} {
 			b.Run(fmt.Sprintf("%s/%s", c.Name, mode.name), func(b *testing.B) {
-				res := buildCase(b, c.ScaledVariants, mode.opts)
+				res := buildCase(b, c.ScaledVariants, mode.level)
 				ev := res.Tape.NewEvaluator()
 				y, k, dy := evalInputs(res.Tape)
 				m, a := res.Tape.CountOps()
@@ -144,9 +144,7 @@ func BenchmarkTable1Optimizer(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := opt.Optimize(sys, opt.Full()); err != nil {
-					b.Fatal(err)
-				}
+				opt.Optimize(sys, opt.Full())
 			}
 		})
 	}
@@ -197,30 +195,6 @@ func BenchmarkTable2Objective(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCSEMatching is the ablation of §3.3's matching strategies: the
-// hashed prefix index versus the paper's O(m²n) pairwise scan.
-func BenchmarkCSEMatching(b *testing.B) {
-	sys, err := vulcan.System(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		scan bool
-	}{{"hashed", false}, {"paper-scan", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			o := opt.Full()
-			o.PaperScan = mode.scan
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Optimize(sys, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -300,10 +274,7 @@ func BenchmarkEstimator(b *testing.B) {
 	n.AddSpecies("B", "", 0)
 	n.AddReaction("r", "K_d", []string{"A"}, []string{"B"})
 	sys := eqgen.FromNetwork(n)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		b.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := codegen.Compile(z)
 	if err != nil {
 		b.Fatal(err)
@@ -311,7 +282,7 @@ func BenchmarkEstimator(b *testing.B) {
 	file := dataset.Synthesize(func(t float64) float64 { return 1 - 1/(1+t) },
 		dataset.SynthesizeOptions{Name: "f", Records: 60, T0: 0, T1: 2})
 	model := &estimator.Model{
-		Prog: prog, Y0: sys.Y0, Stiff: true,
+		Prog: prog, Y0: sys.Y0,
 		Property:   func(y []float64) float64 { return y[1] },
 		SolverOpts: ode.Options{RTol: 1e-8, ATol: 1e-10},
 	}
@@ -468,7 +439,7 @@ func BenchmarkJacobian(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation times the full optimizer at each pass combination on
+// BenchmarkAblation times the optimizer at each rung of its ladder on
 // a mid-size case (complementing rmsbench -ablate's op counts with
 // compile-time cost).
 func BenchmarkAblation(b *testing.B) {
@@ -476,20 +447,10 @@ func BenchmarkAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name string
-		o    opt.Options
-	}{
-		{"simplify", opt.Options{Simplify: true}},
-		{"distribute", opt.Options{Simplify: true, Distribute: true}},
-		{"paper", opt.Paper()},
-		{"full", opt.Full()},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, level := range []opt.Level{opt.LevelSimplify, opt.LevelDistribute, opt.LevelPaper, opt.LevelFull} {
+		b.Run(level.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := opt.Optimize(sys, cfg.o); err != nil {
-					b.Fatal(err)
-				}
+				opt.Optimize(sys, level)
 			}
 		})
 	}

@@ -235,8 +235,8 @@ func run(w io.Writer, cfg benchConfig) error {
 	return finish()
 }
 
-// runAblation reports the op counts of every optimizer pass combination
-// on one mid-size test case, quantifying each pass's contribution.
+// runAblation reports the op counts of every optimizer level on one
+// mid-size test case, quantifying each pass's contribution.
 func runAblation(text io.Writer) (*ablationReport, error) {
 	const variants = 256
 	rows, rawM, rawA, err := bench.Ablation(variants)

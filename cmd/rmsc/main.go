@@ -7,7 +7,8 @@
 //	rmsc [flags] model.rdl
 //
 //	-o file        write the generated C here (default stdout)
-//	-opt level     none | simplify | paper | full (default full)
+//	-opt level     none | simplify | distribute | paper | products | full
+//	               (default full)
 //	-rcip file     rate-constant information input
 //	-func name     emitted C function name (default ode_fcn)
 //	-dump-network  print the reaction network (Fig. 3 form) to stderr
@@ -29,7 +30,7 @@ import (
 func main() {
 	var (
 		outPath     = flag.String("o", "", "output C file (default stdout)")
-		optLevel    = flag.String("opt", "full", "optimization level: none|simplify|paper|full")
+		optLevel    = flag.String("opt", "full", "optimization level: "+opt.LevelNames())
 		rcipPath    = flag.String("rcip", "", "rate-constant information file")
 		funcName    = flag.String("func", "ode_fcn", "emitted C function name")
 		dumpNetwork = flag.Bool("dump-network", false, "print the reaction network to stderr")
@@ -61,21 +62,11 @@ func run(outPath, optLevel, rcipPath, funcName string,
 		return err
 	}
 
-	var opts opt.Options
-	switch optLevel {
-	case "none":
-		opts = opt.Options{}
-	case "simplify":
-		opts = opt.Options{Simplify: true}
-	case "paper":
-		opts = opt.Paper()
-	case "full":
-		opts = opt.Full()
-	default:
-		return fmt.Errorf("unknown -opt level %q", optLevel)
+	level, err := opt.ParseLevel(optLevel)
+	if err != nil {
+		return err
 	}
-
-	cfg := core.Config{Optimize: opts, FuncName: funcName}
+	cfg := core.Config{Optimize: level, FuncName: funcName}
 	if rcipPath != "" {
 		b, err := os.ReadFile(rcipPath)
 		if err != nil {

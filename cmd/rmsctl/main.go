@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"rms/internal/dataset"
+	"rms/internal/opt"
 	"rms/internal/service"
 	"rms/internal/vulcan"
 )
@@ -159,7 +160,7 @@ func cmdCompile(w io.Writer, c *client, args []string) error {
 	fs := flag.NewFlagSet("compile", flag.ContinueOnError)
 	rcip := fs.String("rcip", "", "rate-constant information file")
 	variants := fs.Int("variants", 0, "compile the built-in vulcanization model at this size")
-	optimize := fs.String("optimize", "full", "optimizer configuration (full|paper|none)")
+	optimize := fs.String("optimize", "full", "optimizer level ("+opt.LevelNames()+")")
 	kind := fs.String("kind", "", "source kind (rdl|net); inferred from the extension by default")
 	if err := fs.Parse(args); err != nil {
 		return err

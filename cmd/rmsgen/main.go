@@ -57,7 +57,7 @@ func run(variants, nFiles, records int, outDir string, tEnd float64) error {
 	if err != nil {
 		return err
 	}
-	rawRes, err := core.CompileNetwork(rawNet, core.Config{Optimize: opt.Options{}})
+	rawRes, err := core.CompileNetwork(rawNet, core.Config{Optimize: opt.LevelNone})
 	if err != nil {
 		return err
 	}

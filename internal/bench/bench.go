@@ -98,10 +98,7 @@ func table1Case(c vulcan.Case, variants int, cfg Table1Config) (Table1Row, error
 		}
 		row.Equations = sys.NumEquations()
 		row.RawMuls, row.RawAdds = sys.TotalOps()
-		z, err := opt.Optimize(sys, opt.Full())
-		if err != nil {
-			return row, err
-		}
+		z := opt.Optimize(sys, opt.Full())
 		row.OptMuls, row.OptAdds = z.CountOps()
 		pm, pa := z.PreludeOps()
 		row.PreludeOps = pm + pa
@@ -113,7 +110,7 @@ func table1Case(c vulcan.Case, variants int, cfg Table1Config) (Table1Row, error
 	if err != nil {
 		return row, err
 	}
-	raw, err := core.CompileNetwork(net, core.Config{Optimize: opt.Options{}})
+	raw, err := core.CompileNetwork(net, core.Config{Optimize: opt.LevelNone})
 	if err != nil {
 		return row, err
 	}
@@ -439,10 +436,7 @@ func RedundancySweep(variants int, scales []int) ([]SweepRow, error) {
 		}
 		sys := eqgen.FromNetwork(net)
 		rm, ra := sys.TotalOps()
-		z, err := opt.Optimize(sys, opt.Full())
-		if err != nil {
-			return nil, err
-		}
+		z := opt.Optimize(sys, opt.Full())
 		om, oa := z.CountOps()
 		rows = append(rows, SweepRow{
 			SiteScale: sc,
@@ -475,9 +469,8 @@ type AblationRow struct {
 	Temps      int
 }
 
-// Ablation measures every optimizer pass combination on one vulcanization
-// case, quantifying each pass's contribution (and the rejected
-// flux-freezing alternative).
+// Ablation measures each rung of the optimizer ladder on one
+// vulcanization case, quantifying each pass's contribution.
 func Ablation(variants int) ([]AblationRow, int, int, error) {
 	sys, err := vulcan.System(variants)
 	if err != nil {
@@ -485,24 +478,19 @@ func Ablation(variants int) ([]AblationRow, int, int, error) {
 	}
 	rawM, rawA := sys.TotalOps()
 	configs := []struct {
-		name string
-		o    opt.Options
+		name  string
+		level opt.Level
 	}{
-		{"none (raw)", opt.Options{}},
-		{"simplify (§3.1)", opt.Options{Simplify: true}},
-		{"simplify+distribute (§3.2)", opt.Options{Simplify: true, Distribute: true}},
-		{"paper: +CSE on sums (§3.3)", opt.Paper()},
-		{"paper+products", opt.Options{Simplify: true, Distribute: true, CSE: true, CSEProducts: true}},
-		{"paper+products+hoist (full)", opt.Full()},
-		{"full+sharefluxes", withShareFluxes()},
-		{"full with paper's O(m²n) scan", withPaperScan()},
+		{"none (raw)", opt.LevelNone},
+		{"simplify (§3.1)", opt.LevelSimplify},
+		{"simplify+distribute (§3.2)", opt.LevelDistribute},
+		{"paper: +CSE on sums (§3.3)", opt.LevelPaper},
+		{"paper+products", opt.LevelProducts},
+		{"paper+products+hoist (full)", opt.LevelFull},
 	}
 	var rows []AblationRow
 	for _, c := range configs {
-		z, err := opt.Optimize(sys, c.o)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("bench: %s: %w", c.name, err)
-		}
+		z := opt.Optimize(sys, c.level)
 		m, a := z.CountOps()
 		rows = append(rows, AblationRow{
 			Name: c.name, Muls: m, Adds: a,
@@ -511,18 +499,6 @@ func Ablation(variants int) ([]AblationRow, int, int, error) {
 		})
 	}
 	return rows, rawM, rawA, nil
-}
-
-func withShareFluxes() opt.Options {
-	o := opt.Full()
-	o.ShareFluxes = true
-	return o
-}
-
-func withPaperScan() opt.Options {
-	o := opt.Full()
-	o.PaperScan = true
-	return o
 }
 
 // FormatAblation renders the ablation table.

@@ -88,7 +88,7 @@ func BenchmarkRHSEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.CompileNetwork(net, core.Config{Optimize: opt.Options{}})
+	res, err := core.CompileNetwork(net, core.Config{Optimize: opt.LevelNone})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 		Code: []codegen.Instr{{Op: codegen.OpMul, Dst: 2, A: 0, B: 1}, {Op: codegen.OpNeg, Dst: 3, A: 2}},
 		Out:  []int32{3},
 	}
-	model := &estimator.Model{Prog: prog, Y0: []float64{1}, Stiff: true,
+	model := &estimator.Model{Prog: prog, Y0: []float64{1},
 		Property: func(y []float64) float64 { return y[0] }}
 	files := []*dataset.File{
 		{Name: "a", Records: []dataset.Record{{T: 1, Value: 0.4}}},

@@ -32,10 +32,7 @@ func TestRunTapeMatchesReferenceCcomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	sources := map[string]string{"kernel": kernel, "vulcan12": codegen.EmitC(z, "ode_fcn")}
 	for name, src := range sources {
 		for _, level := range []int{0, 4} {

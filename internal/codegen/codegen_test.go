@@ -31,10 +31,7 @@ func fig3System(t testing.TB) *eqgen.System {
 
 func TestCompileAndEvalFig5(t *testing.T) {
 	sys := fig3System(t)
-	z, err := opt.Optimize(sys, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.LevelNone)
 	prog, err := Compile(z)
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +51,8 @@ func TestCompileAndEvalFig5(t *testing.T) {
 
 func TestTapeOpCountsMatchStatic(t *testing.T) {
 	sys := fig3System(t)
-	for _, opts := range []opt.Options{{}, {Simplify: true}, opt.Full()} {
-		z, err := opt.Optimize(sys, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, level := range []opt.Level{opt.LevelNone, opt.LevelSimplify, opt.Full()} {
+		z := opt.Optimize(sys, level)
 		prog, err := Compile(z)
 		if err != nil {
 			t.Fatal(err)
@@ -66,14 +60,14 @@ func TestTapeOpCountsMatchStatic(t *testing.T) {
 		sm, sa := z.CountOps()
 		pm, pa := prog.CountOps()
 		if sm != pm || sa != pa {
-			t.Errorf("opts %+v: static ops (%d,%d) vs tape ops (%d,%d)", opts, sm, sa, pm, pa)
+			t.Errorf("level %v: static ops (%d,%d) vs tape ops (%d,%d)", level, sm, sa, pm, pa)
 		}
 	}
 }
 
 func TestEvaluatorShapeChecks(t *testing.T) {
 	sys := fig3System(t)
-	z, _ := opt.Optimize(sys, opt.Options{})
+	z := opt.Optimize(sys, opt.LevelNone)
 	prog, _ := Compile(z)
 	ev := prog.NewEvaluator()
 	defer func() {
@@ -86,10 +80,7 @@ func TestEvaluatorShapeChecks(t *testing.T) {
 
 func TestEmitCFig5(t *testing.T) {
 	sys := fig3System(t)
-	z, err := opt.Optimize(sys, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.LevelNone)
 	c := EmitC(z, "ode_fcn")
 	// The unoptimized emission is the raw Fig. 5 system, duplicate
 	// contributions intact.
@@ -110,10 +101,7 @@ func TestEmitCFig5(t *testing.T) {
 
 func TestEmitCWithTemps(t *testing.T) {
 	sys := familySystem(6)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	if len(z.Temps) == 0 {
 		t.Fatal("expected temps from the family system")
 	}
@@ -165,11 +153,8 @@ func TestTapeMatchesSymbolic(t *testing.T) {
 			km[r] = kv[i]
 		}
 		ref := sys.Eval(y, km)
-		for _, opts := range []opt.Options{{}, {Simplify: true}, {Simplify: true, Distribute: true}, opt.Full()} {
-			z, err := opt.Optimize(sys, opts)
-			if err != nil {
-				return false
-			}
+		for _, level := range []opt.Level{opt.LevelNone, opt.LevelSimplify, opt.LevelDistribute, opt.Full()} {
+			z := opt.Optimize(sys, level)
 			prog, err := Compile(z)
 			if err != nil {
 				t.Logf("compile: %v", err)
@@ -179,7 +164,7 @@ func TestTapeMatchesSymbolic(t *testing.T) {
 			prog.NewEvaluator().Eval(y, kv, dy)
 			for i := range ref {
 				if !close(ref[i], dy[i]) {
-					t.Logf("opts %+v eq %d: %v vs %v", opts, i, ref[i], dy[i])
+					t.Logf("level %v eq %d: %v vs %v", level, i, ref[i], dy[i])
 					return false
 				}
 			}
@@ -218,7 +203,7 @@ func randomSystem(rng *rand.Rand) *eqgen.System {
 // Independent evaluators over one program do not interfere.
 func TestEvaluatorsIndependent(t *testing.T) {
 	sys := familySystem(4)
-	z, _ := opt.Optimize(sys, opt.Full())
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := Compile(z)
 	if err != nil {
 		t.Fatal(err)

@@ -32,14 +32,10 @@ type JacobianProgram struct {
 }
 
 // CompileJacobian differentiates the system symbolically and compiles the
-// entries with the given optimizer passes.
-func CompileJacobian(sys *eqgen.System, o opt.Options) (*JacobianProgram, error) {
+// entries at the given optimizer level.
+func CompileJacobian(sys *eqgen.System, l opt.Level) (*JacobianProgram, error) {
 	js, entries := sys.JacobianSystem()
-	z, err := opt.Optimize(js, o)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := Compile(z)
+	prog, err := Compile(opt.Optimize(js, l))
 	if err != nil {
 		return nil, err
 	}

@@ -56,16 +56,13 @@ func TestJacobianMatchesFiniteDifference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randomSystem(rng)
-		for _, opts := range []opt.Options{{}, opt.Full()} {
-			z, err := opt.Optimize(sys, opts)
-			if err != nil {
-				return false
-			}
+		for _, level := range []opt.Level{opt.LevelNone, opt.Full()} {
+			z := opt.Optimize(sys, level)
 			prog, err := Compile(z)
 			if err != nil {
 				return false
 			}
-			jp, err := CompileJacobian(sys, opts)
+			jp, err := CompileJacobian(sys, level)
 			if err != nil {
 				t.Logf("compile jacobian: %v", err)
 				return false

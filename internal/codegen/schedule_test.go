@@ -142,8 +142,8 @@ func TestRunTapeMatchesReferenceVulcan(t *testing.T) {
 		}
 		for _, mode := range []struct {
 			name string
-			o    opt.Options
-		}{{"raw", opt.Options{}}, {"optimized", opt.Full()}} {
+			o    opt.Level
+		}{{"raw", opt.LevelNone}, {"optimized", opt.Full()}} {
 			name := mode.name
 			checkProgram(t, name+"/rhs", compileSystem(t, sys, mode.o), rng)
 			jp, err := CompileJacobian(sys, mode.o)
@@ -169,7 +169,7 @@ func TestRunTapeMatchesReferenceRDL(t *testing.T) {
 	sys := eqgen.FromNetwork(net)
 	rng := rand.New(rand.NewSource(2))
 	checkProgram(t, "rdl/optimized", compileSystem(t, sys, opt.Full()), rng)
-	checkProgram(t, "rdl/raw", compileSystem(t, sys, opt.Options{}), rng)
+	checkProgram(t, "rdl/raw", compileSystem(t, sys, opt.LevelNone), rng)
 }
 
 // specials are the operand values IEEE 754 treats specially.

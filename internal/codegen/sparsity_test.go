@@ -35,10 +35,7 @@ func chainSystem(t *testing.T, n int) *eqgen.System {
 
 func TestTapeSparsityMatchesSymbolicJacobian(t *testing.T) {
 	sys := chainSystem(t, 8)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := Compile(z)
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,9 @@ import (
 	"rms/internal/telemetry"
 )
 
-func compileSystem(t testing.TB, sys *eqgen.System, o opt.Options) *Program {
+func compileSystem(t testing.TB, sys *eqgen.System, level opt.Level) *Program {
 	t.Helper()
-	z, err := opt.Optimize(sys, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(z)
+	prog, err := Compile(opt.Optimize(sys, level))
 	if err != nil {
 		t.Fatal(err)
 	}

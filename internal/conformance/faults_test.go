@@ -32,7 +32,7 @@ func faultFixture(t *testing.T) (*Case, *estimator.Model, []*dataset.File) {
 		return s
 	}
 	model := &estimator.Model{
-		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop, Stiff: true,
+		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop,
 		AnalyticJac: cs.Jac,
 		SolverOpts:  ode.Options{RTol: 1e-8, ATol: 1e-11},
 	}

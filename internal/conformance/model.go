@@ -78,22 +78,17 @@ func NewCase(net *network.Network, seed int64, mutate func(*opt.Optimized)) (*Ca
 
 	cs.Raw = rawOptimized(sys)
 	ladder := []struct {
-		dst  **opt.Optimized
-		o    opt.Options
-		cse  bool
-		name string
+		dst   **opt.Optimized
+		level opt.Level
 	}{
-		{&cs.Simp, opt.Options{Simplify: true}, false, "simplify"},
-		{&cs.Dist, opt.Options{Simplify: true, Distribute: true}, false, "distribute"},
-		{&cs.CSE, opt.Options{Simplify: true, Distribute: true, CSE: true, CSEProducts: true}, true, "cse"},
-		{&cs.Full, opt.Full(), true, "full"},
+		{&cs.Simp, opt.LevelSimplify},
+		{&cs.Dist, opt.LevelDistribute},
+		{&cs.CSE, opt.LevelProducts},
+		{&cs.Full, opt.LevelFull},
 	}
 	for _, step := range ladder {
-		z, err := opt.Optimize(sys, step.o)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: optimize (%s): %w", step.name, err)
-		}
-		if step.cse && mutate != nil {
+		z := opt.Optimize(sys, step.level)
+		if step.level >= opt.LevelPaper && mutate != nil {
 			mutate(z)
 		}
 		*step.dst = z

@@ -111,7 +111,7 @@ func stageService(cs *Case, rec *Recorder, _ float64) error {
 		{
 			name: "sched-lpt", files: skewedFiles,
 			ecfg: estimator.Config{Ranks: 3, Policy: sched.PolicyLPT},
-			req:  service.FitRequest{Ranks: 3, Sched: &service.SchedSpec{Policy: "lpt"}},
+			req:  service.FitRequest{Ranks: 3, LoadBalance: true},
 		},
 	}
 	for _, v := range variants {
@@ -187,7 +187,7 @@ func inlineFit(cs *Case, files []*dataset.File, ecfg estimator.Config, req servi
 		return s
 	}
 	model := &estimator.Model{
-		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop, Stiff: true,
+		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop,
 		AnalyticJac: cs.Jac,
 		SolverOpts:  ode.Options{RTol: req.RTol, ATol: req.ATol},
 	}

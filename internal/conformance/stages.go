@@ -267,7 +267,7 @@ func stageEstimator(cs *Case, rec *Recorder, _ float64) error {
 		return s
 	}
 	model := &estimator.Model{
-		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop, Stiff: true,
+		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop,
 		AnalyticJac: cs.Jac,
 		SolverOpts:  ode.Options{RTol: 1e-7, ATol: 1e-10},
 	}
@@ -348,7 +348,7 @@ func stageResume(cs *Case, rec *Recorder, _ float64) error {
 		return s
 	}
 	model := &estimator.Model{
-		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop, Stiff: true,
+		Prog: cs.Tape, Y0: cs.Sys.Y0, Property: prop,
 		AnalyticJac: cs.Jac,
 		SolverOpts:  ode.Options{RTol: 1e-7, ATol: 1e-10},
 	}
@@ -462,10 +462,7 @@ func stagePermute(cs *Case, rec *Recorder, _ float64) error {
 		}
 	}
 	psys := eqgen.FromNetwork(pnet)
-	z, err := opt.Optimize(psys, opt.Full())
-	if err != nil {
-		return fmt.Errorf("permute: %w", err)
-	}
+	z := opt.Optimize(psys, opt.Full())
 	tape, err := codegen.Compile(z)
 	if err != nil {
 		return fmt.Errorf("permute: %w", err)
@@ -664,10 +661,7 @@ func sameNetwork(a, b *network.Network, rec *Recorder) bool {
 // evaluates the tape at its own initial state and name-hashed rates.
 func compileEval(net *network.Network) ([]float64, error) {
 	sys := eqgen.FromNetwork(net)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		return nil, err
-	}
+	z := opt.Optimize(sys, opt.Full())
 	tape, err := codegen.Compile(z)
 	if err != nil {
 		return nil, err

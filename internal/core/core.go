@@ -45,9 +45,9 @@ type Result struct {
 
 // Config controls a compilation.
 type Config struct {
-	// Optimize selects the optimizer passes (opt.Full() for production;
+	// Optimize selects the optimizer level (opt.Full() for production;
 	// the zero value is the unoptimized baseline).
-	Optimize opt.Options
+	Optimize opt.Level
 	// RCIP is optional rate-constant information source text.
 	RCIP string
 	// FuncName names the emitted C function (default "ode_fcn").
@@ -103,11 +103,8 @@ func CompileNetwork(net *network.Network, cfg Config) (*Result, error) {
 	res.System = eqgen.FromNetwork(net)
 	cfg.Trace.End()
 	cfg.Trace.Begin("optimize")
-	z, err := opt.Optimize(res.System, cfg.Optimize)
+	z := opt.Optimize(res.System, cfg.Optimize)
 	cfg.Trace.End()
-	if err != nil {
-		return nil, err
-	}
 	res.Optimized = z
 	cfg.Trace.Begin("codegen")
 	tape, err := codegen.Compile(z)
@@ -142,7 +139,6 @@ func (r *Result) Model(property func(y []float64) float64, solver ode.Options) *
 		Prog:        r.Tape,
 		Y0:          r.System.Y0,
 		Property:    property,
-		Stiff:       true,
 		SolverOpts:  solver,
 		AnalyticJac: r.Jacobian,
 	}

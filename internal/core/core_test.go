@@ -55,9 +55,6 @@ func TestCompileBadSource(t *testing.T) {
 	if _, err := CompileRDL(decayRDL, Config{RCIP: "K_d = "}); err == nil {
 		t.Error("bad RCIP compiled")
 	}
-	if _, err := CompileRDL(decayRDL, Config{Optimize: opt.Options{CSE: true}}); err == nil {
-		t.Error("invalid pass combination accepted")
-	}
 }
 
 func TestRCIPIntegration(t *testing.T) {

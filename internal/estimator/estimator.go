@@ -46,10 +46,7 @@ type Model struct {
 	// Property maps a concentration state to the measured property (for
 	// vulcanization: the total crosslink concentration).
 	Property func(y []float64) float64
-	// Stiff selects the Adams-Gear solver (true, the default for
-	// chemistry) or Runge–Kutta–Verner (false).
-	Stiff bool
-	// SolverOpts tunes the integrator.
+	// SolverOpts tunes the Adams-Gear solver.
 	SolverOpts ode.Options
 	// AnalyticJac, when non-nil, supplies the compiled symbolic Jacobian;
 	// the stiff solver then skips finite differencing entirely.
@@ -60,12 +57,6 @@ type Model struct {
 	// ode.Options.SymbolicLU). The service layer's compiled-model cache
 	// populates it so repeated fit requests amortize the symbolic phase.
 	SymbolicLU *linalg.SparseLU
-	// ErrorFunc combines one simulated and one measured property value
-	// into the error-vector contribution — the paper's
-	// "function(simulated_value, experimental_value)" in Fig. 9. The
-	// default is the plain difference; weighted or relative residuals
-	// plug in here.
-	ErrorFunc func(sim, obs float64) float64
 }
 
 // Config shapes an estimator.
@@ -460,9 +451,8 @@ func (e *Estimator) Objective(k []float64, residual []float64) error {
 // are the solver options for this attempt (the retry policy tightens
 // them between attempts); the solve runs under the run budget unless the
 // model's options carry their own. ev evaluates the model's tape and
-// jacEv, non-nil when a stiff model has an analytic Jacobian, its
-// Jacobian. It returns the solver work statistics, the per-file cost
-// measure.
+// jacEv, non-nil when the model has an analytic Jacobian, its Jacobian.
+// It returns the solver work statistics, the per-file cost measure.
 func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator, f *dataset.File, k []float64, errvec []float64, opts ode.Options) (ode.Stats, error) {
 	if opts.Budget == nil {
 		opts.Budget = e.cfg.Budget
@@ -474,31 +464,19 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator
 	rhs := func(_ float64, yy, dy []float64) {
 		ev.Eval(yy, k, dy)
 	}
-	var solver interface {
-		Integrate(t0, t1 float64, y []float64) error
-		Stats() ode.Stats
-	}
-	if e.model.Stiff {
-		if jacEv != nil {
-			opts.Jacobian = func(_ float64, yy []float64, dst *linalg.Matrix) {
-				jacEv.Eval(yy, k, dst)
-			}
-			// Also offer the sparse path; the BDF solver picks it when the
-			// pattern density clears its threshold (SolverOpts tunes it).
-			opts.SparsePattern = e.model.AnalyticJac.PatternCSR()
-			opts.SparseJacobian = func(_ float64, yy []float64, dst *linalg.CSR) {
-				jacEv.EvalCSR(yy, k, dst)
-			}
-			opts.SymbolicLU = e.model.SymbolicLU
+	if jacEv != nil {
+		opts.Jacobian = func(_ float64, yy []float64, dst *linalg.Matrix) {
+			jacEv.Eval(yy, k, dst)
 		}
-		solver = ode.NewBDF(rhs, n, opts)
-	} else {
-		solver = ode.NewRKV65(rhs, n, opts)
+		// Also offer the sparse path; the BDF solver picks it when the
+		// pattern density clears its threshold (SolverOpts tunes it).
+		opts.SparsePattern = e.model.AnalyticJac.PatternCSR()
+		opts.SparseJacobian = func(_ float64, yy []float64, dst *linalg.CSR) {
+			jacEv.EvalCSR(yy, k, dst)
+		}
+		opts.SymbolicLU = e.model.SymbolicLU
 	}
-	errf := e.model.ErrorFunc
-	if errf == nil {
-		errf = func(sim, obs float64) float64 { return sim - obs }
-	}
+	solver := ode.NewBDF(rhs, n, opts)
 	t := 0.0
 	for j, rec := range f.Records {
 		if rec.T > t {
@@ -507,8 +485,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator
 			}
 			t = rec.T
 		}
-		sim := e.model.Property(y)
-		errvec[j] += errf(sim, rec.Value)
+		errvec[j] += e.model.Property(y) - rec.Value
 	}
 	return solver.Stats(), nil
 }

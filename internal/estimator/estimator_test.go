@@ -28,10 +28,7 @@ func decayModel(t *testing.T) *Model {
 		t.Fatal(err)
 	}
 	sys := eqgen.FromNetwork(n)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := codegen.Compile(z)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +37,6 @@ func decayModel(t *testing.T) *Model {
 		Prog:     prog,
 		Y0:       sys.Y0,
 		Property: func(y []float64) float64 { return y[1] },
-		Stiff:    true,
 		// Tight tolerances: the optimizer differentiates the objective
 		// numerically, so solver truncation error must sit well below the
 		// finite-difference perturbation's effect.
@@ -288,16 +284,13 @@ func TestSolverFailurePropagates(t *testing.T) {
 	// Autocatalysis A + A -> 3A explodes in finite time.
 	n.AddReaction("boom", "K_b", []string{"A", "A"}, []string{"A", "A", "A"})
 	sys := eqgen.FromNetwork(n)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := codegen.Compile(z)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := &Model{
-		Prog: prog, Y0: sys.Y0, Stiff: true,
+		Prog: prog, Y0: sys.Y0,
 		Property:   func(y []float64) float64 { return y[0] },
 		SolverOpts: ode.Options{RTol: 1e-8, ATol: 1e-10, MaxSteps: 2000},
 	}

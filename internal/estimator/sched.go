@@ -96,7 +96,7 @@ func (e *Estimator) runCallSched(k []float64, plans [][]sched.Item, ranks, m int
 		// and the prelude reruns whenever k changes, so it returns the
 		// bits a fresh evaluator would.
 		var jacEv *codegen.JacEvaluator
-		if e.model.Stiff && e.model.AnalyticJac != nil {
+		if e.model.AnalyticJac != nil {
 			jacEv = e.model.AnalyticJac.NewEvaluator()
 		}
 		lane := c.Lane()

@@ -43,7 +43,7 @@ reaction Cap {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := core.CompileRDL(src, core.Config{Optimize: opt.Options{}})
+	raw, err := core.CompileRDL(src, core.Config{Optimize: opt.LevelNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestJacobianSpeedsUpEstimator(t *testing.T) {
 	}
 	run := func(jac *codegen.JacobianProgram) float64 {
 		model := &estimator.Model{
-			Prog: withJac.Tape, Y0: withJac.System.Y0, Property: prop, Stiff: true,
+			Prog: withJac.Tape, Y0: withJac.System.Y0, Property: prop,
 			SolverOpts:  ode.Options{RTol: 1e-8, ATol: 1e-11},
 			AnalyticJac: jac,
 		}

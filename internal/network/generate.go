@@ -366,7 +366,9 @@ func sulfurChain(m *chem.Molecule, lo, hi int) ([]int, error) {
 	return chain, nil
 }
 
-// instanceName renders "Name[a=1 b=2]" with variables in sorted order.
+// instanceName renders "Name[a=1,b=2]" with variables in sorted order.
+// The name is one whitespace-free token, as network text requires, and the
+// comma sorts below every digit, so "R[i=3,n=6]" sorts before "R[i=30,n=6]".
 func instanceName(r *rdl.ReactionDecl, env map[string]int) string {
 	if len(env) == 0 {
 		return r.Name
@@ -380,7 +382,7 @@ func instanceName(r *rdl.ReactionDecl, env map[string]int) string {
 	for i, k := range keys {
 		parts[i] = fmt.Sprintf("%s=%d", k, env[k])
 	}
-	return fmt.Sprintf("%s[%s]", r.Name, strings.Join(parts, " "))
+	return fmt.Sprintf("%s[%s]", r.Name, strings.Join(parts, ","))
 }
 
 // rateName instantiates a rate spec: "K_sc" with args (n) and n=6 becomes

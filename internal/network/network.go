@@ -36,7 +36,7 @@ type Species struct {
 
 // Reaction is one concrete reaction instance.
 type Reaction struct {
-	// Name identifies the instance, e.g. "Scission[n=6 i=3]".
+	// Name identifies the instance, e.g. "Scission[i=3,n=6]".
 	Name string
 	// Rate is the kinetic rate constant's name.
 	Rate string

@@ -7,6 +7,7 @@ import (
 
 	"rms/internal/conformance"
 	"rms/internal/network"
+	"rms/internal/rdl"
 	"rms/internal/vulcan"
 )
 
@@ -51,6 +52,26 @@ func TestParseTextRoundTripsGeneratedNetworks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
 		nets = append(nets, conformance.RandomNetwork(rng, 12))
+	}
+	// RDL networks name their variant and forall instances from the
+	// instance variables.
+	var rdlSources []string
+	for _, v := range []int{8, 10, 14} {
+		rdlSources = append(rdlSources, vulcan.RDLSource(v))
+	}
+	for i := 0; i < 10; i++ {
+		rdlSources = append(rdlSources, conformance.RandomRDL(rng))
+	}
+	for _, src := range rdlSources {
+		prog, err := rdl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := network.Generate(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
 	}
 	for i, net := range nets {
 		text := network.FormatText(net)

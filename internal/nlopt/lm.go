@@ -26,6 +26,9 @@ import (
 // observations m, fixed across calls.
 type Residual func(x, r []float64) error
 
+// initialLambda seeds the damping parameter of a fresh fit.
+const initialLambda = 1e-3
+
 // Options tunes the optimizer; zero values select defaults.
 type Options struct {
 	// Tol is the convergence tolerance on the scaled step and the
@@ -33,17 +36,11 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds outer iterations (default 200).
 	MaxIter int
-	// InitialLambda seeds the damping parameter (default 1e-3).
-	InitialLambda float64
 	// RelStep scales the forward-difference Jacobian step (default
 	// √machine-epsilon ≈ 1.5e-8). Raise it when the residual itself is
 	// computed by an iterative solver whose truncation error would drown
 	// a √ε perturbation — e.g. ODE solutions at loose tolerances.
 	RelStep float64
-	// RecordHistory fills Result.History with ‖r‖ after every outer
-	// iteration — the convergence trace a chemist inspects when a fit
-	// stalls.
-	RecordHistory bool
 	// KeepJacobian recomputes the residual Jacobian at the solution and
 	// stores it (with the final residuals) in the Result, for the
 	// statistical analysis step (package stats).
@@ -122,8 +119,6 @@ type Result struct {
 	Converged bool
 	// Active[i] is true when variable i finished pinned at a bound.
 	Active []bool
-	// History holds ‖r‖ after each outer iteration (RecordHistory only).
-	History []float64
 	// Residuals holds r(X) and Jacobian ∂r/∂x at X (KeepJacobian only).
 	Residuals []float64
 	Jacobian  *linalg.Matrix
@@ -172,9 +167,6 @@ func BoundedLeastSquares(f Residual, x0, lower, upper []float64, m int, opts Opt
 	if opts.MaxIter == 0 {
 		opts.MaxIter = 200
 	}
-	if opts.InitialLambda == 0 {
-		opts.InitialLambda = 1e-3
-	}
 	if opts.RelStep == 0 {
 		opts.RelStep = 1.4901161193847656e-08
 	}
@@ -200,7 +192,7 @@ func BoundedLeastSquares(f Residual, x0, lower, upper []float64, m int, opts Opt
 	jac := linalg.NewMatrix(m, n)
 
 	rNorm := 0.0
-	lambda := opts.InitialLambda
+	lambda := initialLambda
 	if opts.Resume != nil {
 		lambda = opts.Resume.Lambda
 	}
@@ -250,9 +242,6 @@ func BoundedLeastSquares(f Residual, x0, lower, upper []float64, m int, opts Opt
 			return partial(err)
 		}
 		res.Iterations = iter + 1
-		if opts.RecordHistory {
-			res.History = append(res.History, rNorm)
-		}
 		if err := jacobian(f, x, r, lower, upper, jac, rTrial, xTrial, opts.RelStep); err != nil {
 			if budget.Exhausted(err) {
 				return partial(err)

@@ -241,32 +241,30 @@ func TestNoisyRecovery(t *testing.T) {
 	}
 }
 
+// TestRecordHistory: the Observer streams one ‖r‖ per outer iteration,
+// and the trace never rises.
 func TestRecordHistory(t *testing.T) {
 	f := func(x, r []float64) error {
 		r[0] = x[0]*x[0] - 2 // sqrt(2)
 		return nil
 	}
+	var history []float64
 	res, err := BoundedLeastSquares(f, []float64{3}, []float64{0}, []float64{10}, 1,
-		Options{RecordHistory: true})
+		Options{Observer: func(ev IterEvent) { history = append(history, ev.RNorm) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.History) == 0 {
-		t.Fatal("no history recorded")
+	if len(history) != res.Iterations {
+		t.Fatalf("%d iteration events for %d iterations", len(history), res.Iterations)
 	}
 	// The trace is non-increasing (LM only accepts improvements).
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i] > res.History[i-1]+1e-12 {
-			t.Errorf("history rose at %d: %v -> %v", i, res.History[i-1], res.History[i])
+	for i := 1; i < len(history); i++ {
+		if history[i] > history[i-1]+1e-12 {
+			t.Errorf("history rose at %d: %v -> %v", i, history[i-1], history[i])
 		}
 	}
 	if math.Abs(res.X[0]-math.Sqrt2) > 1e-6 {
 		t.Errorf("x = %v, want sqrt(2)", res.X[0])
-	}
-	// Without the flag the trace stays empty.
-	res2, _ := BoundedLeastSquares(f, []float64{3}, []float64{0}, []float64{10}, 1, Options{})
-	if len(res2.History) != 0 {
-		t.Errorf("history recorded without the flag: %v", res2.History)
 	}
 }
 

@@ -179,7 +179,7 @@ func (s *BDF) Integrate(t0, t1 float64, y []float64) error {
 	if !s.canContinue(t0, y, dir) {
 		s.reset(t0, y, o, dir)
 	}
-	err := s.run(t1, o, y)
+	err := s.run(t1, o, minStep(t0, t1), y)
 	s.initialized = err == nil
 	if err != nil {
 		if budget.Exhausted(err) {
@@ -209,8 +209,9 @@ func (s *BDF) canContinue(t0 float64, y []float64, dir float64) bool {
 }
 
 // run steps until the internal time covers t1, then interpolates y(t1)
-// into y. A failure is returned wrapped with the internal time reached.
-func (s *BDF) run(t1 float64, o Options, y []float64) error {
+// into y. A step shrinking below hMin fails the integration. A failure is
+// returned wrapped with the internal time reached.
+func (s *BDF) run(t1 float64, o Options, hMin float64, y []float64) error {
 	if s.emitDue(t1, y) {
 		return nil
 	}
@@ -256,7 +257,7 @@ func (s *BDF) run(t1 float64, o Options, y []float64) error {
 		s.rescaleHistory(shrink)
 		s.h *= shrink
 		s.stats.Rejected++
-		if math.Abs(s.h) < o.MinStep {
+		if math.Abs(s.h) < hMin {
 			return errWrap(ErrStepTooSmall, s.tInt)
 		}
 	}
@@ -282,9 +283,6 @@ func (s *BDF) emitDue(t1 float64, y []float64) bool {
 // reset starts a fresh integration at (t0, y0).
 func (s *BDF) reset(t0 float64, y0 []float64, o Options, dir float64) {
 	s.h = o.InitialStep * dir
-	if o.MaxStep < math.Abs(s.h) {
-		s.h = o.MaxStep * dir
-	}
 	s.order = 1
 	s.spare = append(s.spare, s.hist...)
 	s.hist = s.hist[:0]
@@ -579,10 +577,6 @@ func (s *BDF) adaptOrderAndStep(errNorm float64, o Options) {
 	if factor > 1.1 || factor < 0.9 {
 		s.rescaleHistory(factor)
 		s.h *= factor
-		if math.Abs(s.h) > o.MaxStep {
-			s.rescaleHistory(o.MaxStep / math.Abs(s.h))
-			s.h = o.MaxStep * sign(s.h)
-		}
 		// Step changes invalidate the factorization's h·beta.
 		s.luH = math.NaN()
 		s.jacFresh = false

@@ -34,12 +34,6 @@ type Options struct {
 	RTol, ATol float64
 	// InitialStep seeds the step size (default: derived from the interval).
 	InitialStep float64
-	// MinStep aborts the integration when step control pushes below it
-	// (default: interval × 1e-14).
-	MinStep float64
-	// MaxStep caps the step (default: unlimited — the error control
-	// governs; BDF free-runs past call endpoints and interpolates).
-	MaxStep float64
 	// MaxSteps aborts runaway integrations (default 10 million).
 	MaxSteps int
 	// FixedStep disables adaptive control and uses exactly this step
@@ -115,6 +109,14 @@ type StepEvent struct {
 // StepObserver consumes per-step solver telemetry.
 type StepObserver func(StepEvent)
 
+// minStepFraction is the step-size floor as a fraction of the
+// integration span: step control that pushes the step below it aborts
+// the integration with ErrStepTooSmall.
+const minStepFraction = 1e-14
+
+// minStep returns the step-size floor of an integration from t0 to t1.
+func minStep(t0, t1 float64) float64 { return math.Abs(t1-t0) * minStepFraction }
+
 func (o Options) withDefaults(t0, t1 float64) Options {
 	span := math.Abs(t1 - t0)
 	if o.RTol == 0 {
@@ -125,12 +127,6 @@ func (o Options) withDefaults(t0, t1 float64) Options {
 	}
 	if o.InitialStep == 0 {
 		o.InitialStep = span / 100
-	}
-	if o.MaxStep == 0 {
-		o.MaxStep = math.Inf(1)
-	}
-	if o.MinStep == 0 {
-		o.MinStep = span * 1e-14
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 10_000_000

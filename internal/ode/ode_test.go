@@ -198,7 +198,7 @@ func TestShapeMismatch(t *testing.T) {
 }
 
 func TestMaxStepsAborts(t *testing.T) {
-	s := NewRKV65(decay, 1, Options{MaxSteps: 3, InitialStep: 1e-9, MaxStep: 1e-9})
+	s := NewRKV65(decay, 1, Options{MaxSteps: 3, InitialStep: 1e-9})
 	y := []float64{1}
 	if err := s.Integrate(0, 10, y); !errors.Is(err, ErrTooManySteps) {
 		t.Errorf("err = %v, want ErrTooManySteps", err)

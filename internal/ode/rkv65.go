@@ -63,7 +63,8 @@ func (s *RKV65) Integrate(t0, t1 float64, y []float64) error {
 	if t1 < t0 {
 		dir = -1
 	}
-	h := math.Min(o.InitialStep, o.MaxStep) * dir
+	hMin := minStep(t0, t1)
+	h := o.InitialStep * dir
 	if o.FixedStep > 0 {
 		h = o.FixedStep * dir
 	}
@@ -103,10 +104,7 @@ func (s *RKV65) Integrate(t0, t1 float64, y []float64) error {
 		factor := 0.9 * math.Pow(math.Max(errNorm, 1e-10), -1.0/6)
 		factor = math.Min(5, math.Max(0.2, factor))
 		h *= factor
-		if math.Abs(h) > o.MaxStep {
-			h = o.MaxStep * dir
-		}
-		if math.Abs(h) < o.MinStep {
+		if math.Abs(h) < hMin {
 			return errWrap(ErrStepTooSmall, t)
 		}
 	}

@@ -15,10 +15,6 @@ type CSEConfig struct {
 	// Fig. 5-style K_C*C*D flux shared across three equations. Off, the
 	// pass is exactly the paper's.
 	Products bool
-	// PaperScan selects the paper's O(m²n) pairwise prefix scan instead of
-	// the hashed index. Results are identical; the option exists for the
-	// ablation benchmarks and differential tests.
-	PaperScan bool
 }
 
 // TempDef is one emitted temporary: temp[ID] = Body.
@@ -49,6 +45,14 @@ type CSEResult struct {
 //
 // The inputs are not modified; rewritten trees are returned.
 func CSE(rhs []expr.Node, cfg CSEConfig) *CSEResult {
+	c := collectCSE(rhs, cfg)
+	c.match(c.prefixIndex())
+	return c.result(rhs)
+}
+
+// collectCSE registers every composite subexpression of the right-hand
+// sides.
+func collectCSE(rhs []expr.Node, cfg CSEConfig) *csePass {
 	c := &csePass{
 		cfg:    cfg,
 		byKey:  make(map[string]*cseEntry),
@@ -58,7 +62,11 @@ func CSE(rhs []expr.Node, cfg CSEConfig) *CSEResult {
 	for _, r := range rhs {
 		c.collect(r)
 	}
-	c.match()
+	return c
+}
+
+// result orders the temporaries and rewrites the right-hand sides.
+func (c *csePass) result(rhs []expr.Node) *CSEResult {
 	c.assignTemps()
 	res := &CSEResult{RHS: make([]expr.Node, len(rhs))}
 	for _, e := range c.order {
@@ -221,8 +229,9 @@ func prefixHashes(kind byte, childKeys []string) []uint64 {
 
 // match performs full matching (shared temporaries for equal
 // subexpressions) and longest-prefix matching, longest expressions first,
-// exactly as Fig. 7 orders the work.
-func (c *csePass) match() {
+// exactly as Fig. 7 orders the work. prefix(e, i) returns the entry whose
+// terms equal the first i terms of e, or nil.
+func (c *csePass) match(prefix func(e *cseEntry, i int) *cseEntry) {
 	sorted := append([]*cseEntry(nil), c.entries...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].width != sorted[j].width {
@@ -239,35 +248,9 @@ func (c *csePass) match() {
 		}
 	}
 
-	// Prefix index: width -> hash -> entries (hashed mode only).
-	var index map[int]map[uint64][]*cseEntry
-	if !c.cfg.PaperScan {
-		index = make(map[int]map[uint64][]*cseEntry)
-		for _, e := range c.entries {
-			m := index[e.width]
-			if m == nil {
-				m = make(map[uint64][]*cseEntry)
-				index[e.width] = m
-			}
-			h := e.hashes[e.width]
-			m[h] = append(m[h], e)
-		}
-	}
-
 	for _, e := range sorted {
 		for i := e.width - 1; i >= 2; i-- {
-			var cand *cseEntry
-			if c.cfg.PaperScan {
-				cand = c.scanPrefix(e, i)
-			} else {
-				for _, g := range index[i][e.hashes[i]] {
-					if g.kind == e.kind && equalKeys(g.childKeys, e.childKeys[:i]) {
-						cand = g
-						break
-					}
-				}
-			}
-			if cand != nil && cand != e {
+			if cand := prefix(e, i); cand != nil && cand != e {
 				cand.genTemp = true
 				e.prefixOf = cand
 				e.prefixLen = i
@@ -277,22 +260,30 @@ func (c *csePass) match() {
 	}
 }
 
-// scanPrefix is the paper's pairwise scan: walk every expression of width
-// i comparing its canonical term list with the long expression's prefix.
-func (c *csePass) scanPrefix(e *cseEntry, i int) *cseEntry {
-	var best *cseEntry
-	for _, g := range c.entries {
-		if g == e || g.width != i || g.kind != e.kind {
-			continue
+// prefixIndex returns the prefix lookup over a hash index of the entries
+// by width and child-key hash. It finds what the paper's O(m²n) pairwise
+// scan of every width-i expression finds (TestPaperScanEquivalent holds
+// it to that scan) in time linear in the entries: entries are unique by
+// kind and child keys, so at most one entry matches.
+func (c *csePass) prefixIndex() func(e *cseEntry, i int) *cseEntry {
+	index := make(map[int]map[uint64][]*cseEntry)
+	for _, e := range c.entries {
+		m := index[e.width]
+		if m == nil {
+			m = make(map[uint64][]*cseEntry)
+			index[e.width] = m
 		}
-		if equalKeys(g.childKeys, e.childKeys[:i]) {
-			// Deterministic choice: the entry with the smallest key.
-			if best == nil || g.key < best.key {
-				best = g
+		h := e.hashes[e.width]
+		m[h] = append(m[h], e)
+	}
+	return func(e *cseEntry, i int) *cseEntry {
+		for _, g := range index[i][e.hashes[i]] {
+			if g.kind == e.kind && equalKeys(g.childKeys, e.childKeys[:i]) {
+				return g
 			}
 		}
+		return nil
 	}
-	return best
 }
 
 func equalKeys(a, b []string) bool {

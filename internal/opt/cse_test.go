@@ -10,6 +10,7 @@ import (
 	"rms/internal/eqgen"
 	"rms/internal/expr"
 	"rms/internal/network"
+	"rms/internal/vulcan"
 )
 
 // vars builds an Add of variables.
@@ -228,7 +229,8 @@ func randomSystem(rng *rand.Rand) *eqgen.System {
 	return eqgen.FromNetwork(n)
 }
 
-// Property: the full optimizer pipeline preserves the system's semantics.
+// Property: every rung of the optimizer ladder preserves the system's
+// semantics.
 func TestOptimizePreservesSemantics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -242,23 +244,11 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 			k[r] = rng.Float64() * 3
 		}
 		ref := sys.Eval(y, k)
-		for _, opts := range []Options{
-			{},
-			{Simplify: true},
-			{Simplify: true, Distribute: true},
-			{Simplify: true, Distribute: true, CSE: true},
-			{Simplify: true, Distribute: true, CSE: true, CSEProducts: true},
-			{Simplify: true, Distribute: true, CSE: true, CSEProducts: true, PaperScan: true},
-		} {
-			z, err := Optimize(sys, opts)
-			if err != nil {
-				t.Logf("optimize: %v", err)
-				return false
-			}
-			got := z.Eval(y, k)
+		for l := LevelNone; l <= LevelFull; l++ {
+			got := Optimize(sys, l).Eval(y, k)
 			for i := range ref {
 				if !approxEqual(ref[i], got[i], 1e-9) {
-					t.Logf("opts %+v eq %d: %v vs %v", opts, i, ref[i], got[i])
+					t.Logf("level %v eq %d: %v vs %v", l, i, ref[i], got[i])
 					return false
 				}
 			}
@@ -270,37 +260,78 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	}
 }
 
-// Property: the paper's quadratic scan and the hashed index compute the
-// same optimization.
-func TestPaperScanEquivalent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sys := randomSystem(rng)
-		a, err := Optimize(sys, Options{Simplify: true, Distribute: true, CSE: true, CSEProducts: true})
-		if err != nil {
-			return false
+// scanPrefix is the paper's pairwise scan: walk every expression of width
+// i comparing its canonical term list with the long expression's prefix.
+// It is the O(m²n) oracle for the hashed prefix index.
+func (c *csePass) scanPrefix(e *cseEntry, i int) *cseEntry {
+	var best *cseEntry
+	for _, g := range c.entries {
+		if g == e || g.width != i || g.kind != e.kind {
+			continue
 		}
-		b, err := Optimize(sys, Options{Simplify: true, Distribute: true, CSE: true, CSEProducts: true, PaperScan: true})
-		if err != nil {
-			return false
-		}
-		if len(a.Temps) != len(b.Temps) {
-			return false
-		}
-		for i := range a.Temps {
-			if a.Temps[i].Body.String() != b.Temps[i].Body.String() {
-				return false
+		if equalKeys(g.childKeys, e.childKeys[:i]) {
+			// Deterministic choice: the entry with the smallest key.
+			if best == nil || g.key < best.key {
+				best = g
 			}
 		}
-		for i := range a.RHS {
-			if a.RHS[i].String() != b.RHS[i].String() {
+	}
+	return best
+}
+
+// cseByScan is CSE with the paper's scan in place of the hashed index.
+func cseByScan(rhs []expr.Node, cfg CSEConfig) *CSEResult {
+	c := collectCSE(rhs, cfg)
+	c.match(c.scanPrefix)
+	return c.result(rhs)
+}
+
+// sameCSE reports whether two CSE results print identically.
+func sameCSE(a, b *CSEResult) bool {
+	if len(a.Temps) != len(b.Temps) {
+		return false
+	}
+	for i := range a.Temps {
+		if a.Temps[i].Body.String() != b.Temps[i].Body.String() {
+			return false
+		}
+	}
+	for i := range a.RHS {
+		if a.RHS[i].String() != b.RHS[i].String() {
+			return false
+		}
+	}
+	return true
+}
+
+// The paper's quadratic scan and the hashed index compute the same
+// optimization, with and without product matching, on random systems and
+// on vulcanization models.
+func TestPaperScanEquivalent(t *testing.T) {
+	same := func(sys *eqgen.System) bool {
+		rhs := Optimize(sys, LevelDistribute).RHS
+		for _, cfg := range []CSEConfig{{}, {Products: true}} {
+			if !sameCSE(CSE(rhs, cfg), cseByScan(rhs, cfg)) {
+				t.Logf("products %v: the hashed index and the scan differ", cfg.Products)
 				return false
 			}
 		}
 		return true
 	}
+	f := func(seed int64) bool {
+		return same(randomSystem(rand.New(rand.NewSource(seed))))
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+	for _, v := range []int{8, 12} {
+		sys, err := vulcan.System(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(sys) {
+			t.Errorf("vulcan %d: the hashed index and the scan differ", v)
+		}
 	}
 }
 
@@ -310,25 +341,12 @@ func TestOptimizeNeverIncreasesOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sys := randomSystem(rng)
 		m0, a0 := sys.TotalOps()
-		z, err := Optimize(sys, Full())
-		if err != nil {
-			return false
-		}
+		z := Optimize(sys, Full())
 		m1, a1 := z.CountOps()
 		return m1 <= m0 && a1 <= a0+len(z.Temps) && m1+a1 <= m0+a0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCSERequiresDistribute(t *testing.T) {
-	sys := randomSystem(rand.New(rand.NewSource(1)))
-	if _, err := Optimize(sys, Options{Simplify: true, CSE: true}); err != ErrCSENeedsDistribute {
-		t.Errorf("err = %v, want ErrCSENeedsDistribute", err)
-	}
-	if _, err := Optimize(sys, Options{Distribute: true}); err != ErrDistributeNeedsSimplify {
-		t.Errorf("err = %v, want ErrDistributeNeedsSimplify", err)
 	}
 }
 
@@ -354,10 +372,7 @@ func TestFamilySumReduction(t *testing.T) {
 	}
 	sys := eqgen.FromNetwork(n)
 	m0, a0 := sys.TotalOps()
-	z, err := Optimize(sys, Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := Optimize(sys, Full())
 	m1, a1 := z.CountOps()
 	t.Logf("family sums: ops (%d,%d) -> (%d,%d), %d temps", m0, a0, m1, a1, len(z.Temps))
 	if float64(m1) > 0.15*float64(m0) {
@@ -383,8 +398,8 @@ func TestFamilySumReduction(t *testing.T) {
 
 func TestCSEDeterministic(t *testing.T) {
 	sys := randomSystem(rand.New(rand.NewSource(42)))
-	z1, _ := Optimize(sys, Full())
-	z2, _ := Optimize(sys, Full())
+	z1 := Optimize(sys, Full())
+	z2 := Optimize(sys, Full())
 	if len(z1.Temps) != len(z2.Temps) {
 		t.Fatal("temp counts differ between runs")
 	}
@@ -399,5 +414,27 @@ func TestCSEDeterministic(t *testing.T) {
 	}
 	if s1.String() != s2.String() {
 		t.Error("optimizer output differs between identical runs")
+	}
+}
+
+// BenchmarkCSEMatching is the ablation of §3.3's matching strategies on
+// the 64-variant vulcanization model: the CSE pass with the hashed prefix
+// index versus the same pass with the paper's O(m²n) pairwise scan.
+func BenchmarkCSEMatching(b *testing.B) {
+	sys, err := vulcan.System(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := Optimize(sys, LevelDistribute).RHS
+	cfg := CSEConfig{Products: true}
+	for _, mode := range []struct {
+		name string
+		cse  func([]expr.Node, CSEConfig) *CSEResult
+	}{{"hashed", CSE}, {"paper-scan", cseByScan}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mode.cse(rhs, cfg)
+			}
+		})
 	}
 }

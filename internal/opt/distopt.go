@@ -34,34 +34,6 @@ func DistOpt(s *expr.Sum) expr.Node {
 	return distOpt(s.Products())
 }
 
-// DistOptShared is DistOpt with a set of frozen product keys: products
-// whose variable part (Product.Key) is in frozen are emitted as atomic
-// leaves instead of being torn apart by factoring. The optimizer freezes
-// reaction fluxes that occur in two or more equations so that the
-// common-subexpression pass can compute each shared flux exactly once —
-// factoring such a product inside one equation would give it a different
-// shape in every equation and hide the sharing (the flux-sharing
-// extension; see Options.ShareFluxes).
-func DistOptShared(s *expr.Sum, frozen map[string]bool) expr.Node {
-	if len(frozen) == 0 {
-		return DistOpt(s)
-	}
-	var leaves []expr.Node
-	var active []expr.Product
-	for _, p := range s.Products() {
-		if frozen[p.Key()] {
-			leaves = append(leaves, productTree(p))
-		} else {
-			active = append(active, p)
-		}
-	}
-	if len(active) == 0 {
-		return expr.NewAdd(leaves...)
-	}
-	factored := distOpt(active)
-	return expr.NewAdd(append(leaves, factored)...)
-}
-
 func distOpt(ps []expr.Product) expr.Node {
 	var resTerms []expr.Node
 	remaining := ps

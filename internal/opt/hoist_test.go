@@ -31,10 +31,7 @@ func hoistSystem(t *testing.T) *eqgen.System {
 
 func TestHoistMovesKInvariants(t *testing.T) {
 	sys := hoistSystem(t)
-	z, err := Optimize(sys, Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := Optimize(sys, Full())
 	if z.NumPrelude == 0 {
 		t.Fatalf("no prelude temps; temps = %v, rhs = %v %v", z.Temps, z.RHS[0], z.RHS[1])
 	}
@@ -70,51 +67,35 @@ func TestHoistPreservesSemantics(t *testing.T) {
 			k[r] = rng.Float64() * 3
 		}
 		ref := sys.Eval(y, k)
-		for _, opts := range []Options{
-			{Simplify: true, Hoist: true},
-			{Simplify: true, Distribute: true, CSE: true, Hoist: true},
-			Full(),
-		} {
-			z, err := Optimize(sys, opts)
-			if err != nil {
+		z := Optimize(sys, Full())
+		got := z.Eval(y, k)
+		for i := range ref {
+			if !approxEqual(ref[i], got[i], 1e-9) {
+				t.Logf("eq %d: %v vs %v", i, ref[i], got[i])
 				return false
 			}
-			got := z.Eval(y, k)
-			for i := range ref {
-				if !approxEqual(ref[i], got[i], 1e-9) {
-					t.Logf("opts %+v eq %d: %v vs %v", opts, i, ref[i], got[i])
-					return false
-				}
+		}
+		// Temp IDs stay dense and ordered, def before use.
+		for i, d := range z.Temps {
+			if d.ID != i {
+				t.Logf("temp %d has ID %d", i, d.ID)
+				return false
 			}
-			// Temp IDs stay dense and ordered, def before use.
-			for i, d := range z.Temps {
-				if d.ID != i {
-					t.Logf("temp %d has ID %d", i, d.ID)
-					return false
+			bad := false
+			expr.Walk(d.Body, func(n expr.Node) {
+				if ref, ok := n.(*expr.TempRef); ok && ref.ID >= i {
+					bad = true
 				}
-				bad := false
-				expr.Walk(d.Body, func(n expr.Node) {
-					if ref, ok := n.(*expr.TempRef); ok && ref.ID >= i {
-						bad = true
-					}
-				})
-				if bad {
-					t.Logf("temp %d uses a later temp", i)
-					return false
-				}
+			})
+			if bad {
+				t.Logf("temp %d uses a later temp", i)
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHoistRequiresSimplify(t *testing.T) {
-	sys := hoistSystem(t)
-	if _, err := Optimize(sys, Options{Hoist: true}); err != ErrHoistNeedsSimplify {
-		t.Errorf("err = %v, want ErrHoistNeedsSimplify", err)
 	}
 }
 
@@ -125,10 +106,7 @@ func TestHoistNothingToDo(t *testing.T) {
 	n.AddSpecies("B", "", 0)
 	n.AddReaction("r", "K_1", []string{"A"}, []string{"B"})
 	sys := eqgen.FromNetwork(n)
-	z, err := Optimize(sys, Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := Optimize(sys, Full())
 	if z.NumPrelude != 0 {
 		t.Errorf("prelude = %d temps for a trivial system", z.NumPrelude)
 	}

@@ -1,59 +1,77 @@
 package opt
 
 import (
-	"errors"
+	"fmt"
+	"strings"
 
 	"rms/internal/eqgen"
 	"rms/internal/expr"
 )
 
-// Options selects which passes run. The zero value performs no
-// optimization (the Table 1 "without algebraic/CSE optimizations"
-// configuration: raw equations with duplicate contributions intact, as
-// Fig. 5 lists them).
-type Options struct {
-	// Simplify runs the §3.1 equation simplification: like terms merge
-	// into single products with summed coefficients. (The equation table
-	// maintains this form on the fly; the unoptimized baseline bypasses
-	// it.)
-	Simplify bool
-	// Distribute runs the §3.2 distributive optimization (requires
-	// Simplify: Fig. 6 consumes the merged sum-of-products form).
-	Distribute bool
-	// CSE runs the §3.3 common-subexpression elimination. As in the paper,
-	// it requires Distribute (the canonical factored form is what makes
-	// prefix matching complete).
-	CSE bool
-	// CSEProducts extends CSE to product factor lists (see CSEConfig).
-	CSEProducts bool
-	// ShareFluxes freezes reaction fluxes that occur in several equations
-	// so product CSE computes each exactly once (requires Distribute and
-	// CSEProducts). An ablation option, not part of Full(): on the
-	// vulcanization workloads the factored family sums the Fig. 6 pass
-	// finds already share the same work at lower cost, and freezing
-	// trades one multiply per flux for extra coefficient multiplies and
-	// flattened additions (the ablation benchmarks quantify this).
-	ShareFluxes bool
-	// PaperScan uses the quadratic matching scan (see CSEConfig).
-	PaperScan bool
-	// Hoist moves subexpressions over literals and rate constants only
-	// into a prelude evaluated once per rate-constant vector (see
-	// hoistKInvariants). Requires Simplify.
-	Hoist bool
+// Level is one rung of the optimizer's pass ladder. Each rung runs every
+// pass of the rung below it plus one more, in the order the passes
+// depend on each other: the distributive optimization consumes the §3.1
+// merged sum-of-products form, and "we cannot run the CSE optimization
+// without first running the algebraic optimizations". The zero value
+// performs no optimization.
+type Level int
+
+const (
+	// LevelNone keeps the raw equations with duplicate contributions
+	// intact, as Fig. 5 lists them (Table 1's "without algebraic/CSE
+	// optimizations" configuration).
+	LevelNone Level = iota
+	// LevelSimplify runs the §3.1 equation simplification: like terms
+	// merge into single products with summed coefficients. (The equation
+	// table maintains this form on the fly; LevelNone bypasses it.)
+	LevelSimplify
+	// LevelDistribute adds the §3.2 distributive optimization (Fig. 6).
+	LevelDistribute
+	// LevelPaper adds the §3.3 common-subexpression elimination over sum
+	// subexpressions (Fig. 7): the paper's own configuration.
+	LevelPaper
+	// LevelProducts extends CSE to product factor lists (see CSEConfig).
+	LevelProducts
+	// LevelFull adds invariant hoisting: subexpressions over literals and
+	// rate constants only move into a prelude evaluated once per
+	// rate-constant vector (see hoistKInvariants). This is the production
+	// configuration.
+	LevelFull
+)
+
+// levelNames is the one spelling of each rung, shared by rmsd's
+// "optimize" field, rmsc -opt and rmsctl -optimize.
+var levelNames = [...]string{"none", "simplify", "distribute", "paper", "products", "full"}
+
+// String returns the level's name.
+func (l Level) String() string {
+	if l < 0 || int(l) >= len(levelNames) {
+		return fmt.Sprintf("Level(%d)", int(l))
+	}
+	return levelNames[l]
 }
 
-// Full returns the paper's production configuration: all passes on,
-// product matching enabled, hashed matching.
-func Full() Options {
-	return Options{Simplify: true, Distribute: true, CSE: true, CSEProducts: true, Hoist: true}
+// LevelNames lists every level's name in ladder order, joined by "|".
+func LevelNames() string { return strings.Join(levelNames[:], "|") }
+
+// ParseLevel returns the level a name spells.
+func ParseLevel(name string) (Level, error) {
+	for l, n := range levelNames {
+		if n == name {
+			return Level(l), nil
+		}
+	}
+	return 0, fmt.Errorf("opt: unknown optimization level %q (%s)", name, LevelNames())
 }
 
-// Paper returns the paper-faithful configuration: §3.1 simplification,
-// the Fig. 6 distributive optimization and the Fig. 7 sum-based CSE, with
-// neither the product-matching nor the flux-sharing extensions.
-func Paper() Options {
-	return Options{Simplify: true, Distribute: true, CSE: true}
-}
+// Full returns LevelFull, the production configuration: all passes,
+// product matching and invariant hoisting.
+func Full() Level { return LevelFull }
+
+// Paper returns LevelPaper, the paper-faithful configuration: §3.1
+// simplification, the Fig. 6 distributive optimization and the Fig. 7
+// sum-based CSE, without product matching or hoisting.
+func Paper() Level { return LevelPaper }
 
 // Optimized is an optimized ODE system ready for code generation:
 // temporary definitions in emission order followed by one right-hand-side
@@ -75,88 +93,33 @@ type Optimized struct {
 	RHS []expr.Node
 }
 
-// ErrCSENeedsDistribute reports the unsupported pass combination; the
-// paper notes "we cannot run the CSE optimization without first running
-// the algebraic optimizations".
-var ErrCSENeedsDistribute = errors.New("opt: CSE requires the distributive optimization")
-
-// ErrDistributeNeedsSimplify reports a distributive pass requested over
-// unmerged equations; Fig. 6 consumes the §3.1-simplified form.
-var ErrDistributeNeedsSimplify = errors.New("opt: the distributive optimization requires equation simplification")
-
-// ErrShareFluxesNeedsCSE reports flux sharing without the passes that
-// realize it: frozen fluxes only pay off when product CSE unifies them.
-var ErrShareFluxesNeedsCSE = errors.New("opt: flux sharing requires Distribute, CSE and CSEProducts")
-
-// ErrHoistNeedsSimplify reports invariant hoisting requested over the raw
-// unmerged equations, whose coefficients are all ±1 — there is nothing to
-// hoist, and the raw baseline must stay untouched.
-var ErrHoistNeedsSimplify = errors.New("opt: invariant hoisting requires equation simplification")
-
-// sharedFluxKeys returns the product keys (variable parts) that occur in
-// two or more places across the simplified system — the reaction fluxes
-// worth computing once.
-func sharedFluxKeys(sys *eqgen.System) map[string]bool {
-	count := make(map[string]int)
-	for _, eq := range sys.Equations {
-		for _, p := range eq.RHS.Products() {
-			if p.Degree() >= 2 {
-				count[p.Key()]++
-			}
-		}
-	}
-	frozen := make(map[string]bool)
-	for k, c := range count {
-		if c >= 2 {
-			frozen[k] = true
-		}
-	}
-	return frozen
-}
-
-// Optimize runs the selected passes over a generated ODE system.
-func Optimize(sys *eqgen.System, o Options) (*Optimized, error) {
-	if o.CSE && !o.Distribute {
-		return nil, ErrCSENeedsDistribute
-	}
-	if o.Distribute && !o.Simplify {
-		return nil, ErrDistributeNeedsSimplify
-	}
-	if o.ShareFluxes && !(o.Distribute && o.CSE && o.CSEProducts) {
-		return nil, ErrShareFluxesNeedsCSE
-	}
-	if o.Hoist && !o.Simplify {
-		return nil, ErrHoistNeedsSimplify
-	}
+// Optimize runs the passes of level l over a generated ODE system.
+func Optimize(sys *eqgen.System, l Level) *Optimized {
 	z := &Optimized{
 		Species: sys.Species,
 		Rates:   sys.Rates,
 		Y0:      sys.Y0,
 		RHS:     make([]expr.Node, len(sys.Equations)),
 	}
-	var frozen map[string]bool
-	if o.ShareFluxes {
-		frozen = sharedFluxKeys(sys)
-	}
 	for i, eq := range sys.Equations {
 		switch {
-		case o.Distribute:
-			z.RHS[i] = DistOptShared(eq.RHS, frozen)
-		case o.Simplify:
+		case l >= LevelDistribute:
+			z.RHS[i] = DistOpt(eq.RHS)
+		case l >= LevelSimplify:
 			z.RHS[i] = eq.RHS.Node()
 		default:
 			z.RHS[i] = eqgen.RawNode(eq.Raw)
 		}
 	}
-	if o.CSE {
-		res := CSE(z.RHS, CSEConfig{Products: o.CSEProducts, PaperScan: o.PaperScan})
+	if l >= LevelPaper {
+		res := CSE(z.RHS, CSEConfig{Products: l >= LevelProducts})
 		z.Temps = res.Temps
 		z.RHS = res.RHS
 	}
-	if o.Hoist {
+	if l >= LevelFull {
 		hoistKInvariants(z)
 	}
-	return z, nil
+	return z
 }
 
 // CountOps returns the static arithmetic operation counts of the

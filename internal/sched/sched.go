@@ -16,10 +16,7 @@
 // rank count (docs/load-balancing.md).
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Policy selects how the estimator plans files onto ranks.
 type Policy int
@@ -45,18 +42,6 @@ func (p Policy) String() string {
 		return "lpt"
 	}
 	return "unknown"
-}
-
-// ParsePolicy reads a policy a request names: "static" or "lpt". The
-// block plan is what a request gets by naming none.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "static":
-		return PolicyStatic, nil
-	case "lpt":
-		return PolicyLPT, nil
-	}
-	return 0, fmt.Errorf("sched: unknown policy %q (static|lpt)", s)
 }
 
 // Item is one data file in a rank's plan.

@@ -151,21 +151,15 @@ func TestMakespanItems(t *testing.T) {
 	}
 }
 
-// A request can name static or lpt; every other name, including the
-// retired ewma and the implicit block plan, is an error.
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{PolicyStatic, PolicyLPT} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
-		}
-	}
-	for _, s := range []string{"", "block", "ewma", "LPT"} {
-		if _, err := ParsePolicy(s); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted", s)
-		}
-	}
-	if PolicyBlock != 0 || PolicyBlock.String() != "block" {
+// The zero policy is Fig. 9's block plan, and each policy prints its
+// name.
+func TestPolicyNames(t *testing.T) {
+	if PolicyBlock != 0 {
 		t.Errorf("zero policy is %q, want block", Policy(0))
+	}
+	for p, want := range map[Policy]string{PolicyBlock: "block", PolicyStatic: "static", PolicyLPT: "lpt"} {
+		if got := p.String(); got != want {
+			t.Errorf("%d prints %q, want %q", int(p), got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"rms/internal/core"
 	"rms/internal/linalg"
 	"rms/internal/network"
+	"rms/internal/opt"
 	"rms/internal/telemetry"
 	"rms/internal/vulcan"
 )
@@ -165,11 +166,11 @@ func (e *Engine) BuildUncached(spec ModelSpec) (*CompiledModel, error) {
 
 // build runs the actual compilation for a normalized spec.
 func (e *Engine) build(spec ModelSpec, key string, lane *telemetry.Lane) (*CompiledModel, error) {
-	o, err := optOptions(spec.Optimize)
+	level, err := opt.ParseLevel(spec.Optimize)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Optimize: o, RCIP: spec.RCIP, AnalyticJacobian: true, Trace: lane}
+	cfg := core.Config{Optimize: level, RCIP: spec.RCIP, AnalyticJacobian: true, Trace: lane}
 	var res *core.Result
 	switch spec.Kind {
 	case KindRDL:

@@ -59,11 +59,6 @@ func FromDataset(files []*dataset.File) []DataFile {
 	return out
 }
 
-// SchedSpec selects the load-balancing policy on the wire.
-type SchedSpec struct {
-	Policy string `json:"policy"` // static | lpt
-}
-
 // FitRequest is one parameter-estimation request against a compiled
 // model.
 type FitRequest struct {
@@ -83,12 +78,10 @@ type FitRequest struct {
 	ATol float64 `json:"atol,omitempty"`
 
 	// Parallel-runtime shape (estimator.Config). LoadBalance is the
-	// paper's dynamic load balancer, sched policy "lpt"; a request gives
-	// it or Sched, not both. With neither, files are dealt to ranks in
-	// Fig. 9's contiguous blocks.
-	Ranks       int        `json:"ranks,omitempty"` // default 1
-	LoadBalance bool       `json:"lb,omitempty"`
-	Sched       *SchedSpec `json:"sched,omitempty"`
+	// paper's dynamic load balancer, sched policy "lpt"; without it,
+	// files are dealt to ranks in Fig. 9's contiguous blocks.
+	Ranks       int  `json:"ranks,omitempty"` // default 1
+	LoadBalance bool `json:"lb,omitempty"`
 
 	// Optimizer shape (nlopt.Options); zero fields take the nlopt
 	// defaults.
@@ -211,17 +204,8 @@ func (req *FitRequest) estConfig() (estimator.Config, error) {
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}
-	switch {
-	case req.LoadBalance && req.Sched != nil:
-		return cfg, fmt.Errorf(`service: give either lb or sched, not both (lb is sched policy "lpt")`)
-	case req.LoadBalance:
+	if req.LoadBalance {
 		cfg.Policy = sched.PolicyLPT
-	case req.Sched != nil:
-		p, err := sched.ParsePolicy(req.Sched.Policy)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Policy = p
 	}
 	return cfg, cfg.Validate()
 }

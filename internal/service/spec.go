@@ -46,8 +46,8 @@ type ModelSpec struct {
 	RCIP string `json:"rcip,omitempty"`
 	// Variants sizes the vulcan kind (chain-length variants per family).
 	Variants int `json:"variants,omitempty"`
-	// Optimize names the optimizer configuration: "full" (default),
-	// "paper" or "none".
+	// Optimize names the optimizer level (opt.ParseLevel): "none",
+	// "simplify", "distribute", "paper", "products" or "full" (default).
 	Optimize string `json:"optimize,omitempty"`
 }
 
@@ -75,25 +75,10 @@ func (s *ModelSpec) normalize() error {
 		return fmt.Errorf("service: unknown model kind %q", s.Kind)
 	}
 	if s.Optimize == "" {
-		s.Optimize = "full"
+		s.Optimize = opt.Full().String()
 	}
-	if _, err := optOptions(s.Optimize); err != nil {
-		return err
-	}
-	return nil
-}
-
-// optOptions resolves an optimizer configuration name.
-func optOptions(name string) (opt.Options, error) {
-	switch name {
-	case "full":
-		return opt.Full(), nil
-	case "paper":
-		return opt.Paper(), nil
-	case "none":
-		return opt.Options{}, nil
-	}
-	return opt.Options{}, fmt.Errorf("service: unknown optimize config %q (full|paper|none)", name)
+	_, err := opt.ParseLevel(s.Optimize)
+	return err
 }
 
 // hashField writes one length-prefixed field so adjacent fields cannot

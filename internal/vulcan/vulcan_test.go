@@ -85,10 +85,7 @@ func TestOptimizationProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 		m0, a0 := sys.TotalOps()
-		z, err := opt.Optimize(sys, opt.Full())
-		if err != nil {
-			t.Fatal(err)
-		}
+		z := opt.Optimize(sys, opt.Full())
 		m1, a1 := z.CountOps()
 		t.Logf("v=%d: eqs=%d, muls %d->%d, adds %d->%d, temps=%d",
 			v, sys.NumEquations(), m0, m1, a0, a1, z.NumTemps())
@@ -127,10 +124,7 @@ func TestOptimizedSemanticsPreserved(t *testing.T) {
 		y[i] = 0.1 + 0.01*float64(i)
 	}
 	ref := sys.Eval(y, km)
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := codegen.Compile(z)
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +146,7 @@ func TestDynamicsPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := opt.Optimize(sys, opt.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := opt.Optimize(sys, opt.Full())
 	prog, err := codegen.Compile(z)
 	if err != nil {
 		t.Fatal(err)

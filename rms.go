@@ -34,8 +34,9 @@ type Result = core.Result
 // Config controls compilation; see core.Config.
 type Config = core.Config
 
-// OptOptions selects optimizer passes; see opt.Options.
-type OptOptions = opt.Options
+// OptLevel selects how far up the optimizer's pass ladder a compile
+// goes; see opt.Level.
+type OptLevel = opt.Level
 
 // Compile compiles RDL source through the full pipeline.
 func Compile(src string, cfg Config) (*Result, error) {
@@ -50,11 +51,11 @@ func CompileNetwork(net *network.Network, cfg Config) (*Result, error) {
 // FullOptimization returns the production optimizer configuration
 // (equation simplification, distributive optimization, CSE with product
 // matching, invariant hoisting).
-func FullOptimization() OptOptions { return opt.Full() }
+func FullOptimization() OptLevel { return opt.Full() }
 
 // PaperOptimization returns the paper-faithful pass set (§3.1 + Fig. 6 +
 // Fig. 7) without this suite's extensions.
-func PaperOptimization() OptOptions { return opt.Paper() }
+func PaperOptimization() OptLevel { return opt.Paper() }
 
 // NoOptimization returns the unoptimized baseline configuration.
-func NoOptimization() OptOptions { return OptOptions{} }
+func NoOptimization() OptLevel { return opt.LevelNone }

@@ -33,20 +33,16 @@ func TestCompileFacade(t *testing.T) {
 }
 
 func TestOptimizationPresets(t *testing.T) {
-	full := FullOptimization()
-	if !full.Simplify || !full.Distribute || !full.CSE || !full.CSEProducts || !full.Hoist {
-		t.Errorf("FullOptimization = %+v", full)
+	for _, c := range []struct {
+		got  OptLevel
+		want string
+	}{{FullOptimization(), "full"}, {PaperOptimization(), "paper"}, {NoOptimization(), "none"}} {
+		if c.got.String() != c.want {
+			t.Errorf("preset %v, want %s", c.got, c.want)
+		}
 	}
-	paper := PaperOptimization()
-	if !paper.Simplify || !paper.Distribute || !paper.CSE {
-		t.Errorf("PaperOptimization = %+v", paper)
-	}
-	if paper.CSEProducts || paper.Hoist || paper.ShareFluxes {
-		t.Errorf("PaperOptimization includes extensions: %+v", paper)
-	}
-	none := NoOptimization()
-	if none.Simplify || none.Distribute || none.CSE {
-		t.Errorf("NoOptimization = %+v", none)
+	if NoOptimization() != (Config{}).Optimize {
+		t.Error("NoOptimization is not the zero configuration")
 	}
 }
 
