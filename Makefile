@@ -46,7 +46,7 @@ faults:
 chaos:
 	go test -race -run 'Chaos|Budget|Demot|Snapshot|Resume|Checkpoint|Interrupt|Deadline|Cancel' \
 		./internal/budget ./internal/estimator \
-		./internal/ode ./internal/nlopt ./internal/faults/... \
+		./internal/ode ./internal/nlopt \
 		./internal/mpi \
 		./cmd/rmsrun ./cmd/rmssim
 	go test -race ./internal/checkpoint

@@ -191,7 +191,7 @@ func BenchmarkTable2Objective(b *testing.B) {
 				}
 				b.StopTimer()
 				if est.Calls() > 0 {
-					b.ReportMetric(est.ModeledSeconds()/float64(est.Calls()), "modeled-s/call")
+					b.ReportMetric(est.ModeledOps()/float64(est.Calls()), "modeled-ops/call")
 				}
 			})
 		}

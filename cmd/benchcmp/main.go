@@ -35,8 +35,9 @@ import (
 )
 
 // defaultSkip excludes wall-clock-derived values: per-row ModeledSec
-// (scaled by this host's calibrated op rate) and the timing metric
-// families. Everything else in the rmsbench document replays a virtual
+// (host-scaled seconds, which rmsbench no longer writes but older
+// documents, BENCH_baseline.json among them, still carry) and the timing
+// metric families. Everything else in the rmsbench document replays a virtual
 // clock and is deterministic up to scheduler jitter, which the tolerance
 // band absorbs.
 const defaultSkip = `(?i)(modeledsec|wall|_ns$|_seconds$|seconds$)`

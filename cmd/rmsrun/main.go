@@ -138,16 +138,9 @@ func run(o runOpts) error {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "rmsrun: introspection on http://%s\n", addr)
 	}
-	if o.interrupt != nil {
-		go func() {
-			select {
-			case <-o.interrupt:
-				fmt.Fprintln(os.Stderr, "rmsrun: interrupt — stopping at the next iteration boundary")
-				bud.Cancel("interrupt signal")
-			case <-bud.Done():
-			}
-		}()
-	}
+	bud.CancelOn(o.interrupt, func() {
+		fmt.Fprintln(os.Stderr, "rmsrun: interrupt — stopping at the next iteration boundary")
+	})
 
 	mainLane.Begin("load data")
 	paths, err := filepath.Glob(filepath.Join(dataDir, "exp*.dat"))
@@ -214,14 +207,14 @@ func run(o runOpts) error {
 	}
 	if o.checkpointPath != "" {
 		fo.Checkpoint = func(cs nlopt.CheckState, est *estimator.Estimator) error {
-			return checkpoint.SaveRun(o.checkpointPath, checkpoint.RunState{
+			return checkpoint.Save(o.checkpointPath, service.RunKind, service.RunState{
 				Opt: cs, Est: est.Snapshot(),
 			})
 		}
 	}
 	if o.resume {
-		st, err := checkpoint.LoadRun(o.checkpointPath)
-		if err != nil {
+		var st service.RunState
+		if err := checkpoint.Load(o.checkpointPath, service.RunKind, &st); err != nil {
 			return err
 		}
 		fo.Resume = &st
@@ -244,8 +237,8 @@ func run(o runOpts) error {
 	fit, est := out.Fit, out.Est
 	fmt.Printf("converged=%v iterations=%d rnorm=%.3g objective calls=%d\n",
 		fit.Converged, fit.Iterations, fit.RNorm, est.Calls())
-	fmt.Printf("wall %.2fs, modeled parallel %.2fs over %d ranks (lb=%v)\n",
-		est.WallSeconds(), est.ModeledSeconds(), ranks, lb)
+	fmt.Printf("wall %.2fs, modeled parallel work %.4g ops over %d ranks (lb=%v)\n",
+		est.WallSeconds(), est.ModeledOps(), ranks, lb)
 	fmt.Println("rate constant   fitted     true")
 	for i, name := range res.System.Rates {
 		marker := ""

@@ -154,25 +154,9 @@ func run(w io.Writer, o simOpts) error {
 		fmt.Fprintf(os.Stderr, "rmssim: introspection on http://%s\n", addr)
 		defer dbg.Close()
 	}
-	if o.interrupt != nil {
-		// A signal already queued before the run starts must win
-		// deterministically — don't leave it to goroutine scheduling
-		// against a short integration.
-		select {
-		case <-o.interrupt:
-			fmt.Fprintln(os.Stderr, "rmssim: interrupt — stopping at the next output row")
-			bud.Cancel("interrupt signal")
-		default:
-		}
-		go func() {
-			select {
-			case <-o.interrupt:
-				fmt.Fprintln(os.Stderr, "rmssim: interrupt — stopping at the next output row")
-				bud.Cancel("interrupt signal")
-			case <-bud.Done():
-			}
-		}()
-	}
+	bud.CancelOn(o.interrupt, func() {
+		fmt.Fprintln(os.Stderr, "rmssim: interrupt — stopping at the next output row")
+	})
 	src, err := os.ReadFile(args[0])
 	if err != nil {
 		return err

@@ -38,8 +38,6 @@ type SkewRow struct {
 	// ModeledOps is the fit's total modeled parallel work (critical path
 	// over ranks — deterministic).
 	ModeledOps float64
-	// ModeledSec is ModeledOps scaled by this host's calibrated op rate.
-	ModeledSec float64
 	// Speedup is serial ModeledOps / this row's (parallel speedup).
 	Speedup float64
 	// Efficiency is Speedup / Ranks — the scaling-efficiency column.
@@ -193,7 +191,6 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 	type outcome struct {
 		x   []float64
 		ops float64
-		sec float64
 	}
 	fit := func(files []*dataset.File, ecfg estimator.Config) (outcome, error) {
 		ecfg.Metrics = cfg.Metrics
@@ -206,7 +203,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{x: r.X, ops: est.ModeledOps(), sec: est.ModeledSeconds()}, nil
+		return outcome{x: r.X, ops: est.ModeledOps()}, nil
 	}
 
 	var rows []SkewRow
@@ -217,8 +214,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 		}
 		rows = append(rows, SkewRow{
 			Scenario: scenario, Policy: "serial", Ranks: 1,
-			ModeledOps: serial.ops, ModeledSec: serial.sec,
-			Speedup: 1, Efficiency: 1, BitIdentical: true,
+			ModeledOps: serial.ops, Speedup: 1, Efficiency: 1, BitIdentical: true,
 		})
 		for _, pol := range []sched.Policy{sched.PolicyStatic, sched.PolicyLPT} {
 			name := pol.String()
@@ -236,7 +232,7 @@ func Skew(cfg SkewConfig) ([]SkewRow, error) {
 			}
 			rows = append(rows, SkewRow{
 				Scenario: scenario, Policy: name, Ranks: cfg.Ranks,
-				ModeledOps: out.ops, ModeledSec: out.sec,
+				ModeledOps:   out.ops,
 				Speedup:      serial.ops / out.ops,
 				Efficiency:   serial.ops / out.ops / float64(cfg.Ranks),
 				BitIdentical: bit,

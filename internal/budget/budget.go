@@ -1,30 +1,28 @@
 // Package budget provides the robustness layer's run-budget primitive:
-// a deadline, a cooperative cancel token and a deterministic cost meter
-// in one handle, threaded through every long-running path of the fit
-// pipeline (estimator objective calls, the BDF/RKV65 step loops, the LM
-// outer iteration, the worker pool, the scheduler's steal loops and the
-// mpi collectives).
+// a deadline and a cooperative cancel token in one handle, threaded
+// through every long-running path of the fit pipeline (estimator
+// objective calls, the BDF/RKV65 step loops, the LM outer iteration and
+// the mpi collectives).
 //
 // Design rules, in the spirit of the nil-safe telemetry registry:
 //
-//   - a nil *Budget is the disabled state: Check returns nil, Charge is
-//     free, Done returns a nil channel (blocks forever in a select) —
-//     instrumented code pays nothing when budgets are off;
-//   - Check is one atomic load on the hot path, so per-step checks in
-//     the solvers stay far under the 1% overhead bar;
+//   - a nil *Budget is the disabled state: Check returns nil, Done
+//     returns a nil channel (blocks forever in a select) — instrumented
+//     code pays nothing when budgets are off;
+//   - Check takes no lock: one atomic add and one atomic load per budget
+//     in the parent chain, so per-step checks in the solvers stay far
+//     under the 1% overhead bar;
 //   - exhaustion is sticky and carries a reason: once tripped, every
 //     subsequent Check returns the same error, and cooperative callers
 //     unwind returning well-formed partial results;
-//   - the cost meter counts deterministic op units (the estimator's
-//     modeled solver work), so op-cap budgets trip at the same point in
-//     every run regardless of host speed — wall-clock deadlines are the
-//     only non-deterministic trigger, and tests use Cancel instead.
+//   - wall-clock deadlines are the only non-deterministic trigger, and
+//     tests use Cancel instead.
 package budget
 
 import (
 	"errors"
 	"fmt"
-	"math"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,15 +34,13 @@ import (
 // it identifies "the budget ended this work" across all trip causes.
 var ErrExhausted = errors.New("budget: exhausted")
 
-// The three trip causes, each wrapping ErrExhausted.
+// The two trip causes, each wrapping ErrExhausted.
 var (
 	// ErrCancelled reports an explicit Cancel call (SIGINT handler, a
 	// caller abandoning the job, an injected cancellation).
 	ErrCancelled = fmt.Errorf("%w: cancelled", ErrExhausted)
 	// ErrDeadline reports the wall-clock deadline passing.
 	ErrDeadline = fmt.Errorf("%w: deadline exceeded", ErrExhausted)
-	// ErrOpCap reports the deterministic op meter crossing its cap.
-	ErrOpCap = fmt.Errorf("%w: op budget spent", ErrExhausted)
 )
 
 // state values for Budget.state.
@@ -52,37 +48,37 @@ const (
 	stActive int32 = iota
 	stCancelled
 	stDeadline
-	stOpCap
 )
 
-// Budget is a deadline + cancel token + cost meter. The zero value is
-// not usable; construct with New. All methods are safe for concurrent
-// use by every rank, lane and worker of a run, and all methods are
-// no-ops on a nil receiver.
+// Budget is a deadline + cancel token. The zero value is not usable;
+// construct with New. All methods are safe for concurrent use by every
+// rank, lane and worker of a run, and all methods are no-ops on a nil
+// receiver.
 type Budget struct {
 	state  atomic.Int32
-	ops    atomic.Uint64 // accumulated op units, float64 bits
-	checks atomic.Int64  // Check call count (overhead accounting)
-	maxOps float64       // 0 = unlimited
-	reason atomic.Value  // string, set on trip
+	checks atomic.Int64 // Check call count (overhead accounting)
+	// reason is the trip's reason, written under mu before state
+	// publishes the trip, so a reader that sees the trip sees it too.
+	reason string
 
 	// log, when set, records the trip in the flight recorder: Cancel at
-	// info level (an ordinary shutdown), deadline and op-cap trips at
-	// error level — the post-mortem triggers. Set once at wiring time
-	// (WithLogger), before the budget is shared.
+	// info level (an ordinary shutdown), a deadline trip at error level —
+	// the post-mortem trigger. Set once at wiring time (WithLogger),
+	// before the budget is shared.
 	log *telemetry.Logger
+	// parent, when non-nil, is consulted by Check and Err before local
+	// state: a per-job child budget trips on its own deadline without
+	// ending the server, while a tripped parent ends every child
+	// immediately. Set once at wiring time (WithParent), before the
+	// budget is shared, so Check and Err read it without a lock.
+	parent *Budget
 
 	mu    sync.Mutex
 	done  chan struct{}
 	timer *time.Timer
-	// parent, when non-nil, is consulted by Check before local state: a
-	// per-attempt child budget (the solve watchdog) trips on its own
-	// deadline without ending the run, while a tripped run budget ends
-	// every child immediately.
-	parent *Budget
 }
 
-// New returns an active budget with no deadline and no op cap.
+// New returns an active budget with no deadline.
 func New() *Budget {
 	return &Budget{done: make(chan struct{})}
 }
@@ -102,19 +98,6 @@ func (b *Budget) WithDeadline(d time.Duration) *Budget {
 	return b
 }
 
-// WithOpCap sets the deterministic work cap in op units (the estimator's
-// modeled solver work measure) and returns the budget. A non-positive
-// cap means unlimited.
-func (b *Budget) WithOpCap(ops float64) *Budget {
-	if b == nil {
-		return nil
-	}
-	if ops > 0 {
-		b.maxOps = ops
-	}
-	return b
-}
-
 // WithLogger attaches a structured logger that records the budget's
 // trip (see Budget.log). Call at construction, before the budget is
 // shared across goroutines. Returns b.
@@ -127,25 +110,14 @@ func (b *Budget) WithLogger(l *telemetry.Logger) *Budget {
 }
 
 // WithParent chains this budget under p: Check and Err consult p first,
-// so cancelling the run budget ends every per-attempt child. Returns b.
+// so cancelling the parent ends every child. Call at construction,
+// before the budget is shared across goroutines. Returns b.
 func (b *Budget) WithParent(p *Budget) *Budget {
 	if b == nil {
 		return nil
 	}
-	b.mu.Lock()
 	b.parent = p
-	b.mu.Unlock()
 	return b
-}
-
-// Parent returns the chained parent budget (nil without one).
-func (b *Budget) Parent() *Budget {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.parent
 }
 
 // Cancel trips the budget with ErrCancelled and the given reason.
@@ -157,43 +129,71 @@ func (b *Budget) Cancel(reason string) {
 	b.trip(stCancelled, reason)
 }
 
-// trip moves the budget to a terminal state exactly once.
-func (b *Budget) trip(st int32, reason string) {
-	if !b.state.CompareAndSwap(stActive, st) {
+// CancelOn cancels the budget when sig delivers, first calling notify
+// (nil skips it). A signal already queued when CancelOn is called
+// cancels the budget before it returns, so a run that starts
+// interrupted stops at its first check instead of racing the signal;
+// later signals are received by a goroutine that ends when the budget
+// trips. A nil sig does nothing.
+func (b *Budget) CancelOn(sig <-chan os.Signal, notify func()) {
+	if b == nil || sig == nil {
 		return
 	}
-	b.reason.Store(reason)
+	cancel := func() {
+		if notify != nil {
+			notify()
+		}
+		b.Cancel("interrupt signal")
+	}
+	select {
+	case <-sig:
+		cancel()
+		return
+	default:
+	}
+	go func() {
+		select {
+		case <-sig:
+			cancel()
+		case <-b.done:
+		}
+	}()
+}
+
+// trip moves the budget to a terminal state exactly once.
+func (b *Budget) trip(st int32, reason string) {
 	b.mu.Lock()
+	if b.state.Load() != stActive {
+		b.mu.Unlock()
+		return
+	}
+	b.reason = reason
+	b.state.Store(st)
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
 	}
 	close(b.done)
 	b.mu.Unlock()
-	switch st {
-	case stCancelled:
+	if st == stCancelled {
 		b.log.Info("cancel", "budget cancelled", "reason", reason)
-	case stDeadline:
-		b.log.Error("deadline", "budget deadline exceeded", "ops", b.Ops())
-	case stOpCap:
-		b.log.Error("opcap", "budget op cap spent",
-			"ops", b.Ops(), "cap", b.maxOps)
+	} else {
+		b.log.Error("deadline", "budget deadline exceeded")
 	}
 }
 
 // Check reports whether the budget (or a chained parent) has been
 // exhausted: nil while active, a sticky error wrapping ErrExhausted
-// afterwards. One atomic load on the active path — cheap enough for
+// afterwards. On the active path it is one atomic add and one atomic
+// load per budget in the chain, with no lock — cheap enough for
 // per-step solver loops.
 func (b *Budget) Check() error {
 	if b == nil {
 		return nil
 	}
 	b.checks.Add(1)
-	if p := b.Parent(); p != nil {
-		if err := p.Check(); err != nil {
-			return err
-		}
+	if err := b.parent.Check(); err != nil {
+		return err
 	}
 	if b.state.Load() == stActive {
 		return nil
@@ -207,58 +207,24 @@ func (b *Budget) Err() error {
 	if b == nil {
 		return nil
 	}
-	if p := b.Parent(); p != nil {
-		if err := p.Err(); err != nil {
-			return err
-		}
+	if err := b.parent.Err(); err != nil {
+		return err
 	}
-	st := b.state.Load()
-	if st == stActive {
+	switch b.state.Load() {
+	case stActive:
 		return nil
-	}
-	reason, _ := b.reason.Load().(string)
-	switch st {
-	case stCancelled:
-		if reason != "" {
-			return fmt.Errorf("%w (%s)", ErrCancelled, reason)
-		}
-		return ErrCancelled
 	case stDeadline:
 		return ErrDeadline
-	default:
-		return fmt.Errorf("%w (%.3g of %.3g ops)", ErrOpCap, b.Ops(), b.maxOps)
 	}
-}
-
-// Charge adds deterministic work to the op meter and trips the budget
-// when a cap is set and crossed. Charging a tripped or nil budget is a
-// recorded no-op (the meter keeps counting; the state stays terminal).
-func (b *Budget) Charge(ops float64) {
-	if b == nil || !(ops > 0) || math.IsInf(ops, 0) {
-		return
+	if b.reason != "" {
+		return fmt.Errorf("%w (%s)", ErrCancelled, b.reason)
 	}
-	for {
-		old := b.ops.Load()
-		next := math.Float64frombits(old) + ops
-		if b.ops.CompareAndSwap(old, math.Float64bits(next)) {
-			if b.maxOps > 0 && next > b.maxOps {
-				b.trip(stOpCap, "op cap")
-			}
-			return
-		}
-	}
-}
-
-// Ops returns the accumulated op meter.
-func (b *Budget) Ops() float64 {
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(b.ops.Load())
+	return ErrCancelled
 }
 
 // Checks returns how many Check calls the budget has served — the
-// denominator of the "budget checks add <1% overhead" accounting.
+// denominator of the "budget checks add <1% overhead" accounting. A
+// Check on a child counts on the child and on every ancestor.
 func (b *Budget) Checks() int64 {
 	if b == nil {
 		return 0
@@ -268,7 +234,8 @@ func (b *Budget) Checks() int64 {
 
 // Done returns a channel closed when the budget trips. A nil budget
 // returns a nil channel, which blocks forever in a select — the idiom
-// `case <-b.Done():` is safe without a nil check.
+// `case <-b.Done():` is safe without a nil check. A child's channel
+// closes on its own trip only, not on its parent's.
 func (b *Budget) Done() <-chan struct{} {
 	if b == nil {
 		return nil

@@ -2,6 +2,7 @@ package budget
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +13,8 @@ func TestNilBudgetIsFree(t *testing.T) {
 	if err := b.Check(); err != nil {
 		t.Fatalf("nil Check: %v", err)
 	}
-	b.Charge(100)
 	b.Cancel("x")
-	if b.Ops() != 0 || b.Checks() != 0 {
+	if b.Checks() != 0 || b.Err() != nil {
 		t.Fatal("nil budget accumulated state")
 	}
 	select {
@@ -22,7 +22,7 @@ func TestNilBudgetIsFree(t *testing.T) {
 		t.Fatal("nil Done channel fired")
 	default:
 	}
-	if b.WithDeadline(time.Second) != nil || b.WithOpCap(1) != nil {
+	if b.WithDeadline(time.Second) != nil || b.WithParent(New()) != nil {
 		t.Fatal("nil builders returned non-nil")
 	}
 }
@@ -45,21 +45,6 @@ func TestCancelIsStickyAndCarriesReason(t *testing.T) {
 	case <-b.Done():
 	default:
 		t.Fatal("Done not closed after Cancel")
-	}
-}
-
-func TestOpCapTripsDeterministically(t *testing.T) {
-	b := New().WithOpCap(100)
-	b.Charge(60)
-	if err := b.Check(); err != nil {
-		t.Fatalf("under cap tripped: %v", err)
-	}
-	b.Charge(60)
-	if err := b.Check(); !errors.Is(err, ErrOpCap) {
-		t.Fatalf("want ErrOpCap, got %v", err)
-	}
-	if got := b.Ops(); got != 120 {
-		t.Fatalf("ops meter = %g, want 120", got)
 	}
 }
 
@@ -97,28 +82,93 @@ func TestParentChaining(t *testing.T) {
 	}
 }
 
-func TestConcurrentChargeAndCheck(t *testing.T) {
-	b := New().WithOpCap(1e6)
+// TestParentedBudgetRace cancels a parent while goroutines Check its
+// children (run it under -race): each goroutine must stop on the
+// parent's cause, cancelling a child alone must leave the parent
+// active, and Checks must count every call on both budgets.
+func TestParentedBudgetRace(t *testing.T) {
+	const workers = 8
+	parent := New()
+	child := New().WithParent(parent)
+	lone := New().WithParent(parent)
+
+	// A child cancelled on its own leaves the parent active.
+	lone.Cancel("child only")
+	if err := parent.Check(); err != nil {
+		t.Fatalf("cancelling a child tripped the parent: %v", err)
+	}
+	if err := lone.Check(); err == nil || err.Error() != "budget: exhausted: cancelled (child only)" {
+		t.Fatalf("lone child error = %v, want its own cause", err)
+	}
+
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	calls := make([]int64, workers)
+	errs := make([]error, workers)
+	started := make(chan struct{}, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				b.Charge(1)
-				b.Check()
+			for {
+				calls[w]++
+				if err := child.Check(); err != nil {
+					errs[w] = err
+					return
+				}
+				if calls[w] == 100 {
+					started <- struct{}{}
+				}
 			}
-		}()
+		}(w)
 	}
+	for w := 0; w < workers; w++ {
+		<-started
+	}
+	parent.Cancel("server shutting down")
 	wg.Wait()
-	if got := b.Ops(); got != 8000 {
-		t.Fatalf("lost charges: %g", got)
+
+	var total int64
+	for w := 0; w < workers; w++ {
+		if errs[w] == nil || errs[w].Error() != "budget: exhausted: cancelled (server shutting down)" {
+			t.Errorf("worker %d stopped with %v, want the parent's cause", w, errs[w])
+		}
+		total += calls[w]
 	}
-	if b.Checks() != 8000 {
-		t.Fatalf("lost checks: %d", b.Checks())
+	if got := child.Checks(); got != total {
+		t.Errorf("child.Checks() = %d, want %d", got, total)
 	}
-	if err := b.Check(); err != nil {
-		t.Fatalf("tripped under cap: %v", err)
+	// The parent served its own check above, the lone child's two and
+	// every child check.
+	if got, want := parent.Checks(), total+2; got != want {
+		t.Errorf("parent.Checks() = %d, want %d", got, want)
+	}
+}
+
+func TestCancelOnQueuedSignal(t *testing.T) {
+	sig := make(chan os.Signal, 1)
+	sig <- os.Interrupt
+	b := New()
+	notified := false
+	b.CancelOn(sig, func() { notified = true })
+	// The queued signal is taken before CancelOn returns.
+	if err := b.Check(); !errors.Is(err, ErrCancelled) || !notified {
+		t.Fatalf("queued signal: err %v, notified %v; want a cancelled budget", err, notified)
+	}
+
+	late := make(chan os.Signal, 1)
+	b2 := New()
+	b2.CancelOn(late, nil)
+	if err := b2.Check(); err != nil {
+		t.Fatalf("budget tripped before any signal: %v", err)
+	}
+	late <- os.Interrupt
+	select {
+	case <-b2.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("a later signal never cancelled the budget")
+	}
+	if got := b2.Err().Error(); got != "budget: exhausted: cancelled (interrupt signal)" {
+		t.Fatalf("late signal cause = %q", got)
 	}
 }
 

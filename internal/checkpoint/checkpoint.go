@@ -1,7 +1,7 @@
 // Package checkpoint provides versioned, content-hashed snapshot files
 // for long-running fits. A checkpoint is a JSON envelope around an
 // arbitrary JSON payload: the envelope records a format version, a kind
-// tag (so an estimator snapshot cannot be resumed as a fault plan), and
+// tag (so a fit checkpoint cannot be resumed as a trajectory), and
 // the SHA-256 of the payload bytes, which Load verifies before
 // unmarshalling — a truncated or bit-rotted file is rejected instead of
 // silently resuming from garbage.

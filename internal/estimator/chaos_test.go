@@ -58,10 +58,11 @@ func TestChaosAllLaddersFire(t *testing.T) {
 
 // TestChaosCheckpointResumeUnderFaults is the resume-under-chaos check:
 // a run with a deterministic injection schedule, interrupted at a call
-// boundary and resumed from snapshots of BOTH the estimator and the
-// fault plan, must reproduce the uninterrupted run's remaining residuals
-// bit for bit — including the injections that fire after the resume
-// point.
+// boundary and resumed from an estimator snapshot with the plan rebuilt
+// from its schedule, must reproduce the uninterrupted run's remaining
+// residuals bit for bit — including the injections that fire after the
+// resume point. The schedule is keyed by (file, call), so the restored
+// call index alone decides which faults still fire.
 func TestChaosCheckpointResumeUnderFaults(t *testing.T) {
 	files := []int{25, 20, 30}
 	mkPlan := func() *faults.Plan {
@@ -83,13 +84,11 @@ func TestChaosCheckpointResumeUnderFaults(t *testing.T) {
 	ref := mkEst(mkPlan())
 	want := resumeResiduals(t, ref, 4)
 
-	planB := mkPlan()
-	interrupted := mkEst(planB)
+	interrupted := mkEst(mkPlan())
 	resumeResiduals(t, interrupted, 2)
 	estSt := interrupted.Snapshot()
-	planSt := planB.Snapshot()
 
-	planC := faults.FromState(planSt)
+	planC := mkPlan()
 	resumed := mkEst(planC)
 	if err := resumed.Restore(estSt); err != nil {
 		t.Fatal(err)

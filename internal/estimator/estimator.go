@@ -112,8 +112,8 @@ type Config struct {
 type estMetrics struct {
 	objectives *telemetry.Counter
 	fileSolves *telemetry.Counter
-	solveNs    *telemetry.Histogram // modeled successful-solve cost, ns
-	retryNs    *telemetry.Histogram // modeled cost of failed solve attempts, ns
+	solveOps   *telemetry.Histogram // successful-solve cost, op units
+	retryOps   *telemetry.Histogram // cost of failed solve attempts, op units
 	stepSize   *telemetry.Histogram // |h| of every adaptive step attempt
 	solver     ode.StatsMetrics     // cumulative solver work
 	imbalance  *telemetry.Gauge     // makespan / mean rank load, last call
@@ -132,8 +132,8 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 	return estMetrics{
 		objectives:    reg.Counter("estimator.objective_calls"),
 		fileSolves:    reg.Counter("estimator.file_solves"),
-		solveNs:       reg.Histogram("estimator.file_solve_ns", nil),
-		retryNs:       reg.Histogram("estimator.file_retry_ns", nil),
+		solveOps:      reg.Histogram("estimator.file_solve_ops", nil),
+		retryOps:      reg.Histogram("estimator.file_retry_ops", nil),
 		schedReplans:  reg.Counter("sched.replans"),
 		stepSize:      ode.StepSizeHistogram(reg),
 		imbalance:     reg.Gauge("estimator.imbalance"),
@@ -189,8 +189,8 @@ type Estimator struct {
 	wallSeconds float64
 	modelOps    float64 // Σ per-call max-over-ranks of work, in op units
 
-	// calibration (see calibrate)
-	secPerOp   float64
+	// opsPerEval is one right-hand-side evaluation's cost in op units:
+	// the tape's counted multiplies and adds plus load/store traffic.
 	opsPerEval float64
 }
 
@@ -216,6 +216,8 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 		nrecs:     make([]int, len(files)),
 		lastTimes: make([]float64, len(files)),
 	}
+	m, a := model.Prog.CountOps()
+	e.opsPerEval = float64(m + a + 2*model.Prog.NumY)
 	e.met = newEstMetrics(cfg.Metrics) // nil registry → all-no-op handles
 	e.lane = cfg.Trace.Lane("estimator")
 	e.log = cfg.Log.Scope("estimator")
@@ -228,7 +230,6 @@ func New(model *Model, files []*dataset.File, cfg Config) (*Estimator, error) {
 	} else {
 		e.plans = sched.LPT(e.recordCosts(), cfg.Ranks)
 	}
-	e.calibrate()
 	return e, nil
 }
 
@@ -255,39 +256,6 @@ func (e *Estimator) recordCosts() []float64 {
 // Close is a no-op: the estimator holds nothing beyond memory. Callers
 // may still defer it.
 func (e *Estimator) Close() {}
-
-// calibrate measures this host's cost per model work unit (one tape
-// operation, with dense-solve work converted to the same unit), so
-// per-file costs can be reported in seconds while staying deterministic
-// under CPU oversubscription: when simulated ranks share physical cores,
-// wall-clock per-file timing would inflate with the rank count and hide
-// the parallel speedup that dedicated processors (the paper's IBM SP)
-// would show. Costs are therefore *counted* from solver statistics and
-// converted with this calibration.
-func (e *Estimator) calibrate() {
-	prog := e.model.Prog
-	ev := prog.NewEvaluator()
-	y := append([]float64(nil), e.model.Y0...)
-	k := make([]float64, prog.NumK)
-	for i := range k {
-		k[i] = 1
-	}
-	dy := make([]float64, prog.NumY)
-	m, a := prog.CountOps()
-	opsPerEval := float64(m + a + 2*prog.NumY) // plus load/store traffic
-	ev.Eval(y, k, dy)
-	const rounds = 2000
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		ev.Eval(y, k, dy)
-	}
-	elapsed := time.Since(start).Seconds()
-	e.secPerOp = elapsed / (rounds * opsPerEval)
-	if e.secPerOp <= 0 {
-		e.secPerOp = 1e-9
-	}
-	e.opsPerEval = opsPerEval
-}
 
 // publishSolveStats publishes a solve's cumulative counters and folds
 // any sparse→dense demotions it performed into the degradation ledger.
@@ -329,16 +297,11 @@ func (e *Estimator) Calls() int { return e.calls }
 // evaluations.
 func (e *Estimator) WallSeconds() float64 { return e.wallSeconds }
 
-// ModeledSeconds returns the accumulated modeled parallel time: per call,
-// the maximum over ranks of the sum of that rank's file solve costs —
-// what Table 2 measures when every rank owns a physical processor. The
-// underlying measure is the deterministic ModeledOps work count, scaled
-// by this host's calibrated op rate.
-func (e *Estimator) ModeledSeconds() float64 { return e.modelOps * e.secPerOp }
-
-// ModeledOps returns the accumulated modeled parallel work in op units —
-// deterministic across runs and rank counts, so speedup ratios computed
-// from it carry no timing noise.
+// ModeledOps returns the accumulated modeled parallel work in op units:
+// per call, the maximum over ranks of the sum of that rank's file solve
+// costs — what Table 2 measures when every rank owns a physical
+// processor. It is deterministic across runs and rank counts, so speedup
+// ratios computed from it carry no timing noise.
 func (e *Estimator) ModeledOps() float64 { return e.modelOps }
 
 // FileTimes returns the most recent per-file solve costs in op units

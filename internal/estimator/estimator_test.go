@@ -78,7 +78,7 @@ func TestObjectiveZeroAtTruth(t *testing.T) {
 	if e.Calls() != 1 {
 		t.Errorf("calls = %d", e.Calls())
 	}
-	if e.WallSeconds() <= 0 || e.ModeledSeconds() <= 0 {
+	if e.WallSeconds() <= 0 || e.ModeledOps() <= 0 {
 		t.Error("timings not recorded")
 	}
 }

@@ -158,8 +158,8 @@ func (e *Estimator) retryOpts(f *dataset.File, attempt int) ode.Options {
 // trial point — and the caller's loop stops.
 //
 // Cost-histogram publication happens here, keyed by attempt outcome:
-// only the successful attempt's cost enters estimator.file_solve_ns,
-// while every failed attempt's cost goes to estimator.file_retry_ns, so
+// only the successful attempt's cost enters estimator.file_solve_ops,
+// while every failed attempt's cost goes to estimator.file_retry_ops, so
 // one bad LM trial point does not inflate a file's solve-cost
 // distribution by up to maxAttempts×.
 func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator, f *dataset.File, k []float64, errvec []float64, call, rank, fi int) (total ode.Stats, retries int, rejected bool) {
@@ -181,11 +181,11 @@ func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, jacEv *codegen.JacEval
 			return total, attempt, false
 		}
 		if err == nil {
-			e.met.solveNs.Observe(e.workOps(st) * e.secPerOp * 1e9)
+			e.met.solveOps.Observe(e.workOps(st))
 			return total, attempt, false
 		}
 		if attempted {
-			e.met.retryNs.Observe(e.workOps(st) * e.secPerOp * 1e9)
+			e.met.retryOps.Observe(e.workOps(st))
 		}
 		if attempt+1 >= maxAttempts || !retryable(err) {
 			for i := range recs {

@@ -241,8 +241,9 @@ func TestRestoreRejectsIncompatibleSnapshot(t *testing.T) {
 // The budget-overhead acceptance bar: threading budget checks through
 // the hot paths must cost under 1% of the work. Checked structurally
 // here — the check count is bounded by the solver's natural loop
-// iterations (steps plus Newton iterations), and each check is a single
-// atomic load (~1ns) against an iteration's ≫100ns of factorization and
+// iterations (steps plus Newton iterations), and each check takes no
+// lock — one atomic add and one atomic load per budget in the parent
+// chain (a few ns) — against an iteration's ≫100ns of factorization and
 // function-evaluation work, so a small constant per iteration keeps the
 // overhead orders of magnitude under 1%.
 func TestBudgetCheckOverheadTiny(t *testing.T) {

@@ -84,7 +84,7 @@ func TestSchedPolicyLPTMatchesV1(t *testing.T) {
 // TestSchedFTRetryCostSeparation: a file whose first attempt does real
 // solver work but fails (non-finite residual) and succeeds on retry is
 // measured at the work of both attempts, while the failed attempt lands
-// in the file_retry_ns histogram rather than file_solve_ns.
+// in the file_retry_ops histogram rather than file_solve_ops.
 func TestSchedFTRetryCostSeparation(t *testing.T) {
 	m := decayModel(t)
 	// Poison the very first property evaluation: attempt 0 of file 0
@@ -121,13 +121,13 @@ func TestSchedFTRetryCostSeparation(t *testing.T) {
 	if times := e.FileTimes(); !(times[0] > times[1]) {
 		t.Fatalf("retried file measured %v, clean file %v — the failed attempt's work is missing", times[0], times[1])
 	}
-	retryH := reg.Histogram("estimator.file_retry_ns", nil)
-	solveH := reg.Histogram("estimator.file_solve_ns", nil)
+	retryH := reg.Histogram("estimator.file_retry_ops", nil)
+	solveH := reg.Histogram("estimator.file_solve_ops", nil)
 	if retryH.Count() != 1 {
-		t.Fatalf("file_retry_ns count = %d, want 1", retryH.Count())
+		t.Fatalf("file_retry_ops count = %d, want 1", retryH.Count())
 	}
 	if solveH.Count() != 2 { // two files' successful solves
-		t.Fatalf("file_solve_ns count = %d, want 2", solveH.Count())
+		t.Fatalf("file_solve_ops count = %d, want 2", solveH.Count())
 	}
 }
 

@@ -15,6 +15,12 @@
 // determinism is what lets the recovery paths — retry then reject, rank
 // shrink-and-retry, the hang watchdog — be exercised by ordinary unit
 // tests instead of hoped-for in production.
+//
+// A Plan is not checkpointed. A resumed fit builds its plan again from
+// the same schedule: file faults are keyed by (file, objective call), so
+// the restored call index alone decides which of them still fire, while
+// crash and stall entries count collectives from the plan's
+// construction.
 package faults
 
 import (

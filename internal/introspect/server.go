@@ -41,8 +41,8 @@ type Server struct {
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
 	Recorder *telemetry.Recorder
-	// Budget, when non-nil, adds consumption heartbeats to /progress and
-	// budget state to /debug/vars.
+	// Budget, when non-nil, adds budget heartbeats (checks served, trip
+	// state) to /progress and the same state to /debug/vars.
 	Budget *budget.Budget
 
 	// PollInterval is the /progress recorder poll period (default 100ms);

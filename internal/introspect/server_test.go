@@ -170,7 +170,9 @@ func TestMetricName(t *testing.T) {
 func TestVarsEnvelopeRoundTrip(t *testing.T) {
 	s, reg, rec := testServer()
 	s.Budget = budget.New()
-	s.Budget.Charge(123)
+	for i := 0; i < 3; i++ {
+		s.Budget.Check()
+	}
 	reg.Counter("a.count").Add(7)
 	reg.Histogram("b.hist", []float64{1}).Observe(2) // P90 in overflow → sanitized -1
 	rec.Append(telemetry.Event{Level: telemetry.LevelInfo, Scope: "t", Msg: "x"})
@@ -186,7 +188,7 @@ func TestVarsEnvelopeRoundTrip(t *testing.T) {
 	if v.Program != "test" || v.Events.Total != 1 || v.Events.Retained != 1 {
 		t.Fatalf("vars payload wrong: %+v", v)
 	}
-	if v.Budget == nil || v.Budget.Ops != 123 {
+	if v.Budget == nil || v.Budget.Checks != 3 || v.Budget.Exhausted {
 		t.Fatalf("budget vars wrong: %+v", v.Budget)
 	}
 	for _, mv := range v.Metrics {

@@ -29,11 +29,10 @@ type EventStats struct {
 	Dropped  uint64 `json:"dropped"`
 }
 
-// BudgetVars is the run budget's consumption state.
+// BudgetVars is the run budget's state.
 type BudgetVars struct {
-	Ops       float64 `json:"ops"`
-	Checks    int64   `json:"checks"`
-	Exhausted bool    `json:"exhausted"`
+	Checks    int64 `json:"checks"`
+	Exhausted bool  `json:"exhausted"`
 	// Reason is the trip error text ("" while active).
 	Reason string `json:"reason,omitempty"`
 }
@@ -53,7 +52,7 @@ type Vars struct {
 }
 
 func budgetVars(b *budget.Budget) BudgetVars {
-	bv := BudgetVars{Ops: b.Ops(), Checks: b.Checks()}
+	bv := BudgetVars{Checks: b.Checks()}
 	if err := b.Err(); err != nil {
 		bv.Exhausted = true
 		bv.Reason = err.Error()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rms/internal/budget"
-	"rms/internal/checkpoint"
 	"rms/internal/dataset"
 	"rms/internal/estimator"
 	"rms/internal/nlopt"
@@ -129,7 +128,22 @@ type FitOpts struct {
 	Checkpoint func(cs nlopt.CheckState, est *estimator.Estimator) error
 	// Resume restarts the fit from a saved run state: the estimator is
 	// restored and the optimizer continues from the recorded iteration.
-	Resume *checkpoint.RunState
+	Resume *RunState
+}
+
+// RunKind tags a full-fit checkpoint (RunState) in the checkpoint
+// envelope.
+const RunKind = "rms-run"
+
+// RunState is everything a parameter fit needs to resume bit-identically
+// from an outer-iteration boundary: the optimizer's {x, lambda,
+// iteration} and the estimator's scheduling, accounting and degradation
+// state. Save and load it with checkpoint.Save and checkpoint.Load under
+// RunKind. Run checkpoints written while fault plans were snapshotted
+// also carry a faults key, which decoding skips.
+type RunState struct {
+	Opt nlopt.CheckState `json:"opt"`
+	Est estimator.State  `json:"est"`
 }
 
 // FitOutcome is the full-fidelity outcome for in-process callers: the

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +32,8 @@ var ErrShuttingDown = errors.New("service: shutting down")
 type Job struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
+	// seq is the submission number N of ID "job-N".
+	seq int
 
 	mu     sync.Mutex
 	status string
@@ -157,7 +160,8 @@ func (q *Queue) Submit(kind string, deadline time.Duration, run func(j *Job) (an
 		return nil, ErrShuttingDown
 	}
 	q.seq++
-	j.ID = fmt.Sprintf("job-%d", q.seq)
+	j.seq = q.seq
+	j.ID = fmt.Sprintf("job-%d", j.seq)
 	select {
 	case q.ch <- j:
 		q.jobs[j.ID] = j
@@ -186,25 +190,12 @@ func (q *Queue) Jobs() []JobView {
 		all = append(all, j)
 	}
 	q.mu.Unlock()
+	slices.SortFunc(all, func(a, b *Job) int { return b.seq - a.seq })
 	views := make([]JobView, len(all))
 	for i, j := range all {
 		views[i] = j.View()
 	}
-	// Job IDs are "job-N"; sort by the numeric suffix, newest first.
-	for i := 0; i < len(views); i++ {
-		for k := i + 1; k < len(views); k++ {
-			if jobSeq(views[k].ID) > jobSeq(views[i].ID) {
-				views[i], views[k] = views[k], views[i]
-			}
-		}
-	}
 	return views
-}
-
-func jobSeq(id string) int {
-	var n int
-	fmt.Sscanf(id, "job-%d", &n)
-	return n
 }
 
 func (q *Queue) worker() {

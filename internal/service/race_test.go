@@ -226,3 +226,24 @@ func TestQueueSubmitRace(t *testing.T) {
 		}
 	}
 }
+
+// TestJobsNewestFirst lists more than nine jobs: job-10 must come
+// before job-9 (numeric order, not the IDs' string order).
+func TestJobsNewestFirst(t *testing.T) {
+	q := NewQueue(16, 1)
+	defer q.Shutdown(10 * time.Second)
+	for i := 0; i < 12; i++ {
+		if _, err := q.Submit("noop", 0, func(*Job) (any, error) { return nil, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := q.Jobs()
+	if len(views) != 12 {
+		t.Fatalf("listed %d jobs, want 12", len(views))
+	}
+	for i, v := range views {
+		if want := fmt.Sprintf("job-%d", 12-i); v.ID != want {
+			t.Fatalf("position %d lists %s, want %s (newest first)", i, v.ID, want)
+		}
+	}
+}

@@ -310,7 +310,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.CheckpointDir != "" {
 			ckptPath = filepath.Join(s.cfg.CheckpointDir, j.ID+".ckpt")
 			fo.Checkpoint = func(cs nlopt.CheckState, est *estimator.Estimator) error {
-				return checkpoint.SaveRun(ckptPath, checkpoint.RunState{
+				return checkpoint.Save(ckptPath, RunKind, RunState{
 					Opt: cs, Est: est.Snapshot(),
 				})
 			}
