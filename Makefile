@@ -22,6 +22,7 @@ fuzz:
 	go test -fuzz=FuzzParseRDL -fuzztime=10s ./internal/rdl
 	go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
 	go test -fuzz=FuzzCanonicalMatchesReference -fuzztime=10s ./internal/chem
+	go test -fuzz=FuzzSymbolOrder -fuzztime=10s ./internal/expr
 
 # The cross-stack conformance matrix (docs/testing.md): every
 # optimization layer differentially checked against the reference

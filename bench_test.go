@@ -142,6 +142,7 @@ func BenchmarkTable1Optimizer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				opt.Optimize(sys, opt.Full())
@@ -204,6 +205,7 @@ func BenchmarkDistOpt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, eq := range sys.Equations {

@@ -12,17 +12,28 @@ import (
 )
 
 func main() {
+	// One symbol table interns every name the examples use.
+	syms := expr.NewSymbols("k1", "k2", "k3", "K_CD", "A", "B", "C", "D", "E", "F", "G")
+	product := func(coef float64, names ...string) expr.Product {
+		fs := make([]expr.Sym, len(names))
+		for i, n := range names {
+			fs[i] = syms.Sym(n)
+		}
+		return expr.NewProduct(coef, fs...)
+	}
+	v := func(name string) expr.Node { return syms.Var(syms.Sym(name)) }
+
 	fmt.Println("=== §3.1 Equation simplification ===")
-	s := expr.NewSum()
-	s.Add(expr.NewProduct(2, "k1", "B", "C"))
-	s.Add(expr.NewProduct(3, "k1", "B", "C"))
+	s := expr.NewSum(syms)
+	s.Add(product(2, "k1", "B", "C"))
+	s.Add(product(3, "k1", "B", "C"))
 	fmt.Println("2*k1*B*C + 3*k1*B*C  →ₘₑᵣᵍₑ ", s)
 
 	fmt.Println("\n=== §3.2 Distributive optimization (Fig. 6) ===")
-	eq := expr.SumOf(
-		expr.NewProduct(1, "k1", "B", "C"),
-		expr.NewProduct(1, "k1", "B", "D"),
-		expr.NewProduct(1, "k1", "E", "F"),
+	eq := expr.SumOf(syms,
+		product(1, "k1", "B", "C"),
+		product(1, "k1", "B", "D"),
+		product(1, "k1", "E", "F"),
 	)
 	m0, a0 := eq.CountOps()
 	factored := opt.DistOpt(eq)
@@ -34,14 +45,14 @@ func main() {
 	mkSum := func(names ...string) expr.Node {
 		terms := make([]expr.Node, len(names))
 		for i, n := range names {
-			terms[i] = expr.NewVar(n)
+			terms[i] = v(n)
 		}
 		return expr.NewAdd(terms...)
 	}
 	rhs := []expr.Node{
-		expr.NewMul(mkSum("A", "B", "C", "D"), expr.NewVar("k1"), expr.NewVar("E")),
-		expr.NewMul(mkSum("A", "B", "C", "D"), expr.NewVar("k2"), expr.NewVar("F")),
-		expr.NewMul(mkSum("A", "B", "C"), expr.NewVar("k3"), expr.NewVar("G")),
+		expr.NewMul(mkSum("A", "B", "C", "D"), v("k1"), v("E")),
+		expr.NewMul(mkSum("A", "B", "C", "D"), v("k2"), v("F")),
+		expr.NewMul(mkSum("A", "B", "C"), v("k3"), v("G")),
 	}
 	fmt.Println("input equations:")
 	for i, r := range rhs {
@@ -59,7 +70,7 @@ func main() {
 	fmt.Println("\n=== Product sharing across equations (Fig. 5 fluxes) ===")
 	flux := func(c float64) expr.Node {
 		return expr.NewMul(expr.NewConst(c),
-			expr.NewVar("K_CD"), expr.NewVar("C"), expr.NewVar("D"))
+			v("K_CD"), v("C"), v("D"))
 	}
 	rhs2 := []expr.Node{flux(-1), flux(-1), flux(1)}
 	fmt.Println("input: dC/dt = -K_CD*C*D ; dD/dt = -K_CD*C*D ; dE/dt = +K_CD*C*D")

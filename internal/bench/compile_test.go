@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rms/internal/codegen"
+	"rms/internal/core"
 	"rms/internal/network"
 	"rms/internal/opt"
 	"rms/internal/rdl"
@@ -61,6 +62,29 @@ func BenchmarkCompileRDL(b *testing.B) {
 		if _, err := network.Generate(prog); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompileNetwork times a whole network-text compile at the
+// production level: equation generation, the optimizer, the tape, the C
+// kernel and the analytic Jacobian:
+//
+//	go test -run '^$' -bench CompileNetwork ./internal/bench/
+func BenchmarkCompileNetwork(b *testing.B) {
+	for _, v := range []int{35, 250} {
+		net, err := vulcan.Network(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.Config{Optimize: opt.Full(), AnalyticJacobian: true}
+		b.Run(fmt.Sprintf("variants=%d", v), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.CompileNetwork(net, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -14,15 +14,7 @@ import (
 func Compile(z *opt.Optimized) (*Program, error) {
 	c := &compiler{
 		constSlot: make(map[float64]int32),
-		yIndex:    make(map[string]int, len(z.Species)),
-		kIndex:    make(map[string]int, len(z.Rates)),
 		tempSlot:  make([]int32, len(z.Temps)),
-	}
-	for i, s := range z.Species {
-		c.yIndex[s] = i
-	}
-	for i, r := range z.Rates {
-		c.kIndex[r] = i
 	}
 	// Pre-pass: collect the literal pool so the slot layout
 	// [consts | y | k | scratch] is fixed before emission.
@@ -38,6 +30,7 @@ func Compile(z *opt.Optimized) (*Program, error) {
 		Consts: c.consts,
 	}
 	c.next = int32(len(c.consts) + c.prog.NumY + c.prog.NumK)
+	c.varSlot = varSlots(z, c.prog.YSlot, c.prog.KSlot)
 
 	for i, t := range z.Temps {
 		if i == z.NumPrelude {
@@ -72,10 +65,29 @@ type compiler struct {
 	prog      *Program
 	consts    []float64
 	constSlot map[float64]int32
-	yIndex    map[string]int
-	kIndex    map[string]int
+	varSlot   []int32 // by symbol; -1 for a symbol that is no variable
 	tempSlot  []int32
 	next      int32
+}
+
+// varSlots maps every symbol of z to y(i) for species i, k(j) for rate
+// constant j, or -1, matching by name.
+func varSlots(z *opt.Optimized, y, k func(int) int32) []int32 {
+	slot := make([]int32, z.Syms.Len())
+	for i := range slot {
+		slot[i] = -1
+	}
+	for j, r := range z.Rates {
+		if s, ok := z.Syms.Lookup(r); ok {
+			slot[s] = k(j)
+		}
+	}
+	for i, name := range z.Species {
+		if s, ok := z.Syms.Lookup(name); ok {
+			slot[s] = y(i)
+		}
+	}
+	return slot
 }
 
 func (c *compiler) collectConsts(n expr.Node) {
@@ -108,11 +120,8 @@ func (c *compiler) emit(n expr.Node) (int32, error) {
 	case *expr.Const:
 		return c.constSlot[x.Val], nil
 	case *expr.Var:
-		if i, ok := c.yIndex[x.Name]; ok {
-			return c.prog.YSlot(i), nil
-		}
-		if j, ok := c.kIndex[x.Name]; ok {
-			return c.prog.KSlot(j), nil
+		if s := c.varSlot[x.Sym]; s >= 0 {
+			return s, nil
 		}
 		return 0, fmt.Errorf("unknown variable %q", x.Name)
 	case *expr.TempRef:

@@ -43,21 +43,6 @@ type Case struct {
 	Seed int64
 }
 
-// rawOptimized builds the reference interpreter: the unoptimized
-// duplicates-intact right-hand sides as plain expression trees.
-func rawOptimized(sys *eqgen.System) *opt.Optimized {
-	z := &opt.Optimized{
-		Species: sys.Species,
-		Rates:   sys.Rates,
-		Y0:      sys.Y0,
-		RHS:     make([]expr.Node, len(sys.Equations)),
-	}
-	for i, eq := range sys.Equations {
-		z.RHS[i] = eqgen.RawNode(eq.Raw)
-	}
-	return z
-}
-
 // NewCase compiles a network through the full optimizer ladder. When
 // mutate is non-nil it is applied to every CSE-bearing variant (CSE and
 // Full) before downstream compilation — the hook the harness tests use
@@ -76,7 +61,7 @@ func NewCase(net *network.Network, seed int64, mutate func(*opt.Optimized)) (*Ca
 		cs.KMap[name] = cs.K[i]
 	}
 
-	cs.Raw = rawOptimized(sys)
+	cs.Raw = opt.Optimize(sys, opt.LevelNone)
 	ladder := []struct {
 		dst   **opt.Optimized
 		level opt.Level

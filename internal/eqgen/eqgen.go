@@ -51,42 +51,72 @@ type System struct {
 	Species []string
 	// Rates lists the distinct rate-constant names, sorted (k[i]).
 	Rates []string
+	// Syms interns every species and rate-constant name; the equations'
+	// products are over its symbols.
+	Syms *expr.Symbols
 	// Equations holds one ODE per species, aligned with Species.
 	Equations []*Equation
 	// Y0 is the initial concentration vector, aligned with Species.
 	Y0 []float64
 }
 
-// FromNetwork generates the ODE system for a reaction network.
+// FromNetwork generates the ODE system for a reaction network. Each
+// reaction's flux K*R1*...*Rm is built once, then added with coefficient
+// −1 for every consumed occurrence and +1 for every produced one.
 func FromNetwork(net *network.Network) *System {
 	sys := &System{
 		Species: make([]string, len(net.Species)),
 		Rates:   net.RateNames(),
 		Y0:      net.InitialConcentrations(),
 	}
-	eqs := make(map[string]*Equation, len(net.Species))
 	for _, s := range net.Species {
-		eq := &Equation{LHS: s.Name, RHS: expr.NewSum()}
 		sys.Species[s.Index] = s.Name
-		eqs[s.Name] = eq
-		sys.Equations = append(sys.Equations, eq)
+	}
+	sys.Syms = expr.NewSymbols(append(slices.Clone(sys.Species), sys.Rates...)...)
+	// Intern each reaction's names once — its rate, then its consumed and
+	// produced species — and count each species' contributions, so its
+	// raw list is one allocation.
+	size := 0
+	for _, r := range net.Reactions {
+		size += 1 + len(r.Consumed) + len(r.Produced)
+	}
+	names := make([]expr.Sym, 0, size)
+	count := make([]int, sys.Syms.Len())
+	for _, r := range net.Reactions {
+		names = append(names, sys.Syms.Sym(r.Rate))
+		for _, sp := range [2][]string{r.Consumed, r.Produced} {
+			for _, name := range sp {
+				s := sys.Syms.Sym(name)
+				names = append(names, s)
+				count[s]++
+			}
+		}
+	}
+	eqs := make([]*Equation, sys.Syms.Len()) // by species symbol
+	for _, name := range sys.Species {
+		s := sys.Syms.Sym(name)
+		eqs[s] = &Equation{LHS: name, RHS: expr.NewSum(sys.Syms), Raw: make([]expr.Product, 0, count[s])}
+		sys.Equations = append(sys.Equations, eqs[s])
 	}
 	for _, r := range net.Reactions {
-		factors := make([]string, 0, len(r.Consumed)+1)
-		factors = append(factors, r.Rate)
-		factors = append(factors, r.Consumed...)
-		for _, c := range r.Consumed {
-			p := expr.NewProduct(-1, factors...)
-			eqs[c].RHS.Add(p)
-			eqs[c].Raw = append(eqs[c].Raw, p)
+		consumed := names[1 : 1+len(r.Consumed)]
+		produced := names[1+len(r.Consumed) : 1+len(r.Consumed)+len(r.Produced)]
+		flux := expr.NewProduct(1, names[:1+len(r.Consumed)]...)
+		for _, c := range consumed {
+			eqs[c].add(expr.Product{Coef: -1, Factors: flux.Factors})
 		}
-		for _, p := range r.Produced {
-			pr := expr.NewProduct(1, factors...)
-			eqs[p].RHS.Add(pr)
-			eqs[p].Raw = append(eqs[p].Raw, pr)
+		for _, p := range produced {
+			eqs[p].add(flux)
 		}
+		names = names[1+len(r.Consumed)+len(r.Produced):]
 	}
 	return sys
+}
+
+// add records one contribution, both merged and raw.
+func (e *Equation) add(p expr.Product) {
+	e.RHS.Add(p)
+	e.Raw = append(e.Raw, p)
 }
 
 // TotalOps returns the static multiply and add/subtract counts of the
@@ -123,17 +153,10 @@ func (s *System) SimplifiedOps() (muls, adds int) {
 
 // RawNode converts one equation's raw contribution list into an
 // unsimplified expression tree (duplicates intact).
-func RawNode(raw []expr.Product) expr.Node {
+func RawNode(syms *expr.Symbols, raw []expr.Product) expr.Node {
 	terms := make([]expr.Node, 0, len(raw))
 	for _, p := range raw {
-		factors := make([]expr.Node, 0, p.Degree()+1)
-		if p.Coef != 1 || p.Degree() == 0 {
-			factors = append(factors, expr.NewConst(p.Coef))
-		}
-		for _, f := range p.Factors {
-			factors = append(factors, expr.NewVar(f))
-		}
-		terms = append(terms, expr.NewMul(factors...))
+		terms = append(terms, expr.ProductNode(syms, p))
 	}
 	// NewAdd flattens and orders but does not merge like terms, so the
 	// duplicates survive into the tree.
@@ -197,26 +220,26 @@ type JacEntry struct {
 // system. Entries come row by row and, within a row, in the canonical
 // order of their species' names (expr.TermLess).
 func (s *System) Jacobian() []JacEntry {
-	index := s.SpeciesIndex()
-	// order[c] is species c's position in canonical name order.
-	byName := make([]int, len(s.Species))
-	for c := range byName {
-		byName[c] = c
+	// col maps each species symbol to its column; rate constants get -1.
+	col := make([]int32, s.Syms.Len())
+	for i := range col {
+		col[i] = -1
 	}
-	slices.SortFunc(byName, func(a, b int) int { return expr.TermCompare(s.Species[a], s.Species[b]) })
-	order := make([]int, len(s.Species))
-	for pos, c := range byName {
-		order[c] = pos
+	sym := make([]expr.Sym, len(s.Species))
+	for c, name := range s.Species {
+		sym[c] = s.Syms.Sym(name)
+		col[sym[c]] = int32(c)
 	}
 	cols := make([]*expr.Sum, len(s.Species))
 	var touched []int
 	var entries []JacEntry
 	for row, eq := range s.Equations {
-		touched = expr.Diff(eq.RHS, index, cols, touched[:0])
-		slices.SortFunc(touched, func(a, b int) int { return order[a] - order[b] })
-		for _, col := range touched {
-			entries = append(entries, JacEntry{Row: row, Col: col, RHS: cols[col]})
-			cols[col] = nil
+		touched = expr.Diff(eq.RHS, col, cols, touched[:0])
+		// Symbol order is canonical name order.
+		slices.SortFunc(touched, func(a, b int) int { return int(sym[a]) - int(sym[b]) })
+		for _, c := range touched {
+			entries = append(entries, JacEntry{Row: row, Col: c, RHS: cols[c]})
+			cols[c] = nil
 		}
 	}
 	return entries
@@ -230,6 +253,7 @@ func (s *System) JacobianSystem() (*System, []JacEntry) {
 	js := &System{
 		Species: s.Species,
 		Rates:   s.Rates,
+		Syms:    s.Syms,
 		Y0:      s.Y0,
 	}
 	for _, e := range entries {

@@ -17,8 +17,8 @@ import (
 // referenceDiffSum is the per-variable derivative the Jacobian was first
 // built from: every (equation, variable) pair re-sorts the equation's
 // products and scans each for the variable's multiplicity.
-func referenceDiffSum(s *expr.Sum, wrt string) *expr.Sum {
-	d := expr.NewSum()
+func referenceDiffSum(s *expr.Sum, wrt expr.Sym) *expr.Sum {
+	d := expr.NewSum(s.Syms())
 	for _, p := range s.Products() {
 		m := 0
 		for _, f := range p.Factors {
@@ -42,12 +42,12 @@ func referenceJacobian(s *eqgen.System) []eqgen.JacEntry {
 	index := s.SpeciesIndex()
 	var entries []eqgen.JacEntry
 	for row, eq := range s.Equations {
-		for _, name := range eq.RHS.Variables() {
-			col, ok := index[name]
+		for _, v := range eq.RHS.Variables() {
+			col, ok := index[s.Syms.Name(v)]
 			if !ok {
 				continue
 			}
-			d := referenceDiffSum(eq.RHS, name)
+			d := referenceDiffSum(eq.RHS, v)
 			if d.IsZero() {
 				continue
 			}
@@ -129,13 +129,14 @@ func TestJacobianMatchesReferenceRandom(t *testing.T) {
 		species = species[:2+rng.Intn(len(species)-1)]
 		rates := []string{"K_A", "K_B", "k1", "k2"}
 		names := append(append([]string(nil), species...), rates...)
-		sys := &eqgen.System{Species: species, Rates: rates}
+		syms := expr.NewSymbols(names...)
+		sys := &eqgen.System{Species: species, Rates: rates, Syms: syms}
 		for _, lhs := range species {
-			rhs := expr.NewSum()
+			rhs := expr.NewSum(syms)
 			for p := rng.Intn(12); p > 0; p-- {
-				fs := []string{rates[rng.Intn(len(rates))]}
+				fs := []expr.Sym{syms.Sym(rates[rng.Intn(len(rates))])}
 				for d := rng.Intn(4); d > 0; d-- {
-					fs = append(fs, names[rng.Intn(len(names))])
+					fs = append(fs, syms.Sym(names[rng.Intn(len(names))]))
 				}
 				if rng.Intn(3) == 0 {
 					fs = append(fs, fs[len(fs)-1], fs[len(fs)-1]) // cube the last factor, species or rate

@@ -7,12 +7,25 @@ import (
 	"testing/quick"
 )
 
+// columns maps the named symbols of ts to columns 0, 1, ... and every
+// other symbol to -1.
+func columns(names ...string) []int32 {
+	col := make([]int32, ts.Len())
+	for i := range col {
+		col[i] = -1
+	}
+	for c, n := range names {
+		col[ts.Sym(n)] = int32(c)
+	}
+	return col
+}
+
 // diffOne returns ∂s/∂wrt: Diff with wrt as the only column.
 func diffOne(s *Sum, wrt string) *Sum {
 	d := []*Sum{nil}
-	Diff(s, map[string]int{wrt: 0}, d, nil)
+	Diff(s, columns(wrt), d, nil)
 	if d[0] == nil {
-		return NewSum()
+		return NewSum(ts)
 	}
 	return d[0]
 }
@@ -24,18 +37,18 @@ func TestDiffBasics(t *testing.T) {
 		want string
 	}{
 		// d(-K_A*A)/dA = -K_A
-		{SumOf(NewProduct(-1, "K_A", "A")), "A", "-K_A"},
+		{SumOf(ts, prod(-1, "K_A", "A")), "A", "-K_A"},
 		// d(K*C*D)/dC = K*D
-		{SumOf(NewProduct(1, "K_CD", "C", "D")), "C", "K_CD*D"},
+		{SumOf(ts, prod(1, "K_CD", "C", "D")), "C", "K_CD*D"},
 		// power rule: d(-2*K*A*A)/dA = -4*K*A
-		{SumOf(NewProduct(-2, "K_d", "A", "A")), "A", "-4*K_d*A"},
+		{SumOf(ts, prod(-2, "K_d", "A", "A")), "A", "-4*K_d*A"},
 		// sums differentiate termwise
-		{SumOf(NewProduct(1, "K_1", "A", "B"), NewProduct(3, "K_2", "A")), "A",
+		{SumOf(ts, prod(1, "K_1", "A", "B"), prod(3, "K_2", "A")), "A",
 			"K_1*B + 3*K_2"},
 		// vanishing derivative
-		{SumOf(NewProduct(1, "K_1", "B")), "A", "0"},
+		{SumOf(ts, prod(1, "K_1", "B")), "A", "0"},
 		// cubic: d(K*A^3)/dA = 3*K*A^2
-		{SumOf(NewProduct(1, "K_1", "A", "A", "A")), "A", "3*K_1*A*A"},
+		{SumOf(ts, prod(1, "K_1", "A", "A", "A")), "A", "3*K_1*A*A"},
 	}
 	for _, c := range cases {
 		if got := diffOne(c.sum, c.wrt).String(); got != c.want {
@@ -48,14 +61,13 @@ func TestDiffBasics(t *testing.T) {
 // each column once in first-touch order, and leaves unindexed factors
 // (the rate constants here) as constants.
 func TestDiffAllColumns(t *testing.T) {
-	s := SumOf(
-		NewProduct(2, "K_A", "A", "A", "B"),
-		NewProduct(-1, "k1", "C"),
-		NewProduct(5, "K_A", "K_B"),
+	s := SumOf(ts,
+		prod(2, "K_A", "A", "A", "B"),
+		prod(-1, "k1", "C"),
+		prod(5, "K_A", "K_B"),
 	)
-	index := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3}
 	d := make([]*Sum, 4)
-	touched := Diff(s, index, d, []int{9})
+	touched := Diff(s, columns("A", "B", "C", "D"), d, []int{9})
 	if len(touched) != 4 || touched[0] != 9 || touched[1] != 0 || touched[2] != 1 || touched[3] != 2 {
 		t.Fatalf("touched = %v, want [9 0 1 2]", touched)
 	}
@@ -72,10 +84,7 @@ func TestDiffAllColumns(t *testing.T) {
 
 // Property: every column matches a central finite difference.
 func TestDiffMatchesFiniteDifference(t *testing.T) {
-	index := make(map[string]int)
-	for i, name := range testNames {
-		index[name] = i
-	}
+	index := columns(testNames...)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSum(rng, testNames)

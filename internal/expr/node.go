@@ -1,9 +1,10 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,24 +13,29 @@ import (
 // place, introducing TempRef leaves that name compiler-generated
 // temporaries.
 //
-// Nodes are mutable (the optimizer rewrites children), so callers that need
-// a stable snapshot must Clone first.
+// Composite nodes and temporaries are mutable (the optimizer rewrites
+// children and renumbers temporaries), so callers that need a stable
+// snapshot must Clone first.
 type Node interface {
-	// Eval computes the node's value; temporaries are read from temps.
+	// Eval computes the node's value, reading variables by name from env
+	// and temporaries from temps.
 	Eval(env map[string]float64, temps []float64) float64
-	// Key returns the canonical identity string of the node. Equal keys
-	// imply equal values for all environments.
-	Key() string
-	// Clone returns a deep copy.
+	// Clone returns a deep copy. Var leaves are immutable and shared, so
+	// a Var clones to itself.
 	Clone() Node
 	// rank orders node classes for canonical sorting.
 	rank() int
 	fmt.Stringer
 }
 
-// Var is a reference to a named variable: a species concentration or a
-// kinetic rate constant.
-type Var struct{ Name string }
+// Var is a reference to a variable: a species concentration or a kinetic
+// rate constant. Each symbol of a Symbols table has one shared Var
+// (Symbols.Var); canonical orders compare Sym, and Name is kept for
+// printing and by-name evaluation.
+type Var struct {
+	Sym  Sym
+	Name string
+}
 
 // Const is a numeric literal (signs and merged stoichiometric coefficients
 // end up here).
@@ -45,9 +51,6 @@ type Mul struct{ Factors []Node }
 // Add is a sum of terms, kept in canonical order.
 type Add struct{ Terms []Node }
 
-// NewVar returns a variable reference node.
-func NewVar(name string) *Var { return &Var{Name: name} }
-
 // NewConst returns a literal node.
 func NewConst(v float64) *Const { return &Const{Val: v} }
 
@@ -61,9 +64,9 @@ func NewMul(factors ...Node) Node {
 	flat := make([]Node, 0, len(factors))
 	coef := 1.0
 	for _, f := range factors {
-		switch n := f.(type) {
+		switch x := f.(type) {
 		case *Mul:
-			for _, g := range n.Factors {
+			for _, g := range x.Factors {
 				if c, ok := g.(*Const); ok {
 					coef *= c.Val
 				} else {
@@ -71,24 +74,22 @@ func NewMul(factors ...Node) Node {
 				}
 			}
 		case *Const:
-			coef *= n.Val
+			coef *= x.Val
 		default:
 			flat = append(flat, f)
 		}
 	}
-	if coef == 0 {
+	switch {
+	case coef == 0:
 		return NewConst(0)
-	}
-	if coef != 1 {
+	case len(flat) == 0:
+		return NewConst(coef)
+	case len(flat) == 1 && coef == 1:
+		return flat[0]
+	case coef != 1:
 		flat = append(flat, NewConst(coef))
 	}
-	if len(flat) == 0 {
-		return NewConst(1)
-	}
 	sortNodes(flat)
-	if len(flat) == 1 {
-		return flat[0]
-	}
 	return &Mul{Factors: flat}
 }
 
@@ -98,9 +99,9 @@ func NewAdd(terms ...Node) Node {
 	flat := make([]Node, 0, len(terms))
 	c := 0.0
 	for _, t := range terms {
-		switch n := t.(type) {
+		switch x := t.(type) {
 		case *Add:
-			for _, g := range n.Terms {
+			for _, g := range x.Terms {
 				if k, ok := g.(*Const); ok {
 					c += k.Val
 				} else {
@@ -108,21 +109,20 @@ func NewAdd(terms ...Node) Node {
 				}
 			}
 		case *Const:
-			c += n.Val
+			c += x.Val
 		default:
 			flat = append(flat, t)
 		}
 	}
-	if c != 0 {
+	switch {
+	case len(flat) == 0:
+		return NewConst(c)
+	case len(flat) == 1 && c == 0:
+		return flat[0]
+	case c != 0:
 		flat = append(flat, NewConst(c))
 	}
-	if len(flat) == 0 {
-		return NewConst(0)
-	}
 	sortNodes(flat)
-	if len(flat) == 1 {
-		return flat[0]
-	}
 	return &Add{Terms: flat}
 }
 
@@ -133,8 +133,9 @@ func (m *Mul) rank() int     { return 3 }
 func (a *Add) rank() int     { return 4 }
 
 // CompareNodes is the canonical total order on expression trees: constants
-// first, then variables (ordered by TermLess so rate constants lead), then
-// temporaries, products and sums; composites compare element-wise.
+// first, then variables (in symbol order, which is TermLess order, so rate
+// constants lead), then temporaries, products and sums; composites compare
+// element-wise. Variables must come from one Symbols table.
 func CompareNodes(a, b Node) int {
 	ra, rb := a.rank(), b.rank()
 	if ra != rb {
@@ -154,7 +155,7 @@ func CompareNodes(a, b Node) int {
 		}
 		return 0
 	case *Var:
-		return TermCompare(x.Name, b.(*Var).Name)
+		return cmp.Compare(x.Sym, b.(*Var).Sym)
 	case *TempRef:
 		return x.ID - b.(*TempRef).ID
 	case *Mul:
@@ -179,7 +180,7 @@ func compareNodeSlices(a, b []Node) int {
 }
 
 func sortNodes(ns []Node) {
-	sort.SliceStable(ns, func(i, j int) bool { return CompareNodes(ns[i], ns[j]) < 0 })
+	slices.SortStableFunc(ns, CompareNodes)
 }
 
 // Eval implementations. Missing variables read as 0, matching Sum.Eval.
@@ -210,31 +211,9 @@ func (a *Add) Eval(env map[string]float64, temps []float64) float64 {
 	return v
 }
 
-// Key implementations: a fully parenthesized canonical rendering.
-
-func (v *Var) Key() string     { return v.Name }
-func (c *Const) Key() string   { return formatCoef(c.Val) }
-func (t *TempRef) Key() string { return fmt.Sprintf("$t%d", t.ID) }
-
-func (m *Mul) Key() string {
-	parts := make([]string, len(m.Factors))
-	for i, f := range m.Factors {
-		parts[i] = f.Key()
-	}
-	return "(*" + strings.Join(parts, " ") + ")"
-}
-
-func (a *Add) Key() string {
-	parts := make([]string, len(a.Terms))
-	for i, t := range a.Terms {
-		parts[i] = t.Key()
-	}
-	return "(+" + strings.Join(parts, " ") + ")"
-}
-
 // Clone implementations.
 
-func (v *Var) Clone() Node     { return &Var{Name: v.Name} }
+func (v *Var) Clone() Node     { return v }
 func (c *Const) Clone() Node   { return &Const{Val: c.Val} }
 func (t *TempRef) Clone() Node { return &TempRef{ID: t.ID} }
 
@@ -383,17 +362,15 @@ func Walk(n Node, visit func(Node)) {
 	}
 }
 
-// Variables returns the distinct variable names referenced by the tree, in
+// Variables returns the distinct symbols referenced by the tree, in
 // canonical order.
-func Variables(n Node) []string {
-	seen := make(map[string]bool)
-	var names []string
+func Variables(n Node) []Sym {
+	var out []Sym
 	Walk(n, func(m Node) {
-		if v, ok := m.(*Var); ok && !seen[v.Name] {
-			seen[v.Name] = true
-			names = append(names, v.Name)
+		if v, ok := m.(*Var); ok {
+			out = append(out, v.Sym)
 		}
 	})
-	sort.Slice(names, func(i, j int) bool { return TermLess(names[i], names[j]) })
-	return names
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewMulFlattensAndFoldsConstants(t *testing.T) {
-	n := NewMul(NewConst(2), NewMul(NewVar("A"), NewConst(3)), NewVar("K_A"))
+	n := NewMul(NewConst(2), NewMul(v("A"), NewConst(3)), v("K_A"))
 	m, ok := n.(*Mul)
 	if !ok {
 		t.Fatalf("NewMul returned %T, want *Mul", n)
@@ -18,22 +18,22 @@ func TestNewMulFlattensAndFoldsConstants(t *testing.T) {
 }
 
 func TestNewMulCollapses(t *testing.T) {
-	if n := NewMul(NewVar("A")); n.Key() != "A" {
-		t.Errorf("single-factor Mul should collapse to the factor, got %q", n.Key())
+	if n := NewMul(v("A")); key(n) != "A" {
+		t.Errorf("single-factor Mul should collapse to the factor, got %q", key(n))
 	}
-	if n := NewMul(NewConst(0), NewVar("A")); n.Key() != "0" {
-		t.Errorf("zero product should collapse to 0, got %q", n.Key())
+	if n := NewMul(NewConst(0), v("A")); key(n) != "0" {
+		t.Errorf("zero product should collapse to 0, got %q", key(n))
 	}
-	if n := NewMul(NewConst(2), NewConst(3)); n.Key() != "6" {
-		t.Errorf("constant product should fold, got %q", n.Key())
+	if n := NewMul(NewConst(2), NewConst(3)); key(n) != "6" {
+		t.Errorf("constant product should fold, got %q", key(n))
 	}
-	if n := NewMul(); n.Key() != "1" {
-		t.Errorf("empty product should be 1, got %q", n.Key())
+	if n := NewMul(); key(n) != "1" {
+		t.Errorf("empty product should be 1, got %q", key(n))
 	}
 }
 
 func TestNewAddFlattensAndFoldsConstants(t *testing.T) {
-	n := NewAdd(NewConst(1), NewAdd(NewVar("A"), NewConst(2)), NewVar("B"))
+	n := NewAdd(NewConst(1), NewAdd(v("A"), NewConst(2)), v("B"))
 	a, ok := n.(*Add)
 	if !ok {
 		t.Fatalf("NewAdd returned %T, want *Add", n)
@@ -44,24 +44,24 @@ func TestNewAddFlattensAndFoldsConstants(t *testing.T) {
 }
 
 func TestNewAddCollapses(t *testing.T) {
-	if n := NewAdd(NewVar("A")); n.Key() != "A" {
-		t.Errorf("single-term Add should collapse, got %q", n.Key())
+	if n := NewAdd(v("A")); key(n) != "A" {
+		t.Errorf("single-term Add should collapse, got %q", key(n))
 	}
-	if n := NewAdd(); n.Key() != "0" {
-		t.Errorf("empty Add should be 0, got %q", n.Key())
+	if n := NewAdd(); key(n) != "0" {
+		t.Errorf("empty Add should be 0, got %q", key(n))
 	}
-	if n := NewAdd(NewConst(2), NewConst(-2)); n.Key() != "0" {
-		t.Errorf("cancelling constants should fold to 0, got %q", n.Key())
+	if n := NewAdd(NewConst(2), NewConst(-2)); key(n) != "0" {
+		t.Errorf("cancelling constants should fold to 0, got %q", key(n))
 	}
 }
 
 func TestFactoredStringMatchesPaper(t *testing.T) {
 	// k1*(B*(C+D) + E*F) — the §3.2 fully factored result.
 	inner := NewAdd(
-		NewMul(NewVar("B"), NewAdd(NewVar("C"), NewVar("D"))),
-		NewMul(NewVar("E"), NewVar("F")),
+		NewMul(v("B"), NewAdd(v("C"), v("D"))),
+		NewMul(v("E"), v("F")),
 	)
-	n := NewMul(NewVar("k1"), inner)
+	n := NewMul(v("k1"), inner)
 	if got, want := n.String(), "k1*(B*(C + D) + E*F)"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
@@ -72,7 +72,7 @@ func TestFactoredStringMatchesPaper(t *testing.T) {
 }
 
 func TestNegativeOneCoefficientIsFree(t *testing.T) {
-	n := NewMul(NewConst(-1), NewVar("K_C"), NewVar("C"), NewVar("D"))
+	n := NewMul(NewConst(-1), v("K_C"), v("C"), v("D"))
 	if got, want := n.String(), "-K_C*C*D"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
@@ -97,9 +97,9 @@ func TestTempRefEval(t *testing.T) {
 
 func TestCompareNodesTotalOrder(t *testing.T) {
 	nodes := []Node{
-		NewConst(1), NewConst(2), NewVar("K_A"), NewVar("A"),
-		NewTempRef(0), NewMul(NewVar("A"), NewVar("B")),
-		NewAdd(NewVar("A"), NewVar("B")),
+		NewConst(1), NewConst(2), v("K_A"), v("A"),
+		NewTempRef(0), NewMul(v("A"), v("B")),
+		NewAdd(v("A"), v("B")),
 	}
 	for i, a := range nodes {
 		for j, b := range nodes {
@@ -114,29 +114,29 @@ func TestCompareNodesTotalOrder(t *testing.T) {
 		}
 	}
 	// Constants < vars < temps < muls < adds.
-	if CompareNodes(NewConst(9), NewVar("A")) >= 0 {
+	if CompareNodes(NewConst(9), v("A")) >= 0 {
 		t.Error("constants must sort before variables")
 	}
-	if CompareNodes(NewVar("A"), NewTempRef(0)) >= 0 {
+	if CompareNodes(v("A"), NewTempRef(0)) >= 0 {
 		t.Error("variables must sort before temporaries")
 	}
 }
 
 func TestWidth(t *testing.T) {
-	if w := Width(NewVar("A")); w != 1 {
+	if w := Width(v("A")); w != 1 {
 		t.Errorf("Width(var) = %d, want 1", w)
 	}
-	if w := Width(NewAdd(NewVar("A"), NewVar("B"), NewVar("C"))); w != 3 {
+	if w := Width(NewAdd(v("A"), v("B"), v("C"))); w != 3 {
 		t.Errorf("Width(3-term add) = %d, want 3", w)
 	}
-	if w := Width(NewMul(NewVar("A"), NewVar("B"))); w != 2 {
+	if w := Width(NewMul(v("A"), v("B"))); w != 2 {
 		t.Errorf("Width(2-factor mul) = %d, want 2", w)
 	}
 }
 
 func TestVariablesOnTree(t *testing.T) {
-	n := NewMul(NewVar("k1"), NewAdd(NewVar("B"), NewVar("A"), NewTempRef(0)))
-	vars := Variables(n)
+	n := NewMul(v("k1"), NewAdd(v("B"), v("A"), NewTempRef(0)))
+	vars := names(Variables(n))
 	want := []string{"k1", "A", "B"}
 	if len(vars) != len(want) {
 		t.Fatalf("Variables = %v, want %v", vars, want)
@@ -154,7 +154,7 @@ func randomNode(rng *rand.Rand, depth int) Node {
 		case 0:
 			return NewConst(float64(rng.Intn(9) - 4))
 		default:
-			return NewVar(testNames[rng.Intn(len(testNames))])
+			return v(testNames[rng.Intn(len(testNames))])
 		}
 	}
 	n := 2 + rng.Intn(3)
@@ -168,14 +168,14 @@ func randomNode(rng *rand.Rand, depth int) Node {
 	return NewAdd(kids...)
 }
 
-// Property: Key equality implies Eval equality.
+// Property: equal canonical structure implies equal values.
 func TestKeyDeterminesValue(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomNode(rng, 3)
 		b := randomNode(rng, 3)
 		env := randomEnv(rng, testNames)
-		if a.Key() == b.Key() {
+		if key(a) == key(b) {
 			return approxEqual(a.Eval(env, nil), b.Eval(env, nil), 1e-9)
 		}
 		return true
@@ -191,18 +191,18 @@ func TestNodeCloneEqualAndIndependent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomNode(rng, 3)
 		c := a.Clone()
-		if a.Key() != c.Key() {
+		if key(a) != key(c) {
 			return false
 		}
 		// Mutating the clone's children (if composite) must not affect a.
-		before := a.Key()
+		before := key(a)
 		if m, ok := c.(*Mul); ok && len(m.Factors) > 0 {
 			m.Factors[0] = NewConst(999)
 		}
 		if ad, ok := c.(*Add); ok && len(ad.Terms) > 0 {
 			ad.Terms[0] = NewConst(999)
 		}
-		return a.Key() == before
+		return key(a) == before
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -221,7 +221,7 @@ func TestConstructorOrderInsensitive(t *testing.T) {
 		a := NewAdd(kids...)
 		m := NewMul(kids...)
 		rng.Shuffle(len(kids), func(i, j int) { kids[i], kids[j] = kids[j], kids[i] })
-		return a.Key() == NewAdd(kids...).Key() && m.Key() == NewMul(kids...).Key()
+		return key(a) == key(NewAdd(kids...)) && key(m) == key(NewMul(kids...))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,8 +1,9 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,56 +12,39 @@ import (
 //
 //	Coef * Factors[0] * Factors[1] * ... * Factors[n-1]
 //
-// Factors is kept sorted by TermLess and may contain repeats (A*A). The
-// coefficient carries the sign of the term, so a Sum is always a plain sum
-// of its products.
+// Factors is kept sorted (symbol order is TermLess order) and may contain
+// repeats (A*A). The coefficient carries the sign of the term, so a Sum
+// is always a plain sum of its products. Products are values whose
+// Factors are never written after construction, so products may share
+// one factor slice.
 type Product struct {
 	Coef    float64
-	Factors []string
+	Factors []Sym
 }
 
 // NewProduct builds a canonical product from a coefficient and factors in
 // any order.
-func NewProduct(coef float64, factors ...string) Product {
-	fs := make([]string, len(factors))
-	copy(fs, factors)
-	sort.Slice(fs, func(i, j int) bool { return TermLess(fs[i], fs[j]) })
+func NewProduct(coef float64, factors ...Sym) Product {
+	fs := slices.Clone(factors)
+	slices.Sort(fs)
 	return Product{Coef: coef, Factors: fs}
 }
 
-// Clone returns a deep copy of p.
-func (p Product) Clone() Product {
-	fs := make([]string, len(p.Factors))
-	copy(fs, p.Factors)
-	return Product{Coef: p.Coef, Factors: fs}
+// Contains reports whether the factor occurs in the product.
+func (p Product) Contains(s Sym) bool {
+	_, ok := slices.BinarySearch(p.Factors, s)
+	return ok
 }
 
-// Key returns the canonical identity of the product's variable part,
-// ignoring the coefficient. Two products with equal keys are "like terms"
-// in the sense of the paper's equation simplification (§3.1) and may be
-// combined by adding coefficients.
-func (p Product) Key() string {
-	return joinNames(p.Factors, "*")
-}
-
-// Contains reports whether the factor name occurs in the product.
-func (p Product) Contains(name string) bool {
-	i := sort.Search(len(p.Factors), func(i int) bool { return !TermLess(p.Factors[i], name) })
-	return i < len(p.Factors) && p.Factors[i] == name
-}
-
-// Divide returns p with one occurrence of the factor name removed — the
-// "p/k" of the distributive optimization (Fig. 6, line 11). It panics if
-// the factor is absent; callers select products via Contains first.
-func (p Product) Divide(name string) Product {
-	i := sort.Search(len(p.Factors), func(i int) bool { return !TermLess(p.Factors[i], name) })
-	if i >= len(p.Factors) || p.Factors[i] != name {
-		panic(fmt.Sprintf("expr: Divide(%q) on product %s: factor not present", name, p))
+// Divide returns p with one occurrence of the factor removed — the "p/k"
+// of the distributive optimization (Fig. 6, line 11). It panics if the
+// factor is absent; callers select products via Contains first.
+func (p Product) Divide(s Sym) Product {
+	i, ok := slices.BinarySearch(p.Factors, s)
+	if !ok {
+		panic(fmt.Sprintf("expr: Divide(%d) on product %v: factor not present", s, p.Factors))
 	}
-	fs := make([]string, 0, len(p.Factors)-1)
-	fs = append(fs, p.Factors[:i]...)
-	fs = append(fs, p.Factors[i+1:]...)
-	return Product{Coef: p.Coef, Factors: fs}
+	return Product{Coef: p.Coef, Factors: slices.Delete(slices.Clone(p.Factors), i, i+1)}
 }
 
 // Degree returns the number of variable factors (with multiplicity).
@@ -69,20 +53,21 @@ func (p Product) Degree() int { return len(p.Factors) }
 // IsConstant reports whether the product has no variable factors.
 func (p Product) IsConstant() bool { return len(p.Factors) == 0 }
 
-// Eval computes the product's value in the given environment. Missing
-// variables evaluate as 0 so that freshly created species default to zero
-// concentration, matching the equation generator's conventions.
-func (p Product) Eval(env map[string]float64) float64 {
+// Eval computes the product's value in the given environment, reading
+// each factor by its name in syms. Missing variables evaluate as 0 so
+// that freshly created species default to zero concentration, matching
+// the equation generator's conventions.
+func (p Product) Eval(syms *Symbols, env map[string]float64) float64 {
 	v := p.Coef
 	for _, f := range p.Factors {
-		v *= env[f]
+		v *= env[syms.Name(f)]
 	}
 	return v
 }
 
-// String renders the product in the style of the paper's figures,
-// e.g. "2*K_A*B*C" or "-K_C*C*D".
-func (p Product) String() string {
+// Format renders the product with the names of syms in the style of the
+// paper's figures, e.g. "2*K_A*B*C" or "-K_C*C*D".
+func (p Product) Format(syms *Symbols) string {
 	var b strings.Builder
 	switch {
 	case p.Coef == 1 && len(p.Factors) > 0:
@@ -95,7 +80,12 @@ func (p Product) String() string {
 			b.WriteByte('*')
 		}
 	}
-	b.WriteString(joinNames(p.Factors, "*"))
+	for i, f := range p.Factors {
+		if i > 0 {
+			b.WriteByte('*')
+		}
+		b.WriteString(syms.Name(f))
+	}
 	return b.String()
 }
 
@@ -106,18 +96,12 @@ func formatCoef(c float64) string {
 	return strconv.FormatFloat(c, 'g', -1, 64)
 }
 
-// compareProducts orders products canonically: by factor list, then by
+// compareProducts orders products canonically: by factor list
+// (element-wise in symbol order, a proper prefix first), then by
 // coefficient. Sums keep their products in this order.
 func compareProducts(a, b Product) int {
-	if c := compareNameSlices(a.Factors, b.Factors); c != 0 {
+	if c := slices.Compare(a.Factors, b.Factors); c != 0 {
 		return c
 	}
-	switch {
-	case a.Coef < b.Coef:
-		return -1
-	case a.Coef > b.Coef:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(a.Coef, b.Coef)
 }

@@ -2,56 +2,55 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewProductCanonicalOrder(t *testing.T) {
-	p := NewProduct(2, "C", "K_A", "B")
-	want := []string{"K_A", "B", "C"}
-	if len(p.Factors) != len(want) {
-		t.Fatalf("factors = %v, want %v", p.Factors, want)
-	}
-	for i := range want {
-		if p.Factors[i] != want[i] {
-			t.Fatalf("factors = %v, want %v", p.Factors, want)
-		}
+	p := prod(2, "C", "K_A", "B")
+	if got, want := pkey(p), "K_A*B*C"; got != want {
+		t.Fatalf("factors = %v, want %v", got, want)
 	}
 }
 
 func TestProductKeyIgnoresCoef(t *testing.T) {
-	a := NewProduct(2, "B", "K_A")
-	b := NewProduct(-7, "K_A", "B")
-	if a.Key() != b.Key() {
-		t.Errorf("keys differ: %q vs %q", a.Key(), b.Key())
+	a := prod(2, "B", "K_A")
+	b := prod(-7, "K_A", "B")
+	if pkey(a) != pkey(b) {
+		t.Errorf("factor lists differ: %q vs %q", pkey(a), pkey(b))
+	}
+	// Like terms merge whatever their coefficients.
+	if s := SumOf(ts, a, b); s.Len() != 1 || s.String() != "-5*K_A*B" {
+		t.Errorf("a + b = %s, want one like term -5*K_A*B", s)
 	}
 }
 
 func TestProductContains(t *testing.T) {
-	p := NewProduct(1, "K_A", "A", "A", "B")
+	p := prod(1, "K_A", "A", "A", "B")
 	for _, name := range []string{"K_A", "A", "B"} {
-		if !p.Contains(name) {
+		if !p.Contains(ts.Sym(name)) {
 			t.Errorf("Contains(%q) = false, want true", name)
 		}
 	}
-	for _, name := range []string{"C", "K_B", ""} {
-		if p.Contains(name) {
+	for _, name := range []string{"C", "K_B", "Z"} {
+		if p.Contains(ts.Sym(name)) {
 			t.Errorf("Contains(%q) = true, want false", name)
 		}
 	}
 }
 
 func TestProductDivide(t *testing.T) {
-	p := NewProduct(3, "K_A", "A", "A")
-	q := p.Divide("A")
-	if got, want := q.Key(), "K_A*A"; got != want {
+	p := prod(3, "K_A", "A", "A")
+	q := p.Divide(ts.Sym("A"))
+	if got, want := pkey(q), "K_A*A"; got != want {
 		t.Errorf("Divide removed wrong factor: %q, want %q", got, want)
 	}
 	if q.Coef != 3 {
 		t.Errorf("Divide changed coefficient: %v", q.Coef)
 	}
 	// Original is untouched.
-	if got, want := p.Key(), "K_A*A*A"; got != want {
+	if got, want := pkey(p), "K_A*A*A"; got != want {
 		t.Errorf("Divide mutated receiver: %q, want %q", got, want)
 	}
 }
@@ -62,17 +61,17 @@ func TestProductDividePanicsOnMissing(t *testing.T) {
 			t.Fatal("Divide on absent factor did not panic")
 		}
 	}()
-	NewProduct(1, "A").Divide("B")
+	prod(1, "A").Divide(ts.Sym("B"))
 }
 
 func TestProductEval(t *testing.T) {
 	env := map[string]float64{"K_A": 2, "A": 3, "B": 5}
-	p := NewProduct(-1, "K_A", "A", "B")
-	if got := p.Eval(env); got != -30 {
+	p := prod(-1, "K_A", "A", "B")
+	if got := p.Eval(ts, env); got != -30 {
 		t.Errorf("Eval = %v, want -30", got)
 	}
 	// Missing variables evaluate to zero.
-	if got := NewProduct(4, "Z").Eval(env); got != 0 {
+	if got := prod(4, "Z").Eval(ts, env); got != 0 {
 		t.Errorf("Eval with missing var = %v, want 0", got)
 	}
 }
@@ -82,20 +81,21 @@ func TestProductString(t *testing.T) {
 		p    Product
 		want string
 	}{
-		{NewProduct(1, "K_A", "A"), "K_A*A"},
-		{NewProduct(-1, "K_A", "A"), "-K_A*A"},
-		{NewProduct(2, "B", "C", "k1"), "2*k1*B*C"},
-		{NewProduct(5), "5"},
-		{NewProduct(-3.5, "A"), "-3.5*A"},
+		{prod(1, "K_A", "A"), "K_A*A"},
+		{prod(-1, "K_A", "A"), "-K_A*A"},
+		{prod(2, "B", "C", "k1"), "2*k1*B*C"},
+		{prod(5), "5"},
+		{prod(-3.5, "A"), "-3.5*A"},
 	}
 	for _, c := range cases {
-		if got := c.p.String(); got != c.want {
-			t.Errorf("String() = %q, want %q", got, c.want)
+		if got := c.p.Format(ts); got != c.want {
+			t.Errorf("Format = %q, want %q", got, c.want)
 		}
 	}
 }
 
-// Property: Divide then re-multiplying the factor restores the canonical key.
+// Property: Divide then re-multiplying the factor restores the canonical
+// factor list.
 func TestProductDivideRoundTrip(t *testing.T) {
 	names := []string{"K_A", "K_B", "A", "B", "C", "D"}
 	f := func(seed int64) bool {
@@ -105,11 +105,11 @@ func TestProductDivideRoundTrip(t *testing.T) {
 		for i := range fs {
 			fs[i] = names[rng.Intn(len(names))]
 		}
-		p := NewProduct(1+rng.Float64(), fs...)
+		p := prod(1+rng.Float64(), fs...)
 		pick := p.Factors[rng.Intn(len(p.Factors))]
 		q := p.Divide(pick)
-		r := NewProduct(q.Coef, append(append([]string{}, q.Factors...), pick)...)
-		return r.Key() == p.Key()
+		r := NewProduct(q.Coef, append(slices.Clone(q.Factors), pick)...)
+		return slices.Equal(r.Factors, p.Factors)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

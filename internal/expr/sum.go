@@ -1,7 +1,7 @@
 package expr
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -11,47 +11,66 @@ import (
 // optimizer consumes Sums.
 //
 // Invariants maintained by the methods:
-//   - products are sorted by compareProducts;
-//   - no two products share a Key (like terms are merged, §3.1);
+//   - no two products share a factor list (like terms are merged, §3.1);
 //   - no product has a zero coefficient.
+//
+// Products() returns them sorted by compareProducts.
 type Sum struct {
+	syms     *Symbols
 	products []Product
-	index    map[string]int // Key -> position in products
+	// index finds a like term's position in products by factor list.
+	index TupleIndex[Sym]
 }
 
-// NewSum builds an empty sum.
-func NewSum() *Sum {
-	return &Sum{index: make(map[string]int)}
+// NewSum builds an empty sum over the symbols of syms.
+func NewSum(syms *Symbols) *Sum {
+	return &Sum{syms: syms}
 }
 
 // SumOf builds a canonical sum from the given products, merging like terms.
-func SumOf(ps ...Product) *Sum {
-	s := NewSum()
+func SumOf(syms *Symbols, ps ...Product) *Sum {
+	s := NewSum(syms)
 	for _, p := range ps {
 		s.Add(p)
 	}
 	return s
 }
 
+// Syms returns the symbol table the sum's factors belong to.
+func (s *Sum) Syms() *Symbols { return s.syms }
+
 // Add merges a product into the sum, combining it with an existing like
 // term when one exists. This is the on-the-fly equation simplification of
 // §3.1: after every Add, each product differs from every other in at least
-// one non-constant term.
+// one non-constant term. The sum keeps p's factor slice, which the caller
+// must not modify afterwards.
 func (s *Sum) Add(p Product) {
 	if p.Coef == 0 {
 		return
 	}
-	key := p.Key()
-	if i, ok := s.index[key]; ok {
-		s.products[i].Coef += p.Coef
-		if s.products[i].Coef == 0 {
-			s.removeAt(i)
-		}
+	i, slot := s.index.Find(p.Factors, s.factorsAt)
+	if i < 0 {
+		s.products = append(s.products, p)
+		s.index.Insert(slot, int32(len(s.products)-1), s.factorsAt)
 		return
 	}
-	s.index[key] = len(s.products)
-	s.products = append(s.products, p.Clone())
+	s.products[i].Coef += p.Coef
+	if s.products[i].Coef != 0 {
+		return
+	}
+	// The terms cancel: move the last product into i's place.
+	s.index.Delete(slot)
+	last := int32(len(s.products) - 1)
+	if i != last {
+		_, moved := s.index.Find(s.products[last].Factors, s.factorsAt)
+		s.index.Move(moved, i)
+		s.products[i] = s.products[last]
+	}
+	s.products = s.products[:last]
 }
+
+// factorsAt returns the factor list of the product at position i.
+func (s *Sum) factorsAt(i int32) []Sym { return s.products[i].Factors }
 
 // AddSum merges every product of t into s.
 func (s *Sum) AddSum(t *Sum) {
@@ -63,23 +82,12 @@ func (s *Sum) AddSum(t *Sum) {
 // Scale multiplies every coefficient by c. Scaling by 0 empties the sum.
 func (s *Sum) Scale(c float64) {
 	if c == 0 {
-		s.products = nil
-		s.index = make(map[string]int)
+		s.products, s.index = nil, TupleIndex[Sym]{}
 		return
 	}
 	for i := range s.products {
 		s.products[i].Coef *= c
 	}
-}
-
-func (s *Sum) removeAt(i int) {
-	last := len(s.products) - 1
-	delete(s.index, s.products[i].Key())
-	if i != last {
-		s.products[i] = s.products[last]
-		s.index[s.products[i].Key()] = i
-	}
-	s.products = s.products[:last]
 }
 
 // Len returns the number of products.
@@ -88,53 +96,43 @@ func (s *Sum) Len() int { return len(s.products) }
 // IsZero reports whether the sum has no products.
 func (s *Sum) IsZero() bool { return len(s.products) == 0 }
 
-// Products returns the products in canonical order. The returned slice is
-// freshly sorted but shares product factor slices with the sum; callers
-// must not mutate them.
+// Products returns a copy of the products in canonical order.
 func (s *Sum) Products() []Product {
 	ps := make([]Product, len(s.products))
 	copy(ps, s.products)
-	sort.Slice(ps, func(i, j int) bool { return compareProducts(ps[i], ps[j]) < 0 })
+	// Factor lists are distinct, so the order has no ties.
+	slices.SortFunc(ps, compareProducts)
 	return ps
 }
 
-// Clone returns a deep copy of the sum.
+// Clone returns a copy of the sum that changes independently of s.
 func (s *Sum) Clone() *Sum {
-	t := &Sum{
-		products: make([]Product, len(s.products)),
-		index:    make(map[string]int, len(s.index)),
+	return &Sum{
+		syms:     s.syms,
+		products: slices.Clone(s.products),
+		index:    s.index.Clone(),
 	}
-	for i, p := range s.products {
-		t.products[i] = p.Clone()
-		t.index[p.Key()] = i
-	}
-	return t
 }
 
-// Eval computes the sum's value in the given environment.
+// Eval computes the sum's value in the given environment, reading each
+// factor by its name.
 func (s *Sum) Eval(env map[string]float64) float64 {
 	v := 0.0
 	for _, p := range s.products {
-		v += p.Eval(env)
+		v += p.Eval(s.syms, env)
 	}
 	return v
 }
 
-// Variables returns the distinct variable names referenced by the sum, in
+// Variables returns the distinct symbols referenced by the sum, in
 // canonical order.
-func (s *Sum) Variables() []string {
-	seen := make(map[string]bool)
-	var names []string
+func (s *Sum) Variables() []Sym {
+	var out []Sym
 	for _, p := range s.products {
-		for _, f := range p.Factors {
-			if !seen[f] {
-				seen[f] = true
-				names = append(names, f)
-			}
-		}
+		out = append(out, p.Factors...)
 	}
-	sort.Slice(names, func(i, j int) bool { return TermLess(names[i], names[j]) })
-	return names
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CountOps returns the static multiplication and addition/subtraction
@@ -167,7 +165,7 @@ func (s *Sum) String() string {
 	}
 	var b strings.Builder
 	for i, p := range ps {
-		str := p.String()
+		str := p.Format(s.syms)
 		if i == 0 {
 			b.WriteString(str)
 			continue
@@ -190,19 +188,35 @@ func (s *Sum) Node() Node {
 	ps := s.Products()
 	terms := make([]Node, 0, len(ps))
 	for _, p := range ps {
-		terms = append(terms, productNode(p))
+		terms = append(terms, ProductNode(s.syms, p))
 	}
 	return NewAdd(terms...)
 }
 
-// productNode converts one product to a Mul (or simpler) node.
-func productNode(p Product) Node {
-	factors := make([]Node, 0, len(p.Factors)+1)
-	if p.Coef != 1 || len(p.Factors) == 0 {
-		factors = append(factors, NewConst(p.Coef))
+// ProductNode converts one product to the canonical node NewMul builds
+// from its coefficient and the shared Var leaf of each factor: a Mul of
+// a leading constant (unless the coefficient is 1) and the factors in
+// order, or the lone constant or factor. The product is already in
+// canonical order, so the Mul is built directly.
+func ProductNode(syms *Symbols, p Product) Node {
+	n := len(p.Factors)
+	switch {
+	case p.Coef == 0:
+		return NewConst(0)
+	case n == 0:
+		return NewConst(p.Coef)
+	case n == 1 && p.Coef == 1:
+		return syms.Var(p.Factors[0])
+	}
+	if p.Coef != 1 {
+		n++
+	}
+	fs := make([]Node, 0, n)
+	if p.Coef != 1 {
+		fs = append(fs, NewConst(p.Coef))
 	}
 	for _, f := range p.Factors {
-		factors = append(factors, NewVar(f))
+		fs = append(fs, syms.Var(f))
 	}
-	return NewMul(factors...)
+	return &Mul{Factors: fs}
 }

@@ -9,9 +9,9 @@ import (
 // TestSumLikeTermMerge replays the paper's §3.1 example:
 // 2*k1*B*C + 3*k1*B*C combines into 5*k1*B*C.
 func TestSumLikeTermMerge(t *testing.T) {
-	s := NewSum()
-	s.Add(NewProduct(2, "k1", "B", "C"))
-	s.Add(NewProduct(3, "k1", "B", "C"))
+	s := NewSum(ts)
+	s.Add(prod(2, "k1", "B", "C"))
+	s.Add(prod(3, "k1", "B", "C"))
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
@@ -25,38 +25,38 @@ func TestSumLikeTermMerge(t *testing.T) {
 // unmerged ("K_A*A + K_A*A"); §3.1's simplification merges them to 2*K_A*A,
 // which is what the equation table maintains on the fly.
 func TestSumFig4To5(t *testing.T) {
-	dB := NewSum()
-	dB.Add(NewProduct(1, "K_A", "A"))
-	dB.Add(NewProduct(1, "K_A", "A"))
+	dB := NewSum(ts)
+	dB.Add(prod(1, "K_A", "A"))
+	dB.Add(prod(1, "K_A", "A"))
 	if got, want := dB.String(), "2*K_A*A"; got != want {
 		t.Errorf("dB/dt = %q, want %q", got, want)
 	}
 }
 
 func TestSumCancellation(t *testing.T) {
-	s := NewSum()
-	s.Add(NewProduct(1, "K_A", "A"))
-	s.Add(NewProduct(-1, "K_A", "A"))
+	s := NewSum(ts)
+	s.Add(prod(1, "K_A", "A"))
+	s.Add(prod(-1, "K_A", "A"))
 	if !s.IsZero() {
 		t.Errorf("cancelled sum not zero: %s", s)
 	}
 	// The index must stay consistent after removal.
-	s.Add(NewProduct(2, "K_A", "A"))
+	s.Add(prod(2, "K_A", "A"))
 	if got, want := s.String(), "2*K_A*A"; got != want {
 		t.Errorf("after re-add: %q, want %q", got, want)
 	}
 }
 
 func TestSumZeroCoefIgnored(t *testing.T) {
-	s := NewSum()
-	s.Add(NewProduct(0, "A"))
+	s := NewSum(ts)
+	s.Add(prod(0, "A"))
 	if !s.IsZero() {
 		t.Error("adding a zero-coefficient product must be a no-op")
 	}
 }
 
 func TestSumScale(t *testing.T) {
-	s := SumOf(NewProduct(2, "A"), NewProduct(3, "B"))
+	s := SumOf(ts, prod(2, "A"), prod(3, "B"))
 	s.Scale(-2)
 	env := map[string]float64{"A": 1, "B": 1}
 	if got := s.Eval(env); got != -10 {
@@ -69,8 +69,8 @@ func TestSumScale(t *testing.T) {
 }
 
 func TestSumAddSum(t *testing.T) {
-	a := SumOf(NewProduct(1, "K_A", "A"), NewProduct(2, "B"))
-	b := SumOf(NewProduct(-1, "K_A", "A"), NewProduct(5, "C"))
+	a := SumOf(ts, prod(1, "K_A", "A"), prod(2, "B"))
+	b := SumOf(ts, prod(-1, "K_A", "A"), prod(5, "C"))
 	a.AddSum(b)
 	if got, want := a.String(), "2*B + 5*C"; got != want {
 		t.Errorf("AddSum = %q, want %q", got, want)
@@ -78,8 +78,8 @@ func TestSumAddSum(t *testing.T) {
 }
 
 func TestSumVariables(t *testing.T) {
-	s := SumOf(NewProduct(1, "B", "K_A"), NewProduct(2, "A", "B"))
-	vars := s.Variables()
+	s := SumOf(ts, prod(1, "B", "K_A"), prod(2, "A", "B"))
+	vars := names(s.Variables())
 	want := []string{"K_A", "A", "B"}
 	if len(vars) != len(want) {
 		t.Fatalf("Variables = %v, want %v", vars, want)
@@ -94,17 +94,17 @@ func TestSumVariables(t *testing.T) {
 // TestSumCountOps checks the static op-count rule on the paper's §3.2
 // starting equation: k1*B*C + k1*B*D + k1*E*F has 6 multiplies and 2 adds.
 func TestSumCountOps(t *testing.T) {
-	s := SumOf(
-		NewProduct(1, "k1", "B", "C"),
-		NewProduct(1, "k1", "B", "D"),
-		NewProduct(1, "k1", "E", "F"),
+	s := SumOf(ts,
+		prod(1, "k1", "B", "C"),
+		prod(1, "k1", "B", "D"),
+		prod(1, "k1", "E", "F"),
 	)
 	muls, adds := s.CountOps()
 	if muls != 6 || adds != 2 {
 		t.Errorf("CountOps = (%d,%d), want (6,2)", muls, adds)
 	}
 	// A non-unit coefficient costs one extra multiply; ±1 is free.
-	s2 := SumOf(NewProduct(2, "A", "B"), NewProduct(-1, "C", "D"))
+	s2 := SumOf(ts, prod(2, "A", "B"), prod(-1, "C", "D"))
 	muls, adds = s2.CountOps()
 	if muls != 3 || adds != 1 {
 		t.Errorf("CountOps = (%d,%d), want (3,1)", muls, adds)
@@ -112,17 +112,17 @@ func TestSumCountOps(t *testing.T) {
 }
 
 func TestSumStringSigns(t *testing.T) {
-	s := SumOf(NewProduct(-1, "K_C", "C", "D"), NewProduct(1, "K_A", "A"))
+	s := SumOf(ts, prod(-1, "K_C", "C", "D"), prod(1, "K_A", "A"))
 	if got, want := s.String(), "K_A*A - K_C*C*D"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	if got, want := NewSum().String(), "0"; got != want {
+	if got, want := NewSum(ts).String(), "0"; got != want {
 		t.Errorf("empty sum String = %q, want %q", got, want)
 	}
 }
 
 func randomSum(rng *rand.Rand, names []string) *Sum {
-	s := NewSum()
+	s := NewSum(ts)
 	n := 1 + rng.Intn(8)
 	for i := 0; i < n; i++ {
 		d := 1 + rng.Intn(4)
@@ -130,7 +130,7 @@ func randomSum(rng *rand.Rand, names []string) *Sum {
 		for j := range fs {
 			fs[j] = names[rng.Intn(len(names))]
 		}
-		s.Add(NewProduct(float64(rng.Intn(9)-4), fs...))
+		s.Add(prod(float64(rng.Intn(9)-4), fs...))
 	}
 	return s
 }
@@ -150,18 +150,20 @@ func TestSumOrderInsensitive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var ps []Product
-		n := 1 + rng.Intn(8)
+		// Up to 48 products, so like terms merge and cancel in a
+		// like-term index that has grown past its first table.
+		n := 1 + rng.Intn(48)
 		for i := 0; i < n; i++ {
 			d := 1 + rng.Intn(4)
 			fs := make([]string, d)
 			for j := range fs {
 				fs[j] = testNames[rng.Intn(len(testNames))]
 			}
-			ps = append(ps, NewProduct(float64(rng.Intn(7)-3), fs...))
+			ps = append(ps, prod(float64(rng.Intn(7)-3), fs...))
 		}
-		a := SumOf(ps...)
+		a := SumOf(ts, ps...)
 		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
-		b := SumOf(ps...)
+		b := SumOf(ts, ps...)
 		return a.String() == b.String()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -176,7 +178,7 @@ func TestSumCloneIndependent(t *testing.T) {
 		s := randomSum(rng, testNames)
 		c := s.Clone()
 		before := c.String()
-		s.Add(NewProduct(float64(1+rng.Intn(5)), testNames[rng.Intn(len(testNames))]))
+		s.Add(prod(float64(1+rng.Intn(5)), testNames[rng.Intn(len(testNames))]))
 		s.Scale(2)
 		return c.String() == before
 	}

@@ -1,6 +1,9 @@
 package expr
 
-import "strings"
+import (
+	"fmt"
+	"slices"
+)
 
 // IsRateConstant reports whether name denotes a kinetic rate constant.
 // By convention (following the paper's reaction networks, Fig. 3) rate
@@ -47,29 +50,60 @@ func TermCompare(a, b string) int {
 	}
 }
 
-// compareNameSlices orders two canonical factor/term name lists
-// lexicographically element-wise by TermCompare, shorter first on ties.
-func compareNameSlices(a, b []string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := TermCompare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
+// Sym is an interned term name: a species or a rate constant of one
+// compile. A Symbols table numbers its names in TermLess order, so two
+// symbols of one table compare as their names do under TermCompare.
+// Symbols of different tables must never meet.
+type Sym int32
+
+// Symbols is the symbol table of one compile: every species and
+// rate-constant name, interned once into a dense Sym numbered in
+// TermLess order, and the one shared Var leaf of each. Canonical forms
+// order, match and key their terms by Sym; names come back only where
+// they are printed or evaluated by name.
+type Symbols struct {
+	names []string
+	vars  []Var
+	index map[string]Sym
 }
 
-// joinNames renders a name list for debugging and canonical keys.
-func joinNames(names []string, sep string) string {
-	return strings.Join(names, sep)
+// NewSymbols interns the given names (duplicates collapse).
+func NewSymbols(names ...string) *Symbols {
+	sorted := slices.Clone(names)
+	slices.SortFunc(sorted, TermCompare)
+	sorted = slices.Compact(sorted)
+	t := &Symbols{
+		names: sorted,
+		vars:  make([]Var, len(sorted)),
+		index: make(map[string]Sym, len(sorted)),
+	}
+	for i, name := range sorted {
+		t.index[name] = Sym(i)
+		t.vars[i] = Var{Sym: Sym(i), Name: name}
+	}
+	return t
 }
+
+// Len returns the number of symbols.
+func (t *Symbols) Len() int { return len(t.names) }
+
+// Name returns the name of s.
+func (t *Symbols) Name(s Sym) string { return t.names[s] }
+
+// Lookup returns the symbol of name, if it is interned.
+func (t *Symbols) Lookup(name string) (Sym, bool) {
+	s, ok := t.index[name]
+	return s, ok
+}
+
+// Sym returns the symbol of name; it panics if the name is not interned.
+func (t *Symbols) Sym(name string) Sym {
+	s, ok := t.index[name]
+	if !ok {
+		panic(fmt.Sprintf("expr: symbol %q not interned", name))
+	}
+	return s
+}
+
+// Var returns the shared variable leaf of s.
+func (t *Symbols) Var(s Sym) *Var { return &t.vars[s] }

@@ -64,22 +64,44 @@ func TestTermCompareConsistent(t *testing.T) {
 	}
 }
 
+// Products order by factor list element-wise in symbol order (rate
+// constants lead), a proper prefix first, then by coefficient.
 func TestCompareNameSlices(t *testing.T) {
 	cases := []struct {
-		a, b []string
+		a, b Product
 		want int
 	}{
-		{[]string{"A"}, []string{"A"}, 0},
-		{[]string{"A"}, []string{"B"}, -1},
-		{[]string{"A"}, []string{"A", "B"}, -1},
-		{[]string{"A", "B"}, []string{"A"}, 1},
-		{[]string{"K_A", "A"}, []string{"A"}, -1}, // constants lead
-		{nil, nil, 0},
-		{nil, []string{"A"}, -1},
+		{prod(1, "A"), prod(1, "A"), 0},
+		{prod(1, "A"), prod(1, "B"), -1},
+		{prod(1, "A"), prod(1, "A", "B"), -1},
+		{prod(1, "A", "B"), prod(1, "A"), 1},
+		{prod(1, "K_A", "A"), prod(1, "A"), -1}, // constants lead
+		{prod(1), prod(1), 0},
+		{prod(1), prod(1, "A"), -1},
+		{prod(2, "A"), prod(3, "A"), -1},
 	}
 	for _, c := range cases {
-		if got := compareNameSlices(c.a, c.b); got != c.want {
-			t.Errorf("compareNameSlices(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := compareProducts(c.a, c.b); got != c.want {
+			t.Errorf("compareProducts(%s,%s) = %d, want %d", c.a.Format(ts), c.b.Format(ts), got, c.want)
 		}
+	}
+}
+
+// Symbols number names in TermLess order, whatever order they are
+// interned in, and collapse duplicates.
+func TestSymbolsTermOrder(t *testing.T) {
+	tab := NewSymbols("B", "k1", "A", "K_A", "B", "S8")
+	want := []string{"K_A", "k1", "A", "B", "S8"}
+	if tab.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tab.Len(), len(want))
+	}
+	for i, name := range want {
+		s := tab.Sym(name)
+		if int(s) != i || tab.Name(s) != name || tab.Var(s).Name != name || tab.Var(s).Sym != s {
+			t.Errorf("%s: symbol %d, want %d", name, s, i)
+		}
+	}
+	if _, ok := tab.Lookup("C"); ok {
+		t.Error("Lookup found a name never interned")
 	}
 }

@@ -11,7 +11,7 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix with a fixed structural pattern.
@@ -48,7 +48,7 @@ func NewCSRPattern(n int, rows, cols []int32, withDiagonal bool) *CSR {
 	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
 		cs := perRow[i]
-		sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
+		slices.Sort(cs)
 		last := int32(-1)
 		for _, c := range cs {
 			if c != last {
@@ -188,52 +188,135 @@ type SparseLU struct {
 // and fills the factor completely, while minimum degree pushes them last
 // and keeps fill within a small multiple of the original nonzeros. Ties
 // break toward the lower index, so the order is deterministic.
+//
+// The candidates wait in a heap keyed by (degree, index), so each step
+// pops the lowest index among minimum degree; a node whose degree
+// changed is pushed again and its older keys are skipped when they
+// surface. Each node's neighbours are an unordered list. A short list is
+// searched through a marker array; a list longer than hubList also keeps
+// a table of its members' positions, so a hub species coupled to every
+// node is tested, grown and shrunk in O(1): one elimination costs time
+// in its neighbourhood, not in n.
 func minDegreeOrder(a *CSR) []int32 {
 	n := a.N
-	adj := make([]map[int32]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int32]struct{})
-	}
+	g := &elimGraph{adj: make([][]int32, n), pos: make([]map[int32]int32, n), mark: make([]int32, n)}
 	for i := 0; i < n; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			if j := a.ColIdx[p]; int(j) != i {
-				adj[i][j] = struct{}{}
-				adj[j][int32(i)] = struct{}{}
+				g.adj[i] = append(g.adj[i], j)
+				g.adj[j] = append(g.adj[j], int32(i))
 			}
 		}
+	}
+	for x := range g.adj {
+		g.stamp++
+		list := g.adj[x][:0]
+		for _, u := range g.adj[x] {
+			if g.mark[u] != g.stamp {
+				g.mark[u] = g.stamp
+				list = append(list, u)
+			}
+		}
+		g.adj[x] = list
+		g.index(int32(x))
+	}
+	key := func(v int32) uint64 { return uint64(len(g.adj[v]))<<32 | uint64(v) }
+	queue := make(minHeap[uint64], 0, n)
+	for v := range g.adj {
+		queue.push(key(int32(v)))
 	}
 	perm := make([]int32, 0, n)
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	nbrs := make([]int32, 0, n)
 	for len(perm) < n {
-		best, bd := -1, n+1
-		for i := 0; i < n; i++ {
-			if alive[i] && len(adj[i]) < bd {
-				best, bd = i, len(adj[i])
-			}
+		k := queue.pop()
+		v := int32(k)
+		if !alive[v] || k != key(v) {
+			continue // eliminated, or its degree has changed since
 		}
-		v := int32(best)
 		perm = append(perm, v)
 		alive[v] = false
-		nbrs = nbrs[:0]
-		for u := range adj[v] {
-			nbrs = append(nbrs, u)
-			delete(adj[u], v)
+		nbrs := g.adj[v]
+		for _, u := range nbrs {
+			g.unlink(u, v)
 		}
 		// Eliminating v connects its surviving neighbours into a clique.
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				x, y := nbrs[i], nbrs[j]
-				adj[x][y] = struct{}{}
-				adj[y][x] = struct{}{}
-			}
+		for _, x := range nbrs {
+			g.connect(x, nbrs)
+			queue.push(key(x))
 		}
-		adj[v] = nil
+		g.adj[v], g.pos[v] = nil, nil
 	}
 	return perm
+}
+
+// hubList is the list length above which a node of the elimination
+// graph also indexes its neighbours' positions. On vulcan patterns of
+// 3k to 30k equations 1024 orders as fast as 4096; at 30k a threshold of
+// 256 is 1.6× slower, indexing every list 2.5× and indexing none 3.3×.
+const hubList = 1024
+
+// elimGraph is the symmetric elimination graph of minDegreeOrder.
+type elimGraph struct {
+	adj   [][]int32
+	pos   []map[int32]int32 // pos[x][y] = index of y in adj[x], for long lists
+	mark  []int32           // mark[u] == stamp: u is in the list being searched
+	stamp int32
+}
+
+// index gives x's list a position table once it is long.
+func (g *elimGraph) index(x int32) {
+	if g.pos[x] != nil || len(g.adj[x]) <= hubList {
+		return
+	}
+	p := make(map[int32]int32, 2*len(g.adj[x]))
+	for i, u := range g.adj[x] {
+		p[u] = int32(i)
+	}
+	g.pos[x] = p
+}
+
+// unlink removes v from u's list, moving u's last neighbour into its
+// place.
+func (g *elimGraph) unlink(u, v int32) {
+	list := g.adj[u]
+	last := len(list) - 1
+	var i int
+	if p := g.pos[u]; p != nil {
+		i = int(p[v])
+		p[list[last]] = int32(i)
+		delete(p, v)
+	} else {
+		i = slices.Index(list, v)
+	}
+	list[i] = list[last]
+	g.adj[u] = list[:last]
+}
+
+// connect adds to x's list every node of nbrs but x that it lacks.
+func (g *elimGraph) connect(x int32, nbrs []int32) {
+	if p := g.pos[x]; p != nil {
+		for _, y := range nbrs {
+			if _, ok := p[y]; !ok && y != x {
+				p[y] = int32(len(g.adj[x]))
+				g.adj[x] = append(g.adj[x], y)
+			}
+		}
+		return
+	}
+	g.stamp++
+	for _, u := range g.adj[x] {
+		g.mark[u] = g.stamp
+	}
+	g.mark[x] = g.stamp
+	for _, y := range nbrs {
+		if g.mark[y] != g.stamp {
+			g.adj[x] = append(g.adj[x], y)
+		}
+	}
+	g.index(x)
 }
 
 // NewSparseLU chooses a fill-reducing minimum-degree ordering and
@@ -273,7 +356,7 @@ func NewSparseLU(pattern *CSR) (*SparseLU, error) {
 	uRows := make([][]int32, n) // U part (cols > k) of each finished row
 	in := make([]bool, n)
 	var cols []int32
-	var heap intHeap
+	var heap minHeap[int32]
 	for i := 0; i < n; i++ {
 		cols = cols[:0]
 		heap = heap[:0]
@@ -309,7 +392,7 @@ func NewSparseLU(pattern *CSR) (*SparseLU, error) {
 				}
 			}
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+		slices.Sort(cols)
 		for _, c := range cols {
 			in[c] = false
 			if int(c) == i {
@@ -334,10 +417,10 @@ func NewSparseLU(pattern *CSR) (*SparseLU, error) {
 	return f, nil
 }
 
-// intHeap is a minimal binary min-heap over column indices.
-type intHeap []int32
+// minHeap is a minimal binary min-heap.
+type minHeap[T int32 | uint64] []T
 
-func (h *intHeap) push(v int32) {
+func (h *minHeap[T]) push(v T) {
 	*h = append(*h, v)
 	i := len(*h) - 1
 	for i > 0 {
@@ -350,7 +433,7 @@ func (h *intHeap) push(v int32) {
 	}
 }
 
-func (h *intHeap) pop() int32 {
+func (h *minHeap[T]) pop() T {
 	v := (*h)[0]
 	last := len(*h) - 1
 	(*h)[0] = (*h)[last]

@@ -2,8 +2,7 @@ package opt
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 
 	"rms/internal/expr"
 )
@@ -46,18 +45,25 @@ type CSEResult struct {
 // The inputs are not modified; rewritten trees are returned.
 func CSE(rhs []expr.Node, cfg CSEConfig) *CSEResult {
 	c := collectCSE(rhs, cfg)
-	c.match(c.prefixIndex())
+	c.match(c.prefix)
 	return c.result(rhs)
 }
 
 // collectCSE registers every composite subexpression of the right-hand
 // sides.
 func collectCSE(rhs []expr.Node, cfg CSEConfig) *csePass {
+	composites := 0
+	for _, r := range rhs {
+		expr.Walk(r, func(n expr.Node) {
+			if nodeKind(n) != 0 {
+				composites++
+			}
+		})
+	}
 	c := &csePass{
 		cfg:    cfg,
-		byKey:  make(map[string]*cseEntry),
-		byNode: make(map[expr.Node]*cseEntry),
-		keys:   make(map[expr.Node]string),
+		cons:   &conser{},
+		byNode: make(map[expr.Node]*cseEntry, composites),
 	}
 	for _, r := range rhs {
 		c.collect(r)
@@ -79,27 +85,28 @@ func (c *csePass) result(rhs []expr.Node) *CSEResult {
 }
 
 type cseEntry struct {
-	kind      byte // '+' or '*'
 	rep       expr.Node
-	occs      int
-	childKeys []string
-	hashes    []uint64 // hashes[i] covers childKeys[:i], valid for i in [2,width]
+	prefixOf  *cseEntry
 	width     int
 	temp      int
-	genTemp   bool
-	prefixOf  *cseEntry
 	prefixLen int
-	state     int    // 0 unvisited, 1 visiting, 2 emitted
-	key       string // canonical identity over the variable parts
+	occs      int32
+	key       int32 // conser ID of the kind and the variable parts
+	kind      byte  // '+' or '*'
+	genTemp   bool
+	state     uint8 // 0 unvisited, 1 visiting, 2 emitted
 }
 
 type csePass struct {
-	cfg     CSEConfig
-	byKey   map[string]*cseEntry
+	cfg  CSEConfig
+	cons *conser
+	// entryOf maps the conser ID of an entry's key (its kind and
+	// variable parts) to the entry.
+	entryOf []*cseEntry
 	byNode  map[expr.Node]*cseEntry
-	keys    map[expr.Node]string
 	entries []*cseEntry
 	order   []*cseEntry
+	stack   []int32 // keys of the nodes being collected
 }
 
 func nodeChildren(n expr.Node) []expr.Node {
@@ -136,95 +143,65 @@ func nodeKind(n expr.Node) byte {
 	return 0
 }
 
-// key computes and memoizes a node's canonical key bottom-up.
-func (c *csePass) key(n expr.Node) string {
-	if k, ok := c.keys[n]; ok {
-		return k
-	}
-	var k string
+// collect registers every composite subexpression of the tree and
+// returns the tree's conser ID.
+func (c *csePass) collect(n expr.Node) int32 {
 	kids := nodeChildren(n)
 	if kids == nil {
-		k = n.Key()
-	} else {
-		parts := make([]byte, 0, 16*len(kids))
-		parts = append(parts, '(', nodeKind(n))
-		for _, ch := range kids {
-			parts = append(parts, ' ')
-			parts = append(parts, c.key(ch)...)
-		}
-		parts = append(parts, ')')
-		k = string(parts)
-	}
-	c.keys[n] = k
-	return k
-}
-
-// collect registers every composite subexpression of the tree.
-func (c *csePass) collect(n expr.Node) {
-	kids := nodeChildren(n)
-	if kids == nil {
-		return
-	}
-	for _, ch := range kids {
-		c.collect(ch)
+		return c.cons.leaf(n)
 	}
 	kind := nodeKind(n)
-	if kind == '*' && !c.cfg.Products {
-		return
+	base := len(c.stack)
+	c.stack = append(c.stack, int32(kind))
+	for _, ch := range kids {
+		id := c.collect(ch)
+		c.stack = append(c.stack, id)
 	}
-	_, parts := splitConst(n)
-	if len(parts) < 2 {
-		return // a lone variable times a constant has nothing to share
+	key := c.stack[base:]
+	id := c.cons.intern(key, "")
+	if kind == '+' || c.cfg.Products {
+		// The entry key covers the variable parts only; the constant
+		// stays at the use site, and the kind takes its word.
+		if _, ok := kids[0].(*expr.Const); ok {
+			key = key[1:]
+			key[0] = int32(kind)
+		}
+		// A lone variable times a constant has nothing to share.
+		if len(key) >= 3 {
+			c.register(n, kind, key)
+		}
 	}
-	// The entry key covers the variable parts only; the constant stays at
-	// the use site.
-	childKeys := make([]string, len(parts))
-	for i, ch := range parts {
-		childKeys[i] = c.key(ch)
+	c.stack = c.stack[:base]
+	return id
+}
+
+// register counts one occurrence of the subexpression n, whose entry key
+// (its kind and the IDs of its variable parts) is key.
+func (c *csePass) register(n expr.Node, kind byte, key []int32) {
+	id := c.cons.intern(key, "")
+	if grow := len(c.cons.nodes) - len(c.entryOf); grow > 0 {
+		c.entryOf = append(c.entryOf, make([]*cseEntry, grow)...)
 	}
-	k := entryKey(kind, childKeys)
-	e := c.byKey[k]
+	e := c.entryOf[id]
 	if e == nil {
 		e = &cseEntry{
-			kind:      kind,
-			rep:       n,
-			childKeys: childKeys,
-			width:     len(parts),
-			temp:      -1,
-			key:       k,
+			kind:  kind,
+			rep:   n,
+			key:   id,
+			width: len(key) - 1,
+			temp:  -1,
 		}
-		e.hashes = prefixHashes(kind, childKeys)
-		c.byKey[k] = e
+		c.entryOf[id] = e
 		c.entries = append(c.entries, e)
 	}
 	e.occs++
 	c.byNode[n] = e
 }
 
-func entryKey(kind byte, childKeys []string) string {
-	parts := make([]byte, 0, 16*len(childKeys))
-	parts = append(parts, '(', kind)
-	for _, k := range childKeys {
-		parts = append(parts, ' ')
-		parts = append(parts, k...)
-	}
-	parts = append(parts, ')')
-	return string(parts)
-}
-
-// prefixHashes returns FNV-1a hashes of childKeys[:i] for every i; index i
-// of the result covers the first i keys.
-func prefixHashes(kind byte, childKeys []string) []uint64 {
-	h := fnv.New64a()
-	h.Write([]byte{kind})
-	out := make([]uint64, len(childKeys)+1)
-	out[0] = h.Sum64()
-	for i, k := range childKeys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		out[i+1] = h.Sum64()
-	}
-	return out
+// compareKeys orders two entries as their rendered keys compare, the
+// order Fig. 7's work lists are sorted in within one width.
+func (c *csePass) compareKeys(a, b *cseEntry) int {
+	return c.cons.compare(a.key, b.key)
 }
 
 // match performs full matching (shared temporaries for equal
@@ -232,12 +209,13 @@ func prefixHashes(kind byte, childKeys []string) []uint64 {
 // exactly as Fig. 7 orders the work. prefix(e, i) returns the entry whose
 // terms equal the first i terms of e, or nil.
 func (c *csePass) match(prefix func(e *cseEntry, i int) *cseEntry) {
-	sorted := append([]*cseEntry(nil), c.entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].width != sorted[j].width {
-			return sorted[i].width > sorted[j].width
+	sorted := slices.Clone(c.entries)
+	// Entries are unique by key, so the order has no ties.
+	slices.SortFunc(sorted, func(a, b *cseEntry) int {
+		if a.width != b.width {
+			return b.width - a.width
 		}
-		return sorted[i].key < sorted[j].key
+		return c.compareKeys(a, b)
 	})
 
 	// Full matches: an expression occurring in two or more places gets a
@@ -260,42 +238,17 @@ func (c *csePass) match(prefix func(e *cseEntry, i int) *cseEntry) {
 	}
 }
 
-// prefixIndex returns the prefix lookup over a hash index of the entries
-// by width and child-key hash. It finds what the paper's O(m²n) pairwise
-// scan of every width-i expression finds (TestPaperScanEquivalent holds
-// it to that scan) in time linear in the entries: entries are unique by
-// kind and child keys, so at most one entry matches.
-func (c *csePass) prefixIndex() func(e *cseEntry, i int) *cseEntry {
-	index := make(map[int]map[uint64][]*cseEntry)
-	for _, e := range c.entries {
-		m := index[e.width]
-		if m == nil {
-			m = make(map[uint64][]*cseEntry)
-			index[e.width] = m
-		}
-		h := e.hashes[e.width]
-		m[h] = append(m[h], e)
-	}
-	return func(e *cseEntry, i int) *cseEntry {
-		for _, g := range index[i][e.hashes[i]] {
-			if g.kind == e.kind && equalKeys(g.childKeys, e.childKeys[:i]) {
-				return g
-			}
-		}
+// prefix returns the entry whose key is the kind and first i parts of
+// e's, found by one conser lookup. It finds what the paper's O(m²n)
+// pairwise scan of every width-i expression finds (TestPaperScanEquivalent
+// holds it to that scan) in time linear in the entries: entries are unique
+// by kind and parts, so at most one entry matches.
+func (c *csePass) prefix(e *cseEntry, i int) *cseEntry {
+	id, ok := c.cons.lookup(c.cons.key(e.key)[:1+i])
+	if !ok || int(id) >= len(c.entryOf) {
 		return nil
 	}
-}
-
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return c.entryOf[id]
 }
 
 // assignTemps orders temporary definitions so every temp is defined
@@ -310,11 +263,11 @@ func (c *csePass) assignTemps() {
 			gen = append(gen, e)
 		}
 	}
-	sort.Slice(gen, func(i, j int) bool {
-		if gen[i].width != gen[j].width {
-			return gen[i].width < gen[j].width
+	slices.SortFunc(gen, func(a, b *cseEntry) int {
+		if a.width != b.width {
+			return a.width - b.width
 		}
-		return gen[i].key < gen[j].key
+		return c.compareKeys(a, b)
 	})
 	var emit func(e *cseEntry)
 	emit = func(e *cseEntry) {

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,7 @@ import (
 func varSum(names ...string) expr.Node {
 	ns := make([]expr.Node, len(names))
 	for i, n := range names {
-		ns[i] = expr.NewVar(n)
+		ns[i] = v(n)
 	}
 	return expr.NewAdd(ns...)
 }
@@ -32,9 +33,9 @@ func varSum(names ...string) expr.Node {
 // temp[1] and dC using temp[0].
 func TestCSEPaperExample(t *testing.T) {
 	rhs := []expr.Node{
-		expr.NewMul(varSum("A", "B", "C", "D"), expr.NewVar("k1"), expr.NewVar("E")),
-		expr.NewMul(varSum("A", "B", "C", "D"), expr.NewVar("k2"), expr.NewVar("F")),
-		expr.NewMul(varSum("A", "B", "C"), expr.NewVar("k3"), expr.NewVar("G")),
+		expr.NewMul(varSum("A", "B", "C", "D"), v("k1"), v("E")),
+		expr.NewMul(varSum("A", "B", "C", "D"), v("k2"), v("F")),
+		expr.NewMul(varSum("A", "B", "C"), v("k3"), v("G")),
 	}
 	res := CSE(rhs, CSEConfig{})
 	if len(res.Temps) != 2 {
@@ -79,7 +80,7 @@ func TestCSEPaperExample(t *testing.T) {
 func TestCSESharedProductAcrossEquations(t *testing.T) {
 	mk := func(coef float64) expr.Node {
 		return expr.NewMul(expr.NewConst(coef),
-			expr.NewVar("K_CD"), expr.NewVar("C"), expr.NewVar("D"))
+			v("K_CD"), v("C"), v("D"))
 	}
 	rhs := []expr.Node{mk(-1), mk(-1), mk(1)}
 	res := CSE(rhs, CSEConfig{Products: true})
@@ -106,7 +107,7 @@ func TestCSESharedProductAcrossEquations(t *testing.T) {
 // sharing.
 func TestCSEWithoutProducts(t *testing.T) {
 	mk := func() expr.Node {
-		return expr.NewMul(expr.NewVar("K_CD"), expr.NewVar("C"), expr.NewVar("D"))
+		return expr.NewMul(v("K_CD"), v("C"), v("D"))
 	}
 	res := CSE([]expr.Node{mk(), mk()}, CSEConfig{Products: false})
 	if len(res.Temps) != 0 {
@@ -118,7 +119,7 @@ func TestCSEWithoutProducts(t *testing.T) {
 // -3*K*A*B share the flux K*A*B.
 func TestCSEScaledUse(t *testing.T) {
 	mk := func(c float64) expr.Node {
-		return expr.NewMul(expr.NewConst(c), expr.NewVar("K_x"), expr.NewVar("A"), expr.NewVar("B"))
+		return expr.NewMul(expr.NewConst(c), v("K_x"), v("A"), v("B"))
 	}
 	rhs := []expr.Node{mk(2), mk(-3)}
 	res := CSE(rhs, CSEConfig{Products: true})
@@ -139,7 +140,7 @@ func TestCSEScaledUse(t *testing.T) {
 func TestCSETempOrdering(t *testing.T) {
 	inner := func() expr.Node { return varSum("A", "B") }
 	outer := func() expr.Node {
-		return expr.NewAdd(expr.NewMul(expr.NewVar("k1"), inner()), expr.NewVar("C"), expr.NewVar("D"))
+		return expr.NewAdd(expr.NewMul(v("k1"), inner()), v("C"), v("D"))
 	}
 	rhs := []expr.Node{outer(), outer(), inner()}
 	res := CSE(rhs, CSEConfig{Products: true})
@@ -269,9 +270,9 @@ func (c *csePass) scanPrefix(e *cseEntry, i int) *cseEntry {
 		if g == e || g.width != i || g.kind != e.kind {
 			continue
 		}
-		if equalKeys(g.childKeys, e.childKeys[:i]) {
+		if slices.Equal(c.cons.key(g.key)[1:], c.cons.key(e.key)[1:1+i]) {
 			// Deterministic choice: the entry with the smallest key.
-			if best == nil || g.key < best.key {
+			if best == nil || c.compareKeys(g, best) < 0 {
 				best = g
 			}
 		}
@@ -418,8 +419,9 @@ func TestCSEDeterministic(t *testing.T) {
 }
 
 // BenchmarkCSEMatching is the ablation of §3.3's matching strategies on
-// the 64-variant vulcanization model: the CSE pass with the hashed prefix
-// index versus the same pass with the paper's O(m²n) pairwise scan.
+// the 64-variant vulcanization model: the CSE pass with the hash-consed
+// prefix lookup versus the same pass with the paper's O(m²n) pairwise
+// scan.
 func BenchmarkCSEMatching(b *testing.B) {
 	sys, err := vulcan.System(64)
 	if err != nil {

@@ -15,6 +15,8 @@ package opt
 
 import (
 	"math"
+	"slices"
+
 	"rms/internal/expr"
 )
 
@@ -31,38 +33,54 @@ import (
 // contained in only one product is never factored: pulling a factor out of
 // a single product rewrites x*(y) at no gain.
 func DistOpt(s *expr.Sum) expr.Node {
-	return distOpt(s.Products())
+	d := &distPass{syms: s.Syms()}
+	return d.distOpt(s.Products())
 }
 
-func distOpt(ps []expr.Product) expr.Node {
+// distPass holds one DistOpt call's buffers: every divided product's
+// factors are carved out of arena, and mostFrequent counts in seen.
+type distPass struct {
+	syms  *expr.Symbols
+	arena []expr.Sym
+	seen  []expr.Sym
+}
+
+func (d *distPass) distOpt(ps []expr.Product) expr.Node {
 	var resTerms []expr.Node
 	remaining := ps
 	for len(remaining) > 0 {
-		k, c := mostFrequent(remaining)
+		k, c := d.mostFrequent(remaining)
 		if c <= 1 {
 			// No term is shared by two products; emit the rest verbatim.
 			for _, p := range remaining {
-				resTerms = append(resTerms, productTree(p))
+				resTerms = append(resTerms, expr.ProductNode(d.syms, p))
 			}
 			break
 		}
-		var pk, rest []expr.Product
+		buf := make([]expr.Product, len(remaining))
+		divided, rest := buf[:0:c], buf[c:c]
 		for _, p := range remaining {
 			if p.Contains(k) {
-				pk = append(pk, p)
+				divided = append(divided, d.divide(p, k))
 			} else {
 				rest = append(rest, p)
 			}
 		}
-		divided := make([]expr.Product, len(pk))
-		for i, p := range pk {
-			divided[i] = p.Divide(k)
-		}
-		inner := distOpt(divided)
-		resTerms = append(resTerms, expr.NewMul(expr.NewVar(k), inner))
+		inner := d.distOpt(divided)
+		resTerms = append(resTerms, expr.NewMul(d.syms.Var(k), inner))
 		remaining = rest
 	}
 	return normalizeSign(resTerms)
+}
+
+// divide is Product.Divide with the result's factors taken from the
+// arena (a full slice expression, so no later product can overwrite
+// them).
+func (d *distPass) divide(p expr.Product, k expr.Sym) expr.Product {
+	i, _ := slices.BinarySearch(p.Factors, k)
+	start := len(d.arena)
+	d.arena = append(append(d.arena, p.Factors[:i]...), p.Factors[i+1:]...)
+	return expr.Product{Coef: p.Coef, Factors: d.arena[start:len(d.arena):len(d.arena)]}
 }
 
 // normalizeSign builds the result sum in coefficient-normal form:
@@ -170,37 +188,32 @@ func negateNode(n expr.Node) expr.Node {
 }
 
 // mostFrequent returns the term contained in the most products and that
-// count. Each product counts once per distinct term it contains (a
-// squared factor does not double-count: factoring removes one occurrence
-// per product, so product-level frequency is what predicts the gain).
-func mostFrequent(ps []expr.Product) (string, int) {
-	counts := make(map[string]int)
+// count; ties go to the canonically smallest term (the smallest symbol).
+// Each product counts once per distinct term it contains (a squared
+// factor does not double-count: factoring removes one occurrence per
+// product, so product-level frequency is what predicts the gain).
+func (d *distPass) mostFrequent(ps []expr.Product) (expr.Sym, int) {
+	seen := d.seen[:0]
 	for _, p := range ps {
-		seen := ""
-		for _, f := range p.Factors {
-			if f != seen { // Factors are sorted; dedup adjacent repeats.
-				counts[f]++
-				seen = f
+		for i, f := range p.Factors {
+			if i == 0 || f != p.Factors[i-1] { // Factors are sorted; dedup adjacent repeats.
+				seen = append(seen, f)
 			}
 		}
 	}
-	best, bestC := "", 0
-	for f, c := range counts {
-		if c > bestC || (c == bestC && expr.TermLess(f, best)) {
-			best, bestC = f, c
+	slices.Sort(seen)
+	d.seen = seen
+	var best expr.Sym
+	bestC := 0
+	for i := 0; i < len(seen); {
+		j := i + 1
+		for j < len(seen) && seen[j] == seen[i] {
+			j++
 		}
+		if j-i > bestC {
+			best, bestC = seen[i], j-i
+		}
+		i = j
 	}
 	return best, bestC
-}
-
-// productTree converts one flat product into a Mul tree.
-func productTree(p expr.Product) expr.Node {
-	factors := make([]expr.Node, 0, len(p.Factors)+1)
-	if p.Coef != 1 || len(p.Factors) == 0 {
-		factors = append(factors, expr.NewConst(p.Coef))
-	}
-	for _, f := range p.Factors {
-		factors = append(factors, expr.NewVar(f))
-	}
-	return expr.NewMul(factors...)
 }

@@ -12,10 +12,10 @@ import (
 // become k1*(B*(C+D) + E*F), going from 6 multiplies and 2 adds to
 // 3 multiplies and 2 adds.
 func TestDistOptPaperExample(t *testing.T) {
-	s := expr.SumOf(
-		expr.NewProduct(1, "k1", "B", "C"),
-		expr.NewProduct(1, "k1", "B", "D"),
-		expr.NewProduct(1, "k1", "E", "F"),
+	s := expr.SumOf(ts,
+		prod(1, "k1", "B", "C"),
+		prod(1, "k1", "B", "D"),
+		prod(1, "k1", "E", "F"),
 	)
 	mBefore, aBefore := s.CountOps()
 	if mBefore != 6 || aBefore != 2 {
@@ -32,9 +32,9 @@ func TestDistOptPaperExample(t *testing.T) {
 }
 
 func TestDistOptNoSharing(t *testing.T) {
-	s := expr.SumOf(
-		expr.NewProduct(1, "K_A", "A"),
-		expr.NewProduct(2, "K_B", "B"),
+	s := expr.SumOf(ts,
+		prod(1, "K_A", "A"),
+		prod(2, "K_B", "B"),
 	)
 	n := DistOpt(s)
 	env := map[string]float64{"K_A": 2, "A": 3, "K_B": 5, "B": 7}
@@ -49,7 +49,7 @@ func TestDistOptNoSharing(t *testing.T) {
 }
 
 func TestDistOptSingleProduct(t *testing.T) {
-	s := expr.SumOf(expr.NewProduct(-1, "K_C", "C", "D"))
+	s := expr.SumOf(ts, prod(-1, "K_C", "C", "D"))
 	n := DistOpt(s)
 	if got, want := n.String(), "-K_C*C*D"; got != want {
 		t.Errorf("DistOpt = %q, want %q", got, want)
@@ -57,18 +57,18 @@ func TestDistOptSingleProduct(t *testing.T) {
 }
 
 func TestDistOptEmpty(t *testing.T) {
-	n := DistOpt(expr.NewSum())
-	if n.Key() != "0" {
-		t.Errorf("DistOpt(0) = %q", n.Key())
+	n := DistOpt(expr.NewSum(ts))
+	if n.String() != "0" {
+		t.Errorf("DistOpt(0) = %q", n)
 	}
 }
 
 func TestDistOptRepeatedFactor(t *testing.T) {
 	// K*A*A + K*A*B: K and A both appear in 2 products; K wins the tie on
 	// canonical order (rate constants first), then A is factored inside.
-	s := expr.SumOf(
-		expr.NewProduct(1, "K_d", "A", "A"),
-		expr.NewProduct(1, "K_d", "A", "B"),
+	s := expr.SumOf(ts,
+		prod(1, "K_d", "A", "A"),
+		prod(1, "K_d", "A", "B"),
 	)
 	n := DistOpt(s)
 	if got, want := n.String(), "K_d*A*(A + B)"; got != want {
@@ -82,9 +82,9 @@ func TestDistOptRepeatedFactor(t *testing.T) {
 
 func TestDistOptCoefficientsPreserved(t *testing.T) {
 	// 2*k*B + 3*k*C: factoring k keeps the coefficients on the inner terms.
-	s := expr.SumOf(
-		expr.NewProduct(2, "k1", "B"),
-		expr.NewProduct(3, "k1", "C"),
+	s := expr.SumOf(ts,
+		prod(2, "k1", "B"),
+		prod(3, "k1", "C"),
 	)
 	n := DistOpt(s)
 	env := map[string]float64{"k1": 10, "B": 1, "C": 1}
@@ -99,7 +99,7 @@ func TestDistOptCoefficientsPreserved(t *testing.T) {
 var optTestNames = []string{"K_A", "K_B", "K_C", "k1", "A", "B", "C", "D", "E", "F"}
 
 func randomOptSum(rng *rand.Rand) *expr.Sum {
-	s := expr.NewSum()
+	s := expr.NewSum(ts)
 	n := 1 + rng.Intn(10)
 	for i := 0; i < n; i++ {
 		d := 1 + rng.Intn(4)
@@ -107,7 +107,7 @@ func randomOptSum(rng *rand.Rand) *expr.Sum {
 		for j := range fs {
 			fs[j] = optTestNames[rng.Intn(len(optTestNames))]
 		}
-		s.Add(expr.NewProduct(float64(rng.Intn(9)-4), fs...))
+		s.Add(prod(float64(rng.Intn(9)-4), fs...))
 	}
 	return s
 }

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"rms/internal/expr"
 )
@@ -23,11 +23,12 @@ import (
 // collapse into a single prelude reference when that saves work.
 func hoistKInvariants(z *Optimized) {
 	h := &hoister{
-		rates:   make(map[string]bool, len(z.Rates)),
-		hoisted: make(map[string]int),
+		rate:    make([]bool, z.Syms.Len()),
+		cons:    &conser{},
+		hoisted: make(map[int32]int),
 	}
 	for _, r := range z.Rates {
-		h.rates[r] = true
+		h.rate[z.Syms.Sym(r)] = true
 	}
 	// Classify existing temps: a temp is k-only if its body reads only
 	// rates, literals and other k-only temps. Defs are in def-before-use
@@ -87,11 +88,12 @@ func hoistKInvariants(z *Optimized) {
 }
 
 type hoister struct {
-	rates     map[string]bool
+	rate      []bool // by symbol: is it a rate constant
 	kOnlyTemp []bool
 	prelude   []TempDef
-	hoisted   map[string]int // canonical key -> prelude index
-	remap     []int          // old temp ID -> prelude index (k-only temps)
+	cons      *conser
+	hoisted   map[int32]int // conser ID of a hoisted body -> prelude index
+	remap     []int         // old temp ID -> prelude index (k-only temps)
 }
 
 // kOnly reports whether n reads only literals, rate constants and k-only
@@ -101,7 +103,7 @@ func (h *hoister) kOnly(n expr.Node, kOnlyTemp []bool) bool {
 	expr.Walk(n, func(m expr.Node) {
 		switch x := m.(type) {
 		case *expr.Var:
-			if !h.rates[x.Name] {
+			if !h.rate[x.Sym] {
 				ok = false
 			}
 		case *expr.TempRef:
@@ -113,9 +115,10 @@ func (h *hoister) kOnly(n expr.Node, kOnlyTemp []bool) bool {
 	return ok
 }
 
-// intern deduplicates a hoisted definition and returns its prelude ID.
+// intern deduplicates a hoisted definition by structure and returns its
+// prelude ID.
 func (h *hoister) intern(body expr.Node) int {
-	key := body.Key()
+	key := h.cons.id(body)
 	if id, ok := h.hoisted[key]; ok {
 		return id
 	}
@@ -259,5 +262,5 @@ func resolveMainRefs(z *Optimized, oldToNew map[int]int) {
 	for _, r := range z.RHS {
 		fix(r)
 	}
-	sort.SliceStable(z.Temps, func(i, j int) bool { return z.Temps[i].ID < z.Temps[j].ID })
+	slices.SortStableFunc(z.Temps, func(a, b TempDef) int { return a.ID - b.ID })
 }

@@ -37,9 +37,9 @@ func TestHoistMovesKInvariants(t *testing.T) {
 	}
 	// Prelude bodies read only rate constants.
 	for _, d := range z.Temps[:z.NumPrelude] {
-		for _, v := range expr.Variables(d.Body) {
-			if !expr.IsRateConstant(v) {
-				t.Errorf("prelude temp reads species %q: %s", v, d.Body)
+		for _, s := range expr.Variables(d.Body) {
+			if name := z.Syms.Name(s); !expr.IsRateConstant(name) {
+				t.Errorf("prelude temp reads species %q: %s", name, d.Body)
 			}
 		}
 	}

@@ -77,9 +77,10 @@ func Paper() Level { return LevelPaper }
 // temporary definitions in emission order followed by one right-hand-side
 // tree per species equation.
 type Optimized struct {
-	// Species, Rates and Y0 mirror the source system.
+	// Species, Rates, Syms and Y0 mirror the source system.
 	Species []string
 	Rates   []string
+	Syms    *expr.Symbols
 	Y0      []float64
 	// Temps are the compiler temporaries, in def-before-use order. The
 	// first NumPrelude entries form the prelude: they depend only on the
@@ -98,6 +99,7 @@ func Optimize(sys *eqgen.System, l Level) *Optimized {
 	z := &Optimized{
 		Species: sys.Species,
 		Rates:   sys.Rates,
+		Syms:    sys.Syms,
 		Y0:      sys.Y0,
 		RHS:     make([]expr.Node, len(sys.Equations)),
 	}
@@ -108,7 +110,7 @@ func Optimize(sys *eqgen.System, l Level) *Optimized {
 		case l >= LevelSimplify:
 			z.RHS[i] = eq.RHS.Node()
 		default:
-			z.RHS[i] = eqgen.RawNode(eq.Raw)
+			z.RHS[i] = eqgen.RawNode(sys.Syms, eq.Raw)
 		}
 	}
 	if l >= LevelPaper {

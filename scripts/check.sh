@@ -3,8 +3,8 @@
 # race-test the concurrency-heavy packages (the simulated MPI runtime,
 # the parallel estimator and its load balancer) and the numerical core the
 # sparse Jacobian path touches (solver, linear algebra), give both
-# parser fuzzers and the canonical-labelling oracle a short smoke run,
-# then run the cross-stack conformance
+# parser fuzzers, the canonical-labelling oracle and the symbol order a
+# short smoke run, then run the cross-stack conformance
 # matrix (docs/testing.md). Run from the repository root; the full
 # serial test suite is `go test ./...`.
 set -eu
@@ -48,6 +48,9 @@ go test -fuzz=FuzzParseSMILES -fuzztime=10s ./internal/chem
 
 echo "== fuzz smoke (FuzzCanonicalMatchesReference, 10s)"
 go test -fuzz=FuzzCanonicalMatchesReference -fuzztime=10s ./internal/chem
+
+echo "== fuzz smoke (FuzzSymbolOrder, 10s)"
+go test -fuzz=FuzzSymbolOrder -fuzztime=10s ./internal/expr
 
 echo "== load-balancer skew smoke (rmsbench -skew, static vs lpt, small model)"
 go run ./cmd/rmsbench -skew -variants 8
