@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 
+	"rms/internal/codegen"
 	"rms/internal/core"
 	"rms/internal/opt"
 )
@@ -66,7 +67,7 @@ func run(outPath, optLevel, rcipPath, funcName string,
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Optimize: level, FuncName: funcName}
+	cfg := core.Config{Optimize: level}
 	if rcipPath != "" {
 		b, err := os.ReadFile(rcipPath)
 		if err != nil {
@@ -102,6 +103,6 @@ func run(outPath, optLevel, rcipPath, funcName string,
 		defer f.Close()
 		out = f
 	}
-	_, err = io.WriteString(out, res.C)
+	_, err = io.WriteString(out, codegen.EmitC(res.Optimized, funcName))
 	return err
 }

@@ -50,7 +50,7 @@ func run(variants, nFiles, records int, outDir string, tEnd float64) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(outDir, "model_opt.c"), []byte(res.C), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(outDir, "model_opt.c"), []byte(codegen.EmitC(res.Optimized, "ode_fcn")), 0o644); err != nil {
 		return err
 	}
 	rawNet, err := vulcan.Network(variants)
@@ -61,7 +61,7 @@ func run(variants, nFiles, records int, outDir string, tEnd float64) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(outDir, "model_raw.c"), []byte(rawRes.C), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(outDir, "model_raw.c"), []byte(codegen.EmitC(rawRes.Optimized, "ode_fcn")), 0o644); err != nil {
 		return err
 	}
 	fmt.Println(res.Report())

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"rms"
+	"rms/internal/codegen"
 	"rms/internal/ode"
 )
 
@@ -54,7 +55,7 @@ func main() {
 	fmt.Println(res.Report())
 
 	fmt.Println("\n=== Generated C ===")
-	fmt.Print(res.C)
+	fmt.Print(codegen.EmitC(res.Optimized, "ode_fcn"))
 
 	// Integrate with the Adams-Gear solver: k vector in res.System.Rates
 	// order.

@@ -141,7 +141,7 @@ func table1Case(c vulcan.Case, variants int, cfg Table1Config) (Table1Row, error
 		// simulated xlc at its best level (only meaningful where the
 		// paper-scale size admits an optimizing level at all).
 		if row.PaperRawLevel > 0 {
-			res, _, err := ccomp.CompileBestEffort(raw.C, 0)
+			res, _, err := ccomp.CompileBestEffort(codegen.EmitC(raw.Optimized, "ode_fcn"), 0)
 			if err == nil {
 				row.CCompNsPerEval = timeEvals(res.Program, cfg.MinEvalTime)
 			}

@@ -66,8 +66,8 @@ func BenchmarkCompileRDL(b *testing.B) {
 }
 
 // BenchmarkCompileNetwork times a whole network-text compile at the
-// production level: equation generation, the optimizer, the tape, the C
-// kernel and the analytic Jacobian:
+// production level: equation generation, the optimizer, the tape and
+// the analytic Jacobian:
 //
 //	go test -run '^$' -bench CompileNetwork ./internal/bench/
 func BenchmarkCompileNetwork(b *testing.B) {

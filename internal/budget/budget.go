@@ -76,6 +76,12 @@ type Budget struct {
 	mu    sync.Mutex
 	done  chan struct{}
 	timer *time.Timer
+	// closed reports done is closed, by this budget's trip or an
+	// ancestor's. children are the untripped budgets chained under this
+	// one: a child leaves the set when it trips, and the set's members
+	// are released when this budget's channel closes.
+	closed   bool
+	children map[*Budget]struct{}
 }
 
 // New returns an active budget with no deadline.
@@ -110,14 +116,54 @@ func (b *Budget) WithLogger(l *telemetry.Logger) *Budget {
 }
 
 // WithParent chains this budget under p: Check and Err consult p first,
-// so cancelling the parent ends every child. Call at construction,
-// before the budget is shared across goroutines. Returns b.
+// and Done closes when p or any of its ancestors trips, so cancelling the
+// parent ends every child. Until the child trips, p holds it; a child
+// dropped untripped must be cancelled to let it go. Call at
+// construction, before the budget is shared across goroutines. Returns
+// b.
 func (b *Budget) WithParent(p *Budget) *Budget {
 	if b == nil {
 		return nil
 	}
 	b.parent = p
+	p.adopt(b)
 	return b
+}
+
+// adopt adds c to b's children, or releases c at once when b's channel
+// is already closed.
+func (b *Budget) adopt(c *Budget) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		c.release()
+		return
+	}
+	if b.children == nil {
+		b.children = make(map[*Budget]struct{})
+	}
+	b.children[c] = struct{}{}
+	b.mu.Unlock()
+}
+
+// release closes b's Done channel, once, and then its children's.
+func (b *Budget) release() {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return
+	}
+	b.closed = true
+	close(b.done)
+	children := b.children
+	b.children = nil
+	b.mu.Unlock()
+	for c := range children {
+		c.release()
+	}
 }
 
 // Cancel trips the budget with ErrCancelled and the given reason.
@@ -160,7 +206,8 @@ func (b *Budget) CancelOn(sig <-chan os.Signal, notify func()) {
 	}()
 }
 
-// trip moves the budget to a terminal state exactly once.
+// trip moves the budget to a terminal state exactly once, closes its
+// channel and its descendants', and leaves its parent's children.
 func (b *Budget) trip(st int32, reason string) {
 	b.mu.Lock()
 	if b.state.Load() != stActive {
@@ -173,8 +220,13 @@ func (b *Budget) trip(st int32, reason string) {
 		b.timer.Stop()
 		b.timer = nil
 	}
-	close(b.done)
 	b.mu.Unlock()
+	b.release()
+	if p := b.parent; p != nil {
+		p.mu.Lock()
+		delete(p.children, b)
+		p.mu.Unlock()
+	}
 	if st == stCancelled {
 		b.log.Info("cancel", "budget cancelled", "reason", reason)
 	} else {
@@ -232,10 +284,9 @@ func (b *Budget) Checks() int64 {
 	return b.checks.Load()
 }
 
-// Done returns a channel closed when the budget trips. A nil budget
-// returns a nil channel, which blocks forever in a select — the idiom
-// `case <-b.Done():` is safe without a nil check. A child's channel
-// closes on its own trip only, not on its parent's.
+// Done returns a channel closed when the budget or any of its ancestors
+// trips. A nil budget returns a nil channel, which blocks forever in a
+// select — the idiom `case <-b.Done():` is safe without a nil check.
 func (b *Budget) Done() <-chan struct{} {
 	if b == nil {
 		return nil

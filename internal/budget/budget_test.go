@@ -71,14 +71,34 @@ func TestParentChaining(t *testing.T) {
 	if err := attempt.Check(); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("child not tripped: %v", err)
 	}
-	// A tripped run ends every child, and the run's cause wins.
+	// ...and leaves the run's children.
 	att2 := New().WithParent(run)
-	run.Cancel("run over")
-	if err := att2.Check(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("parent trip not seen by child: %v", err)
+	if len(run.children) != 1 {
+		t.Fatalf("run holds %d children, want the one untripped", len(run.children))
 	}
-	if got := att2.Err().Error(); got != "budget: exhausted: cancelled (run over)" {
-		t.Fatalf("parent cause did not win: %q", got)
+	// A tripped run ends every descendant, closes its Done, and the
+	// run's cause wins.
+	nested := New().WithParent(att2)
+	run.Cancel("run over")
+	for _, b := range []*Budget{att2, nested} {
+		select {
+		case <-b.Done():
+		default:
+			t.Fatal("a descendant's Done is open after the run tripped")
+		}
+		if got := b.Err().Error(); got != "budget: exhausted: cancelled (run over)" {
+			t.Fatalf("parent cause did not win: %q", got)
+		}
+	}
+	if run.children != nil || att2.children != nil {
+		t.Fatal("a released budget still holds children")
+	}
+	att2.Cancel("after the run") // its Done is already closed
+	// A child chained under a tripped parent starts released.
+	select {
+	case <-New().WithParent(run).Done():
+	default:
+		t.Fatal("a child of a tripped parent has an open Done")
 	}
 }
 
@@ -104,6 +124,7 @@ func TestParentedBudgetRace(t *testing.T) {
 	var wg sync.WaitGroup
 	calls := make([]int64, workers)
 	errs := make([]error, workers)
+	kids := make([][]*Budget, workers)
 	started := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -111,6 +132,15 @@ func TestParentedBudgetRace(t *testing.T) {
 			defer wg.Done()
 			for {
 				calls[w]++
+				// Children join the parent, and half leave it again by
+				// tripping, while the parent trips.
+				if calls[w] <= 200 {
+					kid := New().WithParent(parent)
+					if calls[w]%2 == 0 {
+						kid.Cancel("job finished")
+					}
+					kids[w] = append(kids[w], kid)
+				}
 				if err := child.Check(); err != nil {
 					errs[w] = err
 					return
@@ -133,6 +163,16 @@ func TestParentedBudgetRace(t *testing.T) {
 			t.Errorf("worker %d stopped with %v, want the parent's cause", w, errs[w])
 		}
 		total += calls[w]
+		for _, kid := range kids[w] {
+			select {
+			case <-kid.Done():
+			default:
+				t.Fatalf("worker %d: a child's Done is open after the parent tripped", w)
+			}
+		}
+	}
+	if parent.children != nil {
+		t.Errorf("the tripped parent still holds %d children", len(parent.children))
 	}
 	if got := child.Checks(); got != total {
 		t.Errorf("child.Checks() = %d, want %d", got, total)

@@ -9,11 +9,9 @@ import (
 	"fmt"
 
 	"rms/internal/codegen"
-	"rms/internal/dataset"
 	"rms/internal/eqgen"
 	"rms/internal/estimator"
 	"rms/internal/network"
-	"rms/internal/nlopt"
 	"rms/internal/ode"
 	"rms/internal/opt"
 	"rms/internal/rcip"
@@ -39,8 +37,6 @@ type Result struct {
 	Tape *codegen.Program
 	// Jacobian is the compiled symbolic Jacobian (nil unless requested).
 	Jacobian *codegen.JacobianProgram
-	// C is the generated C source (the paper's output artifact).
-	C string
 }
 
 // Config controls a compilation.
@@ -50,15 +46,13 @@ type Config struct {
 	Optimize opt.Level
 	// RCIP is optional rate-constant information source text.
 	RCIP string
-	// FuncName names the emitted C function (default "ode_fcn").
-	FuncName string
 	// AnalyticJacobian additionally differentiates the system
 	// symbolically and compiles the Jacobian entries (Result.Jacobian);
 	// the estimator's stiff solver then uses exact Jacobians.
 	AnalyticJacobian bool
 	// Trace, when non-nil, records one span per compiler phase (parse,
 	// network generation, RCIP, equation generation, optimization, code
-	// generation, C emission, Jacobian compilation) on the lane.
+	// generation, Jacobian compilation) on the lane.
 	Trace *telemetry.Lane
 }
 
@@ -113,13 +107,6 @@ func CompileNetwork(net *network.Network, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Tape = tape
-	name := cfg.FuncName
-	if name == "" {
-		name = "ode_fcn"
-	}
-	cfg.Trace.Begin("emit C")
-	res.C = codegen.EmitC(z, name)
-	cfg.Trace.End()
 	if cfg.AnalyticJacobian {
 		cfg.Trace.Begin("jacobian compilation")
 		jp, err := codegen.CompileJacobian(res.System, cfg.Optimize)
@@ -142,44 +129,6 @@ func (r *Result) Model(property func(y []float64) float64, solver ode.Options) *
 		SolverOpts:  solver,
 		AnalyticJac: r.Jacobian,
 	}
-}
-
-// Estimate fits the system's rate constants to experimental data files
-// using bounds from the RCIP table (constants without bounds get the
-// defaults [lo, hi]).
-func (r *Result) Estimate(files []*dataset.File, cfg estimator.Config,
-	property func(y []float64) float64, solver ode.Options,
-	lmOpts nlopt.Options) (*nlopt.Result, map[string]float64, error) {
-
-	est, err := estimator.New(r.Model(property, solver), files, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(r.System.Rates)
-	lower := make([]float64, n)
-	upper := make([]float64, n)
-	start := make([]float64, n)
-	for i, name := range r.System.Rates {
-		b := rcip.Bound{Lower: 1e-3, Upper: 1e3, Start: 1}
-		if r.Rates != nil {
-			if rb, ok := r.Rates.Bounds[name]; ok {
-				b = rb
-			} else if v, ok := r.Rates.Values[name]; ok {
-				// Fully determined constants stay fixed.
-				b = rcip.Bound{Lower: v, Upper: v, Start: v}
-			}
-		}
-		lower[i], upper[i], start[i] = b.Lower, b.Upper, b.Start
-	}
-	fit, err := est.Estimate(start, lower, upper, lmOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	named := make(map[string]float64, n)
-	for i, name := range r.System.Rates {
-		named[name] = fit.X[i]
-	}
-	return fit, named, nil
 }
 
 // OpReport summarizes the op counts at every optimization stage for one

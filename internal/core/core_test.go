@@ -5,12 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"rms/internal/dataset"
-	"rms/internal/estimator"
-	"rms/internal/nlopt"
-	"rms/internal/ode"
+	"rms/internal/codegen"
 	"rms/internal/opt"
-	"rms/internal/sched"
 	"rms/internal/vulcan"
 )
 
@@ -35,8 +31,8 @@ func TestCompileRDLEndToEnd(t *testing.T) {
 	if len(res.Network.Reactions) != 1 {
 		t.Fatalf("reactions: %s", res.Network.Dump())
 	}
-	if !strings.Contains(res.C, "void ode_fcn(") {
-		t.Errorf("C output:\n%s", res.C)
+	if c := codegen.EmitC(res.Optimized, "ode_fcn"); !strings.Contains(c, "void ode_fcn(") {
+		t.Errorf("C output:\n%s", c)
 	}
 	// Run it: dA/dt = -K_d*A.
 	y := res.System.Y0
@@ -103,35 +99,5 @@ func TestReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "eqs=40") {
 		t.Errorf("report string: %s", rep)
-	}
-}
-
-func TestEstimateThroughPipeline(t *testing.T) {
-	// A -> B, fit K_d to synthetic data through the public pipeline.
-	res, err := CompileRDL(decayRDL, Config{
-		Optimize: opt.Full(),
-		RCIP:     "K_d in [0.01, 10] start 0.4",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kTrue := 1.3
-	// Property: total methyl-radical concentration. The class labels make
-	// [CH3:1] and [CH3:2] distinct product species (y[1] and y[2]), one
-	// of each per split, so the observable sums both.
-	property := func(y []float64) float64 { return y[1] + y[2] }
-	curve := func(tt float64) float64 { return 2 * (1 - math.Exp(-kTrue*tt)) }
-	files := []*dataset.File{
-		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "e1", Records: 40, T0: 0, T1: 2}),
-		dataset.Synthesize(curve, dataset.SynthesizeOptions{Name: "e2", Records: 25, T0: 0, T1: 2, Seed: 1}),
-	}
-	fit, named, err := res.Estimate(files, estimator.Config{Ranks: 2, Policy: sched.PolicyLPT},
-		property, ode.Options{RTol: 1e-10, ATol: 1e-12},
-		nlopt.Options{MaxIter: 60, RelStep: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(named["K_d"]-kTrue) > 1e-3 {
-		t.Errorf("K_d = %v, want %v (rnorm %g)", named["K_d"], kTrue, fit.RNorm)
 	}
 }

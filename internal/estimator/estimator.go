@@ -21,7 +21,6 @@ package estimator
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -114,7 +113,6 @@ type estMetrics struct {
 	fileSolves *telemetry.Counter
 	solveOps   *telemetry.Histogram // successful-solve cost, op units
 	retryOps   *telemetry.Histogram // cost of failed solve attempts, op units
-	stepSize   *telemetry.Histogram // |h| of every adaptive step attempt
 	solver     ode.StatsMetrics     // cumulative solver work
 	imbalance  *telemetry.Gauge     // makespan / mean rank load, last call
 
@@ -123,9 +121,6 @@ type estMetrics struct {
 	mpiWaitSec                       *telemetry.FloatCounter
 	retries, penalized, rankFailures *telemetry.Counter
 	watchdogTrips, rerunCalls        *telemetry.Counter
-
-	// Degradation-ladder demotions (see DegradeStats).
-	degradeSparse *telemetry.Counter
 }
 
 func newEstMetrics(reg *telemetry.Registry) estMetrics {
@@ -135,7 +130,6 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		solveOps:      reg.Histogram("estimator.file_solve_ops", nil),
 		retryOps:      reg.Histogram("estimator.file_retry_ops", nil),
 		schedReplans:  reg.Counter("sched.replans"),
-		stepSize:      ode.StepSizeHistogram(reg),
 		imbalance:     reg.Gauge("estimator.imbalance"),
 		solver:        ode.NewStatsMetrics(reg),
 		mpiWaitSec:    reg.FloatCounter("mpi.wait_seconds"),
@@ -144,14 +138,7 @@ func newEstMetrics(reg *telemetry.Registry) estMetrics {
 		rankFailures:  reg.Counter("faults.rank_failures"),
 		watchdogTrips: reg.Counter("faults.watchdog_trips"),
 		rerunCalls:    reg.Counter("faults.rerun_calls"),
-		degradeSparse: reg.Counter("degrade.sparse_to_dense"),
 	}
-}
-
-// publishStats folds one file solve's work counters into the registry.
-func (m *estMetrics) publishStats(st ode.Stats) {
-	m.solver.Publish(st)
-	m.degradeSparse.Add(int64(st.SparseDemotions))
 }
 
 // Estimator runs parallel objective evaluations and parameter fits.
@@ -260,7 +247,7 @@ func (e *Estimator) Close() {}
 // publishSolveStats publishes a solve's cumulative counters and folds
 // any sparse→dense demotions it performed into the degradation ledger.
 func (e *Estimator) publishSolveStats(st ode.Stats) {
-	e.met.publishStats(st)
+	e.met.solver.Publish(st)
 	if st.SparseDemotions > 0 {
 		e.recMu.Lock()
 		e.degrade.SparseToDense += st.SparseDemotions
@@ -423,7 +410,7 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator
 	n := e.model.Prog.NumY
 	y := make([]float64, n)
 	copy(y, e.model.Y0)
-	opts.Observer = e.stepObserver(opts.Observer)
+	opts.Observer = ode.ObserveStepSize(e.cfg.Metrics, opts.Observer)
 	rhs := func(_ float64, yy, dy []float64) {
 		ev.Eval(yy, k, dy)
 	}
@@ -451,22 +438,6 @@ func (e *Estimator) solveFile(ev *codegen.Evaluator, jacEv *codegen.JacEvaluator
 		errvec[j] += e.model.Property(y) - rec.Value
 	}
 	return solver.Stats(), nil
-}
-
-// stepObserver feeds the per-step event stream into the step-size
-// histogram when metrics are on, chaining prev (the model's own
-// observer, possibly nil).
-func (e *Estimator) stepObserver(prev ode.StepObserver) ode.StepObserver {
-	if e.cfg.Metrics == nil {
-		return prev
-	}
-	met := &e.met
-	return func(sev ode.StepEvent) {
-		met.stepSize.Observe(math.Abs(sev.H))
-		if prev != nil {
-			prev(sev)
-		}
-	}
 }
 
 // Estimate fits the rate constants within the chemist's bounds by

@@ -372,7 +372,8 @@ func TestAnalyzeFit(t *testing.T) {
 
 // TestObjectiveObservesSteps: the per-file solves feed their step
 // events into the ode.step_size histogram and chain the model's own step
-// observer.
+// observer, and the published Stats count each of those attempts once,
+// as an accepted or a rejected step.
 func TestObjectiveObservesSteps(t *testing.T) {
 	m := *decayModel(t)
 	var events atomic.Int64
@@ -386,8 +387,12 @@ func TestObjectiveObservesSteps(t *testing.T) {
 	if err := e.Objective([]float64{1.4}, r); err != nil {
 		t.Fatal(err)
 	}
-	if n := events.Load(); n == 0 || ode.StepSizeHistogram(reg).Count() != n {
-		t.Errorf("model observer saw %d events, ode.step_size counted %d",
-			n, ode.StepSizeHistogram(reg).Count())
+	n := events.Load()
+	if h := reg.Histogram("ode.step_size", nil).Count(); n == 0 || h != n {
+		t.Errorf("model observer saw %d events, ode.step_size counted %d", n, h)
+	}
+	steps, rejected := reg.Counter("ode.steps").Value(), reg.Counter("ode.rejected_steps").Value()
+	if steps+rejected != n {
+		t.Errorf("ode.steps %d + ode.rejected_steps %d, want the %d step events", steps, rejected, n)
 	}
 }

@@ -172,7 +172,7 @@ func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, jacEv *codegen.JacEval
 			clear(recs)
 			attempted = true
 			st, err = e.solveFile(ev, jacEv, f, k, recs, e.retryOpts(f, attempt))
-			addStats(&total, st)
+			total.Add(st)
 			if err == nil && !finite(recs) {
 				err = errNonFinite
 			}
@@ -198,26 +198,5 @@ func (e *Estimator) solveWithRetry(ev *codegen.Evaluator, jacEv *codegen.JacEval
 		}
 		e.log.Info("retry", "solve retry at tightened tolerances",
 			"call", call, "rank", rank, "file", fi, "attempt", attempt+1, "err", err)
-	}
-}
-
-// addStats accumulates solver work across retry attempts (the structural
-// sparsity sizes are per-solve, not additive — keep the largest).
-func addStats(dst *ode.Stats, st ode.Stats) {
-	dst.Steps += st.Steps
-	dst.Rejected += st.Rejected
-	dst.FEvals += st.FEvals
-	dst.JEvals += st.JEvals
-	dst.Factorizations += st.Factorizations
-	dst.NewtonIters += st.NewtonIters
-	dst.SparseFactorizations += st.SparseFactorizations
-	dst.SparseDemotions += st.SparseDemotions
-	dst.FactorOps += st.FactorOps
-	dst.SolveOps += st.SolveOps
-	if st.JacNNZ > dst.JacNNZ {
-		dst.JacNNZ = st.JacNNZ
-	}
-	if st.FillNNZ > dst.FillNNZ {
-		dst.FillNNZ = st.FillNNZ
 	}
 }

@@ -86,7 +86,7 @@ func compileDigest(res *core.Result) string {
 	digestInt32s(h, res.Jacobian.Rows)
 	digestInt32s(h, res.Jacobian.Cols)
 	digestProgram(h, res.Jacobian.Prog)
-	digestString(h, res.C)
+	digestString(h, codegen.EmitC(res.Optimized, "ode_fcn"))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

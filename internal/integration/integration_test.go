@@ -47,7 +47,7 @@ reaction Cap {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := ccomp.Compile(full.C, ccomp.Options{Level: 4})
+	cres, err := ccomp.Compile(codegen.EmitC(full.Optimized, "ode_fcn"), ccomp.Options{Level: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,9 @@ func TestCcompOnVulcanizationC(t *testing.T) {
 	}
 	ref := make([]float64, len(y))
 	res.Tape.NewEvaluator().Eval(y, k, ref)
+	c := codegen.EmitC(res.Optimized, "ode_fcn")
 	for _, level := range []int{0, 2, 4} {
-		cres, err := ccomp.Compile(res.C, ccomp.Options{Level: level})
+		cres, err := ccomp.Compile(c, ccomp.Options{Level: level})
 		if err != nil {
 			t.Fatalf("-O%d: %v", level, err)
 		}

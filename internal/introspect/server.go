@@ -45,10 +45,11 @@ type Server struct {
 	// state) to /progress and the same state to /debug/vars.
 	Budget *budget.Budget
 
-	// PollInterval is the /progress recorder poll period (default 100ms);
-	// HeartbeatInterval is the budget-heartbeat period (default 1s).
-	PollInterval      time.Duration
-	HeartbeatInterval time.Duration
+	// pollInterval is the /progress recorder poll period (default 100ms);
+	// heartbeatInterval is the budget-heartbeat period (default 1s). Only
+	// tests set them.
+	pollInterval      time.Duration
+	heartbeatInterval time.Duration
 
 	start int64 // telemetry clock at Start, for uptime
 	ln    net.Listener
@@ -198,11 +199,11 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		}
 		min = lv
 	}
-	poll := s.PollInterval
+	poll := s.pollInterval
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	heartbeat := s.HeartbeatInterval
+	heartbeat := s.heartbeatInterval
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}

@@ -234,8 +234,8 @@ func TestTraceDisabled(t *testing.T) {
 func TestProgressStream(t *testing.T) {
 	s, _, rec := testServer()
 	s.Budget = budget.New()
-	s.PollInterval = 5 * time.Millisecond
-	s.HeartbeatInterval = time.Hour // only the initial heartbeat
+	s.pollInterval = 5 * time.Millisecond
+	s.heartbeatInterval = time.Hour // only the initial heartbeat
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -427,3 +427,36 @@ func TestBudgetReleasesAllReduce(t *testing.T) {
 		t.Error("budget release not logged")
 	}
 }
+
+// TestParentBudgetReleasesAllReduce: a communicator runs under a child
+// budget, as an rmsd fit runs under its job's budget, and cancelling the
+// parent (the server's) releases the ranks blocked in an AllReduce.
+func TestParentBudgetReleasesAllReduce(t *testing.T) {
+	parent := budget.New()
+	child := budget.New().WithParent(parent)
+	done := make(chan *RunReport, 1)
+	go func() {
+		done <- RunErr(3, RunConfig{Budget: child}, func(c *Comm) error {
+			if c.Rank() == 0 {
+				parent.Cancel("server shutting down")
+				return nil // never joins: only the parent's trip can release the others
+			}
+			c.AllReduce([]float64{1})
+			return nil
+		})
+	}()
+	var rep *RunReport
+	select {
+	case rep = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranks still blocked in AllReduce 10 s after the parent budget was cancelled")
+	}
+	for _, r := range []int{1, 2} {
+		if !budget.Exhausted(rep.Errs[r]) {
+			t.Errorf("rank %d error = %v, want the budget's cause", r, rep.Errs[r])
+		}
+	}
+	if got := rep.Culprits(); len(got) != 0 {
+		t.Errorf("culprits = %v, want none", got)
+	}
+}

@@ -346,7 +346,8 @@ func (s *BDF) integrateFixed(t0, t1, dir float64, o Options, y []float64) error 
 // corrector equation, modified Newton, then the weighted error norm of
 // the corrector-predictor difference; an accepted step shifts the
 // history. It returns (accepted, errNorm). A Newton failure shrinks the
-// step by 4 and reports an infinite error norm.
+// step by 4 and reports an infinite error norm. The caller counts a
+// rejection, whatever its cause, once.
 func (s *BDF) attemptStep(t float64, o Options) (bool, float64) {
 	q := s.order
 	if q > len(s.hist) {
@@ -371,7 +372,6 @@ func (s *BDF) attemptStep(t float64, o Options) (bool, float64) {
 		// the caller's rejection path handles step underflow.
 		s.rescaleHistory(0.25)
 		s.h *= 0.25
-		s.stats.Rejected++
 		return false, math.Inf(1)
 	}
 

@@ -6,58 +6,36 @@ import (
 	"rms/internal/telemetry"
 )
 
-// The ode.* metric families are defined in this file and nowhere else:
-// each family's name, kind and buckets appear once, and both publishers
-// below take their handles from these definitions. StatsMetrics
-// publishes whole-solve totals (the estimator's file solves);
-// ObserveSteps publishes the per-attempt StepEvent stream (rmsd's
-// simulates). On a shared registry the two land in the same families
-// without a telemetry.conflicts registration.
-
-func stepsCounter(reg *telemetry.Registry) *telemetry.Counter {
-	return reg.Counter("ode.steps")
-}
-
-func rejectedCounter(reg *telemetry.Registry) *telemetry.Counter {
-	return reg.Counter("ode.rejected_steps")
-}
-
-func newtonCounter(reg *telemetry.Registry) *telemetry.Counter {
-	return reg.Counter("ode.newton_iters")
-}
-
-func factorizationsCounter(reg *telemetry.Registry) *telemetry.Counter {
-	return reg.Counter("ode.factorizations")
-}
-
-// StepSizeHistogram returns reg's ode.step_size histogram of |h| per
-// step attempt. Its buckets span the step magnitudes chemistry
-// integrations visit, from deep transients to free-running cruise.
-func StepSizeHistogram(reg *telemetry.Registry) *telemetry.Histogram {
-	return reg.Histogram("ode.step_size", []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100})
-}
+// The ode.* metric families, and degrade.sparse_to_dense, are defined in
+// this file and nowhere else. A solver's Stats is the one record of its
+// work: every caller publishes it once per solve through StatsMetrics
+// (the estimator per file solve, rmsd per simulate), so every family
+// counts the same thing whichever path ran the solve. The per-attempt
+// StepEvent stream feeds only the ode.step_size histogram.
 
 // StatsMetrics publishes solves' Stats into a registry: ode.steps,
 // ode.rejected_steps, ode.fevals, ode.jevals, ode.newton_iters,
-// ode.factorizations, ode.sparse_factorizations, ode.factor_ops and
-// ode.solve_ops. The zero value (and a nil registry's) is a no-op.
+// ode.factorizations, ode.sparse_factorizations, ode.factor_ops,
+// ode.solve_ops and degrade.sparse_to_dense. The zero value (and a nil
+// registry's) is a no-op.
 type StatsMetrics struct {
-	steps, rejected, fevals, jevals *telemetry.Counter
-	newtonIters, factorizations     *telemetry.Counter
-	sparseFactorizations            *telemetry.Counter
-	factorOps, solveOps             *telemetry.FloatCounter
+	steps, rejected, fevals, jevals       *telemetry.Counter
+	newtonIters, factorizations           *telemetry.Counter
+	sparseFactorizations, sparseDemotions *telemetry.Counter
+	factorOps, solveOps                   *telemetry.FloatCounter
 }
 
 // NewStatsMetrics registers the Stats families in reg.
 func NewStatsMetrics(reg *telemetry.Registry) StatsMetrics {
 	return StatsMetrics{
-		steps:                stepsCounter(reg),
-		rejected:             rejectedCounter(reg),
+		steps:                reg.Counter("ode.steps"),
+		rejected:             reg.Counter("ode.rejected_steps"),
 		fevals:               reg.Counter("ode.fevals"),
 		jevals:               reg.Counter("ode.jevals"),
-		newtonIters:          newtonCounter(reg),
-		factorizations:       factorizationsCounter(reg),
+		newtonIters:          reg.Counter("ode.newton_iters"),
+		factorizations:       reg.Counter("ode.factorizations"),
 		sparseFactorizations: reg.Counter("ode.sparse_factorizations"),
+		sparseDemotions:      reg.Counter("degrade.sparse_to_dense"),
 		factorOps:            reg.FloatCounter("ode.factor_ops"),
 		solveOps:             reg.FloatCounter("ode.solve_ops"),
 	}
@@ -72,30 +50,26 @@ func (m StatsMetrics) Publish(st Stats) {
 	m.newtonIters.Add(int64(st.NewtonIters))
 	m.factorizations.Add(int64(st.Factorizations))
 	m.sparseFactorizations.Add(int64(st.SparseFactorizations))
+	m.sparseDemotions.Add(int64(st.SparseDemotions))
 	m.factorOps.Add(st.FactorOps)
 	m.solveOps.Add(st.SolveOps)
 }
 
-// ObserveSteps returns a StepObserver that publishes every step attempt
-// into reg: one ode.steps or ode.rejected_steps count, its Newton
-// iterations and factorizations, its |h| in ode.step_size, and its order
-// in the ode.order gauge.
-func ObserveSteps(reg *telemetry.Registry) StepObserver {
-	steps := stepsCounter(reg)
-	rejected := rejectedCounter(reg)
-	newton := newtonCounter(reg)
-	factor := factorizationsCounter(reg)
-	h := StepSizeHistogram(reg)
-	order := reg.Gauge("ode.order")
+// ObserveStepSize returns a StepObserver that records every step
+// attempt's |h| in reg's ode.step_size histogram, then passes the event
+// to next (nil: none). Given a nil registry it returns next unchanged, so
+// an uninstrumented solve keeps its observer, or none. The buckets span
+// the step magnitudes chemistry integrations visit, from deep transients
+// to free-running cruise.
+func ObserveStepSize(reg *telemetry.Registry, next StepObserver) StepObserver {
+	if reg == nil {
+		return next
+	}
+	h := reg.Histogram("ode.step_size", []float64{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100})
 	return func(ev StepEvent) {
-		if ev.Accepted {
-			steps.Inc()
-		} else {
-			rejected.Inc()
-		}
-		newton.Add(int64(ev.NewtonIters))
-		factor.Add(int64(ev.Factorizations))
 		h.Observe(math.Abs(ev.H))
-		order.Set(float64(ev.Order))
+		if next != nil {
+			next(ev)
+		}
 	}
 }

@@ -168,6 +168,24 @@ type Stats struct {
 	FactorOps, SolveOps float64
 }
 
+// Add accumulates st into s, as across a file's retried solves: the work
+// counters add, and the structural sizes JacNNZ and FillNNZ, which are
+// per solve, keep the larger.
+func (s *Stats) Add(st Stats) {
+	s.Steps += st.Steps
+	s.Rejected += st.Rejected
+	s.FEvals += st.FEvals
+	s.JEvals += st.JEvals
+	s.Factorizations += st.Factorizations
+	s.NewtonIters += st.NewtonIters
+	s.SparseFactorizations += st.SparseFactorizations
+	s.SparseDemotions += st.SparseDemotions
+	s.FactorOps += st.FactorOps
+	s.SolveOps += st.SolveOps
+	s.JacNNZ = max(s.JacNNZ, st.JacNNZ)
+	s.FillNNZ = max(s.FillNNZ, st.FillNNZ)
+}
+
 // ErrStepTooSmall reports step-size underflow (usually an unstable or
 // inconsistent problem, or tolerances beyond reach).
 var ErrStepTooSmall = errors.New("ode: step size underflow")

@@ -167,6 +167,33 @@ func TestBDFRobertsonLong(t *testing.T) {
 	}
 }
 
+// TestBDFRejectionsCountedOnce: Robertson to 4e5 in one call, from the
+// default initial step, rejects steps both on the error test and on
+// Newton failures (an infinite error norm), and Stats.Rejected counts
+// each rejected attempt once, as the step events do.
+func TestBDFRejectionsCountedOnce(t *testing.T) {
+	var rejected, newtonFailures int
+	s := NewBDF(robertson, 3, Options{RTol: 1e-6, ATol: 1e-10, Observer: func(ev StepEvent) {
+		if !ev.Accepted {
+			rejected++
+			if math.IsInf(ev.ErrNorm, 1) {
+				newtonFailures++
+			}
+		}
+	}})
+	y := []float64{1, 0, 0}
+	if err := s.Integrate(0, 4e5, y); err != nil {
+		t.Fatal(err)
+	}
+	if newtonFailures == 0 {
+		t.Fatal("no Newton failure: the solve no longer exercises that rejection path")
+	}
+	if st := s.Stats(); st.Rejected != rejected || rejected != 53 {
+		t.Errorf("Stats.Rejected = %d for %d rejected step events (%d Newton failures), want 53 each",
+			st.Rejected, rejected, newtonFailures)
+	}
+}
+
 func TestIntegrateBackward(t *testing.T) {
 	s := NewRKV65(decay, 1, Options{})
 	y := []float64{math.Exp(-2)}
@@ -348,8 +375,8 @@ func robertsonJac(_ float64, y []float64, dst *linalg.Matrix) {
 // whole span bit for bit — the free-running step sequence does not see
 // the output times — and each continued call's first step attempt
 // starts where the previous call's last accepted step ended. The
-// observer sees one StepEvent per attempt, and their accepted steps,
-// Newton iterations and factorizations add up to Stats.
+// observer sees one StepEvent per attempt, and their accepted and
+// rejected steps, Newton iterations and factorizations add up to Stats.
 func TestBDFContinuationBitIdentical(t *testing.T) {
 	withJac := Options{RTol: 1e-6, ATol: 1e-10, InitialStep: 1e-6, Jacobian: robertsonJac}
 	cases := []struct {
@@ -407,13 +434,16 @@ func TestBDFContinuationBitIdentical(t *testing.T) {
 				if ev.Accepted {
 					sum.Steps++
 					last = ev
+				} else {
+					sum.Rejected++
 				}
 				sum.NewtonIters += ev.NewtonIters
 				sum.Factorizations += ev.Factorizations
 			}
-			if sum.Steps != st.Steps || sum.NewtonIters != st.NewtonIters || sum.Factorizations != st.Factorizations {
-				t.Errorf("step events add up to %d steps, %d Newton iterations, %d factorizations; Stats %+v",
-					sum.Steps, sum.NewtonIters, sum.Factorizations, st)
+			if sum.Steps != st.Steps || sum.Rejected != st.Rejected ||
+				sum.NewtonIters != st.NewtonIters || sum.Factorizations != st.Factorizations {
+				t.Errorf("step events add up to %d steps, %d rejections, %d Newton iterations, %d factorizations; Stats %+v",
+					sum.Steps, sum.Rejected, sum.NewtonIters, sum.Factorizations, st)
 			}
 		})
 	}

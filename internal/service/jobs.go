@@ -157,6 +157,7 @@ func (q *Queue) Submit(kind string, deadline time.Duration, run func(j *Job) (an
 	q.mu.Lock()
 	if q.closing {
 		q.mu.Unlock()
+		j.bud.Cancel("job not admitted") // leave the parent's children
 		return nil, ErrShuttingDown
 	}
 	q.seq++
@@ -170,6 +171,7 @@ func (q *Queue) Submit(kind string, deadline time.Duration, run func(j *Job) (an
 	default:
 		q.seq-- // the job never existed
 		q.mu.Unlock()
+		j.bud.Cancel("job not admitted")
 		return nil, ErrBusy
 	}
 }

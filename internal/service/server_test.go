@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rms/internal/linalg"
 	"rms/internal/ode"
 	"rms/internal/telemetry"
 )
@@ -277,16 +278,32 @@ func TestFitUnsolvableStartFailsNonFinite(t *testing.T) {
 	}
 }
 
-// TestSolverMetricFamilies runs one simulate and one fit on one
-// registry. The simulate's per-step solver metrics and the fit's
-// per-solve totals land in the same ode.* families: every family the ode
-// package defines is in the snapshot, and no registration conflicted.
+// TestSolverMetricFamilies: a simulate alone publishes its solver's
+// whole Stats, work counters included, and its ode.steps and
+// ode.rejected_steps are those of the solve it ran, replayed here on a
+// bare solver. A fit on the same registry lands in the same families
+// without a conflict, and every family the ode package defines is in the
+// snapshot.
 func TestSolverMetricFamilies(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	srv, ts, reg := newTestServer(t, Config{QueueCap: 4, Workers: 1})
 	spec := testSpec()
-	resp := postJSON(t, ts.URL+"/v1/simulate?wait=1", SimulateRequest{Spec: &spec, TEnd: 1, Points: 11})
+	req := SimulateRequest{Spec: &spec, TEnd: 1, Points: 11}
+	resp := postJSON(t, ts.URL+"/v1/simulate?wait=1", req)
 	var sim SimulateResult
 	decodeJob(t, resp, "done", &sim)
+
+	got := snapshot(reg)
+	for _, name := range []string{"ode.fevals", "ode.jevals", "ode.factor_ops", "ode.solve_ops"} {
+		if got[name] == 0 {
+			t.Errorf("%s = 0 after a simulate", name)
+		}
+	}
+	st := replaySimulate(t, srv, req)
+	if got["ode.steps"] != float64(st.Steps) || got["ode.rejected_steps"] != float64(st.Rejected) {
+		t.Errorf("ode.steps %v, ode.rejected_steps %v; the solve's Stats %+v",
+			got["ode.steps"], got["ode.rejected_steps"], st)
+	}
+
 	df := DataFile{Name: "synth"}
 	for _, row := range sim.Rows[1:] {
 		s := 0.0
@@ -302,16 +319,13 @@ func TestSolverMetricFamilies(t *testing.T) {
 	})
 	decodeJob(t, resp, "done", nil)
 
-	got := map[string]float64{}
-	for _, mv := range reg.Snapshot() {
-		got[mv.Name] = mv.Value
-	}
+	got = snapshot(reg)
 	if c := got[telemetry.ConflictsMetric]; c != 0 {
 		t.Errorf("%s = %v, want 0", telemetry.ConflictsMetric, c)
 	}
 	defined := telemetry.NewRegistry()
 	ode.NewStatsMetrics(defined)
-	ode.ObserveSteps(defined)
+	ode.ObserveStepSize(defined, nil)
 	families := defined.Snapshot()
 	if len(families) == 0 {
 		t.Fatal("the ode package defines no metric families")
@@ -321,6 +335,43 @@ func TestSolverMetricFamilies(t *testing.T) {
 			t.Errorf("family %s missing after a simulate and a fit", mv.Name)
 		}
 	}
+}
+
+// snapshot reads a registry's values by name.
+func snapshot(reg *telemetry.Registry) map[string]float64 {
+	got := map[string]float64{}
+	for _, mv := range reg.Snapshot() {
+		got[mv.Name] = mv.Value
+	}
+	return got
+}
+
+// replaySimulate integrates a default simulate request's grid on a bare
+// BDF with the model's dense analytic Jacobian and returns its Stats.
+func replaySimulate(t *testing.T, srv *Server, req SimulateRequest) ode.Stats {
+	t.Helper()
+	cm, _, err := srv.Engine().Compile(*req.Spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := rateVector(cm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, je := cm.Res.Tape.NewEvaluator(), cm.Res.Jacobian.NewEvaluator()
+	y := append([]float64(nil), cm.Res.System.Y0...)
+	s := ode.NewBDF(func(_ float64, y, dy []float64) { ev.Eval(y, k, dy) }, len(y), ode.Options{
+		RTol: 1e-8, ATol: 1e-11,
+		Jacobian: func(_ float64, y []float64, dst *linalg.Matrix) { je.Eval(y, k, dst) },
+	})
+	for i := 1; i < req.Points; i++ {
+		t0 := req.TEnd * float64(i-1) / float64(req.Points-1)
+		t1 := req.TEnd * float64(i) / float64(req.Points-1)
+		if err := s.Integrate(t0, t1, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Stats()
 }
 
 // TestAdmissionControl fills the queue with blocked jobs and checks the
@@ -431,6 +482,12 @@ func TestBadRequests(t *testing.T) {
 	decodeJob(t, resp, "failed", nil)
 	resp = postJSON(t, ts.URL+"/v1/simulate?wait=1", SimulateRequest{TEnd: 1, Points: 5})
 	decodeJob(t, resp, "failed", nil) // no model and no spec
+	spec := testSpec()
+	resp = postJSON(t, ts.URL+"/v1/simulate?wait=1", SimulateRequest{
+		Spec: &spec, TEnd: 1, Points: 5, Solver: "runge-kutta", Sparse: true})
+	if jv := decodeJob(t, resp, "failed", nil); !strings.Contains(jv.Error, "sparse") {
+		t.Errorf("runge-kutta with sparse failed with %q, want the sparse reason", jv.Error)
+	}
 
 	for _, path := range []string{"/v1/models/nope", "/v1/jobs/nope", "/v1/jobs/nope/events"} {
 		resp, err := http.Get(ts.URL + path)
@@ -546,7 +603,7 @@ func TestShutdownDeadline(t *testing.T) {
 // ones the solver can start at (at rtol 1e-12 its first step underflows
 // at t = 0), and 400000 rows take many times the 50 ms deadline.
 func TestSimulateDeadlinePartial(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{QueueCap: 4, Workers: 1})
+	_, ts, reg := newTestServer(t, Config{QueueCap: 4, Workers: 1})
 	body := map[string]any{
 		"spec": testSpec(), "tend": 1e6, "points": 400000,
 		"rtol": 1e-10, "atol": 1e-12, "deadline_ms": 50,
@@ -572,6 +629,13 @@ func TestSimulateDeadlinePartial(t *testing.T) {
 	}
 	if len(sim.Y) == 0 {
 		t.Fatal("partial result missing resume state Y")
+	}
+	// The stopped run published its solver's Stats: one count per step
+	// attempt the ode.step_size histogram saw.
+	steps, rejected := reg.Counter("ode.steps").Value(), reg.Counter("ode.rejected_steps").Value()
+	if attempts := reg.Histogram("ode.step_size", nil).Count(); steps == 0 || steps+rejected != attempts {
+		t.Errorf("ode.steps %d + ode.rejected_steps %d after a budget stop, want the %d step attempts",
+			steps, rejected, attempts)
 	}
 }
 

@@ -36,7 +36,8 @@ type SimulateRequest struct {
 	Rates map[string]float64 `json:"rates,omitempty"`
 	// Sparse switches the BDF Newton iteration to the sparse path,
 	// forking the model's shared symbolic LU per request. Off by
-	// default: the dense path is the rmssim-compatible one.
+	// default: the dense path is the rmssim-compatible one. The
+	// runge-kutta solver has no Newton iteration and rejects it.
 	Sparse bool `json:"sparse,omitempty"`
 	// StartRow and Y resume a trajectory from a checkpoint: rows 0..
 	// StartRow were already produced and Y is the state at StartRow.
@@ -66,7 +67,8 @@ type SimOpts struct {
 	// Budget bounds the integration cooperatively; a trip returns the
 	// partial result plus the budget's error.
 	Budget *budget.Budget
-	// Registry receives the solver and tape counters.
+	// Registry receives the solver's Stats when the run returns, its
+	// step sizes and the tape counters.
 	Registry *telemetry.Registry
 	// Log is handed to the solver for rare-event records.
 	Log *telemetry.Logger
@@ -130,11 +132,12 @@ func RunSimulate(cm *CompiledModel, req SimulateRequest, so SimOpts) (*SimulateR
 	ev := res.Tape.NewEvaluator()
 	ev.Observe(so.Registry)
 	rhs := func(_ float64, y, dy []float64) { ev.Eval(y, k, dy) }
-	opts := ode.Options{RTol: req.RTol, ATol: req.ATol, Budget: so.Budget, Log: so.Log}
-	if so.Registry != nil {
-		opts.Observer = ode.ObserveSteps(so.Registry)
+	opts := ode.Options{RTol: req.RTol, ATol: req.ATol, Budget: so.Budget, Log: so.Log,
+		Observer: ode.ObserveStepSize(so.Registry, nil)}
+	var solver interface {
+		Integrate(t0, t1 float64, y []float64) error
+		Stats() ode.Stats
 	}
-	var integrate func(t0, t1 float64, y []float64) error
 	switch req.Solver {
 	case "adams-gear":
 		if req.Sparse && cm.Pattern != nil {
@@ -154,12 +157,19 @@ func RunSimulate(cm *CompiledModel, req SimulateRequest, so SimOpts) (*SimulateR
 				je.Eval(y, k, dst)
 			}
 		}
-		integrate = ode.NewBDF(rhs, n, opts).Integrate
+		solver = ode.NewBDF(rhs, n, opts)
 	case "runge-kutta":
-		integrate = ode.NewRKV65(rhs, n, opts).Integrate
+		if req.Sparse {
+			return nil, fmt.Errorf("service: sparse needs the adams-gear solver, not runge-kutta")
+		}
+		solver = ode.NewRKV65(rhs, n, opts)
 	default:
 		return nil, fmt.Errorf("service: unknown solver %q", req.Solver)
 	}
+	// The solve's work is published once, however the run ends; the
+	// families are registered now, so a scrape mid-run finds them.
+	met := ode.NewStatsMetrics(so.Registry)
+	defer func() { met.Publish(solver.Stats()) }()
 
 	out := &SimulateResult{Model: cm.ID, Species: res.System.Species}
 	y := append([]float64(nil), res.System.Y0...)
@@ -191,7 +201,7 @@ func RunSimulate(cm *CompiledModel, req SimulateRequest, so SimOpts) (*SimulateR
 	for i := startRow; i < req.Points; i++ {
 		t0 := req.TEnd * float64(i-1) / float64(req.Points-1)
 		t1 := req.TEnd * float64(i) / float64(req.Points-1)
-		if err := integrate(t0, t1, y); err != nil {
+		if err := solver.Integrate(t0, t1, y); err != nil {
 			if budget.Exhausted(err) {
 				return out, err
 			}

@@ -39,47 +39,36 @@ type CLI struct {
 	// package); it arms a live Registry so there is something to scrape.
 	Listen string
 	// LogLevel, when non-empty, echoes events at or above this level
-	// ("debug", "info", "warn", "error") to LogOut as structured lines.
+	// ("debug", "info", "warn", "error") to stderr as structured lines.
 	// The flight recorder receives every level regardless.
 	LogLevel string
 	// LogJSON switches the echoed log lines from text to JSON.
 	LogJSON bool
-	// LogOut is the log sink and post-mortem dump destination
-	// (default os.Stderr — stdout often carries CSV or JSON payloads).
-	LogOut io.Writer
-	// RecorderSize overrides the flight-recorder ring capacity
-	// (0 = DefaultRecorderSize).
-	RecorderSize int
-	// NoSignalDump disables the SIGQUIT handler (tests).
-	NoSignalDump bool
 }
 
 // Setup arms the configured instruments. The tracer is non-nil only
 // with -trace; the registry with -metrics or -listen (a debug server
 // needs something to scrape); the flight recorder and logger always.
-// The recorder's post-mortem auto-dump is armed at LogOut, and SIGQUIT
-// dumps the recorder there on demand. The returned finish function
-// writes the trace file, prints the span summary and metrics to c.Out,
-// and stops the CPU profile, pprof server and signal handler. finish
-// must be called exactly once, at the end of the run.
+// Log lines, the recorder's post-mortem auto-dump and its SIGQUIT dump
+// go to stderr, since stdout often carries CSV or JSON payloads. The
+// returned finish function writes the trace file, prints the span
+// summary and metrics to c.Out, and stops the CPU profile, pprof server
+// and signal handler. finish must be called exactly once, at the end of
+// the run.
 func (c CLI) Setup() (*Instruments, func() error, error) {
 	out := c.Out
 	if out == nil {
 		out = os.Stdout
 	}
-	logOut := c.LogOut
-	if logOut == nil {
-		logOut = os.Stderr
-	}
-	ins := &Instruments{Recorder: NewRecorder(c.RecorderSize)}
-	ins.Recorder.ArmAutoDump(logOut)
+	ins := &Instruments{Recorder: NewRecorder(0)}
+	ins.Recorder.ArmAutoDump(os.Stderr)
 	ins.Log = NewLogger(ins.Recorder)
 	if c.LogLevel != "" {
 		min, err := ParseLevel(c.LogLevel)
 		if err != nil {
 			return nil, nil, err
 		}
-		ins.Log = ins.Log.WithSink(logOut, min, c.LogJSON)
+		ins.Log = ins.Log.WithSink(os.Stderr, min, c.LogJSON)
 	}
 	if c.TracePath != "" {
 		ins.Tracer = NewTracer()
@@ -107,31 +96,23 @@ func (c CLI) Setup() (*Instruments, func() error, error) {
 		}
 		stopProfile = stop
 	}
-	var stopSig func()
-	if !c.NoSignalDump {
-		quit := make(chan os.Signal, 1)
-		done := make(chan struct{})
-		signal.Notify(quit, syscall.SIGQUIT)
-		go func() {
-			for {
-				select {
-				case <-quit:
-					fmt.Fprintln(logOut, "SIGQUIT: dumping flight recorder")
-					ins.Recorder.WriteText(logOut)
-				case <-done:
-					return
-				}
+	quit := make(chan os.Signal, 1)
+	done := make(chan struct{})
+	signal.Notify(quit, syscall.SIGQUIT)
+	go func() {
+		for {
+			select {
+			case <-quit:
+				fmt.Fprintln(os.Stderr, "SIGQUIT: dumping flight recorder")
+				ins.Recorder.WriteText(os.Stderr)
+			case <-done:
+				return
 			}
-		}()
-		stopSig = func() {
-			signal.Stop(quit)
-			close(done)
 		}
-	}
+	}()
 	finish := func() error {
-		if stopSig != nil {
-			stopSig()
-		}
+		signal.Stop(quit)
+		close(done)
 		if stopPprof != nil {
 			stopPprof()
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"rms/internal/codegen"
 )
 
 const facadeModel = `
@@ -20,8 +22,8 @@ func TestCompileFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.C, "void ode_fcn(") {
-		t.Errorf("C output:\n%s", res.C)
+	if c := codegen.EmitC(res.Optimized, "ode_fcn"); !strings.Contains(c, "void ode_fcn(") {
+		t.Errorf("C output:\n%s", c)
 	}
 	y := res.System.Y0
 	k := []float64{2}
